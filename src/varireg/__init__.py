@@ -38,7 +38,6 @@ from .registration import (
     WarpMap,
     boundary_extend,
     estimate_warps_discrete,
-    pairwise_warp_oracle,
     register_complete,
     register_discrete,
     register_noisy,

@@ -39,7 +39,7 @@ from .simulate import (
     WarpLawConfig,
     make_truth_bundle,
 )
-from .variation import wasserstein2
+from .variation import DiscreteCurve, wasserstein2
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -188,7 +188,13 @@ def cmd_register(args) -> int:
         return EXIT_PARSE
 
     grid = result.output_grid
-    dataio.write_warps_csv(out_dir / "warps.csv", ids, result.warps, result.inverse_warps, grid)
+    dataio.write_warps_csv(
+        out_dir / "warps.csv",
+        ids,
+        [w(grid) for w in result.warps],
+        [w(grid) for w in result.inverse_warps],
+        grid,
+    )
     dataio.write_long_csv(out_dir / "registered.csv", ids, result.registered)
     dataio.write_mean_csv(out_dir / "mean.csv", result.mean)
     dataio.write_template_csv(out_dir / "template.csv", result.template_cdf)
@@ -198,8 +204,11 @@ def cmd_register(args) -> int:
         m = min(n_eigen, len(grid))
         eig = leading_eigenpairs(covariance_matrix(result.registered), grid, m)
         dataio.write_eigen_csv(out_dir / "eigen.csv", eig.grid, eig.eigenfunctions)
+        # score on the eigenfunctions' grid, which is thinned when grid is large
+        keep = np.searchsorted(grid, eig.grid)
+        on_eig_grid = [DiscreteCurve(eig.grid, c.values[keep]) for c in result.registered]
         score_mat = np.column_stack(
-            [scores(result.registered, eig.eigenfunctions[j], grid) for j in range(m)]
+            [scores(on_eig_grid, eig.eigenfunctions[j], eig.grid) for j in range(m)]
         )
         dataio.write_scores_csv(out_dir / "scores.csv", ids, score_mat)
         ratios = eig.explained_ratios
@@ -263,18 +272,13 @@ def cmd_simulate(args) -> int:
         out_dir / "truth_latent.csv", ids, bundle.grid, [c.values for c in bundle.latent]
     )
     warp_grid = np.unique(np.concatenate((bundle.grid, np.linspace(0.0, 1.0, 513))))
-    rows_grid = warp_grid
-
-    class _Sampled:
-        def __init__(self, values):
-            self._v = values
-
-        def __call__(self, _t):
-            return self._v
-
-    warps = [_Sampled(bundle.warp_values(i, rows_grid)) for i in range(n)]
-    inverses = [_Sampled(bundle.inverse_warp_values(i, rows_grid)) for i in range(n)]
-    dataio.write_warps_csv(out_dir / "truth_warps.csv", ids, warps, inverses, rows_grid)
+    dataio.write_warps_csv(
+        out_dir / "truth_warps.csv",
+        ids,
+        [bundle.warp_values(i, warp_grid) for i in range(n)],
+        [bundle.inverse_warp_values(i, warp_grid) for i in range(n)],
+        warp_grid,
+    )
     if bundle.f_phi is not None:
         dataio.write_template_csv(out_dir / "truth_fphi.csv", bundle.f_phi)
 

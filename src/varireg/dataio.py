@@ -164,11 +164,10 @@ def write_long_csv(path, ids, curves):
     write_rows(path, ["curve_id", "t", "value"], rows)
 
 
-def write_warps_csv(path, ids, warps, inverse_warps, grid):
+def write_warps_csv(path, ids, warp_values, inverse_warp_values, grid):
+    """One row per curve and grid point; the value arrays are sampled on ``grid``."""
     rows = []
-    for cid, w, iw in zip(ids, warps, inverse_warps):
-        wv = w(grid)
-        iv = iw(grid)
+    for cid, wv, iv in zip(ids, warp_values, inverse_warp_values):
         for k, t in enumerate(grid):
             rows.append([cid, fmt(t), fmt(wv[k]), fmt(iv[k])])
     write_rows(path, ["curve_id", "t", "warp_value", "inverse_warp_value"], rows)

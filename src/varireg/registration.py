@@ -383,33 +383,3 @@ def _deriv_cdf(cell_masses, deriv_grid, curve, curve_id) -> StepCdf:
             "estimated derivative integrates to (numerically) zero", curve_id=curve_id
         )
     return StepCdf.from_jumps(deriv_grid[1:], cell_masses)
-
-
-def pairwise_warp_oracle(cdfs, i: int, grid) -> WarpMap:
-    """Warp of curve i by averaging all pairwise alignment maps.
-
-    Builds g_ji(t) = Q_j(F_i(t)) for every j, averages pointwise, inverts by
-    the generalized inverse, and samples on ``grid``.  Agrees with the
-    mean-quantile warp up to step discretization; used for equivalence
-    testing.
-    """
-    cdfs = list(cdfs)
-    if not cdfs:
-        raise EmptySample("no variation CDFs given")
-    target = cdfs[i]
-    quantiles = [generalized_inverse(c) for c in cdfs]
-    # mean pairwise map: cadlag step in t, jumping at target's jump points
-    levels = target.cum_values
-    table = np.empty((levels.size, len(quantiles)))
-    for j, q in enumerate(quantiles):
-        table[:, j] = q(levels)
-    table.sort(axis=1)
-    gbar = table.sum(axis=1) / len(quantiles)
-    gbar = np.maximum.accumulate(gbar)
-
-    grid = _with_endpoints(np.unique(np.asarray(grid, dtype=float)))
-    idx = np.searchsorted(gbar, grid, side="left")
-    # beyond the largest mean level the warp stays at the last location, the
-    # same convention the template CDF induces in the mean-quantile warp
-    v = target.jump_locations[np.minimum(idx, gbar.size - 1)]
-    return boundary_extend(grid, v, float(target.jump_locations[-1]))

@@ -2,7 +2,9 @@
 
 Epanechnikov kernel, Nadaraya-Watson regression, local polynomial
 regression (values and first derivatives), leave-one-out bandwidth
-selection, and monotone smoothing of warp maps.
+selection, and monotone smoothing of warp maps.  Every kernel fit runs
+through one local-polynomial routine over the kernel's compact-support
+windows, never a dense (evaluation x grid) weight matrix.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from scipy.interpolate import PchipInterpolator
 from .errors import AllCandidatesSingular, EmptyWindow, SingularFit
 from .variation import DiscreteCurve
 
-_EVAL_CHUNK = 1024  # cap on the (eval x grid) weight matrix rows per pass
+_CELL_BUDGET = 1 << 18  # cap on bandwidths x eval points x window width per pass
 
 
 @dataclass(frozen=True)
@@ -67,6 +69,88 @@ def suggested_min_bandwidth(grid: np.ndarray, eval_points: np.ndarray) -> float:
     return float(nearest.max()) * (1.0 + 1e-9)
 
 
+def _windowed_fit(grid, values, bandwidths, eval_points, degree, deriv_order=0,
+                  loo=False, kernel=EPANECHNIKOV):
+    """Local polynomial fits over the kernel's compact-support windows.
+
+    Returns an array of shape (len(bandwidths), len(eval_points)) whose row k
+    holds, at each evaluation point, the deriv_order coefficient (scaled back
+    to the time axis) of the weighted least-squares fit of the given degree
+    with bandwidth bandwidths[k] (Fan & Gijbels 1996, ch. 3); nan marks a
+    window with fewer than degree + 1 positively weighted points.  Degree 0
+    is the Nadaraya-Watson average, with the weights normalized before the
+    dot product so a single-point window returns its value exactly.  With
+    ``loo`` a grid point coinciding with the evaluation point gets weight 0.
+    """
+    h = np.asarray(bandwidths, dtype=float).reshape(-1, 1)
+    e = np.asarray(eval_points, dtype=float)
+    # [lo, lo + width) per (bandwidth, eval point), widened by one index on each
+    # side so rounding in e +- h never drops a point the kernel weights
+    lo = np.maximum(np.searchsorted(grid, e - h, "right") - 1, 0)
+    width = np.minimum(np.searchsorted(grid, e + h, "left") + 1, grid.size) - lo
+    out = np.empty(lo.shape)
+    step = max(1, _CELL_BUDGET // (h.size * max(int(width.max(initial=0)), 1)))
+    for start in range(0, e.size, step):
+        cols = slice(start, start + step)
+        out[:, cols] = _fit_chunk(
+            grid, values, h, e[cols], lo[:, cols], width[:, cols],
+            degree, deriv_order, loo, kernel,
+        )
+    return out
+
+
+def _fit_chunk(grid, values, h, e, lo, width, degree, deriv_order, loo, kernel):
+    """_windowed_fit on one slice of evaluation points, windows padded to one width."""
+    offsets = np.arange(int(width.max(initial=0)))
+    idx = np.minimum(lo[..., None] + offsets, grid.size - 1)  # (bandwidth, eval, window)
+    g = grid[idx]
+    y = values[idx]
+    u = (g - e[:, None]) / h[..., None]
+    w = kernel(u) * (offsets < width[..., None])  # drop the clipped padding
+    if loo:
+        w = np.where(g == e[:, None], 0.0, w)
+    if degree == 0:
+        wsum = w.sum(axis=-1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            fit = np.sum(w / wsum[..., None] * y, axis=-1)
+        fit[wsum <= 0.0] = np.nan
+        return fit
+
+    npts = np.count_nonzero(w > 0.0, axis=-1)
+    # moments s_p = sum w u^p (p <= 2d) and t_p = sum (w u^p) y (p <= d).  A point
+    # at |u| just below 1 weighs ~1e-16 and can make S near singular; products
+    # formed in the order of the dense reference in tests/oracles.py round like
+    # it there, so both pick the same LOO bandwidths.
+    s, t = [w.sum(axis=-1)], [(w * y).sum(axis=-1)]
+    up = u
+    for p in range(1, 2 * degree + 1):
+        wu = w * up
+        s.append(wu.sum(axis=-1))
+        if p <= degree:
+            t.append((wu * y).sum(axis=-1))
+        up = up * u
+    S = np.empty(npts.shape + (degree + 1, degree + 1))
+    for p in range(degree + 1):
+        for q in range(degree + 1):
+            S[..., p, q] = s[p + q]
+    b = np.stack(t, axis=-1)
+    ok = npts >= degree + 1
+    coef = np.full(b.shape, np.nan)
+    if ok.any():
+        try:
+            coef[ok] = np.linalg.solve(S[ok], b[ok][..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            for i in zip(*np.nonzero(ok)):
+                try:
+                    coef[i] = np.linalg.solve(S[i], b[i])
+                except np.linalg.LinAlgError:
+                    ok[i] = False
+    # factorial(deriv_order) is 1 for orders 0 and 1; undo the bandwidth scaling
+    fit = coef[..., deriv_order] / h**deriv_order
+    fit[~ok] = np.nan
+    return fit
+
+
 def nadaraya_watson(curve: DiscreteCurve, cfg: SmootherConfig, eval_points) -> np.ndarray:
     """Kernel-weighted average of curve values at each evaluation point.
 
@@ -76,56 +160,14 @@ def nadaraya_watson(curve: DiscreteCurve, cfg: SmootherConfig, eval_points) -> n
     if cfg.degree != 0:
         raise ValueError("nadaraya_watson requires degree 0")
     eval_points = np.asarray(eval_points, dtype=float)
-    out = np.empty(eval_points.size)
-    for start in range(0, eval_points.size, _EVAL_CHUNK):
-        chunk = eval_points[start : start + _EVAL_CHUNK]
-        w = cfg.kernel((chunk[:, None] - curve.grid[None, :]) / cfg.bandwidth)
-        wsum = w.sum(axis=1)
-        if (wsum <= 0.0).any():
-            bad = chunk[int(np.argmax(wsum <= 0.0))]
-            raise EmptyWindow(float(bad), suggested_min_bandwidth(curve.grid, eval_points))
-        # normalize first so a single-point window returns its value exactly
-        out[start : start + chunk.size] = (w / wsum[:, None]) @ curve.values
+    out = _windowed_fit(
+        curve.grid, curve.values, [cfg.bandwidth], eval_points, 0, kernel=cfg.kernel
+    )[0]
+    empty = np.isnan(out)
+    if empty.any():
+        bad = eval_points[int(np.argmax(empty))]
+        raise EmptyWindow(float(bad), suggested_min_bandwidth(curve.grid, eval_points))
     return out
-
-
-def _local_poly_chunk(grid, values, cfg, chunk, loo=False):
-    """Weighted LS fit of degree cfg.degree centered at each point of chunk.
-
-    Returns the deriv_order coefficient scaled back to the time axis, or nan
-    where the window is underdetermined.  With ``loo`` the weight of a grid
-    point coinciding exactly with the eval point is zeroed (leave-one-out).
-    """
-    d = cfg.degree
-    u = (grid[None, :] - chunk[:, None]) / cfg.bandwidth
-    w = cfg.kernel(u)
-    if loo:
-        w = np.where(grid[None, :] == chunk[:, None], 0.0, w)
-    npts = (w > 0.0).sum(axis=1)
-    # moment matrices S[p,q] = sum w u^{p+q} in the scaled variable
-    powers = [np.sum(w * u**p, axis=1) for p in range(2 * d + 1)]
-    rhs = [np.sum(w * u**p * values[None, :], axis=1) for p in range(d + 1)]
-    S = np.empty((chunk.size, d + 1, d + 1))
-    for p in range(d + 1):
-        for qq in range(d + 1):
-            S[:, p, qq] = powers[p + qq]
-    b = np.stack(rhs, axis=1)
-    ok = npts >= d + 1
-    coef = np.full((chunk.size, d + 1), np.nan)
-    if ok.any():
-        try:
-            coef[ok] = np.linalg.solve(S[ok], b[ok][..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            for i in np.nonzero(ok)[0]:
-                try:
-                    coef[i] = np.linalg.solve(S[i], b[i])
-                except np.linalg.LinAlgError:
-                    ok[i] = False
-    # factorial(deriv_order) is 1 for orders 0 and 1; undo the bandwidth scaling
-    k = cfg.deriv_order
-    result = coef[:, k] / cfg.bandwidth**k
-    result[~ok] = np.nan
-    return result
 
 
 def local_poly(curve: DiscreteCurve, cfg: SmootherConfig, eval_points) -> np.ndarray:
@@ -135,13 +177,13 @@ def local_poly(curve: DiscreteCurve, cfg: SmootherConfig, eval_points) -> np.nda
     underdetermined.
     """
     eval_points = np.asarray(eval_points, dtype=float)
-    out = np.empty(eval_points.size)
-    for start in range(0, eval_points.size, _EVAL_CHUNK):
-        chunk = eval_points[start : start + _EVAL_CHUNK]
-        res = _local_poly_chunk(curve.grid, curve.values, cfg, chunk)
-        if np.isnan(res).any():
-            raise SingularFit(float(chunk[int(np.argmax(np.isnan(res)))]))
-        out[start : start + chunk.size] = res
+    out = _windowed_fit(
+        curve.grid, curve.values, [cfg.bandwidth], eval_points,
+        cfg.degree, cfg.deriv_order, kernel=cfg.kernel,
+    )[0]
+    singular = np.isnan(out)
+    if singular.any():
+        raise SingularFit(float(eval_points[int(np.argmax(singular))]))
     return out
 
 
@@ -154,27 +196,15 @@ def loocv_bandwidth(curve: DiscreteCurve, degree: int, candidates) -> float:
     candidates = sorted(float(h) for h in candidates)
     if not candidates:
         raise AllCandidatesSingular("no candidate bandwidths given")
-    best_h, best_err = None, np.inf
     for h in candidates:
-        cfg = SmootherConfig(bandwidth=h, degree=degree, deriv_order=0)
-        if degree == 0:
-            u = (curve.grid[None, :] - curve.grid[:, None]) / h
-            w = cfg.kernel(u)
-            np.fill_diagonal(w, 0.0)
-            wsum = w.sum(axis=1)
-            if (wsum <= 0.0).any():
-                continue
-            preds = (w @ curve.values) / wsum
-        else:
-            preds = _local_poly_chunk(curve.grid, curve.values, cfg, curve.grid, loo=True)
-            if np.isnan(preds).any():
-                continue
-        err = float(np.sum((preds - curve.values) ** 2))
-        if err < best_err:
-            best_h, best_err = h, err
-    if best_h is None:
+        SmootherConfig(bandwidth=h, degree=degree)  # rejects out-of-range candidates
+    preds = _windowed_fit(curve.grid, curve.values, candidates, curve.grid, degree, loo=True)
+    errs = np.sum((preds - curve.values) ** 2, axis=1)
+    errs = np.where(errs < np.inf, errs, np.inf)  # nan: a skipped candidate
+    best = int(np.argmin(errs))  # first minimum: the smaller bandwidth wins ties
+    if errs[best] == np.inf:
         raise AllCandidatesSingular("every candidate bandwidth left a singular window")
-    return best_h
+    return candidates[best]
 
 
 def default_loocv_candidates(curve: DiscreteCurve, count: int = 12) -> np.ndarray:

@@ -25,7 +25,6 @@ from varireg.fpca import (
 from varireg.registration import (
     NoisyOptions,
     estimate_warps_discrete,
-    pairwise_warp_oracle,
     register_complete,
     register_discrete,
     register_noisy,
@@ -47,6 +46,7 @@ from varireg.variation import (
 )
 
 from conftest import random_step_cdf
+from oracles import pairwise_warp_oracle
 from test_registration import fisher_pair, linear_phi
 
 

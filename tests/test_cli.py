@@ -6,6 +6,7 @@ import pytest
 
 from varireg.cli import main
 from varireg.dataio import fmt, read_curves_csv
+from varireg.fpca import DENSE_SOLVE_CAP, trapezoid_weights
 
 
 def run(*argv):
@@ -107,6 +108,26 @@ def test_register_time_rescaling(tmp_path):
     assert run("register", src, "--out", out) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["time_rescale"] == {"offset": 0.0, "scale": 10.0}
+
+
+def test_register_output_grid_above_dense_solve_cap(tmp_path):
+    # eigen.csv is thinned to DENSE_SOLVE_CAP points; scores.csv must use that grid
+    sim = tmp_path / "sim"
+    out = tmp_path / "out"
+    size = DENSE_SOLVE_CAP + 52
+    assert run("simulate", "--model", "model1", "--n", "4", "--r", "51", "--seed", "3", "--out", sim) == 0
+    assert run("register", sim / "observed.csv", "--output-grid-size", size, "--out", out) == 0
+    eig = np.loadtxt(out / "eigen.csv", delimiter=",", skiprows=1)
+    t, phi = eig[:, 0], eig[:, 1:]
+    _, registered, _ = read_curves_csv(out / "registered.csv")
+    assert registered[0].grid.size == size and t.size == DENSE_SOLVE_CAP
+    keep = np.searchsorted(registered[0].grid, t)
+    np.testing.assert_array_equal(registered[0].grid[keep], t)
+    score_rows = (out / "scores.csv").read_text().strip().splitlines()[1:]
+    got = np.array([[float(x) for x in row.split(",")[1:]] for row in score_rows])
+    w = trapezoid_weights(t)
+    expected = np.array([[np.sum(w * c.values[keep] * f) for f in phi.T] for c in registered])
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14)
 
 
 def test_simulate_unknown_model_exit2(tmp_path, capsys):

@@ -11,7 +11,6 @@ from varireg.registration import (
     WarpMap,
     boundary_extend,
     estimate_warps_discrete,
-    pairwise_warp_oracle,
     register_complete,
     register_discrete,
     register_noisy,
@@ -26,6 +25,7 @@ from varireg.simulate import (
 from varireg.variation import DiscreteCurve, discrete_variation_cdf
 
 from conftest import random_step_cdf
+from oracles import pairwise_warp_oracle
 
 
 SQRT3 = math.sqrt(3.0)

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from varireg.errors import AllCandidatesSingular, EmptyWindow
+from varireg.errors import AllCandidatesSingular, EmptyWindow, SingularFit
+from varireg.simulate import LatentModelConfig, WarpLawConfig, make_truth_bundle
 from varireg.smoothing import (
     EPANECHNIKOV,
     SmootherConfig,
+    _windowed_fit,
     default_loocv_candidates,
     local_poly,
     loocv_bandwidth,
@@ -15,6 +17,13 @@ from varireg.smoothing import (
 from varireg.variation import DiscreteCurve
 
 from conftest import random_curve
+from oracles import (
+    dense_local_poly,
+    dense_local_poly_chunk,
+    dense_loocv_bandwidth,
+    dense_loocv_predictions,
+    dense_nadaraya_watson,
+)
 
 
 def test_kernel_shape():
@@ -178,11 +187,146 @@ def test_loocv_noise_increases_bandwidth():
     assert h_noisy > h_smooth
 
 
+def test_loocv_tie_prefers_smaller():
+    # every leave-one-out window holds one neighbour under both candidates,
+    # so both predict the neighbour's value exactly and their errors tie
+    grid = np.array([0.0, 0.05, 0.5, 0.55, 0.95, 1.0])
+    curve = DiscreteCurve(grid, np.array([1.0, -2.0, 0.5, 3.0, -1.0, 2.0]))
+    assert loocv_bandwidth(curve, 0, [0.2, 0.1]) == 0.1
+    assert dense_loocv_bandwidth(curve, 0, [0.2, 0.1]) == 0.1
+
+
 def test_loocv_all_singular():
     grid = np.linspace(0.0, 1.0, 11)
     curve = DiscreteCurve(grid, grid)
     with pytest.raises(AllCandidatesSingular):
         loocv_bandwidth(curve, 2, [0.01])  # window holds self only
+
+
+# --- windowed kernel against the dense oracle ---------------------------------
+
+def _jittered_grid(rng, r):
+    """Irregular grid on [0,1]: interior points moved by up to 30% of a gap."""
+    grid = np.linspace(0.0, 1.0, r)
+    grid[1:-1] += rng.uniform(-0.3, 0.3, r - 2) / (r - 1)
+    return grid
+
+
+def _assert_fits_agree(new, old, grid, h, eval_points, degree, deriv_order, loo, scale):
+    """Windowed fits match dense ones wherever the local fit is decided.
+
+    Underdetermined windows must be nan in both.  Elsewhere values agree to
+    1e-12 relative to the larger of the data scale and the fit, widened to
+    100 eps cond(S) for ill-conditioned windows.  A near-singular window
+    (cond(S) >= 1e12) is left unchecked: a grid point at |u| just below 1
+    weighs ~1e-16, and whether S then rounds to exactly singular (nan) or
+    not depends on summation order.  Returns whether every window was checked.
+    """
+    u = (grid[None, :] - eval_points[:, None]) / h
+    w = EPANECHNIKOV(u)
+    if loo:
+        w = np.where(grid[None, :] == eval_points[:, None], 0.0, w)
+    moments = [np.sum(w * u**p, axis=1) for p in range(2 * degree + 1)]
+    S = np.stack(
+        [np.stack([moments[p + q] for q in range(degree + 1)], axis=-1) for p in range(degree + 1)],
+        axis=-2,
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = np.nan_to_num(np.linalg.cond(S), nan=np.inf)
+    under = (w > 0.0).sum(axis=1) < degree + 1
+    assert np.isnan(new[under]).all() and np.isnan(old[under]).all()
+    posed = ~under & (cond < 1e12)
+    assert not np.isnan(new[posed]).any() and not np.isnan(old[posed]).any()
+    magnitude = np.maximum(scale / h**deriv_order, np.abs(old[posed]))
+    tol = magnitude * np.maximum(1e-12, 1e-14 * cond[posed])
+    assert (np.abs(new[posed] - old[posed]) <= tol).all()
+    return bool((under | posed).all())
+
+
+def _raised(fn, curve, cfg, eval_points):
+    try:
+        fn(curve, cfg, eval_points)
+    except EmptyWindow as exc:
+        return "EmptyWindow", exc.eval_point, exc.suggested_bandwidth
+    except SingularFit as exc:
+        return "SingularFit", exc.eval_point
+    return None
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(5, 40),
+    st.sampled_from([(0, 0), (1, 0), (2, 0), (2, 1)]),
+    st.booleans(),
+    st.one_of(st.floats(0.05, 0.49), st.floats(0.5, 8.0), st.just(1e6)),
+)
+def test_windowed_fit_matches_dense_oracle(seed, r, degree_deriv, loo, gaps):
+    degree, deriv = degree_deriv
+    rng = np.random.default_rng(seed)
+    grid = _jittered_grid(rng, r)
+    values = rng.standard_normal(r).cumsum()
+    curve = DiscreteCurve(grid, values)
+    # gaps < 0.5 puts h below half of every grid gap; 1e6 caps h at 1.0
+    h = min(gaps * np.diff(grid).min(), 1.0)
+    pts = np.concatenate((rng.random(15), grid, grid - h, grid + h))
+    cfg = SmootherConfig(bandwidth=h, degree=degree, deriv_order=deriv)
+
+    new = _windowed_fit(grid, values, [h], pts, degree, deriv, loo)[0]
+    old = dense_local_poly_chunk(grid, values, cfg, pts, loo)
+    checked = _assert_fits_agree(new, old, grid, h, pts, degree, deriv, loo, np.abs(values).max())
+
+    public, dense = (
+        (nadaraya_watson, dense_nadaraya_watson) if degree == 0 else (local_poly, dense_local_poly)
+    )
+    if checked:
+        assert _raised(public, curve, cfg, pts) == _raised(dense, curve, cfg, pts)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(5, 40),
+    st.integers(0, 2),
+    st.lists(st.floats(0.2, 8.0), min_size=1, max_size=6),
+)
+def test_loocv_matches_dense_oracle(seed, r, degree, gaps):
+    rng = np.random.default_rng(seed)
+    grid = _jittered_grid(rng, r)
+    values = rng.standard_normal(r).cumsum()
+    curve = DiscreteCurve(grid, values)
+    # a factor below 0.2 / 0.4 leaves every leave-one-out window empty
+    candidates = sorted(min(g / (r - 1), 1.0) for g in gaps)
+    preds = _windowed_fit(grid, values, candidates, grid, degree, loo=True)
+    checked = True
+    for h, row in zip(candidates, preds):
+        old = dense_local_poly_chunk(grid, values, SmootherConfig(h, degree), grid, loo=True)
+        ok = _assert_fits_agree(row, old, grid, h, grid, degree, 0, True, np.abs(values).max())
+        if ok:  # the same candidates are skipped
+            assert np.isnan(row).any() == (dense_loocv_predictions(curve, degree, h) is None)
+        checked &= ok
+    if not checked:
+        return
+    try:
+        expected = dense_loocv_bandwidth(curve, degree, candidates)
+    except AllCandidatesSingular:
+        with pytest.raises(AllCandidatesSingular):
+            loocv_bandwidth(curve, degree, candidates)
+        return
+    assert loocv_bandwidth(curve, degree, candidates) == expected
+
+
+@pytest.mark.parametrize("noise, seed", [(0.1, 3), (0.4, 5)])
+def test_loocv_matches_dense_oracle_on_noisy_model1(noise, seed):
+    # uniform grids put the 2 x gap candidate's window edge exactly at |u| = 1;
+    # at seed 3 some choices there hinge on the rounding of w u^p y
+    bundle = make_truth_bundle(
+        LatentModelConfig("model1", grid_size=101, noise_halfwidth=noise), WarpLawConfig(), 100, seed
+    )
+    for curve in bundle.observed:
+        candidates = default_loocv_candidates(curve)
+        for degree in (0, 1, 2):
+            assert loocv_bandwidth(curve, degree, candidates) == dense_loocv_bandwidth(
+                curve, degree, candidates
+            )
 
 
 # --- monotone warp smoothing --------------------------------------------------
