@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySample, GridMismatch, NonSymmetric
-from .variation import DiscreteCurve
+from .variation import DiscreteCurve, thin_index
 
 DENSE_SOLVE_CAP = 2048  # grids larger than this are thinned before eigh
 
@@ -108,7 +108,7 @@ def leading_eigenpairs(kernel: np.ndarray, grid, m: int) -> EigenDecomposition:
         raise ValueError("need m >= 1")
 
     if grid.size > DENSE_SOLVE_CAP:
-        idx = np.unique(np.round(np.linspace(0, grid.size - 1, DENSE_SOLVE_CAP)).astype(int))
+        idx = thin_index(grid.size, DENSE_SOLVE_CAP)
         grid = grid[idx]
         kernel = kernel[np.ix_(idx, idx)]
 

@@ -33,6 +33,7 @@ from .variation import (
     DiscreteCurve,
     QuantileFn,
     StepCdf,
+    closed_grid,
     compose_quantile_cdf,
     discrete_variation_cdf,
     generalized_inverse,
@@ -132,21 +133,6 @@ class NoisyOptions:
             raise ValueError("deriv_grid_size too small")
 
 
-def _thin(points: np.ndarray, cap: int) -> np.ndarray:
-    if points.size <= cap:
-        return points
-    idx = np.unique(np.round(np.linspace(0, points.size - 1, cap)).astype(int))
-    return points[idx]
-
-
-def _with_endpoints(points: np.ndarray) -> np.ndarray:
-    if points[0] != 0.0:
-        points = np.concatenate(([0.0], points))
-    if points[-1] != 1.0:
-        points = np.concatenate((points, [1.0]))
-    return points
-
-
 def boundary_extend(sample_t, sample_v, last_grid_point=None) -> WarpMap:
     """Turn raw warp samples into a WarpMap on all of [0,1].
 
@@ -208,10 +194,9 @@ def estimate_warps_discrete(cdfs, grid=None):
     template_quantile = mean_quantile(quantiles)
     template_cdf = quantile_to_cdf(template_quantile)
     if grid is None:
-        grid = np.unique(np.concatenate([c.jump_locations for c in cdfs]))
-        grid = _with_endpoints(_thin(grid, WARP_GRID_CAP))
+        grid = closed_grid(np.concatenate([c.jump_locations for c in cdfs]), WARP_GRID_CAP)
     else:
-        grid = _with_endpoints(np.unique(np.asarray(grid, dtype=float)))
+        grid = closed_grid(grid)
 
     warps, inverse_warps = [], []
     for cdf, q in zip(cdfs, quantiles):
@@ -225,9 +210,8 @@ def estimate_warps_discrete(cdfs, grid=None):
 
 def _default_output_grid(curves, override):
     if override is not None:
-        return _with_endpoints(np.unique(np.asarray(override, dtype=float)))
-    union = np.unique(np.concatenate([c.grid for c in curves]))
-    return _with_endpoints(_thin(union, OUTPUT_GRID_CAP))
+        return closed_grid(override)
+    return closed_grid(np.concatenate([c.grid for c in curves]), OUTPUT_GRID_CAP)
 
 
 def _register_noiseless(curves, options, bandwidth_rule, regime):
@@ -240,8 +224,7 @@ def _register_noiseless(curves, options, bandwidth_rule, regime):
         options.threads,
     )
     cdfs = [s.cdf for s in summaries]
-    warp_grid = np.unique(np.concatenate([c.grid for c in curves]))
-    warp_grid = _with_endpoints(_thin(warp_grid, WARP_GRID_CAP))
+    warp_grid = closed_grid(np.concatenate([c.grid for c in curves]), WARP_GRID_CAP)
     template_cdf, template_q, warps, inverse_warps = estimate_warps_discrete(
         cdfs, warp_grid
     )

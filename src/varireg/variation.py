@@ -16,9 +16,8 @@ import numpy as np
 
 from .errors import EmptySample, ZeroVariation
 
-# Evaluation points for a quantile mean are capped; beyond this the union of
-# breakpoints is thinned uniformly.
-MEAN_QUANTILE_POINT_CAP = 1_000_000
+# Bits per integer digit in mean_quantile's exact sums.
+_DIGIT_BITS = 31
 
 # Relative threshold below which a curve's total variation counts as zero.
 ZERO_VARIATION_RTOL = 1e-12
@@ -29,6 +28,23 @@ def _as_float_array(x) -> np.ndarray:
     if a.ndim != 1:
         raise ValueError("expected a 1-d array")
     return a
+
+
+def thin_index(size: int, cap: int) -> np.ndarray:
+    """Indices of at most ``cap`` of ``size`` points, spread uniformly, ends kept."""
+    return np.unique(np.round(np.linspace(0, size - 1, cap)).astype(int))
+
+
+def closed_grid(points, cap=None) -> np.ndarray:
+    """Sorted unique ``points``, thinned to ``cap`` by thin_index, plus 0 and 1."""
+    points = np.unique(np.asarray(points, dtype=float))
+    if cap is not None and points.size > cap:
+        points = points[thin_index(points.size, cap)]
+    if points[0] != 0.0:
+        points = np.concatenate(([0.0], points))
+    if points[-1] != 1.0:
+        points = np.concatenate((points, [1.0]))
+    return points
 
 
 @dataclass(frozen=True)
@@ -239,12 +255,15 @@ def mean_quantile(qs, eval_grid=None) -> QuantileFn:
     """Pointwise arithmetic mean of quantile functions.
 
     Evaluated on the union of every input's breakpoints with ``eval_grid``
-    (capped at MEAN_QUANTILE_POINT_CAP points, thinned uniformly beyond).
-    When all inputs are step (resp. all linear) the result is exact; for
-    mixed kinds a segment is linear only where every input is.
+    and the endpoints 0 and 1.  When all inputs are step (resp. all linear)
+    the result is exact; for mixed kinds a segment is linear only where
+    every input is.
 
-    The reduction over inputs sorts the addends per evaluation point, so the
-    result is bit-identical under permutation of ``qs``.
+    The sum over inputs is exact: a sweep adds each input's changes, in
+    base-2**31 integer digits, at the points where they happen.  The mean is
+    a fixed function of that sum, so it is bit-identical under permutation
+    of ``qs`` and within one ulp of the exact mean.  Time is O(N log N) and
+    memory O(N) in the number N of breakpoints of all inputs together.
     """
     qs = list(qs)
     if not qs:
@@ -252,37 +271,60 @@ def mean_quantile(qs, eval_grid=None) -> QuantileFn:
     pieces = [q.breakpoints for q in qs]
     if eval_grid is not None:
         pieces.append(np.clip(_as_float_array(eval_grid), 0.0, 1.0))
-    points = np.unique(np.concatenate(pieces))
-    if points[0] != 0.0:
-        points = np.concatenate(([0.0], points))
-    if points[-1] != 1.0:
-        points = np.concatenate((points, [1.0]))
-    if points.size > MEAN_QUANTILE_POINT_CAP:
-        idx = np.unique(
-            np.round(np.linspace(0, points.size - 1, MEAN_QUANTILE_POINT_CAP)).astype(int)
-        )
-        points = points[idx]
+    points = closed_grid(np.concatenate(pieces))
 
-    table = np.empty((points.size, len(qs)))
-    for j, q in enumerate(qs):
-        table[:, j] = q(points)
-    table.sort(axis=1)
-    vals = table.sum(axis=1) / len(qs)
+    # As a step function on `points`, an input takes level j + 1 from index
+    # searchsorted(points, b[j], "right") on; a linear input steps at every
+    # point.  Level 0 is 0 for every input, so the change into it (a reset
+    # from the previous input's last level) goes to a spare slot at the end.
+    steps = [(q.breakpoints, q.values) if q.all_step else (points, q(points)) for q in qs]
+    levels = np.concatenate([v for _, v in steps])
+    starts = np.concatenate(
+        [np.r_[points.size, np.searchsorted(points, b[:-1], side="right")] for b, _ in steps]
+    )
+    # every level is a multiple of 2**(e - 53), e the exponent of the smallest
+    # positive one, so this many base-2**31 digits hold each level exactly
+    exponent = np.frexp(np.min(levels, initial=1.0, where=levels > 0.0))[1]
+    digits = np.empty((-(-(53 - exponent) // _DIGIT_BITS), levels.size), dtype=np.int64)
+    rest = levels * 2.0**_DIGIT_BITS
+    for row in digits:
+        row[:] = np.floor(rest)
+        rest = (rest - row) * 2.0**_DIGIT_BITS
+    sums = np.zeros((digits.shape[0], points.size + 1), dtype=np.int64)
+    for total, row in zip(sums, digits):
+        np.add.at(total, starts, np.diff(row, prepend=0))
+    vals = _digit_mean(np.cumsum(sums[:, :-1], axis=1), len(qs))
     vals = np.maximum.accumulate(vals)  # guard float wiggles
     vals = np.clip(vals, 0.0, 1.0)
     vals[0] = 0.0 if points[0] == 0.0 else vals[0]
 
-    seg_linear = np.ones(points.size - 1, dtype=bool)
-    for q in qs:
-        if q.all_step:
-            seg_linear[:] = False
-            break
-        # segment of `points` is linear only if it falls inside a linear
-        # segment of q (strictly between q's step breakpoints)
-        idx = np.searchsorted(q.breakpoints, points[1:], side="left")
-        idx = np.clip(idx, 1, q.breakpoints.size - 1)
-        seg_linear &= q.linear_segments[idx - 1]
+    seg_linear = np.zeros(points.size - 1, dtype=bool)
+    if not any(q.all_step for q in qs):
+        # a segment of `points` is linear only inside a linear segment of every q
+        seg_linear[:] = True
+        for q in qs:
+            idx = np.searchsorted(q.breakpoints, points[1:], side="left")
+            seg_linear &= q.linear_segments[np.clip(idx, 1, q.breakpoints.size - 1) - 1]
     return QuantileFn(points, vals, seg_linear)
+
+
+def _digit_mean(sums: np.ndarray, n: int) -> np.ndarray:
+    """Exact base-2**31 digit sums (one row per digit) over n, as floats.
+
+    After the carries, long division by n runs two digits past the sums';
+    adding the quotient's digits in float from the least significant up is
+    faithful (within one ulp).
+    """
+    for k in range(sums.shape[0] - 1, 0, -1):
+        sums[k - 1] += sums[k] >> _DIGIT_BITS
+        sums[k] &= 2**_DIGIT_BITS - 1
+    quotient, rem, out = [], 0, 0.0
+    for row in [*sums, 0, 0]:
+        digit, rem = np.divmod(rem * 2**_DIGIT_BITS + row, n)
+        quotient.append(digit)
+    for k, digit in reversed(list(enumerate(quotient, 1))):
+        out = np.ldexp(digit.astype(float), -_DIGIT_BITS * k) + out
+    return out
 
 
 def quantile_to_cdf(q: QuantileFn, level_resolution: float = 1.0 / 1024) -> StepCdf:
@@ -293,24 +335,17 @@ def quantile_to_cdf(q: QuantileFn, level_resolution: float = 1.0 / 1024) -> Step
     segments have a continuous inverse; they are discretized into sub-steps
     of probability mass at most ``level_resolution``.
     """
-    bp = q.breakpoints
-    vals = q.values
-    locs = []
-    levels = []
-    for j in range(bp.size - 1):
-        lo, hi = vals[j], vals[j + 1]
-        if q.linear_segments[j] and hi > lo:
-            mass = bp[j + 1] - bp[j]
-            k = max(1, int(np.ceil(mass / level_resolution)))
-            sub_levels = np.linspace(bp[j], bp[j + 1], k + 1)[1:]
-            frac = (np.arange(k) + 0.5) / k
-            locs.append(lo + (hi - lo) * frac)
-            levels.append(sub_levels)
-        else:
-            locs.append(np.array([hi]))
-            levels.append(np.array([bp[j + 1]]))
-    locs = np.concatenate(locs)
-    levels = np.concatenate(levels)
+    b0, b1 = q.breakpoints[:-1], q.breakpoints[1:]
+    lo, hi = q.values[:-1], q.values[1:]
+    ramp = q.linear_segments & (hi > lo)
+    counts = np.ones(b0.size, dtype=np.int64)
+    counts[ramp] = np.maximum(1, np.ceil((b1 - b0)[ramp] / level_resolution))
+    seg = np.repeat(np.arange(b0.size), counts)
+    sub = np.arange(seg.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    k = counts[seg]
+    # the arithmetic of np.linspace(b0, b1, k + 1)[1:], whose last level is b1
+    levels = np.where(sub + 1 == k, b1[seg], (sub + 1) * ((b1 - b0) / counts)[seg] + b0[seg])
+    locs = np.where(ramp[seg], lo[seg] + (hi - lo)[seg] * ((sub + 0.5) / k), hi[seg])
     # merge duplicate locations (flat quantile stretches): the level after all
     # mass at a location has landed is the last one recorded there
     keep = np.concatenate((locs[1:] != locs[:-1], [True]))

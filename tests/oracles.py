@@ -6,6 +6,10 @@
   library computes the same fits over compact-support windows.
 * The pairwise warp oracle, which averages all pairwise alignment maps
   instead of going through the mean-quantile template.
+* The dense mean-quantile table: every input evaluated at every point of
+  the breakpoint union, each row sorted and summed in float.  O(points x n)
+  memory; the library sums exactly over breakpoint events instead.
+* The per-segment loop that inverts a quantile function into a step CDF.
 """
 
 from __future__ import annotations
@@ -13,9 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 from varireg.errors import AllCandidatesSingular, EmptySample, EmptyWindow, SingularFit
-from varireg.registration import WarpMap, _with_endpoints, boundary_extend
+from varireg.registration import WarpMap, boundary_extend
 from varireg.smoothing import SmootherConfig, suggested_min_bandwidth
-from varireg.variation import generalized_inverse
+from varireg.variation import QuantileFn, StepCdf, closed_grid, generalized_inverse
 
 
 def dense_nadaraya_watson(curve, cfg, eval_points) -> np.ndarray:
@@ -135,9 +139,69 @@ def pairwise_warp_oracle(cdfs, i: int, grid) -> WarpMap:
     gbar = table.sum(axis=1) / len(quantiles)
     gbar = np.maximum.accumulate(gbar)
 
-    grid = _with_endpoints(np.unique(np.asarray(grid, dtype=float)))
+    grid = closed_grid(grid)
     idx = np.searchsorted(gbar, grid, side="left")
     # beyond the largest mean level the warp stays at the last location, the
     # same convention the template CDF induces in the mean-quantile warp
     v = target.jump_locations[np.minimum(idx, gbar.size - 1)]
     return boundary_extend(grid, v, float(target.jump_locations[-1]))
+
+
+def mean_quantile_oracle(qs, eval_grid=None) -> QuantileFn:
+    """Pointwise mean of quantile functions from the dense (points x n) table.
+
+    Each row is sorted before the float sum, so the result is bit-identical
+    under permutation of ``qs``; its rounding error is at most
+    (n - 1) * eps * max|value| per point.
+    """
+    qs = list(qs)
+    if not qs:
+        raise EmptySample("mean_quantile needs at least one quantile function")
+    pieces = [q.breakpoints for q in qs]
+    if eval_grid is not None:
+        pieces.append(np.clip(np.asarray(eval_grid, dtype=float), 0.0, 1.0))
+    points = closed_grid(np.concatenate(pieces))
+    table = np.empty((points.size, len(qs)))
+    for j, q in enumerate(qs):
+        table[:, j] = q(points)
+    table.sort(axis=1)
+    vals = table.sum(axis=1) / len(qs)
+    vals = np.maximum.accumulate(vals)
+    vals = np.clip(vals, 0.0, 1.0)
+    vals[0] = 0.0
+    seg_linear = np.ones(points.size - 1, dtype=bool)
+    for q in qs:
+        if q.all_step:
+            seg_linear[:] = False
+            break
+        idx = np.searchsorted(q.breakpoints, points[1:], side="left")
+        idx = np.clip(idx, 1, q.breakpoints.size - 1)
+        seg_linear &= q.linear_segments[idx - 1]
+    return QuantileFn(points, vals, seg_linear)
+
+
+def quantile_to_cdf_oracle(q: QuantileFn, level_resolution: float = 1.0 / 1024) -> StepCdf:
+    """Generalized inverse of a quantile function, one segment at a time."""
+    bp = q.breakpoints
+    vals = q.values
+    locs = []
+    levels = []
+    for j in range(bp.size - 1):
+        lo, hi = vals[j], vals[j + 1]
+        if q.linear_segments[j] and hi > lo:
+            mass = bp[j + 1] - bp[j]
+            k = max(1, int(np.ceil(mass / level_resolution)))
+            sub_levels = np.linspace(bp[j], bp[j + 1], k + 1)[1:]
+            frac = (np.arange(k) + 0.5) / k
+            locs.append(lo + (hi - lo) * frac)
+            levels.append(sub_levels)
+        else:
+            locs.append(np.array([hi]))
+            levels.append(np.array([bp[j + 1]]))
+    locs = np.concatenate(locs)
+    levels = np.concatenate(levels)
+    keep = np.concatenate((locs[1:] != locs[:-1], [True]))
+    locs, levels = locs[keep], levels[keep]
+    if locs[0] <= 0.0:
+        raise ValueError("quantile maps positive mass to location 0; not a CDF on (0,1]")
+    return StepCdf(locs, levels)

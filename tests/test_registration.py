@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -183,6 +184,34 @@ def test_register_permutation_equivariance(rng):
         np.testing.assert_array_equal(res.warps[j].sample_v, res_p.warps[i].sample_v)
         np.testing.assert_array_equal(res.registered[j].values, res_p.registered[i].values)
     np.testing.assert_array_equal(res.mean.values, res_p.mean.values)
+
+
+def test_estimate_warps_invariants_at_a_million_points():
+    # n * r ~ 1e6: a (points x n) template table would need ~7.8 GB here
+    cfg = LatentModelConfig("model1", grid_size=1001)
+    bundle = make_truth_bundle(cfg, WarpLawConfig(), 1000, seed=23)
+    cdfs = [discrete_variation_cdf(c).cdf for c in bundle.observed]
+    tracemalloc.start()
+    try:
+        template_cdf, template_q, warps, inverse_warps = estimate_warps_discrete(cdfs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500e6
+    assert template_cdf.cum_values[-1] == 1.0
+    for w in warps + inverse_warps:
+        assert w.sample_v[0] == 0.0 and w.sample_v[-1] == 1.0
+        assert (np.diff(w.sample_v) >= 0).all()
+
+    perm = np.random.default_rng(5).permutation(len(cdfs))
+    cdf_p, q_p, warps_p, inverse_p = estimate_warps_discrete([cdfs[i] for i in perm])
+    np.testing.assert_array_equal(q_p.breakpoints, template_q.breakpoints)
+    np.testing.assert_array_equal(q_p.values, template_q.values)
+    np.testing.assert_array_equal(cdf_p.jump_locations, template_cdf.jump_locations)
+    np.testing.assert_array_equal(cdf_p.cum_values, template_cdf.cum_values)
+    for i, j in enumerate(perm):
+        np.testing.assert_array_equal(warps_p[i].sample_v, warps[j].sample_v)
+        np.testing.assert_array_equal(inverse_p[i].sample_v, inverse_warps[j].sample_v)
 
 
 def test_register_zero_variation_curve_id():

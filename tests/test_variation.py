@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from varireg.errors import EmptySample, ZeroVariation
 from varireg.variation import (
@@ -18,6 +19,7 @@ from varireg.variation import (
 )
 
 from conftest import random_step_cdf
+from oracles import mean_quantile_oracle, quantile_to_cdf_oracle
 
 
 # --- independent oracles -------------------------------------------------
@@ -204,7 +206,107 @@ def test_mean_permutation_invariant_bits(rng):
     np.testing.assert_array_equal(a.values, b.values)
 
 
+# Breakpoints and levels drawn partly from small shared pools, so that inputs
+# share breakpoints, repeat levels (flat stretches) and reach tiny values.
+_breaks = st.one_of(
+    st.sampled_from([0.125, 0.25, 0.5, 0.75, 1.0 / 3.0]),
+    st.floats(1e-9, 1.0 - 1e-9),
+)
+_levels = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-300, 1e-12, 0.1, 0.25, 0.5, 1.0]),
+    st.floats(0.0, 1.0),
+)
+
+
+@st.composite
+def quantile_fns(draw):
+    bp = np.unique([0.0, 1.0, *draw(st.lists(_breaks, max_size=8))])
+    vals = np.sort(draw(st.lists(_levels, min_size=bp.size, max_size=bp.size)))
+    vals[0] = 0.0
+    linear = None
+    if draw(st.booleans()):
+        linear = draw(st.lists(st.booleans(), min_size=bp.size - 1, max_size=bp.size - 1))
+    return QuantileFn(bp, vals, linear)
+
+
+@st.composite
+def quantile_samples(draw):
+    qs = draw(st.lists(quantile_fns(), min_size=1, max_size=6))
+    repeats = draw(st.lists(st.integers(0, len(qs) - 1), max_size=3))
+    eval_grid = draw(st.none() | st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=5))
+    return qs + [qs[i] for i in repeats], eval_grid
+
+
+@given(quantile_samples())
+def test_mean_matches_dense_oracle(sample):
+    qs, eval_grid = sample
+    mean = mean_quantile(qs, eval_grid)
+    ref = mean_quantile_oracle(qs, eval_grid)
+    np.testing.assert_array_equal(mean.breakpoints, ref.breakpoints)
+    np.testing.assert_array_equal(mean.linear_segments, ref.linear_segments)
+    # the oracle's own rounding bound for a float sum of n addends
+    top = np.max([np.asarray(q(ref.breakpoints)) for q in qs], axis=0)
+    bound = (len(qs) - 1) * np.finfo(float).eps * top
+    assert (np.abs(mean.values - ref.values) <= bound).all()
+
+
+@given(quantile_samples())
+def test_mean_within_one_ulp_of_exact(sample):
+    qs, eval_grid = sample
+    mean = mean_quantile(qs, eval_grid)
+    table = [np.asarray(q(mean.breakpoints)) for q in qs]
+    for k, v in enumerate(mean.values):
+        exact = sum(Fraction(float(col[k])) for col in table) / len(qs)
+        assert Fraction(float(np.nextafter(v, -1.0))) <= exact
+        assert exact <= Fraction(float(np.nextafter(v, 2.0)))
+
+
+@given(quantile_samples(), st.randoms(use_true_random=False))
+def test_mean_permutation_bits_mixed(sample, random):
+    qs, eval_grid = sample
+    shuffled = list(qs)
+    random.shuffle(shuffled)
+    a = mean_quantile(qs, eval_grid)
+    b = mean_quantile(shuffled, eval_grid)
+    np.testing.assert_array_equal(a.breakpoints, b.breakpoints)
+    np.testing.assert_array_equal(a.values, b.values)
+    np.testing.assert_array_equal(a.linear_segments, b.linear_segments)
+
+
+@given(quantile_fns())
+@example(QuantileFn([0.0, 0.5, 1.0], [0.0, 1e-12, 1e-12]))
+@example(QuantileFn([0.0, 0.25, 0.5, 1.0], [0.0, 5e-324, 1e-300, 1.0]))
+def test_mean_of_power_of_two_copies_is_exact(q):
+    # a linear input enters through q(breakpoints), which can miss its stored
+    # values by an ulp; a step input enters through its values exactly
+    at_points = np.clip(np.maximum.accumulate(q(q.breakpoints)), 0.0, 1.0)
+    expected = q.values if q.all_step else at_points
+    for m in (1, 2, 4, 8):
+        np.testing.assert_array_equal(mean_quantile([q] * m).values, expected)
+
+
 # --- quantile_to_cdf --------------------------------------------------------
+
+def _inversion(fn, q, level_resolution):
+    try:
+        cdf = fn(q, level_resolution)
+    except ValueError as err:
+        return str(err)
+    return cdf.jump_locations, cdf.cum_values
+
+
+@given(quantile_fns(), st.sampled_from([1.0 / 1024, 1e-3, 1.0 / 7, 0.3, 1.0, 2.0]))
+@example(QuantileFn([0.0, 0.25, 1.0], [0.0, 0.0, 1.0], [True, True]), 1.0 / 1024)
+@example(QuantileFn([0.0, 0.5, 0.75, 1.0], [0.0, 0.5, 0.5, 1.0], [True, True, False]), 0.1)
+def test_quantile_to_cdf_matches_loop(q, level_resolution):
+    got = _inversion(quantile_to_cdf, q, level_resolution)
+    ref = _inversion(quantile_to_cdf_oracle, q, level_resolution)
+    if isinstance(ref, str):
+        assert got == ref
+    else:
+        np.testing.assert_array_equal(got[0], ref[0])
+        np.testing.assert_array_equal(got[1], ref[1])
+
 
 def test_quantile_to_cdf_identity_dense():
     t = np.linspace(0.0, 1.0, 513)
