@@ -1,13 +1,14 @@
-"""Order-preserving parallel map over curves.
+"""Thread-count setting, accepted for compatibility.
 
-Per-curve computations are independent and pure, so results are
-bit-identical regardless of the worker count.
+The pipelines run serially in input order: each per-curve step is a few
+small NumPy calls, and a thread pool over curves measured slower than one
+thread.  The ``threads`` options, ``--threads`` and ``VARIREG_THREADS`` are
+still accepted and validated, but have no effect.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 DEFAULT_THREADS_ENV = "VARIREG_THREADS"
 
@@ -15,13 +16,7 @@ DEFAULT_THREADS_ENV = "VARIREG_THREADS"
 def resolve_threads(threads=None) -> int:
     if threads is None:
         threads = os.environ.get(DEFAULT_THREADS_ENV, "1")
-    threads = int(threads)
-    return max(1, threads)
-
-
-def thread_map(fn, items, threads: int = 1) -> list:
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    try:
+        return max(1, int(threads))
+    except (TypeError, ValueError):
+        raise ValueError(f"thread count must be an integer, got {threads!r}") from None

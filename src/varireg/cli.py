@@ -2,8 +2,8 @@
 
 Configuration comes from an optional flat JSON file (--config) with every
 key overridable by a same-named flag; flags win.  All outputs are
-deterministic given the configuration and seed, byte for byte, regardless
-of the thread count.
+deterministic given the configuration and seed, byte for byte.  ``--threads``
+and ``VARIREG_THREADS`` are accepted for compatibility and have no effect.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from . import dataio
 from ._parallel import resolve_threads
-from .diagnostics import rate_check, z_statistic
+from .diagnostics import rate_check, truth_errors, z_statistic
 from .errors import (
     AllCandidatesSingular,
     EmptySample,
@@ -135,35 +135,34 @@ def cmd_register(args) -> int:
         return EXIT_PARSE
 
     regime = cfg.get("regime", "discrete")
-    threads = resolve_threads(cfg.get("threads"))
     out_dir = Path(cfg.get("out", "."))
-    n_eigen = int(cfg.get("eigen", 3))
-    grid_override = None
-    if cfg.get("output_grid_size"):
-        grid_override = np.linspace(0.0, 1.0, int(cfg["output_grid_size"]))
-
     auto = cfg.get("auto_bandwidth")
     if auto is None:
         auto = cfg.get("h1") is None or cfg.get("h2") is None
     try:
+        resolve_threads(cfg.get("threads"))  # validated only; the pipelines run serially
+        n_eigen = int(cfg.get("eigen", 3))
+        if n_eigen < 1:
+            raise ValueError(f"--eigen must be at least 1, got {n_eigen}")
+        grid_override = None
+        if cfg.get("output_grid_size"):
+            grid_override = np.linspace(0.0, 1.0, int(cfg["output_grid_size"]))
         if regime == "noisy":
             opts = NoisyOptions(
                 h1=cfg.get("h1"),
                 h2=cfg.get("h2"),
                 auto=bool(auto),
                 output_grid=grid_override,
-                threads=threads,
             )
             result = register_noisy(curves, opts)
         elif regime == "complete":
-            result = register_complete(curves, output_grid=grid_override, threads=threads)
+            result = register_complete(curves, output_grid=grid_override)
         elif regime == "discrete":
             opts = RegisterOptions(
                 bandwidth=cfg.get("bandwidth"),
                 smooth_warps=bool(cfg.get("smooth_warps", False)),
                 n_knots=int(cfg.get("knots", 11)),
                 output_grid=grid_override,
-                threads=threads,
             )
             result = register_discrete(curves, opts)
         else:
@@ -322,7 +321,9 @@ def cmd_diagnose(args) -> int:
         ids, registered = _read_registered(result_dir)
         template = dataio.read_template_csv(result_dir / "template.csv")
         warp_samples = dataio.read_warps_csv(result_dir / "warps.csv")
-        mean_grid, mean_vals = dataio.read_mean_csv(result_dir / "mean.csv")
+        mean = DiscreteCurve(*dataio.read_mean_csv(result_dir / "mean.csv"))
+        if not np.array_equal(mean.grid, registered[0].grid):
+            raise dataio.InputFormatError("mean.csv and registered.csv grids differ")
     except (OSError, dataio.InputFormatError, ValueError) as exc:
         print(f"error: cannot read result files: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -358,24 +359,20 @@ def cmd_diagnose(args) -> int:
         if truth_ids != ids:
             print("error: truth and result curve ids differ", file=sys.stderr)
             return EXIT_PARSE
-        warp_errs, rel_errs = [], []
-        from .fpca import trapezoid_weights
 
-        w = trapezoid_weights(grid)
-        for i, cid in enumerate(ids):
-            t_est, w_est, _ = warp_samples[cid]
-            t_true, w_true, _ = truth_warps[cid]
-            w_true_interp = np.interp(t_est, t_true, w_true)
-            warp_errs.append(float(np.abs(w_est - w_true_interp).max()))
-            x_true = np.interp(grid, truth_latent[i].grid, truth_latent[i].values)
-            num = float(np.sqrt(np.sum(w * (registered[i].values - x_true) ** 2)))
-            den = float(np.sqrt(np.sum(w * x_true**2)))
-            rel_errs.append(num / max(den, 1e-300))
-        report["warp_sup_errors"] = warp_errs
-        report["curve_rel_L2_errors"] = rel_errs
+        def warp_pairs():
+            # estimated warps on the grid of warps.csv, truth warps interpolated onto it
+            for cid in ids:
+                t_est, w_est, _ = warp_samples[cid]
+                t_true, w_true, _ = truth_warps[cid]
+                yield w_est, np.interp(t_est, t_true, w_true)
+
+        latent = [DiscreteCurve(grid, np.interp(grid, c.grid, c.values)) for c in truth_latent]
+        warp_errs, rel_errs, mean_sup = truth_errors(warp_pairs(), registered, latent, mean)
+        report["warp_sup_errors"] = _json_float_list(warp_errs)
+        report["curve_rel_L2_errors"] = _json_float_list(rel_errs)
         report["median_curve_rel_L2_error"] = float(np.median(rel_errs))
-        truth_mean = np.mean([np.interp(mean_grid, c.grid, c.values) for c in truth_latent], axis=0)
-        report["mean_sup_error"] = float(np.abs(mean_vals - truth_mean).max())
+        report["mean_sup_error"] = mean_sup
         if f_phi is not None:
             report["dW2_template_to_target"] = float(wasserstein2(template, f_phi) ** 2)
 
@@ -383,16 +380,18 @@ def cmd_diagnose(args) -> int:
         if cfg.get("seed") is None:
             print("error: --seed is required for the rate check", file=sys.stderr)
             return EXIT_PARSE
-        ns = [int(x) for x in str(cfg["rate_ns"]).split(",") if x]
-        reps = int(cfg.get("rate_reps", 50))
-        model = cfg.get("rate_model", "model1")
-        rate = rate_check(
-            LatentModelConfig(name=model),
-            WarpLawConfig(),
-            ns,
-            reps,
-            int(cfg["seed"]),
-        )
+        try:
+            ns = [int(x) for x in str(cfg["rate_ns"]).split(",") if x]
+            rate = rate_check(
+                LatentModelConfig(name=cfg.get("rate_model", "model1")),
+                WarpLawConfig(),
+                ns,
+                int(cfg.get("rate_reps", 50)),
+                int(cfg["seed"]),
+            )
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_PARSE
         report["rate_check"] = {
             "ns": rate.ns,
             "grid_sizes": rate.grid_sizes,

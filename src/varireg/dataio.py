@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,11 @@ class InputFormatError(Exception):
 
 def fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _fmts(values) -> list:
+    """fmt(x) for every entry x of ``values``, without a Python call per entry."""
+    return ["%.17g" % x for x in np.asarray(values, dtype=float).tolist()]
 
 
 def _parse_float(text, line):
@@ -150,26 +156,22 @@ def write_rows(path, header, rows):
 
 
 def write_wide_csv(path, ids, grid, value_columns):
-    rows = [
-        [fmt(t)] + [fmt(col[k]) for col in value_columns] for k, t in enumerate(grid)
-    ]
-    write_rows(path, ["t"] + list(ids), rows)
+    write_rows(path, ["t"] + list(ids), zip(_fmts(grid), *map(_fmts, value_columns)))
 
 
 def write_long_csv(path, ids, curves):
     rows = []
     for cid, curve in zip(ids, curves):
-        for t, v in zip(curve.grid, curve.values):
-            rows.append([cid, fmt(t), fmt(v)])
+        rows += zip(repeat(cid), _fmts(curve.grid), _fmts(curve.values))
     write_rows(path, ["curve_id", "t", "value"], rows)
 
 
 def write_warps_csv(path, ids, warp_values, inverse_warp_values, grid):
     """One row per curve and grid point; the value arrays are sampled on ``grid``."""
+    t = _fmts(grid)
     rows = []
     for cid, wv, iv in zip(ids, warp_values, inverse_warp_values):
-        for k, t in enumerate(grid):
-            rows.append([cid, fmt(t), fmt(wv[k]), fmt(iv[k])])
+        rows += zip(repeat(cid), t, _fmts(wv), _fmts(iv))
     write_rows(path, ["curve_id", "t", "warp_value", "inverse_warp_value"], rows)
 
 
@@ -195,8 +197,7 @@ def read_warps_csv(path):
 
 
 def write_mean_csv(path, mean_curve):
-    rows = [[fmt(t), fmt(v)] for t, v in zip(mean_curve.grid, mean_curve.values)]
-    write_rows(path, ["t", "value"], rows)
+    write_rows(path, ["t", "value"], zip(_fmts(mean_curve.grid), _fmts(mean_curve.values)))
 
 
 def read_mean_csv(path):
@@ -213,26 +214,17 @@ def read_mean_csv(path):
 
 
 def write_eigen_csv(path, grid, eigenfunctions):
-    m = eigenfunctions.shape[0]
-    header = ["t"] + [f"phi_{j + 1}" for j in range(m)]
-    rows = [
-        [fmt(t)] + [fmt(eigenfunctions[j, k]) for j in range(m)]
-        for k, t in enumerate(grid)
-    ]
-    write_rows(path, header, rows)
+    header = ["t"] + [f"phi_{j + 1}" for j in range(eigenfunctions.shape[0])]
+    write_rows(path, header, zip(_fmts(grid), *map(_fmts, eigenfunctions)))
 
 
 def write_scores_csv(path, ids, score_matrix):
-    m = score_matrix.shape[1]
-    header = ["curve_id"] + [f"score_{j + 1}" for j in range(m)]
-    rows = [
-        [cid] + [fmt(score_matrix[i, j]) for j in range(m)] for i, cid in enumerate(ids)
-    ]
-    write_rows(path, header, rows)
+    header = ["curve_id"] + [f"score_{j + 1}" for j in range(score_matrix.shape[1])]
+    write_rows(path, header, zip(ids, *map(_fmts, score_matrix.T)))
 
 
 def write_template_csv(path, cdf):
-    rows = [[fmt(t), fmt(v)] for t, v in zip(cdf.jump_locations, cdf.cum_values)]
+    rows = zip(_fmts(cdf.jump_locations), _fmts(cdf.cum_values))
     write_rows(path, ["jump_location", "cum_value"], rows)
 
 

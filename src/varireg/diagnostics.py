@@ -137,40 +137,43 @@ def z_statistic(curves, mean_mode: str = "auto", info: dict = None) -> np.ndarra
     return values
 
 
-def _resample(curve_grid, curve_values, target_grid) -> np.ndarray:
-    return np.interp(target_grid, curve_grid, curve_values)
+def truth_errors(warp_pairs, registered, latent, mean) -> tuple:
+    """Errors of a registration against its ground truth.
+
+    ``warp_pairs`` yields (estimated, true) warp samples one curve at a
+    time, on a grid the caller chooses, so no (curves x warp grid) array is
+    built.  ``registered`` and ``latent`` are curves on the grid of the
+    estimated ``mean``.  Returns the per-curve warp sup errors, the
+    per-curve relative L2 errors under trapezoid weights, and the sup error
+    of ``mean`` against the sorted-sum mean of ``latent``.
+    """
+    warp_errs = np.array([float(np.abs(est - true).max()) for est, true in warp_pairs])
+    w = trapezoid_weights(mean.grid)
+    rel_errs = np.empty(len(latent))
+    for i, (x_hat, x_true) in enumerate(zip(registered, latent)):
+        denom = math.sqrt(float(np.sum(w * x_true.values * x_true.values)))
+        num = math.sqrt(float(np.sum(w * (x_hat.values - x_true.values) ** 2)))
+        rel_errs[i] = num / max(denom, 1e-300)
+    true_mean = cross_sectional_mean(latent)
+    return warp_errs, rel_errs, float(np.abs(mean.values - true_mean.values).max())
 
 
 def evaluate_against_truth(result: RegistrationResult, truth: TruthBundle) -> RegistrationReport:
     """Fill a report by comparing a registration run to its ground truth.
 
     Truth curves are resampled to the result's output grid by linear
-    interpolation; warp errors are taken in sup norm over a dense grid.
+    interpolation; warp errors are taken in sup norm over a dense grid
+    against the exact truth warps.
     """
     if result.n != truth.n:
         raise GridMismatch("result and truth have different sample sizes")
     out_grid = result.output_grid
     dense = np.unique(np.concatenate((np.linspace(0.0, 1.0, 2049), out_grid)))
-
-    warp_errs = np.empty(result.n)
-    rel_errs = np.empty(result.n)
-    w = trapezoid_weights(out_grid)
-    for i in range(result.n):
-        est = result.warps[i](dense)
-        true_vals = truth.warp_values(i, dense)
-        warp_errs[i] = float(np.abs(est - true_vals).max())
-        x_true = _resample(truth.grid, truth.latent[i].values, out_grid)
-        x_hat = result.registered[i].values
-        denom = math.sqrt(float(np.sum(w * x_true * x_true)))
-        num = math.sqrt(float(np.sum(w * (x_hat - x_true) ** 2)))
-        rel_errs[i] = num / max(denom, 1e-300)
-
-    latent_on_out = [
-        DiscreteCurve(out_grid, _resample(truth.grid, c.values, out_grid))
-        for c in truth.latent
+    warp_pairs = ((w(dense), truth.warp_values(i, dense)) for i, w in enumerate(result.warps))
+    latent = [
+        DiscreteCurve(out_grid, np.interp(out_grid, truth.grid, c.values)) for c in truth.latent
     ]
-    true_mean = cross_sectional_mean(latent_on_out)
-    mean_sup = float(np.abs(result.mean.values - true_mean.values).max())
+    warp_errs, rel_errs, mean_sup = truth_errors(warp_pairs, result.registered, latent, result.mean)
 
     dw2 = None
     if truth.f_phi is not None:
@@ -231,8 +234,8 @@ def rate_check(
     doubling ``reps`` extends rather than reshuffles the stream.
     """
     ns = sorted(int(n) for n in ns)
-    if not ns or reps < 1:
-        raise ValueError("need nonempty ns and reps >= 1")
+    if not ns or ns[0] < 2 or reps < 1:
+        raise ValueError("need sample sizes >= 2 and reps >= 1")
     f_phi = true_variation_cdf(model_cfg, dense_r)
     target_q = generalized_inverse(f_phi)
     means = np.empty(len(ns))

@@ -18,14 +18,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._parallel import thread_map
 from .errors import EmptySample, NonMonotoneInput
 from .fpca import cross_sectional_mean
 from .smoothing import (
     SmootherConfig,
     default_loocv_candidates,
     local_poly,
-    loocv_bandwidth,
+    loocv_bandwidths,
     monotone_smooth_warp,
     nadaraya_watson,
 )
@@ -108,7 +107,7 @@ class RegisterOptions:
     smooth_warps: bool = False
     n_knots: int = 11
     output_grid: np.ndarray = None
-    threads: int = 1
+    threads: int = 1              # accepted; no effect (runs serially)
 
 
 @dataclass(frozen=True)
@@ -120,7 +119,7 @@ class NoisyOptions:
     auto: bool = True             # choose h1, h2 by leave-one-out CV
     deriv_grid_size: int = 512
     output_grid: np.ndarray = None
-    threads: int = 1
+    threads: int = 1              # accepted; no effect (runs serially)
 
     def __post_init__(self):
         if not self.auto and (self.h1 is None or self.h2 is None):
@@ -218,11 +217,7 @@ def _register_noiseless(curves, options, bandwidth_rule, regime):
     curves = list(curves)
     if not curves:
         raise EmptySample("no curves to register")
-    summaries = thread_map(
-        lambda ic: discrete_variation_cdf(ic[1], curve_id=ic[0]),
-        list(enumerate(curves)),
-        options.threads,
-    )
+    summaries = [discrete_variation_cdf(c, curve_id=i) for i, c in enumerate(curves)]
     cdfs = [s.cdf for s in summaries]
     warp_grid = closed_grid(np.concatenate([c.grid for c in curves]), WARP_GRID_CAP)
     template_cdf, template_q, warps, inverse_warps = estimate_warps_discrete(
@@ -235,14 +230,12 @@ def _register_noiseless(curves, options, bandwidth_rule, regime):
         ]
     output_grid = _default_output_grid(curves, options.output_grid)
     bandwidths = [bandwidth_rule(c) for c in curves]
-
-    def _one(args):
-        curve, warp, h = args
+    registered = []
+    for curve, warp, h in zip(curves, warps, bandwidths):
         cfg = SmootherConfig(bandwidth=h, degree=0, deriv_order=0)
-        eval_pts = warp(output_grid)
-        return DiscreteCurve(output_grid, nadaraya_watson(curve, cfg, eval_pts))
-
-    registered = thread_map(_one, list(zip(curves, warps, bandwidths)), options.threads)
+        registered.append(
+            DiscreteCurve(output_grid, nadaraya_watson(curve, cfg, warp(output_grid)))
+        )
     mean = cross_sectional_mean(registered)
     meta = {
         "bandwidths": [float(h) for h in bandwidths],
@@ -280,7 +273,8 @@ def register_complete(sample, output_grid=None, threads: int = 1) -> Registratio
 
     Realized as the fine-grid limit of the discrete pipeline: the smoothing
     bandwidth is forced into the single-nearest-point regime and warps stay
-    raw.  Intended for dense grids (r >= 500 recommended).
+    raw.  Intended for dense grids (r >= 500 recommended).  ``threads`` is
+    accepted and has no effect.
     """
     options = RegisterOptions(
         smooth_warps=False, output_grid=output_grid, threads=threads
@@ -306,12 +300,10 @@ def register_noisy(sample, opts: NoisyOptions = None) -> RegistrationResult:
             raise ValueError("noisy pipeline needs at least 10 points per curve")
     deriv_grid = np.linspace(0.0, 1.0, opts.deriv_grid_size)
 
-    def _prepare(args):
-        i, curve = args
+    def _prepare(i, curve):
         if opts.auto:
-            cands = default_loocv_candidates(curve)
-            h1 = loocv_bandwidth(curve, degree=2, candidates=cands)
-            h2 = loocv_bandwidth(curve, degree=1, candidates=cands)
+            # both degrees from one pass over the leave-one-out windows
+            h1, h2 = loocv_bandwidths(curve, (2, 1), default_loocv_candidates(curve))
         else:
             h1, h2 = float(opts.h1), float(opts.h2)
         cfg1 = SmootherConfig(bandwidth=h1, degree=2, deriv_order=1)
@@ -320,21 +312,18 @@ def register_noisy(sample, opts: NoisyOptions = None) -> RegistrationResult:
         summary = _deriv_cdf(cell, deriv_grid, curve, i)
         return h1, h2, summary
 
-    prepared = thread_map(_prepare, list(enumerate(curves)), opts.threads)
+    prepared = [_prepare(i, c) for i, c in enumerate(curves)]
     cdfs = [p[2] for p in prepared]
     template_cdf, template_q, warps, inverse_warps = estimate_warps_discrete(
         cdfs, deriv_grid
     )
     output_grid = _default_output_grid(curves, opts.output_grid)
-
-    def _one(args):
-        curve, warp, h2 = args
+    registered = []
+    for curve, warp, (_, h2, _) in zip(curves, warps, prepared):
         cfg2 = SmootherConfig(bandwidth=h2, degree=1, deriv_order=0)
-        eval_pts = warp(output_grid)
-        return DiscreteCurve(output_grid, local_poly(curve, cfg2, eval_pts))
-
-    triples = [(c, w, p[1]) for c, w, p in zip(curves, warps, prepared)]
-    registered = thread_map(_one, triples, opts.threads)
+        registered.append(
+            DiscreteCurve(output_grid, local_poly(curve, cfg2, warp(output_grid)))
+        )
     mean = cross_sectional_mean(registered)
     meta = {
         "h1": [float(p[0]) for p in prepared],

@@ -69,18 +69,20 @@ def suggested_min_bandwidth(grid: np.ndarray, eval_points: np.ndarray) -> float:
     return float(nearest.max()) * (1.0 + 1e-9)
 
 
-def _windowed_fit(grid, values, bandwidths, eval_points, degree, deriv_order=0,
-                  loo=False, kernel=EPANECHNIKOV):
+def _windowed_fits(grid, values, bandwidths, eval_points, degrees, deriv_order=0,
+                   loo=False, kernel=EPANECHNIKOV):
     """Local polynomial fits over the kernel's compact-support windows.
 
-    Returns an array of shape (len(bandwidths), len(eval_points)) whose row k
-    holds, at each evaluation point, the deriv_order coefficient (scaled back
-    to the time axis) of the weighted least-squares fit of the given degree
-    with bandwidth bandwidths[k] (Fan & Gijbels 1996, ch. 3); nan marks a
-    window with fewer than degree + 1 positively weighted points.  Degree 0
-    is the Nadaraya-Watson average, with the weights normalized before the
-    dot product so a single-point window returns its value exactly.  With
-    ``loo`` a grid point coinciding with the evaluation point gets weight 0.
+    Returns an array of shape (len(degrees), len(bandwidths), len(eval_points))
+    whose entry [d, k] holds, at each evaluation point, the deriv_order
+    coefficient (scaled back to the time axis) of the weighted least-squares
+    fit of degree degrees[d] with bandwidth bandwidths[k] (Fan & Gijbels 1996,
+    ch. 3); nan marks a window with fewer than degree + 1 positively weighted
+    points.  Degree 0 is the Nadaraya-Watson average, with the weights
+    normalized before the dot product so a single-point window returns its
+    value exactly.  With ``loo`` a grid point coinciding with the evaluation
+    point gets weight 0.  All degrees share one pass over the windows, and
+    each gets the same bits as a fit of that degree alone.
     """
     h = np.asarray(bandwidths, dtype=float).reshape(-1, 1)
     e = np.asarray(eval_points, dtype=float)
@@ -88,52 +90,76 @@ def _windowed_fit(grid, values, bandwidths, eval_points, degree, deriv_order=0,
     # side so rounding in e +- h never drops a point the kernel weights
     lo = np.maximum(np.searchsorted(grid, e - h, "right") - 1, 0)
     width = np.minimum(np.searchsorted(grid, e + h, "left") + 1, grid.size) - lo
-    out = np.empty(lo.shape)
+    out = np.empty((len(degrees),) + lo.shape)
     step = max(1, _CELL_BUDGET // (h.size * max(int(width.max(initial=0)), 1)))
     for start in range(0, e.size, step):
         cols = slice(start, start + step)
-        out[:, cols] = _fit_chunk(
+        out[:, :, cols] = _fit_chunk(
             grid, values, h, e[cols], lo[:, cols], width[:, cols],
-            degree, deriv_order, loo, kernel,
+            degrees, deriv_order, loo, kernel,
         )
     return out
 
 
-def _fit_chunk(grid, values, h, e, lo, width, degree, deriv_order, loo, kernel):
-    """_windowed_fit on one slice of evaluation points, windows padded to one width."""
+def _windowed_fit(grid, values, bandwidths, eval_points, degree, deriv_order=0,
+                  loo=False, kernel=EPANECHNIKOV):
+    """_windowed_fits for one degree: shape (len(bandwidths), len(eval_points))."""
+    return _windowed_fits(
+        grid, values, bandwidths, eval_points, [degree], deriv_order, loo, kernel
+    )[0]
+
+
+def _fit_chunk(grid, values, h, e, lo, width, degrees, deriv_order, loo, kernel):
+    """_windowed_fits on one slice of evaluation points, windows padded to one width."""
     offsets = np.arange(int(width.max(initial=0)))
-    idx = np.minimum(lo[..., None] + offsets, grid.size - 1)  # (bandwidth, eval, window)
+    idx = lo[..., None] + offsets  # (bandwidth, eval, window)
+    np.minimum(idx, grid.size - 1, out=idx)
     g = grid[idx]
     y = values[idx]
-    u = (g - e[:, None]) / h[..., None]
-    w = kernel(u) * (offsets < width[..., None])  # drop the clipped padding
+    u = g - e[:, None]
+    u /= h[..., None]
+    w = kernel(u)
+    w *= offsets < width[..., None]  # drop the clipped padding
     if loo:
-        w = np.where(g == e[:, None], 0.0, w)
-    if degree == 0:
-        wsum = w.sum(axis=-1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            fit = np.sum(w / wsum[..., None] * y, axis=-1)
-        fit[wsum <= 0.0] = np.nan
-        return fit
+        w[g == e[:, None]] = 0.0
+    s = [w.sum(axis=-1)]
+    top = max(degrees)
+    if top:
+        npts = np.count_nonzero(w > 0.0, axis=-1)
+        # moments s_p = sum w u^p (p <= 2d) and t_p = sum (w u^p) y (p <= d).  A
+        # point at |u| just below 1 weighs ~1e-16 and can make S near singular;
+        # products formed in the order of the dense reference in tests/oracles.py
+        # round like it there, so both pick the same LOO bandwidths.
+        wu = w * y
+        t = [wu.sum(axis=-1)]
+        up = u.copy()
+        for p in range(1, 2 * top + 1):
+            np.multiply(w, up, out=wu)
+            s.append(wu.sum(axis=-1))
+            if p <= top:
+                wu *= y
+                t.append(wu.sum(axis=-1))
+            if p < 2 * top:
+                up *= u
+    fits = []
+    for degree in degrees:
+        if degree == 0:
+            with np.errstate(invalid="ignore", divide="ignore"):
+                fit = np.sum(w / s[0][..., None] * y, axis=-1)
+            fit[s[0] <= 0.0] = np.nan
+        else:
+            fit = _solve_moments(s, t, npts, degree, deriv_order, h)
+        fits.append(fit)
+    return fits
 
-    npts = np.count_nonzero(w > 0.0, axis=-1)
-    # moments s_p = sum w u^p (p <= 2d) and t_p = sum (w u^p) y (p <= d).  A point
-    # at |u| just below 1 weighs ~1e-16 and can make S near singular; products
-    # formed in the order of the dense reference in tests/oracles.py round like
-    # it there, so both pick the same LOO bandwidths.
-    s, t = [w.sum(axis=-1)], [(w * y).sum(axis=-1)]
-    up = u
-    for p in range(1, 2 * degree + 1):
-        wu = w * up
-        s.append(wu.sum(axis=-1))
-        if p <= degree:
-            t.append((wu * y).sum(axis=-1))
-        up = up * u
+
+def _solve_moments(s, t, npts, degree, deriv_order, h):
+    """Fit of one degree >= 1 from the window moments; nan where underdetermined."""
     S = np.empty(npts.shape + (degree + 1, degree + 1))
     for p in range(degree + 1):
         for q in range(degree + 1):
             S[..., p, q] = s[p + q]
-    b = np.stack(t, axis=-1)
+    b = np.stack(t[: degree + 1], axis=-1)
     ok = npts >= degree + 1
     coef = np.full(b.shape, np.nan)
     if ok.any():
@@ -187,24 +213,33 @@ def local_poly(curve: DiscreteCurve, cfg: SmootherConfig, eval_points) -> np.nda
     return out
 
 
+def loocv_bandwidths(curve: DiscreteCurve, degrees, candidates) -> list:
+    """loocv_bandwidth for each of ``degrees``, from one pass over the windows."""
+    candidates = sorted(float(h) for h in candidates)
+    if not candidates:
+        raise AllCandidatesSingular("no candidate bandwidths given")
+    for degree in degrees:
+        for h in candidates:
+            SmootherConfig(bandwidth=h, degree=degree)  # rejects out-of-range candidates
+    preds = _windowed_fits(curve.grid, curve.values, candidates, curve.grid, degrees, loo=True)
+    errs = np.sum((preds - curve.values) ** 2, axis=-1)
+    errs = np.where(errs < np.inf, errs, np.inf)  # nan: a skipped candidate
+    chosen = []
+    for row in errs:
+        best = int(np.argmin(row))  # first minimum: the smaller bandwidth wins ties
+        if row[best] == np.inf:
+            raise AllCandidatesSingular("every candidate bandwidth left a singular window")
+        chosen.append(candidates[best])
+    return chosen
+
+
 def loocv_bandwidth(curve: DiscreteCurve, degree: int, candidates) -> float:
     """Candidate bandwidth minimizing leave-one-out squared prediction error.
 
     Candidates whose leave-one-out windows are underdetermined anywhere are
     skipped; ties break toward the smaller bandwidth (under-smoothing).
     """
-    candidates = sorted(float(h) for h in candidates)
-    if not candidates:
-        raise AllCandidatesSingular("no candidate bandwidths given")
-    for h in candidates:
-        SmootherConfig(bandwidth=h, degree=degree)  # rejects out-of-range candidates
-    preds = _windowed_fit(curve.grid, curve.values, candidates, curve.grid, degree, loo=True)
-    errs = np.sum((preds - curve.values) ** 2, axis=1)
-    errs = np.where(errs < np.inf, errs, np.inf)  # nan: a skipped candidate
-    best = int(np.argmin(errs))  # first minimum: the smaller bandwidth wins ties
-    if errs[best] == np.inf:
-        raise AllCandidatesSingular("every candidate bandwidth left a singular window")
-    return candidates[best]
+    return loocv_bandwidths(curve, [degree], candidates)[0]
 
 
 def default_loocv_candidates(curve: DiscreteCurve, count: int = 12) -> np.ndarray:

@@ -196,7 +196,8 @@ class QuantileFn:
         b_right = self.breakpoints[idx]
         b_left = self.breakpoints[idx - 1]
         lam = (t_clipped - b_left) / (b_right - b_left)
-        lin = left + (right - left) * lam
+        # at its right breakpoint a linear segment takes the stored value exactly
+        lin = np.where(t_clipped == b_right, right, left + (right - left) * lam)
         out = np.where(self.linear_segments[idx - 1], lin, right)
         out = np.where(t_clipped <= 0.0, self.values[0], out)
         return out if t_arr.ndim else float(out)

@@ -282,3 +282,80 @@ def test_full_round_trip_deterministic_across_threads(tmp_path):
             {**read_all_bytes(sim), **read_all_bytes(out), **read_all_bytes(dia)}
         )
     assert outs[0] == outs[1]
+
+
+def test_truth_metrics_cli_matches_library_bitwise(tmp_path):
+    # the CSVs round-trip 17 digits losslessly, so both paths see the same inputs
+    from varireg.diagnostics import evaluate_against_truth
+    from varireg.registration import register_discrete
+    from varireg.simulate import LatentModelConfig, WarpLawConfig, make_truth_bundle
+
+    sim, out, dia = tmp_path / "sim", tmp_path / "out", tmp_path / "dia"
+    assert run("simulate", "--model", "model1", "--n", "8", "--r", "51", "--seed", "5", "--out", sim) == 0
+    assert run("register", sim / "observed.csv", "--out", out) == 0
+    assert run("diagnose", out, "--truth", sim, "--out", dia) == 0
+    report = json.loads((dia / "report.json").read_text())
+    bundle = make_truth_bundle(LatentModelConfig("model1", grid_size=51), WarpLawConfig(), 8, 5)
+    lib = evaluate_against_truth(register_discrete(bundle.observed), bundle)
+    assert report["curve_rel_L2_errors"] == lib.curve_rel_L2_errors.tolist()
+    assert report["mean_sup_error"] == lib.mean_sup_error
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    base = tmp_path_factory.mktemp("cli_inputs")
+    sim, result = base / "sim", base / "result"
+    assert run("simulate", "--model", "model1", "--n", "6", "--r", "41", "--seed", "2", "--out", sim) == 0
+    assert run("register", sim / "observed.csv", "--out", result) == 0
+    lines = ["curve_id,t,value"]
+    for cid, r in (("a", 21), ("b", 33), ("c", 40)):
+        grid = np.linspace(0.0, 1.0, r)
+        lines += [f"{cid},{fmt(t)},{fmt(v)}" for t, v in zip(grid, np.exp(np.cos(2 * np.pi * grid - np.pi)))]
+    long_csv = base / "long.csv"
+    long_csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    flat_csv = base / "flat.csv"
+    grid = np.linspace(0.0, 1.0, 21)
+    write_wide(flat_csv, grid, [np.sin(grid) + grid, 5.0 + 1e-14 * (np.arange(21) % 2)])
+    tied_csv = base / "tied.csv"  # equal curves and flat stretches: tied variation levels
+    phi = np.exp(np.cos(2 * np.pi * grid - np.pi))
+    write_wide(tied_csv, grid, [phi, phi, np.minimum(phi, 2.0), np.round(phi, 1)])
+    return {
+        "obs": sim / "observed.csv", "result": result, "long": long_csv, "flat": flat_csv,
+        "tied": tied_csv,
+    }
+
+
+FLAG_CASES = [
+    ("eigen_zero", ["register", "{obs}", "--eigen", "0"], {}, 2),
+    ("eigen_negative", ["register", "{obs}", "--eigen", "-2"], {}, 2),
+    ("rate_ns_not_int", ["diagnose", "{result}", "--rate-ns", "abc", "--seed", "1"], {}, 2),
+    ("rate_reps_zero", ["diagnose", "{result}", "--rate-ns", "5", "--rate-reps", "0", "--seed", "1"], {}, 2),
+    ("rate_model_unknown",
+     ["diagnose", "{result}", "--rate-model", "nosuch", "--rate-ns", "10", "--seed", "1"], {}, 2),
+    ("rate_ns_negative", ["diagnose", "{result}", "--rate-ns", "-5", "--seed", "1"], {}, 2),
+    ("threads_env_not_int", ["register", "{obs}"], {"VARIREG_THREADS": "abc"}, 2),
+    ("per_curve_grids", ["register", "{long}"], {}, 0),
+    ("tied_levels", ["register", "{tied}", "--smooth-warps"], {}, 0),
+    ("near_constant_curve", ["register", "{flat}"], {}, 3),
+    ("tiny_bandwidths", ["register", "{obs}", "--regime", "noisy", "--h1", "1e-4", "--h2", "1e-4"], {}, 4),
+    *[
+        (f"output_grid_{size}", ["register", "{obs}", "--output-grid-size", str(size)], {}, 0)
+        for size in (1024, 1025, 2048, 2049)  # either side of OUTPUT_GRID_CAP and DENSE_SOLVE_CAP
+    ],
+]
+
+
+@pytest.mark.parametrize(
+    "argv, env, expected", [case[1:] for case in FLAG_CASES], ids=[case[0] for case in FLAG_CASES]
+)
+def test_flag_combinations_exit_with_documented_codes(
+    argv, env, expected, cli_inputs, tmp_path, monkeypatch
+):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    out = tmp_path / "out"
+    code = main([a.format(**cli_inputs) for a in argv] + ["--out", str(out)])
+    assert code in (0, 2, 3, 4)
+    assert code == expected
+    if code != 0:
+        assert not out.exists()  # a failed run writes nothing

@@ -8,9 +8,11 @@ from varireg.smoothing import (
     EPANECHNIKOV,
     SmootherConfig,
     _windowed_fit,
+    _windowed_fits,
     default_loocv_candidates,
     local_poly,
     loocv_bandwidth,
+    loocv_bandwidths,
     monotone_smooth_warp,
     nadaraya_watson,
 )
@@ -314,6 +316,34 @@ def test_loocv_matches_dense_oracle(seed, r, degree, gaps):
     assert loocv_bandwidth(curve, degree, candidates) == expected
 
 
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(5, 40),
+    st.lists(st.integers(0, 2), min_size=1, max_size=4),
+    st.booleans(),
+    st.lists(st.floats(0.2, 8.0), min_size=1, max_size=6),
+)
+def test_shared_pass_gives_each_degree_its_own_bits(seed, r, degrees, loo, gaps):
+    rng = np.random.default_rng(seed)
+    grid = _jittered_grid(rng, r)
+    values = rng.standard_normal(r).cumsum()
+    bandwidths = sorted(min(g / (r - 1), 1.0) for g in gaps)
+    pts = grid if loo else np.concatenate((rng.random(15), grid))
+    shared = _windowed_fits(grid, values, bandwidths, pts, degrees, loo=loo)
+    for degree, fits in zip(degrees, shared):
+        alone = _windowed_fit(grid, values, bandwidths, pts, degree, loo=loo)
+        assert fits.tobytes() == alone.tobytes()
+    if loo:
+        curve = DiscreteCurve(grid, values)
+        try:
+            expected = [loocv_bandwidth(curve, d, bandwidths) for d in degrees]
+        except AllCandidatesSingular:
+            with pytest.raises(AllCandidatesSingular):
+                loocv_bandwidths(curve, degrees, bandwidths)
+            return
+        assert loocv_bandwidths(curve, degrees, bandwidths) == expected
+
+
 @pytest.mark.parametrize("noise, seed", [(0.1, 3), (0.4, 5)])
 def test_loocv_matches_dense_oracle_on_noisy_model1(noise, seed):
     # uniform grids put the 2 x gap candidate's window edge exactly at |u| = 1;
@@ -323,10 +353,10 @@ def test_loocv_matches_dense_oracle_on_noisy_model1(noise, seed):
     )
     for curve in bundle.observed:
         candidates = default_loocv_candidates(curve)
+        expected = [dense_loocv_bandwidth(curve, d, candidates) for d in (0, 1, 2)]
         for degree in (0, 1, 2):
-            assert loocv_bandwidth(curve, degree, candidates) == dense_loocv_bandwidth(
-                curve, degree, candidates
-            )
+            assert loocv_bandwidth(curve, degree, candidates) == expected[degree]
+        assert loocv_bandwidths(curve, (2, 1, 0), candidates) == expected[::-1]
 
 
 # --- monotone warp smoothing --------------------------------------------------

@@ -273,16 +273,20 @@ def test_mean_permutation_bits_mixed(sample, random):
     np.testing.assert_array_equal(a.linear_segments, b.linear_segments)
 
 
+def test_quantile_linear_segment_takes_stored_value_at_right_breakpoint():
+    # left + (right - left) * 1 rounds to 0.9999899999999999 here
+    q = QuantileFn([0.0, 0.125, 1.0], [0.0, 0.29449997, 0.99999], [False, True])
+    assert q(1.0) == 0.99999
+    np.testing.assert_array_equal(q(q.breakpoints), q.values)
+
+
 @given(quantile_fns())
 @example(QuantileFn([0.0, 0.5, 1.0], [0.0, 1e-12, 1e-12]))
 @example(QuantileFn([0.0, 0.25, 0.5, 1.0], [0.0, 5e-324, 1e-300, 1.0]))
+@example(QuantileFn([0.0, 0.125, 1.0], [0.0, 0.29449997, 0.99999], [False, True]))
 def test_mean_of_power_of_two_copies_is_exact(q):
-    # a linear input enters through q(breakpoints), which can miss its stored
-    # values by an ulp; a step input enters through its values exactly
-    at_points = np.clip(np.maximum.accumulate(q(q.breakpoints)), 0.0, 1.0)
-    expected = q.values if q.all_step else at_points
     for m in (1, 2, 4, 8):
-        np.testing.assert_array_equal(mean_quantile([q] * m).values, expected)
+        np.testing.assert_array_equal(mean_quantile([q] * m).values, q.values)
 
 
 # --- quantile_to_cdf --------------------------------------------------------
