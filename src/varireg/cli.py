@@ -145,8 +145,11 @@ def cmd_register(args) -> int:
         if n_eigen < 1:
             raise ValueError(f"--eigen must be at least 1, got {n_eigen}")
         grid_override = None
-        if cfg.get("output_grid_size"):
-            grid_override = np.linspace(0.0, 1.0, int(cfg["output_grid_size"]))
+        if cfg.get("output_grid_size") is not None:
+            size = int(cfg["output_grid_size"])
+            if size < 3:
+                raise ValueError(f"--output-grid-size must be at least 3, got {size}")
+            grid_override = np.linspace(0.0, 1.0, size)
         if regime == "noisy":
             opts = NoisyOptions(
                 h1=cfg.get("h1"),
@@ -217,7 +220,7 @@ def cmd_register(args) -> int:
         "n_curves": len(curves),
         "curve_ids": list(ids),
         "grid_sizes": [int(c.grid.size) for c in curves],
-        "per_curve_grids": len({c.grid.size for c in curves}) > 1,
+        "per_curve_grids": any(not np.array_equal(c.grid, curves[0].grid) for c in curves[1:]),
         "output_grid_size": int(grid.size),
         "n_eigen": n_eigen,
         "explained_ratios": _json_float_list(ratios),

@@ -251,8 +251,3 @@ def write_report_json(path, report: dict):
     with path.open("w", encoding="utf-8") as fh:
         json.dump(report, fh, sort_keys=True, indent=2)
         fh.write("\n")
-
-
-def read_report_json(path):
-    with Path(path).open(encoding="utf-8") as fh:
-        return json.load(fh)

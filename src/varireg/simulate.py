@@ -120,21 +120,6 @@ class SineMixtureWarp(AnalyticWarp):
         return out
 
 
-class SineWarp(AnalyticWarp):
-    """t + amplitude * sin(frequency * pi * t); fixes the endpoints."""
-
-    def __init__(self, amplitude: float, frequency: int):
-        self.amplitude = float(amplitude)
-        self.frequency = int(frequency)
-        if abs(amplitude) * frequency * math.pi >= 1.0:
-            raise ValueError("amplitude too large for monotonicity")
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        out = t + self.amplitude * np.sin(self.frequency * np.pi * t)
-        return np.clip(out, 0.0, 1.0)
-
-
 @dataclass(frozen=True)
 class WarpLawConfig:
     """Random sine-mixture warp law with Poisson-signed frequencies."""

@@ -4,13 +4,15 @@ A curve observed on a grid induces a distribution on [0,1]: the normalized
 cumulative sum of its absolute increments.  This module provides the exact
 piecewise machinery around such distributions: cadlag step CDFs, their
 generalized inverses (quantile functions), pointwise quantile means,
-compositions, and the 2-Wasserstein distance.  All integration is exact per
-segment, never by quadrature.
+compositions, and the 2-Wasserstein distance.  Every quantile function is a
+left-continuous step function: a step CDF's generalized inverse is one, and
+so is a pointwise mean of them.  All integration is exact per segment, never
+by quadrature.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,12 +107,6 @@ class StepCdf:
         object.__setattr__(self, "jump_locations", locs)
         object.__setattr__(self, "cum_values", cums)
 
-    @property
-    def max_jump(self) -> float:
-        """Largest single increment of the CDF."""
-        sizes = np.diff(self.cum_values, prepend=0.0)
-        return float(sizes.max())
-
     def __call__(self, t) -> np.ndarray | float:
         t_arr = np.asarray(t, dtype=float)
         idx = np.searchsorted(self.jump_locations, t_arr, side="right") - 1
@@ -140,17 +136,15 @@ class StepCdf:
 
 @dataclass(frozen=True)
 class QuantileFn:
-    """Left-continuous nondecreasing function on [0,1] with values in [0,1].
+    """Left-continuous nondecreasing step function on [0,1] with values in [0,1].
 
-    Piecewise over ``breakpoints`` (starting at 0, ending at 1).  Segment j
-    covers (breakpoints[j], breakpoints[j+1]]; a step segment takes the
-    right-endpoint value throughout (left-continuous), a linear segment
-    interpolates.  ``values[0]`` is the value at 0 and must be 0.
+    Step j covers (breakpoints[j-1], breakpoints[j]] and takes values[j]
+    there; ``breakpoints`` start at 0 and end at 1, and ``values[0]`` is the
+    value at 0, which must be 0.
     """
 
     breakpoints: np.ndarray
     values: np.ndarray
-    linear_segments: np.ndarray = field(default=None)  # bool, one per segment
 
     def __post_init__(self):
         bp = _as_float_array(self.breakpoints)
@@ -165,46 +159,16 @@ class QuantileFn:
             raise ValueError("values must be nondecreasing")
         if vals[0] != 0.0:
             raise ValueError("value at 0 must be 0")
-        if vals[-1] > 1.0 or vals[0] < 0.0:
+        if vals[-1] > 1.0:
             raise ValueError("values must lie in [0,1]")
-        seg = self.linear_segments
-        if seg is None:
-            seg = np.zeros(bp.size - 1, dtype=bool)
-        else:
-            seg = np.asarray(seg, dtype=bool)
-            if seg.shape != (bp.size - 1,):
-                raise ValueError("need one continuity flag per segment")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "linear_segments", seg)
-
-    @classmethod
-    def from_samples(cls, t, v, linear=True) -> "QuantileFn":
-        """Quantile function through sample points, all segments alike."""
-        t = _as_float_array(t)
-        v = _as_float_array(v)
-        kind = np.full(t.size - 1, bool(linear))
-        return cls(t, v, kind)
 
     def __call__(self, t) -> np.ndarray | float:
         t_arr = np.asarray(t, dtype=float)
-        t_clipped = np.clip(t_arr, 0.0, 1.0)
-        idx = np.searchsorted(self.breakpoints, t_clipped, side="left")
-        idx = np.clip(idx, 1, self.breakpoints.size - 1)
-        right = self.values[idx]
-        left = self.values[idx - 1]
-        b_right = self.breakpoints[idx]
-        b_left = self.breakpoints[idx - 1]
-        lam = (t_clipped - b_left) / (b_right - b_left)
-        # at its right breakpoint a linear segment takes the stored value exactly
-        lin = np.where(t_clipped == b_right, right, left + (right - left) * lam)
-        out = np.where(self.linear_segments[idx - 1], lin, right)
-        out = np.where(t_clipped <= 0.0, self.values[0], out)
+        idx = np.searchsorted(self.breakpoints, np.clip(t_arr, 0.0, 1.0), side="left")
+        out = self.values[np.minimum(idx, self.values.size - 1)]
         return out if t_arr.ndim else float(out)
-
-    @property
-    def all_step(self) -> bool:
-        return not self.linear_segments.any()
 
 
 @dataclass(frozen=True)
@@ -249,39 +213,31 @@ def generalized_inverse(cdf: StepCdf) -> QuantileFn:
     """
     bp = np.concatenate(([0.0], cdf.cum_values))
     vals = np.concatenate(([0.0], cdf.jump_locations))
-    return QuantileFn(bp, vals, np.zeros(vals.size - 1, dtype=bool))
+    return QuantileFn(bp, vals)
 
 
-def mean_quantile(qs, eval_grid=None) -> QuantileFn:
-    """Pointwise arithmetic mean of quantile functions.
+def mean_quantile(qs) -> QuantileFn:
+    """Pointwise arithmetic mean of quantile functions, exact per step.
 
-    Evaluated on the union of every input's breakpoints with ``eval_grid``
-    and the endpoints 0 and 1.  When all inputs are step (resp. all linear)
-    the result is exact; for mixed kinds a segment is linear only where
-    every input is.
-
-    The sum over inputs is exact: a sweep adds each input's changes, in
-    base-2**31 integer digits, at the points where they happen.  The mean is
-    a fixed function of that sum, so it is bit-identical under permutation
-    of ``qs`` and within one ulp of the exact mean.  Time is O(N log N) and
-    memory O(N) in the number N of breakpoints of all inputs together.
+    The result steps on the union of every input's breakpoints.  The sum over
+    inputs is exact: a sweep adds each input's changes, in base-2**31 integer
+    digits, at the points where they happen.  The mean is a fixed function of
+    that sum, so it is bit-identical under permutation of ``qs`` and within
+    one ulp of the exact mean.  Time is O(N log N) and memory O(N) in the
+    number N of breakpoints of all inputs together.
     """
     qs = list(qs)
     if not qs:
         raise EmptySample("mean_quantile needs at least one quantile function")
-    pieces = [q.breakpoints for q in qs]
-    if eval_grid is not None:
-        pieces.append(np.clip(_as_float_array(eval_grid), 0.0, 1.0))
-    points = closed_grid(np.concatenate(pieces))
+    points = np.unique(np.concatenate([q.breakpoints for q in qs]))
 
-    # As a step function on `points`, an input takes level j + 1 from index
-    # searchsorted(points, b[j], "right") on; a linear input steps at every
-    # point.  Level 0 is 0 for every input, so the change into it (a reset
-    # from the previous input's last level) goes to a spare slot at the end.
-    steps = [(q.breakpoints, q.values) if q.all_step else (points, q(points)) for q in qs]
-    levels = np.concatenate([v for _, v in steps])
+    # On `points`, an input takes level j + 1 from index
+    # searchsorted(points, b[j], "right") on.  Level 0 is 0 for every input, so
+    # the change into it (a reset from the previous input's last level) goes
+    # to a spare slot at the end.
+    levels = np.concatenate([q.values for q in qs])
     starts = np.concatenate(
-        [np.r_[points.size, np.searchsorted(points, b[:-1], side="right")] for b, _ in steps]
+        [np.r_[points.size, np.searchsorted(points, q.breakpoints[:-1], side="right")] for q in qs]
     )
     # every level is a multiple of 2**(e - 53), e the exponent of the smallest
     # positive one, so this many base-2**31 digits hold each level exactly
@@ -296,17 +252,7 @@ def mean_quantile(qs, eval_grid=None) -> QuantileFn:
         np.add.at(total, starts, np.diff(row, prepend=0))
     vals = _digit_mean(np.cumsum(sums[:, :-1], axis=1), len(qs))
     vals = np.maximum.accumulate(vals)  # guard float wiggles
-    vals = np.clip(vals, 0.0, 1.0)
-    vals[0] = 0.0 if points[0] == 0.0 else vals[0]
-
-    seg_linear = np.zeros(points.size - 1, dtype=bool)
-    if not any(q.all_step for q in qs):
-        # a segment of `points` is linear only inside a linear segment of every q
-        seg_linear[:] = True
-        for q in qs:
-            idx = np.searchsorted(q.breakpoints, points[1:], side="left")
-            seg_linear &= q.linear_segments[np.clip(idx, 1, q.breakpoints.size - 1) - 1]
-    return QuantileFn(points, vals, seg_linear)
+    return QuantileFn(points, np.clip(vals, 0.0, 1.0))
 
 
 def _digit_mean(sums: np.ndarray, n: int) -> np.ndarray:
@@ -328,25 +274,13 @@ def _digit_mean(sums: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def quantile_to_cdf(q: QuantileFn, level_resolution: float = 1.0 / 1024) -> StepCdf:
+def quantile_to_cdf(q: QuantileFn) -> StepCdf:
     """Generalized inverse of a quantile function, as a cadlag StepCdf.
 
-    For step quantiles the inversion is exact: each segment contributes a
-    jump of its probability mass at its location value.  Linear increasing
-    segments have a continuous inverse; they are discretized into sub-steps
-    of probability mass at most ``level_resolution``.
+    Exact: each step contributes a jump of its probability mass at its
+    value.
     """
-    b0, b1 = q.breakpoints[:-1], q.breakpoints[1:]
-    lo, hi = q.values[:-1], q.values[1:]
-    ramp = q.linear_segments & (hi > lo)
-    counts = np.ones(b0.size, dtype=np.int64)
-    counts[ramp] = np.maximum(1, np.ceil((b1 - b0)[ramp] / level_resolution))
-    seg = np.repeat(np.arange(b0.size), counts)
-    sub = np.arange(seg.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    k = counts[seg]
-    # the arithmetic of np.linspace(b0, b1, k + 1)[1:], whose last level is b1
-    levels = np.where(sub + 1 == k, b1[seg], (sub + 1) * ((b1 - b0) / counts)[seg] + b0[seg])
-    locs = np.where(ramp[seg], lo[seg] + (hi - lo)[seg] * ((sub + 0.5) / k), hi[seg])
+    levels, locs = q.breakpoints[1:], q.values[1:]
     # merge duplicate locations (flat quantile stretches): the level after all
     # mass at a location has landed is the last one recorded there
     keep = np.concatenate((locs[1:] != locs[:-1], [True]))
@@ -362,28 +296,6 @@ def compose_quantile_cdf(q: QuantileFn, cdf: StepCdf, eval_points) -> np.ndarray
     return np.asarray(q(cdf(eval_points)))
 
 
-def _quantile_segments(q: QuantileFn):
-    """Per-segment (left endpoint limit, right endpoint value) pairs.
-
-    On (a, b] a step segment is constant at the right value, so its limit
-    at a+ equals the right value; a linear segment is continuous at a.
-    """
-    left = np.where(q.linear_segments, q.values[:-1], q.values[1:])
-    right = q.values[1:]
-    return left, right
-
-
-def _refine_on(q: QuantileFn, points: np.ndarray) -> QuantileFn:
-    """Re-express q on a superset of its breakpoints (exact)."""
-    vals = np.asarray(q(points))
-    idx = np.searchsorted(q.breakpoints, points[1:], side="left")
-    idx = np.clip(idx, 1, q.breakpoints.size - 1)
-    seg = q.linear_segments[idx - 1]
-    vals = vals.copy()
-    vals[0] = q.values[0]
-    return QuantileFn(points, vals, seg)
-
-
 def as_quantile(obj) -> QuantileFn:
     if isinstance(obj, QuantileFn):
         return obj
@@ -397,18 +309,10 @@ def wasserstein2(f, g) -> float:
 
     Arguments may be StepCdf or QuantileFn.  Computes
     sqrt(int_0^1 (F^-(u) - G^-(u))^2 du) exactly: the quantile difference is
-    piecewise linear (or constant) on the merged breakpoint partition, and
-    each segment integrates in closed form.
+    constant on each step of the merged breakpoint partition.
     """
     qf = as_quantile(f)
     qg = as_quantile(g)
     points = np.unique(np.concatenate((qf.breakpoints, qg.breakpoints)))
-    qf = _refine_on(qf, points)
-    qg = _refine_on(qg, points)
-    fl, fr = _quantile_segments(qf)
-    gl, gr = _quantile_segments(qg)
-    da = fl - gl
-    db = fr - gr
-    widths = np.diff(points)
-    total = float(np.sum(widths * (da * da + da * db + db * db) / 3.0))
-    return float(np.sqrt(max(total, 0.0)))
+    d = qf(points[1:]) - qg(points[1:])
+    return float(np.sqrt(np.sum(np.diff(points) * (d * d))))

@@ -9,15 +9,19 @@
 * The dense mean-quantile table: every input evaluated at every point of
   the breakpoint union, each row sorted and summed in float.  O(points x n)
   memory; the library sums exactly over breakpoint events instead.
-* The per-segment loop that inverts a quantile function into a step CDF.
+* The per-step loop that inverts a quantile function into a step CDF.
+* ``SineWarp``, a one-frequency analytic warp for hand-built test samples.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from varireg.errors import AllCandidatesSingular, EmptySample, EmptyWindow, SingularFit
 from varireg.registration import WarpMap, boundary_extend
+from varireg.simulate import AnalyticWarp
 from varireg.smoothing import SmootherConfig, suggested_min_bandwidth
 from varireg.variation import QuantileFn, StepCdf, closed_grid, generalized_inverse
 
@@ -147,7 +151,7 @@ def pairwise_warp_oracle(cdfs, i: int, grid) -> WarpMap:
     return boundary_extend(grid, v, float(target.jump_locations[-1]))
 
 
-def mean_quantile_oracle(qs, eval_grid=None) -> QuantileFn:
+def mean_quantile_oracle(qs) -> QuantileFn:
     """Pointwise mean of quantile functions from the dense (points x n) table.
 
     Each row is sorted before the float sum, so the result is bit-identical
@@ -157,10 +161,7 @@ def mean_quantile_oracle(qs, eval_grid=None) -> QuantileFn:
     qs = list(qs)
     if not qs:
         raise EmptySample("mean_quantile needs at least one quantile function")
-    pieces = [q.breakpoints for q in qs]
-    if eval_grid is not None:
-        pieces.append(np.clip(np.asarray(eval_grid, dtype=float), 0.0, 1.0))
-    points = closed_grid(np.concatenate(pieces))
+    points = closed_grid(np.concatenate([q.breakpoints for q in qs]))
     table = np.empty((points.size, len(qs)))
     for j, q in enumerate(qs):
         table[:, j] = q(points)
@@ -169,39 +170,34 @@ def mean_quantile_oracle(qs, eval_grid=None) -> QuantileFn:
     vals = np.maximum.accumulate(vals)
     vals = np.clip(vals, 0.0, 1.0)
     vals[0] = 0.0
-    seg_linear = np.ones(points.size - 1, dtype=bool)
-    for q in qs:
-        if q.all_step:
-            seg_linear[:] = False
-            break
-        idx = np.searchsorted(q.breakpoints, points[1:], side="left")
-        idx = np.clip(idx, 1, q.breakpoints.size - 1)
-        seg_linear &= q.linear_segments[idx - 1]
-    return QuantileFn(points, vals, seg_linear)
+    return QuantileFn(points, vals)
 
 
-def quantile_to_cdf_oracle(q: QuantileFn, level_resolution: float = 1.0 / 1024) -> StepCdf:
-    """Generalized inverse of a quantile function, one segment at a time."""
-    bp = q.breakpoints
-    vals = q.values
+def quantile_to_cdf_oracle(q: QuantileFn) -> StepCdf:
+    """Generalized inverse of a step quantile function, one step at a time."""
     locs = []
     levels = []
-    for j in range(bp.size - 1):
-        lo, hi = vals[j], vals[j + 1]
-        if q.linear_segments[j] and hi > lo:
-            mass = bp[j + 1] - bp[j]
-            k = max(1, int(np.ceil(mass / level_resolution)))
-            sub_levels = np.linspace(bp[j], bp[j + 1], k + 1)[1:]
-            frac = (np.arange(k) + 0.5) / k
-            locs.append(lo + (hi - lo) * frac)
-            levels.append(sub_levels)
+    for j in range(1, q.breakpoints.size):
+        if locs and q.values[j] == locs[-1]:
+            levels[-1] = q.breakpoints[j]
         else:
-            locs.append(np.array([hi]))
-            levels.append(np.array([bp[j + 1]]))
-    locs = np.concatenate(locs)
-    levels = np.concatenate(levels)
-    keep = np.concatenate((locs[1:] != locs[:-1], [True]))
-    locs, levels = locs[keep], levels[keep]
+            locs.append(q.values[j])
+            levels.append(q.breakpoints[j])
     if locs[0] <= 0.0:
         raise ValueError("quantile maps positive mass to location 0; not a CDF on (0,1]")
-    return StepCdf(locs, levels)
+    return StepCdf(np.array(locs), np.array(levels))
+
+
+class SineWarp(AnalyticWarp):
+    """t + amplitude * sin(frequency * pi * t); fixes the endpoints."""
+
+    def __init__(self, amplitude: float, frequency: int):
+        self.amplitude = float(amplitude)
+        self.frequency = int(frequency)
+        if abs(amplitude) * frequency * math.pi >= 1.0:
+            raise ValueError("amplitude too large for monotonicity")
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        out = t + self.amplitude * np.sin(self.frequency * np.pi * t)
+        return np.clip(out, 0.0, 1.0)

@@ -7,6 +7,7 @@ design points (the analysis lives in the xfail reasons).
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
@@ -381,6 +382,9 @@ def _run_cli(workdir, threads, seed=14):
     base = Path(workdir)
     sim, out, dia = base / "sim", base / "out", base / "dia"
     env_cmd = [sys.executable, "-m", "varireg"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     cmds = [
         env_cmd + ["simulate", "--model", "model1", "--n", "25", "--r", "101",
                    "--seed", str(seed), "--out", str(sim), "--threads", threads],
@@ -390,7 +394,7 @@ def _run_cli(workdir, threads, seed=14):
                    "--threads", threads],
     ]
     for cmd in cmds:
-        proc = subprocess.run(cmd, capture_output=True, text=True)
+        proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
     files = {}
     for d in (sim, out, dia):

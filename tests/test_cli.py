@@ -57,19 +57,34 @@ def test_register_identical_curves_warps_near_identity(tmp_path):
 
 def test_register_long_format_per_curve_grids(tmp_path):
     rng = np.random.default_rng(1)
-    lines = ["curve_id,t,value"]
-    for cid, r in (("a", 21), ("b", 33)):
-        grid = np.linspace(0.0, 1.0, r)
-        vals = np.exp(np.cos(2 * np.pi * grid - np.pi)) + 0.01 * rng.standard_normal(r)
-        for t, v in zip(grid, vals):
-            lines.append(f"{cid},{fmt(t)},{fmt(v)}")
-    src = tmp_path / "long.csv"
-    src.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    out = tmp_path / "out"
-    assert run("register", src, "--out", out) == 0
-    report = json.loads((out / "report.json").read_text())
-    assert report["grid_sizes"] == [21, 33]
-    assert report["per_curve_grids"] is True
+    g21, g33 = np.linspace(0.0, 1.0, 21), np.linspace(0.0, 1.0, 33)
+    # different sizes, different grids of one size, one shared grid
+    for k, (grids, per_curve) in enumerate(
+        [((g21, g33), True), ((g21, g21**1.5), True), ((g21, g21.copy()), False)]
+    ):
+        lines = ["curve_id,t,value"]
+        for cid, grid in zip(("a", "b"), grids):
+            vals = np.exp(np.cos(2 * np.pi * grid - np.pi)) + 0.01 * rng.standard_normal(grid.size)
+            for t, v in zip(grid, vals):
+                lines.append(f"{cid},{fmt(t)},{fmt(v)}")
+        src = tmp_path / f"long{k}.csv"
+        src.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / f"out{k}"
+        assert run("register", src, "--out", out) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["grid_sizes"] == [g.size for g in grids]
+        assert report["per_curve_grids"] is per_curve
+
+
+def test_register_output_grid_size_below_three_exits_2(tmp_path, capsys):
+    grid = np.linspace(0.0, 1.0, 21)
+    src = tmp_path / "in.csv"
+    write_wide(src, grid, [np.sin(3 * grid), np.cos(3 * grid)])
+    for size in ("0", "1", "2"):
+        out = tmp_path / f"out{size}"
+        assert run("register", src, "--output-grid-size", size, "--out", out) == 2
+        assert "--output-grid-size must be at least 3" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_register_constant_curve_exit3(tmp_path, capsys):
@@ -338,6 +353,7 @@ FLAG_CASES = [
     ("tied_levels", ["register", "{tied}", "--smooth-warps"], {}, 0),
     ("near_constant_curve", ["register", "{flat}"], {}, 3),
     ("tiny_bandwidths", ["register", "{obs}", "--regime", "noisy", "--h1", "1e-4", "--h2", "1e-4"], {}, 4),
+    ("output_grid_0", ["register", "{obs}", "--output-grid-size", "0"], {}, 2),
     *[
         (f"output_grid_{size}", ["register", "{obs}", "--output-grid-size", str(size)], {}, 0)
         for size in (1024, 1025, 2048, 2049)  # either side of OUTPUT_GRID_CAP and DENSE_SOLVE_CAP

@@ -19,7 +19,6 @@ from varireg.registration import (
 )
 from varireg.simulate import (
     LatentModelConfig,
-    SineWarp,
     WarpLawConfig,
     make_truth_bundle,
     sample_latent,

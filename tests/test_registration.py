@@ -18,7 +18,6 @@ from varireg.registration import (
 )
 from varireg.simulate import (
     LatentModelConfig,
-    SineWarp,
     WarpLawConfig,
     make_truth_bundle,
     substream,
@@ -26,7 +25,7 @@ from varireg.simulate import (
 from varireg.variation import DiscreteCurve, discrete_variation_cdf
 
 from conftest import random_step_cdf
-from oracles import pairwise_warp_oracle
+from oracles import SineWarp, pairwise_warp_oracle
 
 
 SQRT3 = math.sqrt(3.0)

@@ -164,22 +164,11 @@ def test_galois_laws(seed):
 def test_mean_single_and_idempotent(rng):
     cdf = random_step_cdf(rng)
     q = generalized_inverse(cdf)
-    grid = np.linspace(0.0, 1.0, 7)
-    one = mean_quantile([q], grid)
-    two = mean_quantile([q, q], grid)
+    one = mean_quantile([q])
+    two = mean_quantile([q, q])
     t = np.linspace(0.0, 1.0, 200)
     np.testing.assert_array_equal(one(t), q(t))
     np.testing.assert_array_equal(two(t), q(t))
-
-
-def test_mean_closed_form():
-    t = np.linspace(0.0, 1.0, 2001)
-    q1 = QuantileFn.from_samples(t, t, linear=True)
-    q2 = QuantileFn.from_samples(t, t**2, linear=True)
-    mean = mean_quantile([q1, q2])
-    assert mean(0.5) == pytest.approx(0.375, abs=1e-12)
-    s = np.linspace(0.0, 1.0, 97)
-    np.testing.assert_allclose(mean(s), (s + s**2) / 2.0, atol=1e-7)
 
 
 def test_mean_empty_raises():
@@ -223,27 +212,21 @@ def quantile_fns(draw):
     bp = np.unique([0.0, 1.0, *draw(st.lists(_breaks, max_size=8))])
     vals = np.sort(draw(st.lists(_levels, min_size=bp.size, max_size=bp.size)))
     vals[0] = 0.0
-    linear = None
-    if draw(st.booleans()):
-        linear = draw(st.lists(st.booleans(), min_size=bp.size - 1, max_size=bp.size - 1))
-    return QuantileFn(bp, vals, linear)
+    return QuantileFn(bp, vals)
 
 
 @st.composite
 def quantile_samples(draw):
     qs = draw(st.lists(quantile_fns(), min_size=1, max_size=6))
     repeats = draw(st.lists(st.integers(0, len(qs) - 1), max_size=3))
-    eval_grid = draw(st.none() | st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=5))
-    return qs + [qs[i] for i in repeats], eval_grid
+    return qs + [qs[i] for i in repeats]
 
 
 @given(quantile_samples())
-def test_mean_matches_dense_oracle(sample):
-    qs, eval_grid = sample
-    mean = mean_quantile(qs, eval_grid)
-    ref = mean_quantile_oracle(qs, eval_grid)
+def test_mean_matches_dense_oracle(qs):
+    mean = mean_quantile(qs)
+    ref = mean_quantile_oracle(qs)
     np.testing.assert_array_equal(mean.breakpoints, ref.breakpoints)
-    np.testing.assert_array_equal(mean.linear_segments, ref.linear_segments)
     # the oracle's own rounding bound for a float sum of n addends
     top = np.max([np.asarray(q(ref.breakpoints)) for q in qs], axis=0)
     bound = (len(qs) - 1) * np.finfo(float).eps * top
@@ -251,9 +234,8 @@ def test_mean_matches_dense_oracle(sample):
 
 
 @given(quantile_samples())
-def test_mean_within_one_ulp_of_exact(sample):
-    qs, eval_grid = sample
-    mean = mean_quantile(qs, eval_grid)
+def test_mean_within_one_ulp_of_exact(qs):
+    mean = mean_quantile(qs)
     table = [np.asarray(q(mean.breakpoints)) for q in qs]
     for k, v in enumerate(mean.values):
         exact = sum(Fraction(float(col[k])) for col in table) / len(qs)
@@ -262,28 +244,18 @@ def test_mean_within_one_ulp_of_exact(sample):
 
 
 @given(quantile_samples(), st.randoms(use_true_random=False))
-def test_mean_permutation_bits_mixed(sample, random):
-    qs, eval_grid = sample
+def test_mean_permutation_bits_mixed(qs, random):
     shuffled = list(qs)
     random.shuffle(shuffled)
-    a = mean_quantile(qs, eval_grid)
-    b = mean_quantile(shuffled, eval_grid)
+    a = mean_quantile(qs)
+    b = mean_quantile(shuffled)
     np.testing.assert_array_equal(a.breakpoints, b.breakpoints)
     np.testing.assert_array_equal(a.values, b.values)
-    np.testing.assert_array_equal(a.linear_segments, b.linear_segments)
-
-
-def test_quantile_linear_segment_takes_stored_value_at_right_breakpoint():
-    # left + (right - left) * 1 rounds to 0.9999899999999999 here
-    q = QuantileFn([0.0, 0.125, 1.0], [0.0, 0.29449997, 0.99999], [False, True])
-    assert q(1.0) == 0.99999
-    np.testing.assert_array_equal(q(q.breakpoints), q.values)
 
 
 @given(quantile_fns())
 @example(QuantileFn([0.0, 0.5, 1.0], [0.0, 1e-12, 1e-12]))
 @example(QuantileFn([0.0, 0.25, 0.5, 1.0], [0.0, 5e-324, 1e-300, 1.0]))
-@example(QuantileFn([0.0, 0.125, 1.0], [0.0, 0.29449997, 0.99999], [False, True]))
 def test_mean_of_power_of_two_copies_is_exact(q):
     for m in (1, 2, 4, 8):
         np.testing.assert_array_equal(mean_quantile([q] * m).values, q.values)
@@ -291,33 +263,25 @@ def test_mean_of_power_of_two_copies_is_exact(q):
 
 # --- quantile_to_cdf --------------------------------------------------------
 
-def _inversion(fn, q, level_resolution):
+def _inversion(fn, q):
     try:
-        cdf = fn(q, level_resolution)
+        cdf = fn(q)
     except ValueError as err:
         return str(err)
     return cdf.jump_locations, cdf.cum_values
 
 
-@given(quantile_fns(), st.sampled_from([1.0 / 1024, 1e-3, 1.0 / 7, 0.3, 1.0, 2.0]))
-@example(QuantileFn([0.0, 0.25, 1.0], [0.0, 0.0, 1.0], [True, True]), 1.0 / 1024)
-@example(QuantileFn([0.0, 0.5, 0.75, 1.0], [0.0, 0.5, 0.5, 1.0], [True, True, False]), 0.1)
-def test_quantile_to_cdf_matches_loop(q, level_resolution):
-    got = _inversion(quantile_to_cdf, q, level_resolution)
-    ref = _inversion(quantile_to_cdf_oracle, q, level_resolution)
+@given(quantile_fns())
+@example(QuantileFn([0.0, 0.25, 1.0], [0.0, 0.0, 1.0]))
+@example(QuantileFn([0.0, 0.5, 0.75, 1.0], [0.0, 0.5, 0.5, 1.0]))
+def test_quantile_to_cdf_matches_loop(q):
+    got = _inversion(quantile_to_cdf, q)
+    ref = _inversion(quantile_to_cdf_oracle, q)
     if isinstance(ref, str):
         assert got == ref
     else:
         np.testing.assert_array_equal(got[0], ref[0])
         np.testing.assert_array_equal(got[1], ref[1])
-
-
-def test_quantile_to_cdf_identity_dense():
-    t = np.linspace(0.0, 1.0, 513)
-    q = QuantileFn.from_samples(t, t, linear=True)
-    cdf = quantile_to_cdf(q)
-    s = np.linspace(0.0, 1.0, 400)
-    assert np.abs(np.asarray(cdf(s)) - s).max() <= 1.0 / 512 + 1e-12
 
 
 def test_quantile_to_cdf_constant():
@@ -356,12 +320,15 @@ def test_wasserstein_point_masses():
     assert wasserstein2(fa, fb) == pytest.approx(abs(a - b), abs=1e-15)
 
 
-def test_wasserstein_closed_form():
-    # int_0^1 (t - t^2)^2 dt = 1/30
-    t = np.linspace(0.0, 1.0, 2001)
-    q1 = QuantileFn.from_samples(t, t, linear=True)
-    q2 = QuantileFn.from_samples(t, t**2, linear=True)
-    assert wasserstein2(q1, q2) == pytest.approx(math.sqrt(1.0 / 30.0), abs=1e-6)
+@given(quantile_fns(), quantile_fns())
+def test_wasserstein_matches_exact_step_sum(qf, qg):
+    # the squared distance summed in exact rationals over the merged steps
+    points = sorted({Fraction(float(b)) for q in (qf, qg) for b in q.breakpoints})
+    exact = sum(
+        (b - a) * (Fraction(qf(float(b))) - Fraction(qg(float(b)))) ** 2
+        for a, b in zip(points, points[1:])
+    )
+    assert wasserstein2(qf, qg) ** 2 == pytest.approx(float(exact), rel=1e-13, abs=1e-300)
 
 
 def test_wasserstein_riemann_oracle(rng):
@@ -437,9 +404,3 @@ def test_monotonicity_closure(seed):
     assert back.cum_values[-1] == 1.0
     mean = mean_quantile([q, generalized_inverse(random_step_cdf(rng))])
     assert (np.diff(mean.values) >= 0).all()
-
-
-def test_max_jump_field(rng):
-    cdf = random_step_cdf(rng)
-    sizes = np.diff(cdf.cum_values, prepend=0.0)
-    assert cdf.max_jump == sizes.max()
