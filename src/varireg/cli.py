@@ -37,6 +37,7 @@ from .simulate import (
     MODEL_NAMES,
     LatentModelConfig,
     WarpLawConfig,
+    invert_warps,
     make_truth_bundle,
 )
 from .variation import DiscreteCurve, wasserstein2
@@ -113,6 +114,20 @@ def _merge_config(args) -> dict:
         if value is not None:
             cfg[key.replace("-", "_")] = value
     return cfg
+
+
+def _number(cfg, key, kind, default=None):
+    """``kind(cfg[key])`` for a numeric setting; ValueError naming the key if it is not one.
+
+    An absent key takes ``default``; None is returned only where that is None.
+    """
+    value = cfg.get(key, default)
+    if value is None and default is None:
+        return None
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{key} must be a number, got {value!r}") from None
 
 
 def _json_float_list(arr):
@@ -242,24 +257,24 @@ def cmd_simulate(args) -> int:
     if cfg.get("seed") is None:
         print("error: --seed is required for simulate", file=sys.stderr)
         return EXIT_PARSE
-    seed = int(cfg["seed"])
-    n = int(cfg.get("n", 50))
-    r = int(cfg.get("r", 101))
-    noise = float(cfg.get("noise", 0.0))
     out_dir = Path(cfg.get("out", "."))
 
     try:
+        seed = _number(cfg, "seed", int)
+        n = _number(cfg, "n", int, 50)
+        r = _number(cfg, "r", int, 101)
+        noise = _number(cfg, "noise", float, 0.0)
         model_cfg = LatentModelConfig(
             name=model,
             grid_size=r,
             noise_halfwidth=noise,
-            c=cfg.get("c"),
-            r_scale=cfg.get("r_scale"),
-            rank=int(cfg.get("rank", 2)),
+            c=_number(cfg, "c", float),
+            r_scale=_number(cfg, "r_scale", float),
+            rank=_number(cfg, "rank", int, 2),
         )
         warp_cfg = WarpLawConfig(
-            J=int(cfg.get("warp_mixture_size", 2)),
-            beta=float(cfg.get("beta", 1.01)),
+            J=_number(cfg, "warp_mixture_size", int, 2),
+            beta=_number(cfg, "beta", float, 1.01),
         )
         bundle = make_truth_bundle(model_cfg, warp_cfg, n, seed)
     except (ValueError, EmptySample) as exc:
@@ -278,7 +293,7 @@ def cmd_simulate(args) -> int:
         out_dir / "truth_warps.csv",
         ids,
         [bundle.warp_values(i, warp_grid) for i in range(n)],
-        [bundle.inverse_warp_values(i, warp_grid) for i in range(n)],
+        invert_warps(bundle.warps, warp_grid),
         warp_grid,
     )
     if bundle.f_phi is not None:
@@ -293,8 +308,8 @@ def cmd_simulate(args) -> int:
         "rank": 1 if model_cfg.is_rank_one else (model_cfg.rank if model == "breakdown" else int(model[-1])),
         "c": cfg.get("c"),
         "r_scale": cfg.get("r_scale"),
-        "warp_mixture_size": int(cfg.get("warp_mixture_size", 2)),
-        "beta": float(cfg.get("beta", 1.01)),
+        "warp_mixture_size": warp_cfg.J,
+        "beta": warp_cfg.beta,
     }
     dataio.write_report_json(out_dir / "truth_meta.json", meta)
     return EXIT_OK

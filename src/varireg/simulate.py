@@ -20,6 +20,7 @@ from .variation import DiscreteCurve, StepCdf, discrete_variation_cdf
 
 _SQRT2 = math.sqrt(2.0)
 _BISECT_ITERS = 52  # |interval| <= 2^-52 < 1e-12 after bisection
+_BLOCK_CELLS = 1 << 16  # (warp, point) cells bisected together; bounds temporaries
 
 
 def substream(seed: int, stream: int) -> np.random.Generator:
@@ -56,7 +57,8 @@ def _beta22(rng) -> float:
 class AnalyticWarp:
     """Strictly increasing homeomorphism of [0,1], given in closed form.
 
-    The inverse is computed by bracketed bisection, accurate to 1e-12.
+    The inverse is computed by bracketed bisection (``invert_warps``),
+    accurate to 1e-12.
     """
 
     def __call__(self, t):
@@ -64,14 +66,7 @@ class AnalyticWarp:
 
     def inverse(self, t):
         t = np.asarray(t, dtype=float)
-        lo = np.zeros_like(t)
-        hi = np.ones_like(t)
-        for _ in range(_BISECT_ITERS):
-            mid = (lo + hi) / 2.0
-            above = self(mid) >= t
-            hi = np.where(above, mid, hi)
-            lo = np.where(above, lo, mid)
-        out = (lo + hi) / 2.0
+        out = invert_warps([self], t)[0].reshape(t.shape)
         return out if out.ndim else float(out)
 
     def sample(self, grid) -> np.ndarray:
@@ -118,6 +113,80 @@ class SineMixtureWarp(AnalyticWarp):
             if k != 0:
                 out = out - w * np.sign(k) * np.cos(np.pi * k * t) / self.beta
         return out
+
+
+def invert_warps(warps, t) -> np.ndarray:
+    """Inverses of ``warps`` at the points ``t``, as a (len(warps), t.size) array.
+
+    One bracketed bisection runs over every (warp, point) cell at once, in
+    row blocks of about ``_BLOCK_CELLS`` cells.  SineMixtureWarp rows share
+    one stacked forward map; other warps are evaluated row by row.  Each
+    row gets the bits that bisecting its warp alone would give, and
+    IdentityWarp rows are ``t`` exactly.
+    """
+    t = np.asarray(t, dtype=float).ravel()
+    out = np.empty((len(warps), t.size))
+    out[:] = t
+    sine = [i for i, w in enumerate(warps) if isinstance(w, SineMixtureWarp)]
+    other = [i for i, w in enumerate(warps) if not isinstance(w, (SineMixtureWarp, IdentityWarp))]
+    step = max(1, _BLOCK_CELLS // max(t.size, 1))
+    for rows, forward_map in ((sine, _stacked_sine_mixtures), (other, _row_by_row)):
+        for start in range(0, len(rows), step):
+            block = rows[start:start + step]
+            forward = forward_map([warps[i] for i in block])
+            lo = np.zeros((len(block), t.size))
+            hi = np.ones_like(lo)
+            for _ in range(_BISECT_ITERS):
+                mid = (lo + hi) / 2.0
+                above = forward(mid) >= t
+                hi = np.where(above, mid, hi)
+                lo = np.where(above, lo, mid)
+            out[block] = (lo + hi) / 2.0
+    return out
+
+
+def _stacked_sine_mixtures(warps):
+    """Forward map of SineMixtureWarp rows on a (rows, m) array.
+
+    Frequencies and weights are stacked into (rows, J) arrays, padded with
+    k = 0 and w = 0.  Each term is w*sin((pi*k)*t)/((|k|*pi)*beta), as in
+    ``SineMixtureWarp.__call__``, subtracted in component order; with the
+    denominator's |k| raised to 1, a zero frequency subtracts an exact 0.0.
+    """
+    J = max(w.ks.size for w in warps)
+    ks = np.zeros((len(warps), J))
+    weights = np.zeros((len(warps), J))
+    for row, w in enumerate(warps):
+        ks[row, : w.ks.size] = w.ks
+        weights[row, : w.ks.size] = w.weights
+    beta = np.array([[w.beta] for w in warps])
+    freq = np.pi * ks
+    denom = np.maximum(np.abs(ks), 1.0) * np.pi * beta
+
+    def forward(t):
+        out = t.copy()
+        term = np.empty_like(t)
+        for j in range(J):
+            np.multiply(freq[:, j : j + 1], t, out=term)
+            np.sin(term, out=term)
+            np.multiply(weights[:, j : j + 1], term, out=term)
+            np.divide(term, denom[:, j : j + 1], out=term)
+            out -= term
+        return np.clip(out, 0.0, 1.0, out=out)
+
+    return forward
+
+
+def _row_by_row(warps):
+    """Forward map that calls each warp on its own row."""
+
+    def forward(t):
+        out = np.empty_like(t)
+        for row, w in enumerate(warps):
+            out[row] = w(t[row])
+        return out
+
+    return forward
 
 
 @dataclass(frozen=True)
@@ -254,10 +323,16 @@ def sample_latent(cfg: LatentModelConfig, rng) -> LatentDraw:
 def observe(latent, warp: AnalyticWarp, grid, noise_halfwidth: float, rng) -> DiscreteCurve:
     """Warped point evaluations plus uniform measurement error."""
     grid = np.asarray(grid, dtype=float)
+    noise = _noise(noise_halfwidth, grid.size, rng)
     values = latent(warp.inverse(grid))
-    if noise_halfwidth > 0:
-        values = values + noise_halfwidth * (2.0 * rng.random(grid.size) - 1.0)
-    return DiscreteCurve(grid, values)
+    return DiscreteCurve(grid, values if noise is None else values + noise)
+
+
+def _noise(halfwidth: float, size: int, rng):
+    """Uniform measurement error on [-halfwidth, halfwidth]; None without noise."""
+    if halfwidth > 0:
+        return halfwidth * (2.0 * rng.random(size) - 1.0)
+    return None
 
 
 def true_variation_cdf(cfg: LatentModelConfig, dense_r: int, phi=None) -> StepCdf:
@@ -334,9 +409,6 @@ class TruthBundle:
     def warp_values(self, i: int, t) -> np.ndarray:
         return np.asarray(self.warps[i](t))
 
-    def inverse_warp_values(self, i: int, t) -> np.ndarray:
-        return np.asarray(self.warps[i].inverse(t))
-
 
 def make_truth_bundle(
     cfg: LatentModelConfig,
@@ -350,21 +422,23 @@ def make_truth_bundle(
 
     Curve i draws from substream (seed, stream_offset + i): coefficients
     first, then the warp, then observation noise.  ``warp_cfg`` may be None
-    for identity warps.
+    for identity warps.  All warps are then inverted on the grid in one
+    ``invert_warps`` call.
     """
     if n < 1:
         raise EmptySample("need n >= 1 simulated curves")
     grid = np.linspace(0.0, 1.0, cfg.grid_size)
-    latent, observed, warps, coefs = [], [], [], []
+    draws, warps, noises = [], [], []
     for i in range(n):
         rng = substream(seed, stream_offset + i)
-        draw = sample_latent(cfg, rng)
-        warp = sample_warp(warp_cfg, rng) if warp_cfg is not None else IdentityWarp()
-        obs = observe(draw, warp, grid, cfg.noise_halfwidth, rng)
+        draws.append(sample_latent(cfg, rng))
+        warps.append(sample_warp(warp_cfg, rng) if warp_cfg is not None else IdentityWarp())
+        noises.append(_noise(cfg.noise_halfwidth, grid.size, rng))
+    latent, observed = [], []
+    for draw, inverse, noise in zip(draws, invert_warps(warps, grid), noises):
+        values = draw(inverse)
         latent.append(DiscreteCurve(grid, draw(grid)))
-        observed.append(obs)
-        warps.append(warp)
-        coefs.append(draw.coefficients)
+        observed.append(DiscreteCurve(grid, values if noise is None else values + noise))
     f_phi = None
     phi_dense = None
     if cfg.is_rank_one:
@@ -376,7 +450,7 @@ def make_truth_bundle(
         latent=latent,
         observed=observed,
         warps=warps,
-        coefficients=np.array(coefs),
+        coefficients=np.array([draw.coefficients for draw in draws]),
         f_phi=f_phi,
         phi_dense=phi_dense,
         noise_halfwidth=cfg.noise_halfwidth,

@@ -155,11 +155,11 @@ class QuantileFn:
             raise ValueError("breakpoints must be strictly increasing")
         if bp[0] != 0.0 or bp[-1] != 1.0:
             raise ValueError("breakpoints must start at 0 and end at 1")
-        if (np.diff(vals) < 0).any():
+        if not (np.diff(vals) >= 0).all():
             raise ValueError("values must be nondecreasing")
         if vals[0] != 0.0:
             raise ValueError("value at 0 must be 0")
-        if vals[-1] > 1.0:
+        if not vals[-1] <= 1.0:
             raise ValueError("values must lie in [0,1]")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)

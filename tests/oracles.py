@@ -11,6 +11,9 @@
   memory; the library sums exactly over breakpoint events instead.
 * The per-step loop that inverts a quantile function into a step CDF.
 * ``SineWarp``, a one-frequency analytic warp for hand-built test samples.
+* The per-curve simulator: each warp inverted by its own 52-step bisection
+  on its own forward map, one curve at a time.  The library bisects every
+  (warp, point) cell of a sample at once.
 """
 
 from __future__ import annotations
@@ -21,9 +24,23 @@ import numpy as np
 
 from varireg.errors import AllCandidatesSingular, EmptySample, EmptyWindow, SingularFit
 from varireg.registration import WarpMap, boundary_extend
-from varireg.simulate import AnalyticWarp
+from varireg.simulate import (
+    _BISECT_ITERS,
+    AnalyticWarp,
+    IdentityWarp,
+    TruthBundle,
+    sample_latent,
+    sample_warp,
+    substream,
+)
 from varireg.smoothing import SmootherConfig, suggested_min_bandwidth
-from varireg.variation import QuantileFn, StepCdf, closed_grid, generalized_inverse
+from varireg.variation import (
+    DiscreteCurve,
+    QuantileFn,
+    StepCdf,
+    closed_grid,
+    generalized_inverse,
+)
 
 
 def dense_nadaraya_watson(curve, cfg, eval_points) -> np.ndarray:
@@ -201,3 +218,50 @@ class SineWarp(AnalyticWarp):
         t = np.asarray(t, dtype=float)
         out = t + self.amplitude * np.sin(self.frequency * np.pi * t)
         return np.clip(out, 0.0, 1.0)
+
+
+def per_curve_inverse(warp, t):
+    """One warp's inverse at ``t``: bisection on its own ``__call__``."""
+    t = np.asarray(t, dtype=float)
+    if isinstance(warp, IdentityWarp):
+        return t
+    lo = np.zeros_like(t)
+    hi = np.ones_like(t)
+    for _ in range(_BISECT_ITERS):
+        mid = (lo + hi) / 2.0
+        above = warp(mid) >= t
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+    out = (lo + hi) / 2.0
+    return out if out.ndim else float(out)
+
+
+def per_curve_truth_bundle(cfg, warp_cfg, n, seed, stream_offset=0) -> TruthBundle:
+    """make_truth_bundle one curve at a time, without the template fields.
+
+    Curve i draws coefficients, warp and noise from substream
+    (seed, stream_offset + i) and is observed through ``per_curve_inverse``.
+    """
+    if n < 1:
+        raise EmptySample("need n >= 1 simulated curves")
+    grid = np.linspace(0.0, 1.0, cfg.grid_size)
+    latent, observed, warps, coefs = [], [], [], []
+    for i in range(n):
+        rng = substream(seed, stream_offset + i)
+        draw = sample_latent(cfg, rng)
+        warp = sample_warp(warp_cfg, rng) if warp_cfg is not None else IdentityWarp()
+        values = draw(per_curve_inverse(warp, grid))
+        if cfg.noise_halfwidth > 0:
+            values = values + cfg.noise_halfwidth * (2.0 * rng.random(grid.size) - 1.0)
+        latent.append(DiscreteCurve(grid, draw(grid)))
+        observed.append(DiscreteCurve(grid, values))
+        warps.append(warp)
+        coefs.append(draw.coefficients)
+    return TruthBundle(
+        grid=grid,
+        latent=latent,
+        observed=observed,
+        warps=warps,
+        coefficients=np.array(coefs),
+        noise_halfwidth=cfg.noise_halfwidth,
+    )

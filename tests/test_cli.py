@@ -4,9 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import per_curve_inverse, per_curve_truth_bundle
 from varireg.cli import main
-from varireg.dataio import fmt, read_curves_csv
+from varireg.dataio import fmt, read_curves_csv, write_warps_csv, write_wide_csv
 from varireg.fpca import DENSE_SOLVE_CAP, trapezoid_weights
+from varireg.simulate import LatentModelConfig, WarpLawConfig
 
 
 def run(*argv):
@@ -162,6 +164,41 @@ def test_simulate_deterministic_bytes(tmp_path):
         assert run("simulate", "--model", "model2", "--n", "6", "--r", "41",
                    "--noise", "0.2", "--seed", "9", "--out", d) == 0
     assert read_all_bytes(a) == read_all_bytes(b)
+
+
+@pytest.mark.parametrize(
+    "flags, cfg, warp_cfg",
+    [
+        ([], LatentModelConfig("model1", grid_size=41), WarpLawConfig()),
+        (
+            ["--model", "breakdown", "--c", "1", "--r-scale", "0.1", "--noise", "0.1",
+             "--warp-mixture-size", "3", "--beta", "1.3"],
+            LatentModelConfig("breakdown", grid_size=41, noise_halfwidth=0.1, c=1.0, r_scale=0.1),
+            WarpLawConfig(J=3, beta=1.3),
+        ),
+    ],
+    ids=["model1", "breakdown_noisy_J3"],
+)
+def test_simulate_files_match_per_curve_oracle(flags, cfg, warp_cfg, tmp_path):
+    """observed.csv, truth_latent.csv and truth_warps.csv have the bytes of
+    the per-curve simulator, whose warps are inverted one at a time."""
+    sim, ref = tmp_path / "sim", tmp_path / "ref"
+    assert run("simulate", "--model", "model1", "--n", "12", "--r", "41", "--seed", "8",
+               *flags, "--out", sim) == 0
+    bundle = per_curve_truth_bundle(cfg, warp_cfg, 12, seed=8)
+    ids = [f"curve_{i + 1}" for i in range(12)]
+    warp_grid = np.unique(np.concatenate((bundle.grid, np.linspace(0.0, 1.0, 513))))
+    write_wide_csv(ref / "observed.csv", ids, bundle.grid, [c.values for c in bundle.observed])
+    write_wide_csv(ref / "truth_latent.csv", ids, bundle.grid, [c.values for c in bundle.latent])
+    write_warps_csv(
+        ref / "truth_warps.csv",
+        ids,
+        [w(warp_grid) for w in bundle.warps],
+        [per_curve_inverse(w, warp_grid) for w in bundle.warps],
+        warp_grid,
+    )
+    for name in ("observed.csv", "truth_latent.csv", "truth_warps.csv"):
+        assert (sim / name).read_bytes() == (ref / name).read_bytes(), name
 
 
 def test_simulate_noise_bound(tmp_path):
@@ -334,10 +371,26 @@ def cli_inputs(tmp_path_factory):
     tied_csv = base / "tied.csv"  # equal curves and flat stretches: tied variation levels
     phi = np.exp(np.cos(2 * np.pi * grid - np.pi))
     write_wide(tied_csv, grid, [phi, phi, np.minimum(phi, 2.0), np.round(phi, 1)])
+    configs = {}
+    for name, bad in BAD_SIMULATE_SETTINGS.items():
+        configs[f"config_{name}"] = base / f"{name}.json"
+        configs[f"config_{name}"].write_text(
+            json.dumps({"model": "breakdown", "c": 1.0, "r_scale": 0.1, "seed": 1, **bad}),
+            encoding="utf-8",
+        )
     return {
         "obs": sim / "observed.csv", "result": result, "long": long_csv, "flat": flat_csv,
-        "tied": tied_csv,
+        "tied": tied_csv, **configs,
     }
+
+
+# simulate settings in a --config file that are not numbers: exit 2, no traceback
+BAD_SIMULATE_SETTINGS = {
+    **{f"{key}_abc": {key: "abc"} for key in
+       ("n", "r", "noise", "seed", "rank", "warp_mixture_size", "beta", "c", "r_scale")},
+    "n_null": {"n": None},
+    "beta_list": {"beta": [1.5]},
+}
 
 
 FLAG_CASES = [
@@ -354,6 +407,10 @@ FLAG_CASES = [
     ("near_constant_curve", ["register", "{flat}"], {}, 3),
     ("tiny_bandwidths", ["register", "{obs}", "--regime", "noisy", "--h1", "1e-4", "--h2", "1e-4"], {}, 4),
     ("output_grid_0", ["register", "{obs}", "--output-grid-size", "0"], {}, 2),
+    *[
+        (f"simulate_config_{name}", ["simulate", "--config", f"{{config_{name}}}"], {}, 2)
+        for name in BAD_SIMULATE_SETTINGS
+    ],
     *[
         (f"output_grid_{size}", ["register", "{obs}", "--output-grid-size", str(size)], {}, 0)
         for size in (1024, 1025, 2048, 2049)  # either side of OUTPUT_GRID_CAP and DENSE_SOLVE_CAP

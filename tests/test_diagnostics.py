@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from oracles import per_curve_truth_bundle
+from varireg import diagnostics
 from varireg.diagnostics import (
     evaluate_against_truth,
     rate_check,
@@ -20,6 +22,7 @@ from varireg.registration import (
 from varireg.simulate import (
     LatentModelConfig,
     WarpLawConfig,
+    invert_warps,
     make_truth_bundle,
     sample_latent,
     substream,
@@ -113,9 +116,7 @@ def _snap_warp(grid, values):
 def _truth_as_result(bundle):
     grid = bundle.grid
     warps = [_snap_warp(grid, bundle.warp_values(i, grid)) for i in range(bundle.n)]
-    inv = [
-        _snap_warp(grid, bundle.inverse_warp_values(i, grid)) for i in range(bundle.n)
-    ]
+    inv = [_snap_warp(grid, row) for row in invert_warps(bundle.warps, grid)]
     return RegistrationResult(
         warps=warps,
         inverse_warps=inv,
@@ -156,9 +157,6 @@ def test_evaluate_fisher_pair_warp_errors():
 
         def warp_values(self, i, t):
             return warps_true[i](t)
-
-        def inverse_warp_values(self, i, t):
-            return warps_true[i].inverse(t)
 
     report = evaluate_against_truth(result, _Bundle())
     assert report.warp_sup_errors.max() <= 2.0 / r
@@ -204,3 +202,19 @@ def test_rate_check_rep_extension_stable():
     for a in range(2):
         se = max(short.std_errors[a], long.std_errors[a])
         assert abs(short.means[a] - long.means[a]) <= 3.0 * se
+
+
+def test_rate_check_matches_per_curve_simulator(monkeypatch):
+    """The batched simulator leaves the rate check's means and slope bit for bit."""
+    cfg = LatentModelConfig("model1")
+    got = rate_check(cfg, WarpLawConfig(), ns=[25, 50], reps=3, seed=41, dense_r=2000)
+
+    def per_curve(cfg, warp_cfg, n, seed, stream_offset=0, dense_r=4096):
+        return per_curve_truth_bundle(cfg, warp_cfg, n, seed, stream_offset)
+
+    monkeypatch.setattr(diagnostics, "make_truth_bundle", per_curve)
+    ref = rate_check(cfg, WarpLawConfig(), ns=[25, 50], reps=3, seed=41, dense_r=2000)
+    assert ref.slope is not None
+    assert got.means.tobytes() == ref.means.tobytes()
+    assert got.std_errors.tobytes() == ref.std_errors.tobytes()
+    assert got.slope == ref.slope

@@ -1,16 +1,23 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
+from oracles import per_curve_inverse, per_curve_truth_bundle
+from varireg import simulate
 from varireg.errors import EmptySample, NotRankOne
 from varireg.simulate import (
+    MODEL_NAMES,
+    CounterexampleWarp,
     IdentityWarp,
     LatentDraw,
     LatentModelConfig,
     SineMixtureWarp,
     WarpLawConfig,
     counterexample_pair,
+    invert_warps,
     make_truth_bundle,
     observe,
     sample_latent,
@@ -54,6 +61,83 @@ def test_warp_inverse_correctness():
     for stream in range(10):
         warp = sample_warp(cfg, substream(3, stream))
         assert np.abs(warp(warp.inverse(t)) - t).max() <= 1e-10
+
+
+@st.composite
+def warps(draw):
+    """A sine mixture with J = 2..4 (zero frequencies included), a
+    counterexample warp or the identity."""
+    kind = draw(st.sampled_from(["sine", "sine", "sine", "counterexample", "identity"]))
+    if kind == "sine":
+        J = draw(st.integers(2, 4))
+        ks = draw(st.lists(st.integers(-6, 6), min_size=J, max_size=J))
+        cuts = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=J - 1, max_size=J - 1)))
+        beta = draw(st.floats(1.0, 4.0, exclude_min=True))
+        return SineMixtureWarp(ks, np.diff([0.0, *cuts, 1.0]), beta)
+    if kind == "counterexample":
+        return CounterexampleWarp(draw(st.integers(1, 3)), draw(st.floats(0.25, 0.75)))
+    return IdentityWarp()
+
+
+unit_floats = st.floats(0.0, 1.0)
+points = st.one_of(
+    unit_floats,
+    st.sampled_from([0.0, 1.0]),
+    st.lists(unit_floats, max_size=40).map(np.array),
+    st.lists(unit_floats, max_size=40).map(lambda xs: np.array([0.0, *xs, 1.0])),
+)
+
+
+@given(st.lists(warps(), min_size=1, max_size=6), points, st.sampled_from([1, 7, 1 << 16]))
+@example(
+    [
+        SineMixtureWarp([0, 3], [0.5, 0.5], 1.01),
+        SineMixtureWarp([-2, 0, 5, 1], [0.1, 0.2, 0.3, 0.4], 2.0),
+        CounterexampleWarp(2, 0.3),
+        IdentityWarp(),
+        SineMixtureWarp([0, 0], [0.4, 0.6], 1.5),
+    ],
+    np.array([0.0, 0.3, 1.0]),
+    7,
+)
+@example([SineMixtureWarp([1, -1, 2], [0.2, 0.3, 0.5], 1.01)], 1.0, 1)
+def test_invert_warps_matches_per_curve_bisection(warp_list, t, block_cells):
+    """Every row of the batched inverse has the bits of its warp bisected
+    alone, whatever the mix of warps and however the rows fall into blocks;
+    ``AnalyticWarp.inverse`` is the one-row case."""
+    with mock.patch.object(simulate, "_BLOCK_CELLS", block_cells):
+        got = invert_warps(warp_list, t)
+        assert got.shape == (len(warp_list), np.size(t))
+        for row, warp in zip(got, warp_list):
+            ref = per_curve_inverse(warp, t)
+            assert row.tobytes() == np.asarray(ref, dtype=float).ravel().tobytes()
+            one = warp.inverse(t)
+            assert np.shape(one) == np.shape(ref)
+            assert np.asarray(one).tobytes() == np.asarray(ref).tobytes()
+
+
+MODEL_PARAMS = {"breakdown": {"c": 1.0, "r_scale": 0.1, "rank": 3}}
+
+
+@pytest.mark.parametrize("block_cells", [100, None], ids=["blocks_of_100", "default_blocks"])
+@pytest.mark.parametrize(
+    "warp_cfg",
+    [WarpLawConfig(), WarpLawConfig(J=4, beta=1.5), None],
+    ids=["default_law", "J4_beta1.5", "identity_warps"],
+)
+@pytest.mark.parametrize("noise", [0.0, 0.1])
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_make_truth_bundle_matches_per_curve_oracle(name, noise, warp_cfg, block_cells):
+    cfg = LatentModelConfig(name, grid_size=37, noise_halfwidth=noise, **MODEL_PARAMS.get(name, {}))
+    cells = simulate._BLOCK_CELLS if block_cells is None else block_cells
+    with mock.patch.object(simulate, "_BLOCK_CELLS", cells):
+        got = make_truth_bundle(cfg, warp_cfg, 9, seed=21, stream_offset=5)
+    ref = per_curve_truth_bundle(cfg, warp_cfg, 9, seed=21, stream_offset=5)
+    for field in ("observed", "latent"):
+        for a, b in zip(getattr(got, field), getattr(ref, field), strict=True):
+            assert a.grid.tobytes() == b.grid.tobytes()
+            assert a.values.tobytes() == b.values.tobytes()
+    assert got.coefficients.tobytes() == ref.coefficients.tobytes()
 
 
 def test_warp_mean_is_identity_monte_carlo():

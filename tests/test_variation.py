@@ -284,6 +284,15 @@ def test_quantile_to_cdf_matches_loop(q):
         np.testing.assert_array_equal(got[1], ref[1])
 
 
+@pytest.mark.parametrize(
+    "values",
+    [[0.0, math.nan, 0.5], [0.0, 0.5, math.nan], [0.0, math.nan, math.nan], [0.0, 0.5, math.inf]],
+)
+def test_quantile_rejects_nan_and_infinite_values(values):
+    with pytest.raises(ValueError):
+        QuantileFn([0.0, 0.5, 1.0], values)
+
+
 def test_quantile_to_cdf_constant():
     q = QuantileFn([0.0, 1.0], [0.0, 0.5])
     cdf = quantile_to_cdf(q)
