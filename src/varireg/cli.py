@@ -306,8 +306,8 @@ def cmd_simulate(args) -> int:
         "noise_halfwidth": noise,
         "seed": seed,
         "rank": 1 if model_cfg.is_rank_one else (model_cfg.rank if model == "breakdown" else int(model[-1])),
-        "c": cfg.get("c"),
-        "r_scale": cfg.get("r_scale"),
+        "c": model_cfg.c,
+        "r_scale": model_cfg.r_scale,
         "warp_mixture_size": warp_cfg.J,
         "beta": warp_cfg.beta,
     }

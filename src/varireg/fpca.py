@@ -51,9 +51,13 @@ def cross_sectional_mean(curves) -> DiscreteCurve:
     bit-identical under permutation of the sample.
     """
     grid = _common_grid(curves)
-    mat = np.stack([c.values for c in curves])
-    mat = np.sort(mat, axis=0)
-    return DiscreteCurve(grid, mat.sum(axis=0) / mat.shape[0])
+    return sorted_row_mean(grid, np.stack([c.values for c in curves]))
+
+
+def sorted_row_mean(grid, rows) -> DiscreteCurve:
+    """cross_sectional_mean of the curves whose values are the rows of ``rows``."""
+    rows = np.sort(rows, axis=0)
+    return DiscreteCurve(grid, rows.sum(axis=0) / rows.shape[0])
 
 
 def covariance_matrix(curves) -> np.ndarray:

@@ -10,6 +10,12 @@ estimation itself.  Three observation regimes share the machinery:
   its single-nearest-point limit.
 * ``register_noisy`` -- measurement error; local polynomial pre-smoothing
   supplies the derivative-based variation CDFs.
+
+Every stage works on the whole sample at once, one row per curve: the
+variation levels, the template, the warps and their boundary extension,
+and the kernel evaluation of the registered curves.  A row's arithmetic
+depends on that row alone, so each curve gets the bits it would get alone,
+under any order of the sample.
 """
 
 from __future__ import annotations
@@ -18,31 +24,43 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptySample, NonMonotoneInput
-from .fpca import cross_sectional_mean
+from .errors import EmptySample, NonMonotoneInput, ZeroVariation
+from .fpca import sorted_row_mean
 from .smoothing import (
     SmootherConfig,
     default_loocv_candidates,
     local_poly,
     loocv_bandwidths,
-    monotone_smooth_warp,
-    nadaraya_watson,
+    monotone_through_knots,
+    nadaraya_watson_rows,
 )
 from .variation import (
+    ZERO_VARIATION_RTOL,
     DiscreteCurve,
     QuantileFn,
     StepCdf,
     closed_grid,
-    compose_quantile_cdf,
-    discrete_variation_cdf,
-    generalized_inverse,
-    mean_quantile,
+    mean_quantile_flat,
     quantile_to_cdf,
+    searchsorted_rows,
+    unchecked,
 )
 
 WARP_GRID_CAP = 4096
 OUTPUT_GRID_CAP = 1024
 _MONOTONE_SLACK = 1e-9
+
+
+def _check_warp_samples(t, v):
+    """WarpMap's checks on rows of samples ``v``, all taken at ``t``."""
+    if not (np.diff(t) > 0).all():
+        raise ValueError("sample_t must be strictly increasing")
+    if t[0] != 0.0 or t[-1] != 1.0:
+        raise ValueError("sample_t must start at 0 and end at 1")
+    if not (np.diff(v, axis=1) >= 0).all():
+        raise NonMonotoneInput("sample_v must be nondecreasing")
+    if not ((v[:, 0] == 0.0) & (v[:, -1] == 1.0)).all():
+        raise ValueError("sample_v must run from 0 to 1")
 
 
 @dataclass(frozen=True)
@@ -60,14 +78,7 @@ class WarpMap:
         v = np.asarray(self.sample_v, dtype=float)
         if t.ndim != 1 or t.shape != v.shape or t.size < 2:
             raise ValueError("need matching 1-d sample arrays of length >= 2")
-        if not (np.diff(t) > 0).all():
-            raise ValueError("sample_t must be strictly increasing")
-        if t[0] != 0.0 or t[-1] != 1.0:
-            raise ValueError("sample_t must start at 0 and end at 1")
-        if (np.diff(v) < 0).any():
-            raise NonMonotoneInput("sample_v must be nondecreasing")
-        if v[0] != 0.0 or v[-1] != 1.0:
-            raise ValueError("sample_v must run from 0 to 1")
+        _check_warp_samples(t, v[None])
         object.__setattr__(self, "sample_t", t)
         object.__setattr__(self, "sample_v", v)
 
@@ -138,42 +149,109 @@ def boundary_extend(sample_t, sample_v, last_grid_point=None) -> WarpMap:
     When the observed grid stops short of 1 the estimated warp is only
     defined up to that point; the map is pinned there and continued linearly
     to (1,1).  (0,0) is always enforced, float overshoots are clamped, and
-    sub-tolerance monotonicity wiggles are flattened; genuinely decreasing
+    sub-tolerance monotonicity wiggles are flattened; decreasing (or nan)
     samples raise NonMonotoneInput.
     """
     t = np.asarray(sample_t, dtype=float)
-    v = np.asarray(sample_v, dtype=float).copy()
+    v = np.asarray(sample_v, dtype=float)
     if t.shape != v.shape or t.ndim != 1 or t.size == 0:
         raise ValueError("need matching 1-d sample arrays")
-    if (np.diff(v) < -_MONOTONE_SLACK).any():
-        raise NonMonotoneInput("warp samples decrease by more than tolerance")
-    v = np.maximum.accumulate(v)
-    v = np.clip(v, 0.0, 1.0)
+    t_r = np.inf if last_grid_point is None else last_grid_point
+    return _extend_rows(t, v[None], np.array([t_r], dtype=float))[0]
 
-    t_r = last_grid_point
-    if t_r is not None and t_r < 1.0:
-        keep = t <= t_r
-        t, v = t[keep], v[keep]
-        v = np.minimum(v, t_r)
-        if t.size and t[-1] == t_r:
-            v[-1] = t_r
-        else:
-            t = np.concatenate((t, [t_r]))
-            v = np.concatenate((v, [t_r]))
-        t = np.concatenate((t, [1.0]))
-        v = np.concatenate((v, [1.0]))
-    elif t[-1] < 1.0:
-        t = np.concatenate((t, [1.0]))
-        v = np.concatenate((v, [1.0]))
+
+def _extend_rows(t, v, t_r) -> list:
+    """boundary_extend of every row of ``v``, all sampled at ``t``.
+
+    t_r[i] is row i's last grid point (+inf for none).  The rows whose grid
+    does not stop short of 1 share one sample_t and are checked together.
+    """
+    if not (np.diff(v, axis=1) >= -_MONOTONE_SLACK).all():
+        raise NonMonotoneInput("warp samples decrease by more than tolerance")
+    v = np.clip(np.maximum.accumulate(v, axis=1), 0.0, 1.0)
+    cut = t_r < 1.0
+    maps = [None] * v.shape[0]
+    for i in np.flatnonzero(cut):
+        maps[i] = _cut_warp(t, v[i], t_r[i])
+    if t[-1] < 1.0:
+        t = np.append(t, 1.0)
+        v = np.column_stack((v, np.ones(v.shape[0])))
     else:
-        v[-1] = 1.0
-        v = np.minimum(v, 1.0)
+        v[:, -1] = 1.0
     if t[0] > 0.0:
-        t = np.concatenate(([0.0], t))
-        v = np.concatenate(([0.0], v))
+        t = np.insert(t, 0, 0.0)
+        v = np.column_stack((np.zeros(v.shape[0]), v))
+    else:
+        v[:, 0] = 0.0
+    if not cut.all():
+        _check_warp_samples(t, v)
+    for i in np.flatnonzero(~cut):
+        maps[i] = unchecked(WarpMap, sample_t=t, sample_v=v[i])
+    return maps
+
+
+def _cut_warp(t, v, t_r) -> WarpMap:
+    """One row's warp pinned at its last grid point t_r < 1, then linear to (1,1)."""
+    keep = t <= t_r
+    t, v = t[keep], np.minimum(v[keep], t_r)
+    if t.size and t[-1] == t_r:
+        v[-1] = t_r
+    else:
+        t, v = np.append(t, t_r), np.append(v, t_r)
+    t, v = np.append(t, 1.0), np.append(v, 1.0)
+    if t[0] > 0.0:
+        t, v = np.insert(t, 0, 0.0), np.insert(v, 0, 0.0)
     else:
         v[0] = 0.0
     return WarpMap(t, v)
+
+
+def _warp_maps(cum, locs, grid):
+    """The template, warps and inverse warps of curves with cumulative jumps ``cum``.
+
+    Row i of ``cum`` holds curve i's cumulative jump sizes at its jump
+    locations, row i of ``locs`` (or its one row, shared by all); a jump of
+    size 0 repeats the level before it.  ``cum`` is normalized in place.
+    Returns (template_cdf, template_quantile, warps, inverse_warps, each
+    curve's last jump location).
+    """
+    cum /= cum[:, -1:].copy()
+    keep = np.diff(cum, axis=1, prepend=0.0) > 0  # where each level is first reached
+    template_cdf, template_q, warp, inverse, last = _estimate_warps(cum, keep, locs, grid)
+    warps = _extend_rows(grid, warp, last)
+    return template_cdf, template_q, warps, _extend_rows(grid, inverse, last), last
+
+
+def _estimate_warps(levels, keep, locs, grid):
+    """The template, and every curve's warp and inverse warp sampled at ``grid``.
+
+    Row i of ``levels`` holds curve i's variation CDF at its jump locations,
+    row i of ``locs`` (or its one row, shared by all); ``keep`` marks where
+    each level is first reached, and every row ends at level 1.  Returns
+    (template_cdf, template_quantile, warp samples, inverse-warp samples,
+    each curve's last jump location), the samples as (n, grid.size) arrays.
+    """
+    n, m = levels.shape
+    rows = np.arange(n)[:, None]
+    all_locs = np.broadcast_to(locs, levels.shape)
+    per_curve = np.count_nonzero(keep, axis=1)
+    points, index = np.unique(np.concatenate(([0.0], levels[keep])), return_inverse=True)
+    index = index[1:]
+    template_q = mean_quantile_flat(
+        points, index, all_locs[keep], np.cumsum(per_curve) - per_curve
+    )
+    template_cdf = quantile_to_cdf(template_q)
+    # warp i is Q_i(F(t)): where curve i first reaches the template level F(t)
+    level = template_cdf(grid)
+    warp = np.where(level > 0.0, all_locs[rows, searchsorted_rows(levels, level)], 0.0)
+    # inverse warp i is Q(F_i(t)): F_i(t) is a level in `points`, and the
+    # template's value there is at its index, carried over repeated levels
+    at = np.zeros((n, m + 1), dtype=index.dtype)
+    at[:, 1:][keep] = index
+    np.maximum.accumulate(at, axis=1, out=at)
+    inverse = template_q.values[at[rows, searchsorted_rows(locs, grid, "right")]]
+    last = all_locs[rows[:, 0], m - 1 - np.argmax(keep[:, ::-1], axis=1)]
+    return template_cdf, template_q, warp, inverse, last
 
 
 def estimate_warps_discrete(cdfs, grid=None):
@@ -189,61 +267,109 @@ def estimate_warps_discrete(cdfs, grid=None):
     cdfs = list(cdfs)
     if not cdfs:
         raise EmptySample("no variation CDFs given")
-    quantiles = [generalized_inverse(c) for c in cdfs]
-    template_quantile = mean_quantile(quantiles)
-    template_cdf = quantile_to_cdf(template_quantile)
-    if grid is None:
-        grid = closed_grid(np.concatenate([c.jump_locations for c in cdfs]), WARP_GRID_CAP)
-    else:
-        grid = closed_grid(grid)
-
-    warps, inverse_warps = [], []
-    for cdf, q in zip(cdfs, quantiles):
-        t_r = float(cdf.jump_locations[-1])
-        v = compose_quantile_cdf(q, template_cdf, grid)
-        warps.append(boundary_extend(grid, v, t_r))
-        v_inv = compose_quantile_cdf(template_quantile, cdf, grid)
-        inverse_warps.append(boundary_extend(grid, v_inv, t_r))
-    return template_cdf, template_quantile, warps, inverse_warps
+    # padding repeats a CDF's last level, 1: jumps of size 0 at +inf
+    locs, levels = _stack([c.jump_locations for c in cdfs], [c.cum_values for c in cdfs])
+    grid = closed_grid(locs[locs < np.inf], WARP_GRID_CAP) if grid is None else closed_grid(grid)
+    return _warp_maps(levels, locs, grid)[:4]
 
 
-def _default_output_grid(curves, override):
-    if override is not None:
-        return closed_grid(override)
-    return closed_grid(np.concatenate([c.grid for c in curves]), OUTPUT_GRID_CAP)
+def _stack(grids, values):
+    """Rows of samples, ``values[i]`` taken at ``grids[i]``, as (rows, L) arrays.
+
+    A grid shared by every row is one row; otherwise each row has its own,
+    padded past its last point with +inf (grid) and its last value (values).
+    """
+    grid = grids[0]
+    if all(g is grid or np.array_equal(g, grid) for g in grids):
+        return grid[None], np.stack(values)
+    sizes = np.array([v.size for v in values])
+    valid = np.arange(sizes.max()) < sizes[:, None]
+    padded_grids = np.full(valid.shape, np.inf)
+    padded_grids[valid] = np.concatenate(grids)
+    padded = np.empty(valid.shape)
+    padded[valid] = np.concatenate(values)
+    padded[~valid] = np.repeat([v[-1] for v in values], sizes.max() - sizes)
+    return padded_grids, padded
+
+
+def _evaluate(warps, x) -> np.ndarray:
+    """Every warp at sorted points ``x`` in [0,1]: one row per warp."""
+    return _interp_rows(x, *_stack([w.sample_t for w in warps], [w.sample_v for w in warps]))
+
+
+def _interp_rows(x, t, v) -> np.ndarray:
+    """np.interp(x, t[i], v[i]) for every row i, with its bits.
+
+    ``t`` has one row shared by all or one per row, padded with +inf; x is
+    sorted and every row's samples are finite.
+    """
+    rows = np.arange(v.shape[0])[:, None]
+    size = np.count_nonzero(t < np.inf, axis=1)[:, None]
+    j = searchsorted_rows(t, x, "right") - 1  # the step t[j] <= x < t[j + 1]
+    lo = np.clip(j, 0, size - 2)
+    t_rows = rows if t.shape[0] > 1 else 0
+    t0, v0 = t[t_rows, lo], v[rows, lo]
+    slope = (v[rows, lo + 1] - v0) / (t[t_rows, lo + 1] - t0)
+    out = np.where(x == t0, v0, slope * (x - t0) + v0)
+    out = np.where(j < 0, v[:, :1], out)
+    return np.where(j >= size - 1, v[rows, size - 1], out)
+
+
+def _smooth(warps, n_knots) -> list:
+    """monotone_smooth_warp of every warp, as WarpMaps on one shared grid."""
+    if n_knots < 2:
+        raise ValueError("need at least 2 knots")
+    knot_values = _evaluate(warps, np.linspace(0.0, 1.0, n_knots))
+    # every WarpMap runs from exactly 0 to exactly 1
+    knot_values[:, 0], knot_values[:, -1] = 0.0, 1.0
+    t, v = monotone_through_knots(knot_values)
+    _check_warp_samples(t, v)
+    return [unchecked(WarpMap, sample_t=t, sample_v=row) for row in v]
+
+
+def _variation(values):
+    """Cumulative absolute increments of each row of ``values``.
+
+    Raises ZeroVariation for the first (numerically) constant row.
+    """
+    cum = np.cumsum(np.abs(np.diff(values, axis=1)), axis=1)
+    total = cum[:, -1]
+    flat = (total <= ZERO_VARIATION_RTOL * np.abs(values).max(axis=1)) | (total <= 0.0)
+    bad = flat | (total == np.inf)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if flat[i]:
+            raise ZeroVariation(curve_id=i)
+        raise ValueError(f"total variation of curve {i} overflows")
+    return cum
 
 
 def _register_noiseless(curves, options, bandwidth_rule, regime):
     curves = list(curves)
     if not curves:
         raise EmptySample("no curves to register")
-    summaries = [discrete_variation_cdf(c, curve_id=i) for i, c in enumerate(curves)]
-    cdfs = [s.cdf for s in summaries]
-    warp_grid = closed_grid(np.concatenate([c.grid for c in curves]), WARP_GRID_CAP)
-    template_cdf, template_q, warps, inverse_warps = estimate_warps_discrete(
-        cdfs, warp_grid
+    grids, values = _stack([c.grid for c in curves], [c.values for c in curves])
+    points = grids[grids < np.inf]
+    warp_grid = closed_grid(points, WARP_GRID_CAP)
+    template_cdf, template_q, warps, inverse_warps, last = _warp_maps(
+        _variation(values), grids[:, 1:], warp_grid
     )
     if options.smooth_warps:
-        warps = [
-            WarpMap(*monotone_smooth_warp(w.sample_t, w.sample_v, options.n_knots))
-            for w in warps
-        ]
-    output_grid = _default_output_grid(curves, options.output_grid)
-    bandwidths = [bandwidth_rule(c) for c in curves]
-    registered = []
-    for curve, warp, h in zip(curves, warps, bandwidths):
-        cfg = SmootherConfig(bandwidth=h, degree=0, deriv_order=0)
-        registered.append(
-            DiscreteCurve(output_grid, nadaraya_watson(curve, cfg, warp(output_grid)))
-        )
-    mean = cross_sectional_mean(registered)
+        warps = _smooth(warps, options.n_knots)
+    output_grid = _default_output_grid(points, options.output_grid)
+    if grids.shape[0] == 1:
+        gaps = np.full(len(curves), curves[0].max_gap)
+    else:
+        gaps = np.array([c.max_gap for c in curves])
+    bandwidths = bandwidth_rule(gaps)
+    fits = nadaraya_watson_rows(
+        grids, values, bandwidths, _evaluate(warps, np.clip(output_grid, 0.0, 1.0))
+    )
     meta = {
         "bandwidths": [float(h) for h in bandwidths],
         "smooth_warps": bool(options.smooth_warps),
         "n_knots": int(options.n_knots),
-        "boundary_knots_appended": any(
-            float(c.cdf.jump_locations[-1]) < 1.0 for c in summaries
-        ),
+        "boundary_knots_appended": bool((last < 1.0).any()),
         "output_grid_size": int(output_grid.size),
     }
     return RegistrationResult(
@@ -251,20 +377,26 @@ def _register_noiseless(curves, options, bandwidth_rule, regime):
         inverse_warps=inverse_warps,
         template_cdf=template_cdf,
         template_quantile=template_q,
-        registered=registered,
-        mean=mean,
+        registered=DiscreteCurve.batch(output_grid, fits),
+        mean=sorted_row_mean(output_grid, fits),
         regime=regime,
         metadata=meta,
     )
+
+
+def _default_output_grid(points, override):
+    if override is not None:
+        return closed_grid(override)
+    return closed_grid(points, OUTPUT_GRID_CAP)
 
 
 def register_discrete(sample, options: RegisterOptions = None) -> RegistrationResult:
     """Register noiseless, discretely observed curves (per-curve grids allowed)."""
     options = options or RegisterOptions()
     if options.bandwidth is not None:
-        rule = lambda c: float(options.bandwidth)
+        rule = lambda gaps: np.full(gaps.size, float(options.bandwidth))
     else:
-        rule = lambda c: min(1.1 * c.max_gap, 1.0)
+        rule = lambda gaps: np.minimum(1.1 * gaps, 1.0)
     return _register_noiseless(sample, options, rule, "discrete")
 
 
@@ -279,7 +411,7 @@ def register_complete(sample, output_grid=None, threads: int = 1) -> Registratio
     options = RegisterOptions(
         smooth_warps=False, output_grid=output_grid, threads=threads
     )
-    rule = lambda c: min(0.505 * c.max_gap, 1.0)
+    rule = lambda gaps: np.minimum(0.505 * gaps, 1.0)
     return _register_noiseless(sample, options, rule, "complete")
 
 
@@ -309,22 +441,23 @@ def register_noisy(sample, opts: NoisyOptions = None) -> RegistrationResult:
         cfg1 = SmootherConfig(bandwidth=h1, degree=2, deriv_order=1)
         deriv = np.abs(local_poly(curve, cfg1, deriv_grid))
         cell = (deriv[:-1] + deriv[1:]) / 2.0 * np.diff(deriv_grid)
-        summary = _deriv_cdf(cell, deriv_grid, curve, i)
-        return h1, h2, summary
+        if np.sum(cell) <= 1e-12 * max(float(np.abs(curve.values).max()), 1.0):
+            raise ZeroVariation(
+                "estimated derivative integrates to (numerically) zero", curve_id=i
+            )
+        return h1, h2, cell
 
     prepared = [_prepare(i, c) for i, c in enumerate(curves)]
-    cdfs = [p[2] for p in prepared]
-    template_cdf, template_q, warps, inverse_warps = estimate_warps_discrete(
-        cdfs, deriv_grid
+    # every curve's variation CDF jumps on deriv_grid[1:]
+    template_cdf, template_q, warps, inverse_warps, _ = _warp_maps(
+        np.cumsum([p[2] for p in prepared], axis=1), deriv_grid[None, 1:], deriv_grid
     )
-    output_grid = _default_output_grid(curves, opts.output_grid)
-    registered = []
-    for curve, warp, (_, h2, _) in zip(curves, warps, prepared):
-        cfg2 = SmootherConfig(bandwidth=h2, degree=1, deriv_order=0)
-        registered.append(
-            DiscreteCurve(output_grid, local_poly(curve, cfg2, warp(output_grid)))
-        )
-    mean = cross_sectional_mean(registered)
+    output_grid = _default_output_grid(np.concatenate([c.grid for c in curves]), opts.output_grid)
+    eval_points = _evaluate(warps, np.clip(output_grid, 0.0, 1.0))
+    fits = np.array([
+        local_poly(curve, SmootherConfig(bandwidth=h2, degree=1, deriv_order=0), e)
+        for curve, (_, h2, _), e in zip(curves, prepared, eval_points)
+    ])
     meta = {
         "h1": [float(p[0]) for p in prepared],
         "h2": [float(p[1]) for p in prepared],
@@ -338,20 +471,8 @@ def register_noisy(sample, opts: NoisyOptions = None) -> RegistrationResult:
         inverse_warps=inverse_warps,
         template_cdf=template_cdf,
         template_quantile=template_q,
-        registered=registered,
-        mean=mean,
+        registered=DiscreteCurve.batch(output_grid, fits),
+        mean=sorted_row_mean(output_grid, fits),
         regime="noisy",
         metadata=meta,
     )
-
-
-def _deriv_cdf(cell_masses, deriv_grid, curve, curve_id) -> StepCdf:
-    from .errors import ZeroVariation
-
-    total = float(np.sum(cell_masses))
-    scale = float(np.abs(curve.values).max())
-    if total <= 1e-12 * max(scale, 1.0):
-        raise ZeroVariation(
-            "estimated derivative integrates to (numerically) zero", curve_id=curve_id
-        )
-    return StepCdf.from_jumps(deriv_grid[1:], cell_masses)

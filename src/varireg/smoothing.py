@@ -15,9 +15,11 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .errors import AllCandidatesSingular, EmptyWindow, SingularFit
-from .variation import DiscreteCurve
+from .variation import DiscreteCurve, searchsorted_rows
 
 _CELL_BUDGET = 1 << 18  # cap on bandwidths x eval points x window width per pass
+_BLOCK_BUDGET = 1 << 16  # window points per block of nadaraya_watson_rows; smaller
+# blocks than _CELL_BUDGET stay in cache and keep the peak memory of a sample down
 
 
 @dataclass(frozen=True)
@@ -94,8 +96,10 @@ def _windowed_fits(grid, values, bandwidths, eval_points, degrees, deriv_order=0
     step = max(1, _CELL_BUDGET // (h.size * max(int(width.max(initial=0)), 1)))
     for start in range(0, e.size, step):
         cols = slice(start, start + step)
+        idx = lo[:, cols, None] + np.arange(int(width[:, cols].max(initial=0)))
+        np.minimum(idx, grid.size - 1, out=idx)
         out[:, :, cols] = _fit_chunk(
-            grid, values, h, e[cols], lo[:, cols], width[:, cols],
+            grid[idx], values[idx], e[cols], h, width[:, cols],
             degrees, deriv_order, loo, kernel,
         )
     return out
@@ -109,19 +113,17 @@ def _windowed_fit(grid, values, bandwidths, eval_points, degree, deriv_order=0,
     )[0]
 
 
-def _fit_chunk(grid, values, h, e, lo, width, degrees, deriv_order, loo, kernel):
-    """_windowed_fits on one slice of evaluation points, windows padded to one width."""
-    offsets = np.arange(int(width.max(initial=0)))
-    idx = lo[..., None] + offsets  # (bandwidth, eval, window)
-    np.minimum(idx, grid.size - 1, out=idx)
-    g = grid[idx]
-    y = values[idx]
-    u = g - e[:, None]
+def _fit_chunk(g, y, e, h, width, degrees, deriv_order, loo, kernel):
+    """Fits from windows g, y padded to one width; the first ``width`` points count.
+
+    ``e``, ``h`` and ``width`` broadcast to the shape of the fits, g.shape[:-1].
+    """
+    u = g - e[..., None]
     u /= h[..., None]
     w = kernel(u)
-    w *= offsets < width[..., None]  # drop the clipped padding
+    w *= np.arange(g.shape[-1]) < width[..., None]  # drop the clipped padding
     if loo:
-        w[g == e[:, None]] = 0.0
+        w[g == e[..., None]] = 0.0
     s = [w.sum(axis=-1)]
     top = max(degrees)
     if top:
@@ -186,13 +188,61 @@ def nadaraya_watson(curve: DiscreteCurve, cfg: SmootherConfig, eval_points) -> n
     if cfg.degree != 0:
         raise ValueError("nadaraya_watson requires degree 0")
     eval_points = np.asarray(eval_points, dtype=float)
-    out = _windowed_fit(
-        curve.grid, curve.values, [cfg.bandwidth], eval_points, 0, kernel=cfg.kernel
-    )[0]
+    return nadaraya_watson_rows(
+        curve.grid[None], curve.values[None], [cfg.bandwidth],
+        eval_points.reshape(1, -1), cfg.kernel,
+    ).reshape(eval_points.shape)
+
+
+def nadaraya_watson_rows(grids, values, bandwidths, eval_points, kernel=EPANECHNIKOV):
+    """nadaraya_watson for many curves at once: row i of the result is curve i's.
+
+    ``grids`` holds one sorted grid shared by every curve, or one per curve,
+    padded past its last point with +inf; ``values`` (n, L) is padded with
+    any finite value.  ``bandwidths`` has one entry and ``eval_points`` one
+    row per curve.  Each fit has the bits nadaraya_watson gives the curve
+    alone: a cell is padded to the window width that its curve's own pass
+    pads it to, and cells of one width run together in blocks of at most
+    _BLOCK_BUDGET window points.  Raises EmptyWindow for the first curve
+    with an empty window.
+    """
+    h = np.asarray(bandwidths, dtype=float)
+    e = np.asarray(eval_points, dtype=float)
+    if not ((h > 0.0) & (h <= 1.0)).all():
+        raise ValueError("bandwidth must lie in (0, 1]")
+    n, m = e.shape
+    size = np.count_nonzero(grids < np.inf, axis=1)
+    lo = np.maximum(searchsorted_rows(grids, e - h[:, None], "right") - 1, 0)
+    width = np.minimum(searchsorted_rows(grids, e + h[:, None], "left") + 1, size[:, None]) - lo
+    # a curve alone is fitted `step` evaluation points at a time, each chunk
+    # padded to its widest window (_windowed_fits); sums over the padding
+    # associate by its length, so each cell keeps its chunk's
+    step = np.maximum(_CELL_BUDGET // np.maximum(width.max(axis=1), 1), 1)
+    chunk = (np.arange(m) // step[:, None] + m * np.arange(n)[:, None]).ravel()
+    pad = np.zeros(n * m, dtype=width.dtype)
+    np.maximum.at(pad, chunk, width.ravel())
+    pad = pad[chunk]
+    out = np.empty(n * m)
+    for p in np.unique(pad):
+        cells = np.flatnonzero(pad == p)
+        per_block = max(_BLOCK_BUDGET // p, 1)
+        for start in range(0, cells.size, per_block):
+            c = cells[start:start + per_block]
+            row = (c // m)[:, None]
+            grid_row = row if grids.shape[0] > 1 else 0
+            idx = lo.flat[c][:, None] + np.arange(p)
+            np.minimum(idx, size[grid_row] - 1, out=idx)
+            g, y = grids[grid_row, idx], values[row, idx]
+            out[c] = _fit_chunk(g, y, e.flat[c], h[row[:, 0]], width.flat[c], [0], 0, False, kernel)[0]
+    out = out.reshape(n, m)
     empty = np.isnan(out)
     if empty.any():
-        bad = eval_points[int(np.argmax(empty))]
-        raise EmptyWindow(float(bad), suggested_min_bandwidth(curve.grid, eval_points))
+        i = int(np.argmax(empty.any(axis=1)))
+        grid = grids[i if grids.shape[0] > 1 else 0]
+        raise EmptyWindow(
+            float(e[i, np.argmax(empty[i])]),
+            suggested_min_bandwidth(grid[grid < np.inf], e[i]),
+        )
     return out
 
 
@@ -263,13 +313,23 @@ def monotone_smooth_warp(sample_t, sample_v, n_knots: int = 11, n_out: int = 102
     sample_v = np.asarray(sample_v, dtype=float)
     if n_knots < 2:
         raise ValueError("need at least 2 knots")
-    knots = np.linspace(0.0, 1.0, n_knots)
-    kv = np.interp(knots, sample_t, sample_v)
+    kv = np.interp(np.linspace(0.0, 1.0, n_knots), sample_t, sample_v)
     kv[0], kv[-1] = sample_v[0], sample_v[-1]
-    kv = np.maximum.accumulate(kv)
-    interp = PchipInterpolator(knots, kv)
+    t_out, v_out = monotone_through_knots(kv[None], n_out)
+    return t_out, v_out[0]
+
+
+def monotone_through_knots(knot_values, n_out: int = 1024):
+    """monotone_smooth_warp from its knot values, one row per warp.
+
+    Returns the dense grid and one row of smoothed samples per warp; each
+    row has the bits of a warp smoothed alone.
+    """
+    knots = np.linspace(0.0, 1.0, knot_values.shape[1])
+    kv = np.maximum.accumulate(knot_values, axis=1)
+    interp = PchipInterpolator(knots, kv, axis=1)
     t_out = np.unique(np.concatenate((np.linspace(0.0, 1.0, n_out), knots)))
     v_out = interp(t_out)
-    v_out = np.clip(np.maximum.accumulate(v_out), 0.0, 1.0)
-    v_out[0], v_out[-1] = kv[0], kv[-1]
+    v_out = np.clip(np.maximum.accumulate(v_out, axis=1), 0.0, 1.0)
+    v_out[:, 0], v_out[:, -1] = kv[:, 0], kv[:, -1]
     return t_out, v_out

@@ -49,6 +49,44 @@ def closed_grid(points, cap=None) -> np.ndarray:
     return points
 
 
+def searchsorted_rows(a, v, side="left") -> np.ndarray:
+    """np.searchsorted(a[i], v[i], side) for every row i, in one pass.
+
+    ``a`` holds sorted rows: one row shared by every row of ``v``, or one row
+    each, a short row padded with +inf.  ``v`` holds a row of queries per row
+    of ``a``, or one sorted row of queries shared by all of them.
+    """
+    a = np.asarray(a, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if a.shape[0] == 1:
+        return np.searchsorted(a[0], v, side)
+    rows = np.arange(a.shape[0])[:, None]
+    if v.ndim == 1:
+        # a[i, l] counts toward every query from the first one it does not
+        # exceed (side "right") or precede (side "left") on: sum a histogram
+        first = np.searchsorted(v, a, "left" if side == "right" else "right")
+        first += rows * (v.size + 1)
+        hits = np.bincount(first.ravel(), minlength=a.shape[0] * (v.size + 1))
+        return np.cumsum(hits.reshape(a.shape[0], -1)[:, :-1], axis=1)
+    # complex numbers compare by real part first: the keys order by (row, value)
+    keys = np.empty(a.shape, dtype=complex)
+    keys.real, keys.imag = rows, a
+    queries = np.empty(v.shape, dtype=complex)
+    queries.real, queries.imag = rows, v
+    return np.searchsorted(keys.ravel(), queries, side) - rows * a.shape[1]
+
+
+def unchecked(cls, **fields):
+    """An instance of frozen dataclass ``cls`` built without ``__post_init__``.
+
+    For fields the caller has already checked, for a whole batch at once.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True)
 class DiscreteCurve:
     """One functional observation: values on a sorted grid in [0,1]."""
@@ -75,6 +113,14 @@ class DiscreteCurve:
     @property
     def max_gap(self) -> float:
         return float(np.diff(self.grid).max())
+
+    @classmethod
+    def batch(cls, grid, rows) -> list:
+        """One curve per row of ``rows``, all on ``grid``, checked once for all."""
+        first = cls(grid, rows[0])
+        if not np.isfinite(rows).all():
+            raise ValueError("values must be finite")
+        return [first] + [unchecked(cls, grid=first.grid, values=r) for r in rows[1:]]
 
 
 @dataclass(frozen=True)
@@ -229,28 +275,46 @@ def mean_quantile(qs) -> QuantileFn:
     qs = list(qs)
     if not qs:
         raise EmptySample("mean_quantile needs at least one quantile function")
-    points = np.unique(np.concatenate([q.breakpoints for q in qs]))
-
-    # On `points`, an input takes level j + 1 from index
-    # searchsorted(points, b[j], "right") on.  Level 0 is 0 for every input, so
-    # the change into it (a reset from the previous input's last level) goes
-    # to a spare slot at the end.
-    levels = np.concatenate([q.values for q in qs])
-    starts = np.concatenate(
-        [np.r_[points.size, np.searchsorted(points, q.breakpoints[:-1], side="right")] for q in qs]
+    sizes = [q.breakpoints.size - 1 for q in qs]
+    points, index = np.unique(
+        np.concatenate([[0.0]] + [q.breakpoints[1:] for q in qs]), return_inverse=True
     )
-    # every level is a multiple of 2**(e - 53), e the exponent of the smallest
-    # positive one, so this many base-2**31 digits hold each level exactly
-    exponent = np.frexp(np.min(levels, initial=1.0, where=levels > 0.0))[1]
-    digits = np.empty((-(-(53 - exponent) // _DIGIT_BITS), levels.size), dtype=np.int64)
-    rest = levels * 2.0**_DIGIT_BITS
-    for row in digits:
-        row[:] = np.floor(rest)
-        rest = (rest - row) * 2.0**_DIGIT_BITS
-    sums = np.zeros((digits.shape[0], points.size + 1), dtype=np.int64)
-    for total, row in zip(sums, digits):
-        np.add.at(total, starts, np.diff(row, prepend=0))
-    vals = _digit_mean(np.cumsum(sums[:, :-1], axis=1), len(qs))
+    return mean_quantile_flat(
+        points,
+        index[1:],
+        np.concatenate([q.values[1:] for q in qs]),
+        np.cumsum([0] + sizes[:-1]),
+    )
+
+
+def mean_quantile_flat(points, index, locations, firsts) -> QuantileFn:
+    """mean_quantile of step quantiles given as flat arrays.
+
+    Input k owns entries firsts[k] up to firsts[k + 1].  Entry j has level
+    points[index[j]] and location locations[j]: the input takes that
+    location on the levels above the previous entry's, up to its own (above
+    0 for the input's first entry).  ``points`` are sorted, unique, and run
+    from 0 to 1, which every input's last level must reach.
+    """
+    n = len(firsts)
+    # an input takes entry j's location from the point after its previous
+    # level on; the sums are integers, so the order of the additions is free
+    starts = np.empty_like(index)
+    starts[1:] = index[:-1] + 1
+    starts[firsts] = 1
+    # every location is a multiple of 2**(e - 53), e the exponent of the
+    # smallest positive one, so this many base-2**31 digits hold each exactly
+    exponent = np.frexp(np.min(locations, initial=1.0, where=locations > 0.0))[1]
+    sums = np.zeros((-(-(53 - exponent) // _DIGIT_BITS), points.size), dtype=np.int64)
+    rest = locations * 2.0**_DIGIT_BITS
+    for total in sums:  # one digit of every location at a time
+        digit = np.floor(rest)
+        rest = (rest - digit) * 2.0**_DIGIT_BITS
+        digit = digit.astype(np.int64)
+        change = np.diff(digit, prepend=0)
+        change[firsts] = digit[firsts]
+        np.add.at(total, starts, change)
+    vals = _digit_mean(np.cumsum(sums, axis=1, out=sums), n)
     vals = np.maximum.accumulate(vals)  # guard float wiggles
     return QuantileFn(points, np.clip(vals, 0.0, 1.0))
 
@@ -265,11 +329,13 @@ def _digit_mean(sums: np.ndarray, n: int) -> np.ndarray:
     for k in range(sums.shape[0] - 1, 0, -1):
         sums[k - 1] += sums[k] >> _DIGIT_BITS
         sums[k] &= 2**_DIGIT_BITS - 1
-    quotient, rem, out = [], 0, 0.0
-    for row in [*sums, 0, 0]:
-        digit, rem = np.divmod(rem * 2**_DIGIT_BITS + row, n)
-        quotient.append(digit)
-    for k, digit in reversed(list(enumerate(quotient, 1))):
+    rem, extra, out = 0, [], 0.0
+    for row in sums:  # each digit sum is overwritten by its quotient digit
+        row[:], rem = np.divmod(rem * 2**_DIGIT_BITS + row, n)
+    for _ in range(2):
+        digit, rem = np.divmod(rem * 2**_DIGIT_BITS, n)
+        extra.append(digit)
+    for k, digit in reversed(list(enumerate([*sums, *extra], 1))):
         out = np.ldexp(digit.astype(float), -_DIGIT_BITS * k) + out
     return out
 

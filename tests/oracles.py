@@ -14,6 +14,10 @@
 * The per-curve simulator: each warp inverted by its own 52-step bisection
   on its own forward map, one curve at a time.  The library bisects every
   (warp, point) cell of a sample at once.
+* The per-curve registration pipelines: every curve's variation CDF,
+  quantile, warp, boundary extension, smoothed warp and kernel fit built
+  on its own, one curve at a time.  The library runs each stage once over
+  (curves x points) arrays.
 """
 
 from __future__ import annotations
@@ -22,8 +26,26 @@ import math
 
 import numpy as np
 
-from varireg.errors import AllCandidatesSingular, EmptySample, EmptyWindow, SingularFit
-from varireg.registration import WarpMap, boundary_extend
+from scipy.interpolate import PchipInterpolator
+
+from varireg.errors import (
+    AllCandidatesSingular,
+    EmptySample,
+    EmptyWindow,
+    NonMonotoneInput,
+    SingularFit,
+    ZeroVariation,
+)
+from varireg.fpca import cross_sectional_mean
+from varireg.registration import (
+    OUTPUT_GRID_CAP,
+    WARP_GRID_CAP,
+    RegisterOptions,
+    NoisyOptions,
+    RegistrationResult,
+    WarpMap,
+    boundary_extend,
+)
 from varireg.simulate import (
     _BISECT_ITERS,
     AnalyticWarp,
@@ -33,13 +55,24 @@ from varireg.simulate import (
     sample_warp,
     substream,
 )
-from varireg.smoothing import SmootherConfig, suggested_min_bandwidth
+from varireg.smoothing import (
+    SmootherConfig,
+    _windowed_fit,
+    default_loocv_candidates,
+    local_poly,
+    loocv_bandwidths,
+    suggested_min_bandwidth,
+)
 from varireg.variation import (
     DiscreteCurve,
     QuantileFn,
     StepCdf,
     closed_grid,
+    compose_quantile_cdf,
+    discrete_variation_cdf,
     generalized_inverse,
+    mean_quantile,
+    quantile_to_cdf,
 )
 
 
@@ -264,4 +297,216 @@ def per_curve_truth_bundle(cfg, warp_cfg, n, seed, stream_offset=0) -> TruthBund
         warps=warps,
         coefficients=np.array(coefs),
         noise_halfwidth=cfg.noise_halfwidth,
+    )
+
+
+# --- per-curve registration ---------------------------------------------------
+
+
+def per_curve_boundary_extend(sample_t, sample_v, last_grid_point=None) -> WarpMap:
+    """boundary_extend of one warp, step by step."""
+    t = np.asarray(sample_t, dtype=float)
+    v = np.asarray(sample_v, dtype=float).copy()
+    if t.shape != v.shape or t.ndim != 1 or t.size == 0:
+        raise ValueError("need matching 1-d sample arrays")
+    if not (np.diff(v) >= -1e-9).all():
+        raise NonMonotoneInput("warp samples decrease by more than tolerance")
+    v = np.maximum.accumulate(v)
+    v = np.clip(v, 0.0, 1.0)
+    t_r = last_grid_point
+    if t_r is not None and t_r < 1.0:
+        keep = t <= t_r
+        t, v = t[keep], v[keep]
+        v = np.minimum(v, t_r)
+        if t.size and t[-1] == t_r:
+            v[-1] = t_r
+        else:
+            t = np.concatenate((t, [t_r]))
+            v = np.concatenate((v, [t_r]))
+        t = np.concatenate((t, [1.0]))
+        v = np.concatenate((v, [1.0]))
+    elif t[-1] < 1.0:
+        t = np.concatenate((t, [1.0]))
+        v = np.concatenate((v, [1.0]))
+    else:
+        v[-1] = 1.0
+        v = np.minimum(v, 1.0)
+    if t[0] > 0.0:
+        t = np.concatenate(([0.0], t))
+        v = np.concatenate(([0.0], v))
+    else:
+        v[0] = 0.0
+    return WarpMap(t, v)
+
+
+def per_curve_estimate_warps(cdfs, grid=None):
+    """estimate_warps_discrete with one quantile, warp and inverse per curve."""
+    cdfs = list(cdfs)
+    if not cdfs:
+        raise EmptySample("no variation CDFs given")
+    quantiles = [generalized_inverse(c) for c in cdfs]
+    template_quantile = mean_quantile(quantiles)
+    template_cdf = quantile_to_cdf(template_quantile)
+    if grid is None:
+        grid = closed_grid(np.concatenate([c.jump_locations for c in cdfs]), WARP_GRID_CAP)
+    else:
+        grid = closed_grid(grid)
+    warps, inverse_warps = [], []
+    for cdf, q in zip(cdfs, quantiles):
+        t_r = float(cdf.jump_locations[-1])
+        v = compose_quantile_cdf(q, template_cdf, grid)
+        warps.append(per_curve_boundary_extend(grid, v, t_r))
+        v_inv = compose_quantile_cdf(template_quantile, cdf, grid)
+        inverse_warps.append(per_curve_boundary_extend(grid, v_inv, t_r))
+    return template_cdf, template_quantile, warps, inverse_warps
+
+
+def per_curve_nadaraya_watson(curve, cfg, eval_points) -> np.ndarray:
+    """Windowed Nadaraya-Watson fit of one curve, as local_poly's pass makes it."""
+    eval_points = np.asarray(eval_points, dtype=float)
+    out = _windowed_fit(
+        curve.grid, curve.values, [cfg.bandwidth], eval_points, 0, kernel=cfg.kernel
+    )[0]
+    empty = np.isnan(out)
+    if empty.any():
+        bad = eval_points[int(np.argmax(empty))]
+        raise EmptyWindow(float(bad), suggested_min_bandwidth(curve.grid, eval_points))
+    return out
+
+
+def per_curve_smooth_warp(sample_t, sample_v, n_knots, n_out=1024):
+    """monotone_smooth_warp of one warp."""
+    if n_knots < 2:
+        raise ValueError("need at least 2 knots")
+    knots = np.linspace(0.0, 1.0, n_knots)
+    kv = np.interp(knots, sample_t, sample_v)
+    kv[0], kv[-1] = sample_v[0], sample_v[-1]
+    kv = np.maximum.accumulate(kv)
+    interp = PchipInterpolator(knots, kv)
+    t_out = np.unique(np.concatenate((np.linspace(0.0, 1.0, n_out), knots)))
+    v_out = interp(t_out)
+    v_out = np.clip(np.maximum.accumulate(v_out), 0.0, 1.0)
+    v_out[0], v_out[-1] = kv[0], kv[-1]
+    return t_out, v_out
+
+
+def _per_curve_noiseless(curves, options, bandwidth_rule, regime):
+    curves = list(curves)
+    if not curves:
+        raise EmptySample("no curves to register")
+    summaries = [discrete_variation_cdf(c, curve_id=i) for i, c in enumerate(curves)]
+    warp_grid = closed_grid(np.concatenate([c.grid for c in curves]), WARP_GRID_CAP)
+    template_cdf, template_q, warps, inverse_warps = per_curve_estimate_warps(
+        [s.cdf for s in summaries], warp_grid
+    )
+    if options.smooth_warps:
+        warps = [
+            WarpMap(*per_curve_smooth_warp(w.sample_t, w.sample_v, options.n_knots))
+            for w in warps
+        ]
+    output_grid = _per_curve_output_grid(curves, options.output_grid)
+    bandwidths = [bandwidth_rule(c) for c in curves]
+    registered = []
+    for curve, warp, h in zip(curves, warps, bandwidths):
+        cfg = SmootherConfig(bandwidth=h, degree=0, deriv_order=0)
+        registered.append(
+            DiscreteCurve(output_grid, per_curve_nadaraya_watson(curve, cfg, warp(output_grid)))
+        )
+    meta = {
+        "bandwidths": [float(h) for h in bandwidths],
+        "smooth_warps": bool(options.smooth_warps),
+        "n_knots": int(options.n_knots),
+        "boundary_knots_appended": any(
+            float(s.cdf.jump_locations[-1]) < 1.0 for s in summaries
+        ),
+        "output_grid_size": int(output_grid.size),
+    }
+    return RegistrationResult(
+        warps=warps,
+        inverse_warps=inverse_warps,
+        template_cdf=template_cdf,
+        template_quantile=template_q,
+        registered=registered,
+        mean=cross_sectional_mean(registered),
+        regime=regime,
+        metadata=meta,
+    )
+
+
+def _per_curve_output_grid(curves, override):
+    if override is not None:
+        return closed_grid(override)
+    return closed_grid(np.concatenate([c.grid for c in curves]), OUTPUT_GRID_CAP)
+
+
+def per_curve_register_discrete(sample, options=None) -> RegistrationResult:
+    """register_discrete one curve at a time."""
+    options = options or RegisterOptions()
+    if options.bandwidth is not None:
+        rule = lambda c: float(options.bandwidth)
+    else:
+        rule = lambda c: min(1.1 * c.max_gap, 1.0)
+    return _per_curve_noiseless(sample, options, rule, "discrete")
+
+
+def per_curve_register_complete(sample, output_grid=None) -> RegistrationResult:
+    """register_complete one curve at a time."""
+    options = RegisterOptions(smooth_warps=False, output_grid=output_grid)
+    return _per_curve_noiseless(
+        sample, options, lambda c: min(0.505 * c.max_gap, 1.0), "complete"
+    )
+
+
+def per_curve_register_noisy(sample, opts=None) -> RegistrationResult:
+    """register_noisy with each curve's derivative CDF, warp and fit on its own."""
+    opts = opts or NoisyOptions()
+    curves = list(sample)
+    if not curves:
+        raise EmptySample("no curves to register")
+    for c in curves:
+        if c.grid.size < 10:
+            raise ValueError("noisy pipeline needs at least 10 points per curve")
+    deriv_grid = np.linspace(0.0, 1.0, opts.deriv_grid_size)
+    prepared = []
+    for i, curve in enumerate(curves):
+        if opts.auto:
+            h1, h2 = loocv_bandwidths(curve, (2, 1), default_loocv_candidates(curve))
+        else:
+            h1, h2 = float(opts.h1), float(opts.h2)
+        cfg1 = SmootherConfig(bandwidth=h1, degree=2, deriv_order=1)
+        deriv = np.abs(local_poly(curve, cfg1, deriv_grid))
+        cell = (deriv[:-1] + deriv[1:]) / 2.0 * np.diff(deriv_grid)
+        total = float(np.sum(cell))
+        if total <= 1e-12 * max(float(np.abs(curve.values).max()), 1.0):
+            raise ZeroVariation(
+                "estimated derivative integrates to (numerically) zero", curve_id=i
+            )
+        prepared.append((h1, h2, StepCdf.from_jumps(deriv_grid[1:], cell)))
+    template_cdf, template_q, warps, inverse_warps = per_curve_estimate_warps(
+        [p[2] for p in prepared], deriv_grid
+    )
+    output_grid = _per_curve_output_grid(curves, opts.output_grid)
+    registered = []
+    for curve, warp, (_, h2, _) in zip(curves, warps, prepared):
+        cfg2 = SmootherConfig(bandwidth=h2, degree=1, deriv_order=0)
+        registered.append(
+            DiscreteCurve(output_grid, local_poly(curve, cfg2, warp(output_grid)))
+        )
+    meta = {
+        "h1": [float(p[0]) for p in prepared],
+        "h2": [float(p[1]) for p in prepared],
+        "auto_bandwidth": bool(opts.auto),
+        "deriv_grid_size": int(opts.deriv_grid_size),
+        "boundary_knots_appended": False,
+        "output_grid_size": int(output_grid.size),
+    }
+    return RegistrationResult(
+        warps=warps,
+        inverse_warps=inverse_warps,
+        template_cdf=template_cdf,
+        template_quantile=template_q,
+        registered=registered,
+        mean=cross_sectional_mean(registered),
+        regime="noisy",
+        metadata=meta,
     )

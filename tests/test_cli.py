@@ -222,6 +222,21 @@ def test_simulate_breakdown_rank_flag(tmp_path):
     assert not (out / "truth_fphi.csv").exists()
 
 
+def test_simulate_meta_records_parsed_breakdown_settings(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "breakdown", "c": "0.5", "r_scale": 1, "seed": 3}))
+    out = tmp_path / "bd"
+    assert run("simulate", "--config", cfg, "--n", "3", "--r", "21", "--out", out) == 0
+    meta = json.loads((out / "truth_meta.json").read_text())
+    assert meta["c"] == 0.5 and isinstance(meta["c"], float)
+    assert meta["r_scale"] == 1.0 and isinstance(meta["r_scale"], float)
+    plain = tmp_path / "m1"
+    assert run("simulate", "--model", "model1", "--n", "3", "--r", "21",
+               "--seed", "3", "--out", plain) == 0
+    meta = json.loads((plain / "truth_meta.json").read_text())
+    assert meta["c"] is None and meta["r_scale"] is None
+
+
 def test_diagnose_without_truth(tmp_path):
     sim = tmp_path / "sim"
     out = tmp_path / "out"

@@ -3,13 +3,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from varireg.errors import EmptySample, NonMonotoneInput, ZeroVariation
+from varireg.errors import EmptySample, NonMonotoneInput, VariregError, ZeroVariation
 from varireg.fpca import cross_sectional_mean
 from varireg.registration import (
     NoisyOptions,
     RegisterOptions,
     WarpMap,
+    _extend_rows,
+    _interp_rows,
     boundary_extend,
     estimate_warps_discrete,
     register_complete,
@@ -25,7 +28,14 @@ from varireg.simulate import (
 from varireg.variation import DiscreteCurve, discrete_variation_cdf
 
 from conftest import random_step_cdf
-from oracles import SineWarp, pairwise_warp_oracle
+from oracles import (
+    SineWarp,
+    pairwise_warp_oracle,
+    per_curve_estimate_warps,
+    per_curve_register_complete,
+    per_curve_register_discrete,
+    per_curve_register_noisy,
+)
 
 
 SQRT3 = math.sqrt(3.0)
@@ -80,6 +90,19 @@ def test_boundary_rejects_decreasing():
 def test_warpmap_validation():
     with pytest.raises(ValueError):
         WarpMap(np.array([0.0, 0.5]), np.array([0.0, 0.5]))  # must end at 1
+
+
+def test_warp_samples_reject_nan():
+    t = np.array([0.0, 0.5, 1.0])
+    v = np.array([0.0, np.nan, 1.0])
+    with pytest.raises(NonMonotoneInput):
+        WarpMap(t, v)
+    with pytest.raises(NonMonotoneInput):
+        boundary_extend(t, v, 1.0)
+    with pytest.raises(NonMonotoneInput):
+        boundary_extend(t, v, 0.5)
+    with pytest.raises(NonMonotoneInput):
+        _extend_rows(t, np.stack([t, v]), np.array([1.0, 1.0]))
 
 
 # --- estimate_warps_discrete ------------------------------------------------------
@@ -219,6 +242,16 @@ def test_register_zero_variation_curve_id():
     with pytest.raises(ZeroVariation) as err:
         register_discrete(curves)
     assert err.value.curve_id == 1
+
+
+def test_register_overflowing_variation_names_the_curve():
+    grid = np.linspace(0.0, 1.0, 5)
+    curves = [
+        DiscreteCurve(grid, np.sin(grid) + grid),
+        DiscreteCurve(grid, [1e308, -1e308, 0.0, 1.0, 2.0]),
+    ]
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="curve 1 overflows"):
+        register_discrete(curves)
 
 
 def test_register_model1_beats_warped_mean():
@@ -373,3 +406,225 @@ def test_pairwise_matches_mean_quantile_warp(rng):
         for i in range(5):
             oracle = pairwise_warp_oracle(cdfs, i, grid)
             assert np.abs(oracle(grid) - warps[i](grid)).max() <= tol
+
+
+# --- batched pipelines against the per-curve oracle --------------------------------
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _assert_same_result(res, ref):
+    assert res.regime == ref.regime and res.metadata == ref.metadata
+    for got, want in ((res.warps, ref.warps), (res.inverse_warps, ref.inverse_warps)):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _same_bits(g.sample_t, w.sample_t)
+            _same_bits(g.sample_v, w.sample_v)
+    _same_bits(res.template_cdf.jump_locations, ref.template_cdf.jump_locations)
+    _same_bits(res.template_cdf.cum_values, ref.template_cdf.cum_values)
+    _same_bits(res.template_quantile.breakpoints, ref.template_quantile.breakpoints)
+    _same_bits(res.template_quantile.values, ref.template_quantile.values)
+    assert len(res.registered) == len(ref.registered)
+    for g, w in zip(res.registered + [res.mean], ref.registered + [ref.mean]):
+        _same_bits(g.grid, w.grid)
+        _same_bits(g.values, w.values)
+
+
+def _outcome(fn, *args):
+    """What ``fn`` returns, or the error it raises with the fields naming its cause."""
+    try:
+        return fn(*args)
+    except (VariregError, ValueError) as err:
+        fields = ("curve_id", "eval_point", "suggested_bandwidth")
+        return (type(err), str(err)) + tuple(getattr(err, f, None) for f in fields)
+
+
+def _assert_matches_oracle(fn, oracle, *args):
+    got, want = _outcome(fn, *args), _outcome(oracle, *args)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert not isinstance(got, tuple), got
+        _assert_same_result(got, want)
+
+
+@st.composite
+def noiseless_samples(draw, min_points=3):
+    """Curves on one shared grid or on their own, possibly short of [0,1].
+
+    Values are random walks, some on integers so that curves share levels;
+    some curves have flat stretches (jumps of size 0, dropped from the CDF),
+    flat tails (last jump before the grid ends: the warp is extended to 1),
+    or no variation at all; some curves repeat.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shared = draw(st.booleans())
+
+    def grid():
+        r = int(rng.integers(min_points, min_points + 25))
+        kind = draw(st.sampled_from(["uniform", "closed", "inner"]))
+        if kind == "uniform":
+            return np.linspace(0.0, 1.0, r)
+        inner = np.unique(np.round(rng.random(r), int(rng.integers(2, 17))))
+        if kind == "closed":
+            inner = np.unique(np.concatenate(([0.0, 1.0], inner)))
+        return inner if inner.size >= min_points else np.linspace(0.0, 1.0, min_points)
+
+    common = grid()
+    curves = []
+    for _ in range(draw(st.integers(1, 6))):
+        g = common if shared else grid()
+        if draw(st.booleans()):
+            v = np.cumsum(rng.integers(-3, 4, g.size)).astype(float)
+        else:
+            v = np.cumsum(rng.standard_normal(g.size))
+        shape = draw(st.sampled_from(["plain", "stretch", "tail", "both"] * 3 + ["constant"]))
+        if shape in ("stretch", "both"):
+            a = int(rng.integers(0, g.size - 1))
+            v[a:a + int(rng.integers(2, 6))] = v[a]
+        if shape in ("tail", "both"):
+            k = int(rng.integers(1, max(2, g.size // 2)))
+            v[g.size - k:] = v[g.size - k - 1]
+        if shape == "constant":
+            v[:] = 1.5
+        if np.abs(np.diff(v)).sum() == 0 and shape != "constant":
+            v[1] += 1.0
+        curves.append(DiscreteCurve(g, v))
+    for _ in range(draw(st.integers(0, 2))):
+        curves.append(curves[draw(st.integers(0, len(curves) - 1))])
+    return curves
+
+
+register_options = st.builds(
+    RegisterOptions,
+    bandwidth=st.sampled_from([None, None, 0.03, 0.2, 1.0]),
+    smooth_warps=st.booleans(),
+    n_knots=st.integers(2, 12),
+    output_grid=st.sampled_from([None, None, 3, 40]).map(
+        lambda k: None if k is None else np.linspace(0.0, 1.0, k)
+    ),
+)
+
+
+@given(noiseless_samples(), register_options)
+def test_register_discrete_matches_per_curve_oracle(curves, options):
+    _assert_matches_oracle(register_discrete, per_curve_register_discrete, curves, options)
+
+
+@given(noiseless_samples(), st.sampled_from([None, 7, 64]))
+def test_register_complete_matches_per_curve_oracle(curves, size):
+    grid = None if size is None else np.linspace(0.0, 1.0, size)
+    _assert_matches_oracle(register_complete, per_curve_register_complete, curves, grid)
+
+
+@given(
+    noiseless_samples(min_points=10),
+    st.sampled_from([0.2, 0.35, 0.5]),
+    st.sampled_from([0.05, 0.1, 0.3]),
+    st.sampled_from([16, 40]),
+    st.floats(0.0, 0.3),
+)
+def test_register_noisy_matches_per_curve_oracle(curves, h1, h2, deriv_size, noise):
+    rng = np.random.default_rng(len(curves))
+    curves = [
+        DiscreteCurve(c.grid, c.values + noise * rng.standard_normal(c.grid.size))
+        for c in curves
+    ]
+    opts = NoisyOptions(h1=h1, h2=h2, auto=False, deriv_grid_size=deriv_size)
+    _assert_matches_oracle(register_noisy, per_curve_register_noisy, curves, opts)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.sampled_from([None, 2, 33]))
+def test_estimate_warps_matches_per_curve_oracle(seed, n, grid_size):
+    rng = np.random.default_rng(seed)
+    cdfs = [random_step_cdf(rng) for _ in range(n)]
+    cdfs += cdfs[: int(rng.integers(0, n + 1))]
+    grid = None if grid_size is None else np.linspace(0.0, 1.0, grid_size)
+    got = estimate_warps_discrete(cdfs, grid)
+    want = per_curve_estimate_warps(cdfs, grid)
+    _same_bits(got[0].jump_locations, want[0].jump_locations)
+    _same_bits(got[0].cum_values, want[0].cum_values)
+    _same_bits(got[1].breakpoints, want[1].breakpoints)
+    _same_bits(got[1].values, want[1].values)
+    for g, w in zip(got[2] + got[3], want[2] + want[3]):
+        _same_bits(g.sample_t, w.sample_t)
+        _same_bits(g.sample_v, w.sample_v)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.booleans())
+def test_interp_rows_has_the_bits_of_np_interp(seed, n, shared):
+    rng = np.random.default_rng(seed)
+
+    def samples():
+        t = np.unique(rng.random(int(rng.integers(2, 12))) * rng.choice([1.0, 1e-3]))
+        return t if t.size >= 2 else np.array([0.0, 1.0])
+
+    ts = [samples()] * n if shared else [samples() for _ in range(n)]
+    vs = [np.sort(rng.random(t.size)) for t in ts]
+    width = max(t.size for t in ts)
+    t_rows = np.full((n, width), np.inf)
+    v_rows = np.empty((n, width))
+    for i, (t, v) in enumerate(zip(ts, vs)):
+        t_rows[i, :t.size], v_rows[i, :t.size], v_rows[i, t.size:] = t, v, v[-1]
+    # queries between, at and beyond every row's samples
+    x = np.sort(np.concatenate([rng.random(20), *ts, [-1.0, 2.0]]))
+    got = _interp_rows(x, t_rows[:1] if shared else t_rows, v_rows)
+    for i, (t, v) in enumerate(zip(ts, vs)):
+        assert got[i].tobytes() == np.interp(x, t, v).tobytes()
+
+
+def _walk(grid, seed):
+    return np.cumsum(np.random.default_rng(seed).standard_normal(grid.size))
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["single", "identical", "flat_tail", "own_grids", "zero", "empty_window", "wide_windows"],
+)
+def test_register_matches_per_curve_oracle_cases(case):
+    # wide_windows: a curve alone is fitted in several chunks of evaluation
+    # points, each padded to its own widest window
+    grid = np.linspace(0.0, 1.0, 1001 if case == "wide_windows" else 31)
+    own = np.unique(np.concatenate(([0.0, 1.0], np.random.default_rng(1).random(20))))
+    curves = [DiscreteCurve(grid, _walk(grid, s)) for s in range(4)]
+    options = RegisterOptions()
+    if case == "single":
+        curves = curves[:1]
+    elif case == "identical":
+        curves = [curves[0]] * 3
+    elif case == "flat_tail":
+        tail = _walk(grid, 9)
+        tail[25:] = tail[24]
+        curves[2] = DiscreteCurve(grid, tail)
+    elif case == "own_grids":
+        curves[1] = DiscreteCurve(own, _walk(own, 5))
+    elif case == "zero":
+        curves[1] = curves[3] = DiscreteCurve(grid, np.full(grid.size, 2.0))
+    elif case == "empty_window":
+        options = RegisterOptions(bandwidth=0.01)
+    elif case == "wide_windows":
+        curves = curves[:3]
+        options = RegisterOptions(bandwidth=0.3)
+    _assert_matches_oracle(register_discrete, per_curve_register_discrete, curves, options)
+    _assert_matches_oracle(register_complete, per_curve_register_complete, curves)
+
+
+def test_register_discrete_tall_matches_oracle_and_permutation():
+    bundle = make_truth_bundle(
+        LatentModelConfig("model1", grid_size=201), WarpLawConfig(), 1000, seed=11
+    )
+    res = register_discrete(bundle.observed)
+    _assert_same_result(res, per_curve_register_discrete(bundle.observed))
+    perm = np.random.default_rng(2).permutation(len(bundle.observed))
+    res_p = register_discrete([bundle.observed[i] for i in perm])
+    _same_bits(res_p.template_quantile.values, res.template_quantile.values)
+    _same_bits(res_p.template_cdf.cum_values, res.template_cdf.cum_values)
+    _same_bits(res_p.mean.values, res.mean.values)
+    for i, j in enumerate(perm):
+        _same_bits(res_p.warps[i].sample_v, res.warps[j].sample_v)
+        _same_bits(res_p.inverse_warps[i].sample_v, res.inverse_warps[j].sample_v)
+        _same_bits(res_p.registered[i].values, res.registered[j].values)
