@@ -25,10 +25,13 @@ from .errors import (
     SingularFit,
     ZeroVariation,
 )
-from .fpca import covariance_matrix, leading_eigenpairs, scores
+from .fpca import covariance_matrix, leading_eigenpairs, row_scores
 from .registration import (
     NoisyOptions,
     RegisterOptions,
+    _evaluate,
+    _interp_rows,
+    _stack,
     register_complete,
     register_discrete,
     register_noisy,
@@ -205,11 +208,12 @@ def cmd_register(args) -> int:
         return EXIT_PARSE
 
     grid = result.output_grid
+    at = np.clip(grid, 0.0, 1.0)
     dataio.write_warps_csv(
         out_dir / "warps.csv",
         ids,
-        [w(grid) for w in result.warps],
-        [w(grid) for w in result.inverse_warps],
+        _evaluate(result.warps, at),
+        _evaluate(result.inverse_warps, at),
         grid,
     )
     dataio.write_long_csv(out_dir / "registered.csv", ids, result.registered)
@@ -223,9 +227,9 @@ def cmd_register(args) -> int:
         dataio.write_eigen_csv(out_dir / "eigen.csv", eig.grid, eig.eigenfunctions)
         # score on the eigenfunctions' grid, which is thinned when grid is large
         keep = np.searchsorted(grid, eig.grid)
-        on_eig_grid = [DiscreteCurve(eig.grid, c.values[keep]) for c in result.registered]
+        on_eig_grid = np.stack([c.values for c in result.registered])[:, keep]
         score_mat = np.column_stack(
-            [scores(on_eig_grid, eig.eigenfunctions[j], eig.grid) for j in range(m)]
+            [row_scores(on_eig_grid, eig.eigenfunctions[j], eig.grid) for j in range(m)]
         )
         dataio.write_scores_csv(out_dir / "scores.csv", ids, score_mat)
         ratios = eig.explained_ratios
@@ -292,7 +296,7 @@ def cmd_simulate(args) -> int:
     dataio.write_warps_csv(
         out_dir / "truth_warps.csv",
         ids,
-        [bundle.warp_values(i, warp_grid) for i in range(n)],
+        bundle.warp_rows(slice(None), warp_grid),
         invert_warps(bundle.warps, warp_grid),
         warp_grid,
     )
@@ -378,15 +382,19 @@ def cmd_diagnose(args) -> int:
             print("error: truth and result curve ids differ", file=sys.stderr)
             return EXIT_PARSE
 
-        def warp_pairs():
+        def warp_block(rows):
             # estimated warps on the grid of warps.csv, truth warps interpolated onto it
-            for cid in ids:
-                t_est, w_est, _ = warp_samples[cid]
-                t_true, w_true, _ = truth_warps[cid]
-                yield w_est, np.interp(t_est, t_true, w_true)
+            t_est, w_est = _stack(*zip(*(warp_samples[cid][:2] for cid in ids[rows])))
+            t_true, w_true = _stack(*zip(*(truth_warps[cid][:2] for cid in ids[rows])))
+            # a row padded past its own grid repeats its last point and value
+            last = np.where(t_est < np.inf, t_est, -np.inf).max(axis=1, keepdims=True)
+            x = np.minimum(t_est, last)
+            return w_est, _interp_rows(x if x.shape[0] > 1 else x[0], t_true, w_true)
 
-        latent = [DiscreteCurve(grid, np.interp(grid, c.grid, c.values)) for c in truth_latent]
-        warp_errs, rel_errs, mean_sup = truth_errors(warp_pairs(), registered, latent, mean)
+        width = max(warp_samples[cid][0].size for cid in ids)
+        latent = _interp_rows(grid, *_stack([c.grid for c in truth_latent], [c.values for c in truth_latent]))
+        values = np.stack([c.values for c in registered])
+        warp_errs, rel_errs, mean_sup = truth_errors(warp_block, width, values, latent, mean)
         report["warp_sup_errors"] = _json_float_list(warp_errs)
         report["curve_rel_L2_errors"] = _json_float_list(rel_errs)
         report["median_curve_rel_L2_error"] = float(np.median(rel_errs))

@@ -15,13 +15,14 @@ import numpy as np
 from .errors import GridMismatch, ZeroVariation
 from .fpca import (
     covariance_matrix,
-    cross_sectional_mean,
     leading_eigenpairs,
-    scores,
+    row_scores,
+    sorted_row_mean,
     trapezoid_weights,
 )
-from .registration import RegistrationResult
+from .registration import RegistrationResult, _evaluate, _interp_rows
 from .simulate import (
+    _BLOCK_CELLS,
     LatentModelConfig,
     TruthBundle,
     WarpLawConfig,
@@ -29,7 +30,6 @@ from .simulate import (
     true_variation_cdf,
 )
 from .variation import (
-    DiscreteCurve,
     discrete_variation_cdf,
     generalized_inverse,
     mean_quantile,
@@ -52,14 +52,6 @@ class RegistrationReport:
     flags: dict = None
 
 
-def _gradient(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    return np.gradient(values, grid)
-
-
-def _trapz(values: np.ndarray, grid: np.ndarray) -> float:
-    return float(np.sum(trapezoid_weights(grid) * values))
-
-
 def z_statistic(curves, mean_mode: str = "auto", info: dict = None) -> np.ndarray:
     """Per-curve departure from the rank-1 registerable regime, in [0,2].
 
@@ -67,65 +59,58 @@ def z_statistic(curves, mean_mode: str = "auto", info: dict = None) -> np.ndarra
     (numerically) flat mean, or when forced, the two leading empirical
     components stand in for the population decomposition:
     Z_i = 2*eta*int|Y_i2 phi2'| / int|Y_i1 phi1' + eta Y_i2 phi2'| with
-    eta the square root of the eigenvalue ratio.
+    eta the square root of the eigenvalue ratio.  Every curve is one row of
+    a (curves x points) array; each integral is a sum along its row, so a
+    curve gets the same bits in any sample order.
     """
     if mean_mode not in ("auto", "force_zero_deriv"):
         raise ValueError("mean_mode must be 'auto' or 'force_zero_deriv'")
     curves = list(curves)
     grid = curves[0].grid
     for c in curves[1:]:
-        if not np.array_equal(c.grid, grid):
+        if c.grid is not grid and not np.array_equal(c.grid, grid):
             raise GridMismatch("z_statistic needs a common grid")
+    x = np.stack([c.values for c in curves])
+    w = trapezoid_weights(grid)
 
-    derivs = [_gradient(c.values, grid) for c in curves]
-    denoms = np.array([_trapz(np.abs(d), grid) for d in derivs])
-    scale = float(denoms.max()) if denoms.size else 0.0
+    def integral(rows):
+        return np.sum(w * rows, axis=-1)
+
+    derivs = np.gradient(x, grid, axis=1)
+    denoms = integral(np.abs(derivs))
+    scale = float(denoms.max())
     if scale <= 0.0:
         raise ZeroVariation("all curves are (numerically) constant")
-    for i, d in enumerate(denoms):
-        if d <= 1e-12 * scale:
-            raise ZeroVariation(curve_id=i)
+    flat = denoms <= 1e-12 * scale
+    if flat.any():
+        raise ZeroVariation(curve_id=int(np.argmax(flat)))
 
-    mu = cross_sectional_mean(curves) if len(curves) >= 2 else curves[0]
-    mu_deriv = _gradient(mu.values, grid)
-    mu_mass = _trapz(np.abs(mu_deriv), grid)
-    use_zero_mean = mean_mode == "force_zero_deriv" or mu_mass < 1e-8 * scale
+    mu = sorted_row_mean(grid, x).values if len(curves) >= 2 else x[0]
+    mu_deriv = np.gradient(mu, grid)
+    use_zero_mean = mean_mode == "force_zero_deriv" or integral(np.abs(mu_deriv)) < 1e-8 * scale
 
     if not use_zero_mean:
-        raw = np.array(
-            [2.0 * _trapz(np.abs(d - mu_deriv), grid) / dn for d, dn in zip(derivs, denoms)]
-        )
+        raw = 2.0 * integral(np.abs(derivs - mu_deriv)) / denoms
         branch = "mean_deriv"
     else:
-        kernel = covariance_matrix(curves)
-        eig = leading_eigenpairs(kernel, grid, 2)
+        eig = leading_eigenpairs(covariance_matrix(curves), grid, 2)
         gamma = np.sqrt(eig.eigenvalues)
         if gamma[0] <= 0.0:
             raw = np.zeros(len(curves))
             branch = "zero_mean_degenerate"
         else:
-            centered = [DiscreteCurve(grid, c.values - mu.values) for c in curves]
-            s1 = scores(centered, eig.eigenfunctions[0], grid)
-            s2 = (
-                scores(centered, eig.eigenfunctions[1], grid)
-                if eig.eigenvalues.size > 1
-                else np.zeros(len(curves))
-            )
+            two = eig.eigenvalues.size > 1
+            centered = x - mu
+            s1 = row_scores(centered, eig.eigenfunctions[0], grid)
+            s2 = row_scores(centered, eig.eigenfunctions[1], grid) if two else np.zeros(len(curves))
             eta = float(gamma[1] / gamma[0]) if gamma.size > 1 and gamma[1] > 0 else 0.0
             y1 = s1 / gamma[0]
             y2 = s2 / gamma[1] if eta > 0 else np.zeros_like(s2)
-            d1 = _gradient(eig.eigenfunctions[0], grid)
-            d2 = (
-                _gradient(eig.eigenfunctions[1], grid)
-                if eig.eigenvalues.size > 1
-                else np.zeros_like(grid)
-            )
-            mass2 = _trapz(np.abs(d2), grid)
-            raw = np.empty(len(curves))
-            for i in range(len(curves)):
-                num = 2.0 * eta * abs(y2[i]) * mass2
-                den = _trapz(np.abs(y1[i] * d1 + eta * y2[i] * d2), grid)
-                raw[i] = 0.0 if num == 0.0 else num / max(den, 1e-300)
+            d1 = np.gradient(eig.eigenfunctions[0], grid)
+            d2 = np.gradient(eig.eigenfunctions[1], grid) if two else np.zeros_like(grid)
+            num = 2.0 * eta * np.abs(y2) * integral(np.abs(d2))
+            den = integral(np.abs(y1[:, None] * d1 + eta * y2[:, None] * d2))
+            raw = np.where(num == 0.0, 0.0, num / np.maximum(den, 1e-300))
             branch = "zero_mean"
 
     clamped = raw > 2.0 + Z_CLAMP_TOL
@@ -137,25 +122,32 @@ def z_statistic(curves, mean_mode: str = "auto", info: dict = None) -> np.ndarra
     return values
 
 
-def truth_errors(warp_pairs, registered, latent, mean) -> tuple:
+def truth_errors(warp_block, width, registered, latent, mean) -> tuple:
     """Errors of a registration against its ground truth.
 
-    ``warp_pairs`` yields (estimated, true) warp samples one curve at a
-    time, on a grid the caller chooses, so no (curves x warp grid) array is
-    built.  ``registered`` and ``latent`` are curves on the grid of the
-    estimated ``mean``.  Returns the per-curve warp sup errors, the
-    per-curve relative L2 errors under trapezoid weights, and the sup error
-    of ``mean`` against the sorted-sum mean of ``latent``.
+    ``warp_block(rows)`` returns the (estimated, true) warp samples of the
+    curves in the slice ``rows``, one row per curve, at most ``width``
+    points each, on points the caller chooses.  It is called for
+    consecutive blocks of about _BLOCK_CELLS samples, so no (curves x warp
+    grid) array exists at once.  ``registered`` and ``latent`` hold one row
+    of values per curve on the grid of the estimated ``mean``.  Returns the
+    per-curve warp sup errors, the per-curve relative L2 errors under
+    trapezoid weights, and the sup error of ``mean`` against the
+    sorted-sum mean of ``latent``.
     """
-    warp_errs = np.array([float(np.abs(est - true).max()) for est, true in warp_pairs])
+    n = latent.shape[0]
+    step = max(1, _BLOCK_CELLS // max(width, 1))
+    warp_errs = np.concatenate([
+        np.abs(np.subtract(*warp_block(slice(start, start + step)))).max(axis=1)
+        for start in range(0, n, step)
+    ])
+    # rows summed along a contiguous axis have the bits of each curve alone
+    registered, latent = np.ascontiguousarray(registered), np.ascontiguousarray(latent)
     w = trapezoid_weights(mean.grid)
-    rel_errs = np.empty(len(latent))
-    for i, (x_hat, x_true) in enumerate(zip(registered, latent)):
-        denom = math.sqrt(float(np.sum(w * x_true.values * x_true.values)))
-        num = math.sqrt(float(np.sum(w * (x_hat.values - x_true.values) ** 2)))
-        rel_errs[i] = num / max(denom, 1e-300)
-    true_mean = cross_sectional_mean(latent)
-    return warp_errs, rel_errs, float(np.abs(mean.values - true_mean.values).max())
+    denom = np.sqrt(np.sum(w * latent * latent, axis=1))
+    num = np.sqrt(np.sum(w * (registered - latent) ** 2, axis=1))
+    true_mean = sorted_row_mean(mean.grid, latent)
+    return warp_errs, num / np.maximum(denom, 1e-300), float(np.abs(mean.values - true_mean.values).max())
 
 
 def evaluate_against_truth(result: RegistrationResult, truth: TruthBundle) -> RegistrationReport:
@@ -163,22 +155,12 @@ def evaluate_against_truth(result: RegistrationResult, truth: TruthBundle) -> Re
 
     Truth curves are resampled to the result's output grid by linear
     interpolation; warp errors are taken in sup norm over a dense grid
-    against the exact truth warps.
+    against the exact truth warps.  The eigenproblem is solved before any
+    truth array exists, which keeps the peak memory of a wide sample down.
     """
     if result.n != truth.n:
         raise GridMismatch("result and truth have different sample sizes")
     out_grid = result.output_grid
-    dense = np.unique(np.concatenate((np.linspace(0.0, 1.0, 2049), out_grid)))
-    warp_pairs = ((w(dense), truth.warp_values(i, dense)) for i, w in enumerate(result.warps))
-    latent = [
-        DiscreteCurve(out_grid, np.interp(out_grid, truth.grid, c.values)) for c in truth.latent
-    ]
-    warp_errs, rel_errs, mean_sup = truth_errors(warp_pairs, result.registered, latent, result.mean)
-
-    dw2 = None
-    if truth.f_phi is not None:
-        dw2 = wasserstein2(result.template_cdf, truth.f_phi) ** 2
-
     m = min(3, result.n) if result.n >= 2 else 1
     ratios = None
     if result.n >= 2:
@@ -191,6 +173,20 @@ def evaluate_against_truth(result: RegistrationResult, truth: TruthBundle) -> Re
     except ZeroVariation:
         z = None
     flags = {"z_branch": info.get("branch"), "z_clamped_any": bool(np.any(info.get("clamped", False)))}
+
+    dw2 = None
+    if truth.f_phi is not None:
+        dw2 = wasserstein2(result.template_cdf, truth.f_phi) ** 2
+
+    dense = np.unique(np.concatenate((np.linspace(0.0, 1.0, 2049), out_grid)))
+    at = np.clip(dense, 0.0, 1.0)
+
+    def warp_block(rows):
+        return _evaluate(result.warps[rows], at), truth.warp_rows(rows, dense)
+
+    latent = _interp_rows(out_grid, truth.grid[None], np.stack([c.values for c in truth.latent]))
+    registered = np.stack([c.values for c in result.registered])
+    warp_errs, rel_errs, mean_sup = truth_errors(warp_block, dense.size, registered, latent, result.mean)
 
     return RegistrationReport(
         explained_ratios=ratios,

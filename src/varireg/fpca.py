@@ -31,7 +31,7 @@ def _common_grid(curves) -> np.ndarray:
         raise EmptySample("no curves given")
     grid = curves[0].grid
     for c in curves[1:]:
-        if c.grid.size != grid.size or not np.array_equal(c.grid, grid):
+        if c.grid is not grid and not np.array_equal(c.grid, grid):
             raise GridMismatch("curves are not on a common grid")
     return grid
 
@@ -140,9 +140,18 @@ def leading_eigenpairs(kernel: np.ndarray, grid, m: int) -> EigenDecomposition:
 
 def scores(curves, eigenfunction: np.ndarray, grid) -> np.ndarray:
     """Trapezoid inner products of each curve with one eigenfunction."""
+    curves = list(curves)
     grid = np.asarray(grid, dtype=float)
     common = _common_grid(curves)
     if common.size != grid.size or not np.array_equal(common, grid):
         raise GridMismatch("curves and eigenfunction grids differ")
-    w = trapezoid_weights(grid)
-    return np.array([float(np.sum(w * c.values * eigenfunction)) for c in curves])
+    return row_scores(np.stack([c.values for c in curves]), eigenfunction, grid)
+
+
+def row_scores(rows, eigenfunction: np.ndarray, grid) -> np.ndarray:
+    """scores of the curves whose values are the rows of ``rows``.
+
+    Each row is summed as (w * x) * phi along its own contiguous axis, so
+    it has the bits of that curve scored alone.
+    """
+    return np.sum(trapezoid_weights(grid) * np.ascontiguousarray(rows) * eigenfunction, axis=1)

@@ -33,6 +33,7 @@ from .smoothing import (
     loocv_bandwidths,
     monotone_through_knots,
     nadaraya_watson_rows,
+    suggested_min_bandwidths,
 )
 from .variation import (
     ZERO_VARIATION_RTOL,
@@ -114,7 +115,7 @@ class RegistrationResult:
 class RegisterOptions:
     """Options for the noiseless pipelines."""
 
-    bandwidth: float = None       # None: 1.1 x per-curve max grid gap
+    bandwidth: float = None       # None: 1.1 x per-curve max grid gap, widened if short
     smooth_warps: bool = False
     n_knots: int = 11
     output_grid: np.ndarray = None
@@ -301,18 +302,28 @@ def _interp_rows(x, t, v) -> np.ndarray:
     """np.interp(x, t[i], v[i]) for every row i, with its bits.
 
     ``t`` has one row shared by all or one per row, padded with +inf; x is
-    sorted and every row's samples are finite.
+    sorted, one row shared by all or one per row, and every row's samples
+    are finite.  Each row's slopes are taken per interval, as np.interp
+    takes them; with one shared row of steps the gathers are plain column
+    takes.
     """
-    rows = np.arange(v.shape[0])[:, None]
     size = np.count_nonzero(t < np.inf, axis=1)[:, None]
-    j = searchsorted_rows(t, x, "right") - 1  # the step t[j] <= x < t[j + 1]
+    j = np.atleast_2d(searchsorted_rows(t, x, "right") - 1)  # the step t[j] <= x < t[j + 1]
     lo = np.clip(j, 0, size - 2)
-    t_rows = rows if t.shape[0] > 1 else 0
-    t0, v0 = t[t_rows, lo], v[rows, lo]
-    slope = (v[rows, lo + 1] - v0) / (t[t_rows, lo + 1] - t0)
-    out = np.where(x == t0, v0, slope * (x - t0) + v0)
-    out = np.where(j < 0, v[:, :1], out)
-    return np.where(j >= size - 1, v[rows, size - 1], out)
+
+    def gather(a):
+        return np.take(a, lo[0], axis=1) if lo.shape[0] == 1 else np.take_along_axis(a, lo, axis=1)
+
+    with np.errstate(invalid="ignore"):  # intervals in the +inf padding are never gathered
+        slopes = np.diff(v, axis=1) / np.diff(t, axis=1)
+    t0, v0 = np.take_along_axis(t, lo, axis=1), gather(v)
+    out = gather(slopes)
+    out *= x - t0
+    out += v0
+    np.copyto(out, v0, where=x == t0)
+    np.copyto(out, v[:, :1], where=j < 0)
+    np.copyto(out, np.take_along_axis(v, size - 1, axis=1), where=j >= size - 1)
+    return out
 
 
 def _smooth(warps, n_knots) -> list:
@@ -361,10 +372,9 @@ def _register_noiseless(curves, options, bandwidth_rule, regime):
         gaps = np.full(len(curves), curves[0].max_gap)
     else:
         gaps = np.array([c.max_gap for c in curves])
-    bandwidths = bandwidth_rule(gaps)
-    fits = nadaraya_watson_rows(
-        grids, values, bandwidths, _evaluate(warps, np.clip(output_grid, 0.0, 1.0))
-    )
+    eval_points = _evaluate(warps, np.clip(output_grid, 0.0, 1.0))
+    bandwidths = bandwidth_rule(gaps, grids, eval_points)
+    fits = nadaraya_watson_rows(grids, values, bandwidths, eval_points)
     meta = {
         "bandwidths": [float(h) for h in bandwidths],
         "smooth_warps": bool(options.smooth_warps),
@@ -394,10 +404,27 @@ def register_discrete(sample, options: RegisterOptions = None) -> RegistrationRe
     """Register noiseless, discretely observed curves (per-curve grids allowed)."""
     options = options or RegisterOptions()
     if options.bandwidth is not None:
-        rule = lambda gaps: np.full(gaps.size, float(options.bandwidth))
+        rule = lambda gaps, grids, e: np.full(gaps.size, float(options.bandwidth))
     else:
-        rule = lambda gaps: np.minimum(1.1 * gaps, 1.0)
+        rule = _default_bandwidths
     return _register_noiseless(sample, options, rule, "discrete")
+
+
+def _default_bandwidths(gaps, grids, eval_points):
+    """1.1 x each curve's largest grid gap, widened where that leaves a window empty.
+
+    Between its first and last grid point a curve's windows always hold a
+    point at 1.1 gaps.  A curve evaluated past either end (its grid stops
+    short of the others') gets at least suggested_min_bandwidth instead.
+    """
+    h = np.minimum(1.1 * gaps, 1.0)
+    last = np.where(grids < np.inf, grids, -np.inf).max(axis=1)
+    out = (eval_points.min(axis=1) < grids[:, 0]) | (eval_points.max(axis=1) > last)
+    if out.any():
+        own = grids[out] if grids.shape[0] > 1 else grids
+        widest = np.maximum(1.1 * gaps[out], suggested_min_bandwidths(own, eval_points[out]))
+        h[out] = np.minimum(widest, 1.0)
+    return h
 
 
 def register_complete(sample, output_grid=None, threads: int = 1) -> RegistrationResult:
@@ -411,7 +438,7 @@ def register_complete(sample, output_grid=None, threads: int = 1) -> Registratio
     options = RegisterOptions(
         smooth_warps=False, output_grid=output_grid, threads=threads
     )
-    rule = lambda gaps: np.minimum(0.505 * gaps, 1.0)
+    rule = lambda gaps, grids, e: np.minimum(0.505 * gaps, 1.0)
     return _register_noiseless(sample, options, rule, "complete")
 
 

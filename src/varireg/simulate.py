@@ -119,39 +119,62 @@ def invert_warps(warps, t) -> np.ndarray:
     """Inverses of ``warps`` at the points ``t``, as a (len(warps), t.size) array.
 
     One bracketed bisection runs over every (warp, point) cell at once, in
-    row blocks of about ``_BLOCK_CELLS`` cells.  SineMixtureWarp rows share
-    one stacked forward map; other warps are evaluated row by row.  Each
+    row blocks of about ``_BLOCK_CELLS`` cells (``_forward_blocks``).  Each
     row gets the bits that bisecting its warp alone would give, and
     IdentityWarp rows are ``t`` exactly.
     """
     t = np.asarray(t, dtype=float).ravel()
     out = np.empty((len(warps), t.size))
     out[:] = t
-    sine = [i for i, w in enumerate(warps) if isinstance(w, SineMixtureWarp)]
-    other = [i for i, w in enumerate(warps) if not isinstance(w, (SineMixtureWarp, IdentityWarp))]
-    step = max(1, _BLOCK_CELLS // max(t.size, 1))
-    for rows, forward_map in ((sine, _stacked_sine_mixtures), (other, _row_by_row)):
-        for start in range(0, len(rows), step):
-            block = rows[start:start + step]
-            forward = forward_map([warps[i] for i in block])
-            lo = np.zeros((len(block), t.size))
-            hi = np.ones_like(lo)
-            for _ in range(_BISECT_ITERS):
-                mid = (lo + hi) / 2.0
-                above = forward(mid) >= t
-                hi = np.where(above, mid, hi)
-                lo = np.where(above, lo, mid)
-            out[block] = (lo + hi) / 2.0
+    for block, forward in _forward_blocks(warps, t.size):
+        lo = np.zeros((len(block), t.size))
+        hi = np.ones_like(lo)
+        for _ in range(_BISECT_ITERS):
+            mid = (lo + hi) / 2.0
+            above = forward(mid) >= t
+            hi = np.where(above, mid, hi)
+            lo = np.where(above, lo, mid)
+        out[block] = (lo + hi) / 2.0
     return out
 
 
+def evaluate_warps(warps, t) -> np.ndarray:
+    """``warps`` at the points ``t``, as a (len(warps), t.size) array.
+
+    Runs in the row blocks of ``invert_warps``.  Each row has the bits of
+    its warp called alone, and IdentityWarp rows are ``t`` exactly.
+    """
+    t = np.asarray(t, dtype=float).ravel()
+    out = np.empty((len(warps), t.size))
+    out[:] = t
+    for block, forward in _forward_blocks(warps, t.size):
+        out[block] = forward(t)
+    return out
+
+
+def _forward_blocks(warps, m):
+    """(rows, forward map) for blocks of at most about _BLOCK_CELLS cells of m points.
+
+    SineMixtureWarp rows share one stacked forward map; other warps are
+    evaluated row by row.  IdentityWarp rows are left out.
+    """
+    sine = [i for i, w in enumerate(warps) if isinstance(w, SineMixtureWarp)]
+    other = [i for i, w in enumerate(warps) if not isinstance(w, (SineMixtureWarp, IdentityWarp))]
+    step = max(1, _BLOCK_CELLS // max(m, 1))
+    for rows, forward_map in ((sine, _stacked_sine_mixtures), (other, _row_by_row)):
+        for start in range(0, len(rows), step):
+            block = rows[start:start + step]
+            yield block, forward_map([warps[i] for i in block])
+
+
 def _stacked_sine_mixtures(warps):
-    """Forward map of SineMixtureWarp rows on a (rows, m) array.
+    """Forward map of SineMixtureWarp rows on a (rows, m) array, or on m points shared by all.
 
     Frequencies and weights are stacked into (rows, J) arrays, padded with
     k = 0 and w = 0.  Each term is w*sin((pi*k)*t)/((|k|*pi)*beta), as in
     ``SineMixtureWarp.__call__``, subtracted in component order; with the
     denominator's |k| raised to 1, a zero frequency subtracts an exact 0.0.
+    On shared points each distinct frequency's sine is taken once.
     """
     J = max(w.ks.size for w in warps)
     ks = np.zeros((len(warps), J))
@@ -164,11 +187,19 @@ def _stacked_sine_mixtures(warps):
     denom = np.maximum(np.abs(ks), 1.0) * np.pi * beta
 
     def forward(t):
-        out = t.copy()
-        term = np.empty_like(t)
+        out = np.empty((len(warps), t.shape[-1]))
+        out[:] = t
+        term = np.empty_like(out)
+        if t.ndim == 1:
+            distinct, at = np.unique(freq.ravel(), return_inverse=True)
+            sines = np.sin(distinct[:, None] * t)
+            at = at.reshape(freq.shape)
         for j in range(J):
-            np.multiply(freq[:, j : j + 1], t, out=term)
-            np.sin(term, out=term)
+            if t.ndim == 1:
+                np.take(sines, at[:, j], axis=0, out=term)
+            else:
+                np.multiply(freq[:, j : j + 1], t, out=term)
+                np.sin(term, out=term)
             np.multiply(weights[:, j : j + 1], term, out=term)
             np.divide(term, denom[:, j : j + 1], out=term)
             out -= term
@@ -178,12 +209,12 @@ def _stacked_sine_mixtures(warps):
 
 
 def _row_by_row(warps):
-    """Forward map that calls each warp on its own row."""
+    """Forward map that calls each warp on its own row of points, or on shared points."""
 
     def forward(t):
-        out = np.empty_like(t)
+        out = np.empty((len(warps), t.shape[-1]))
         for row, w in enumerate(warps):
-            out[row] = w(t[row])
+            out[row] = w(t if t.ndim == 1 else t[row])
         return out
 
     return forward
@@ -407,7 +438,13 @@ class TruthBundle:
         return len(self.observed)
 
     def warp_values(self, i: int, t) -> np.ndarray:
-        return np.asarray(self.warps[i](t))
+        """Warp i at the points ``t``, shaped like ``t``."""
+        t = np.asarray(t, dtype=float)
+        return self.warp_rows(slice(i, i + 1), t)[0].reshape(t.shape)
+
+    def warp_rows(self, rows: slice, t) -> np.ndarray:
+        """The warps ``rows`` at the points ``t``, one row per warp (``evaluate_warps``)."""
+        return evaluate_warps(self.warps[rows], t)
 
 
 def make_truth_bundle(

@@ -64,11 +64,22 @@ class SmootherConfig:
 
 def suggested_min_bandwidth(grid: np.ndarray, eval_points: np.ndarray) -> float:
     """Smallest bandwidth for which every evaluation window is nonempty."""
-    idx = np.searchsorted(grid, eval_points)
-    left = np.abs(eval_points - grid[np.clip(idx - 1, 0, grid.size - 1)])
-    right = np.abs(grid[np.clip(idx, 0, grid.size - 1)] - eval_points)
-    nearest = np.minimum(left, right)
-    return float(nearest.max()) * (1.0 + 1e-9)
+    eval_points = np.asarray(eval_points, dtype=float)
+    return float(suggested_min_bandwidths(grid[None], eval_points.reshape(1, -1))[0])
+
+
+def suggested_min_bandwidths(grids, eval_points) -> np.ndarray:
+    """suggested_min_bandwidth of every curve, one row of ``eval_points`` each.
+
+    ``grids`` holds one sorted grid shared by every curve, or one per curve,
+    padded past its last point with +inf.
+    """
+    size = np.count_nonzero(grids < np.inf, axis=1)[:, None]
+    rows = np.arange(eval_points.shape[0])[:, None] if grids.shape[0] > 1 else 0
+    idx = searchsorted_rows(grids, eval_points)
+    left = np.abs(eval_points - grids[rows, np.clip(idx - 1, 0, size - 1)])
+    right = np.abs(grids[rows, np.clip(idx, 0, size - 1)] - eval_points)
+    return np.minimum(left, right).max(axis=1) * (1.0 + 1e-9)
 
 
 def _windowed_fits(grid, values, bandwidths, eval_points, degrees, deriv_order=0,
@@ -293,9 +304,18 @@ def loocv_bandwidth(curve: DiscreteCurve, degree: int, candidates) -> float:
 
 
 def default_loocv_candidates(curve: DiscreteCurve, count: int = 12) -> np.ndarray:
-    """Log-spaced candidates from twice the largest grid gap up to 0.25."""
-    lo = 2.0 * curve.max_gap
-    hi = 0.25
+    """Log-spaced candidates from 2.5 largest grid gaps up to about 0.25.
+
+    Both ends are an odd number of half gaps: the top is 0.25 rounded down
+    to whole gaps, plus half a gap.  A candidate of a whole number of gaps
+    would put a leave-one-out neighbour on a uniform grid at |u| = 1 to
+    within an ulp, where its kernel weight is rounding noise; boundary fits
+    of degree 1 and 2 are then near singular, and the noise can pick the
+    bandwidth.
+    """
+    gap = curve.max_gap
+    lo = 2.5 * gap
+    hi = (np.floor(0.25 / gap) + 0.5) * gap
     if lo >= hi:
         return np.array([min(lo, 1.0)])
     return np.exp(np.linspace(np.log(lo), np.log(hi), count))

@@ -18,6 +18,10 @@
   quantile, warp, boundary extension, smoothed warp and kernel fit built
   on its own, one curve at a time.  The library runs each stage once over
   (curves x points) arrays.
+* The per-curve diagnostics: the z-statistic, FPCA scores and errors
+  against the truth, each curve's derivative, integrals, warps and truth
+  warps taken on their own.  The library sums along the rows of one
+  (curves x points) array.
 """
 
 from __future__ import annotations
@@ -28,15 +32,22 @@ import numpy as np
 
 from scipy.interpolate import PchipInterpolator
 
+from varireg.diagnostics import Z_CLAMP_TOL, RegistrationReport
 from varireg.errors import (
     AllCandidatesSingular,
     EmptySample,
     EmptyWindow,
+    GridMismatch,
     NonMonotoneInput,
     SingularFit,
     ZeroVariation,
 )
-from varireg.fpca import cross_sectional_mean
+from varireg.fpca import (
+    covariance_matrix,
+    cross_sectional_mean,
+    leading_eigenpairs,
+    trapezoid_weights,
+)
 from varireg.registration import (
     OUTPUT_GRID_CAP,
     WARP_GRID_CAP,
@@ -73,6 +84,7 @@ from varireg.variation import (
     generalized_inverse,
     mean_quantile,
     quantile_to_cdf,
+    wasserstein2,
 )
 
 
@@ -405,13 +417,12 @@ def _per_curve_noiseless(curves, options, bandwidth_rule, regime):
             for w in warps
         ]
     output_grid = _per_curve_output_grid(curves, options.output_grid)
-    bandwidths = [bandwidth_rule(c) for c in curves]
+    eval_points = [warp(output_grid) for warp in warps]
+    bandwidths = [bandwidth_rule(c, e) for c, e in zip(curves, eval_points)]
     registered = []
-    for curve, warp, h in zip(curves, warps, bandwidths):
+    for curve, e, h in zip(curves, eval_points, bandwidths):
         cfg = SmootherConfig(bandwidth=h, degree=0, deriv_order=0)
-        registered.append(
-            DiscreteCurve(output_grid, per_curve_nadaraya_watson(curve, cfg, warp(output_grid)))
-        )
+        registered.append(DiscreteCurve(output_grid, per_curve_nadaraya_watson(curve, cfg, e)))
     meta = {
         "bandwidths": [float(h) for h in bandwidths],
         "smooth_warps": bool(options.smooth_warps),
@@ -443,9 +454,9 @@ def per_curve_register_discrete(sample, options=None) -> RegistrationResult:
     """register_discrete one curve at a time."""
     options = options or RegisterOptions()
     if options.bandwidth is not None:
-        rule = lambda c: float(options.bandwidth)
+        rule = lambda c, e: float(options.bandwidth)
     else:
-        rule = lambda c: min(1.1 * c.max_gap, 1.0)
+        rule = lambda c, e: min(max(1.1 * c.max_gap, suggested_min_bandwidth(c.grid, e)), 1.0)
     return _per_curve_noiseless(sample, options, rule, "discrete")
 
 
@@ -453,7 +464,7 @@ def per_curve_register_complete(sample, output_grid=None) -> RegistrationResult:
     """register_complete one curve at a time."""
     options = RegisterOptions(smooth_warps=False, output_grid=output_grid)
     return _per_curve_noiseless(
-        sample, options, lambda c: min(0.505 * c.max_gap, 1.0), "complete"
+        sample, options, lambda c, e: min(0.505 * c.max_gap, 1.0), "complete"
     )
 
 
@@ -509,4 +520,141 @@ def per_curve_register_noisy(sample, opts=None) -> RegistrationResult:
         mean=cross_sectional_mean(registered),
         regime="noisy",
         metadata=meta,
+    )
+
+
+# --- per-curve diagnostics ----------------------------------------------------
+
+
+def _trapz(values, grid) -> float:
+    return float(np.sum(trapezoid_weights(grid) * values))
+
+
+def per_curve_scores(curves, eigenfunction, grid) -> np.ndarray:
+    """scores one curve at a time."""
+    grid = np.asarray(grid, dtype=float)
+    w = trapezoid_weights(grid)
+    return np.array([float(np.sum(w * c.values * eigenfunction)) for c in curves])
+
+
+def per_curve_z_statistic(curves, mean_mode="auto", info=None) -> np.ndarray:
+    """z_statistic with each curve's derivative and integrals taken on their own."""
+    if mean_mode not in ("auto", "force_zero_deriv"):
+        raise ValueError("mean_mode must be 'auto' or 'force_zero_deriv'")
+    curves = list(curves)
+    grid = curves[0].grid
+    for c in curves[1:]:
+        if not np.array_equal(c.grid, grid):
+            raise GridMismatch("z_statistic needs a common grid")
+
+    derivs = [np.gradient(c.values, grid) for c in curves]
+    denoms = np.array([_trapz(np.abs(d), grid) for d in derivs])
+    scale = float(denoms.max()) if denoms.size else 0.0
+    if scale <= 0.0:
+        raise ZeroVariation("all curves are (numerically) constant")
+    for i, d in enumerate(denoms):
+        if d <= 1e-12 * scale:
+            raise ZeroVariation(curve_id=i)
+
+    mu = cross_sectional_mean(curves) if len(curves) >= 2 else curves[0]
+    mu_deriv = np.gradient(mu.values, grid)
+    mu_mass = _trapz(np.abs(mu_deriv), grid)
+    use_zero_mean = mean_mode == "force_zero_deriv" or mu_mass < 1e-8 * scale
+
+    if not use_zero_mean:
+        raw = np.array(
+            [2.0 * _trapz(np.abs(d - mu_deriv), grid) / dn for d, dn in zip(derivs, denoms)]
+        )
+        branch = "mean_deriv"
+    else:
+        kernel = covariance_matrix(curves)
+        eig = leading_eigenpairs(kernel, grid, 2)
+        gamma = np.sqrt(eig.eigenvalues)
+        if gamma[0] <= 0.0:
+            raw = np.zeros(len(curves))
+            branch = "zero_mean_degenerate"
+        else:
+            centered = [DiscreteCurve(grid, c.values - mu.values) for c in curves]
+            s1 = per_curve_scores(centered, eig.eigenfunctions[0], grid)
+            s2 = (
+                per_curve_scores(centered, eig.eigenfunctions[1], grid)
+                if eig.eigenvalues.size > 1
+                else np.zeros(len(curves))
+            )
+            eta = float(gamma[1] / gamma[0]) if gamma.size > 1 and gamma[1] > 0 else 0.0
+            y1 = s1 / gamma[0]
+            y2 = s2 / gamma[1] if eta > 0 else np.zeros_like(s2)
+            d1 = np.gradient(eig.eigenfunctions[0], grid)
+            d2 = (
+                np.gradient(eig.eigenfunctions[1], grid)
+                if eig.eigenvalues.size > 1
+                else np.zeros_like(grid)
+            )
+            mass2 = _trapz(np.abs(d2), grid)
+            raw = np.empty(len(curves))
+            for i in range(len(curves)):
+                num = 2.0 * eta * abs(y2[i]) * mass2
+                den = _trapz(np.abs(y1[i] * d1 + eta * y2[i] * d2), grid)
+                raw[i] = 0.0 if num == 0.0 else num / max(den, 1e-300)
+            branch = "zero_mean"
+
+    clamped = raw > 2.0 + Z_CLAMP_TOL
+    values = np.clip(raw, 0.0, 2.0)
+    if info is not None:
+        info["branch"] = branch
+        info["clamped"] = clamped
+        info["raw_max"] = float(raw.max()) if raw.size else 0.0
+    return values
+
+
+def per_curve_truth_errors(warp_pairs, registered, latent, mean) -> tuple:
+    """truth_errors from (estimated, true) warp samples and curves, one curve at a time."""
+    warp_errs = np.array([float(np.abs(est - true).max()) for est, true in warp_pairs])
+    w = trapezoid_weights(mean.grid)
+    rel_errs = np.empty(len(latent))
+    for i, (x_hat, x_true) in enumerate(zip(registered, latent)):
+        denom = math.sqrt(float(np.sum(w * x_true.values * x_true.values)))
+        num = math.sqrt(float(np.sum(w * (x_hat.values - x_true.values) ** 2)))
+        rel_errs[i] = num / max(denom, 1e-300)
+    true_mean = cross_sectional_mean(latent)
+    return warp_errs, rel_errs, float(np.abs(mean.values - true_mean.values).max())
+
+
+def per_curve_evaluate_against_truth(result, truth) -> RegistrationReport:
+    """evaluate_against_truth with every warp, truth warp and truth curve on its own."""
+    if result.n != truth.n:
+        raise GridMismatch("result and truth have different sample sizes")
+    out_grid = result.output_grid
+    dense = np.unique(np.concatenate((np.linspace(0.0, 1.0, 2049), out_grid)))
+    warp_pairs = (
+        (w(dense), np.asarray(truth.warps[i](dense))) for i, w in enumerate(result.warps)
+    )
+    latent = [
+        DiscreteCurve(out_grid, np.interp(out_grid, truth.grid, c.values)) for c in truth.latent
+    ]
+    warp_errs, rel_errs, mean_sup = per_curve_truth_errors(
+        warp_pairs, result.registered, latent, result.mean
+    )
+    dw2 = None
+    if truth.f_phi is not None:
+        dw2 = wasserstein2(result.template_cdf, truth.f_phi) ** 2
+    m = min(3, result.n) if result.n >= 2 else 1
+    ratios = None
+    if result.n >= 2:
+        eig = leading_eigenpairs(covariance_matrix(result.registered), out_grid, m)
+        ratios = eig.explained_ratios
+    info = {}
+    try:
+        z = per_curve_z_statistic(result.registered, info=info) if result.n >= 2 else None
+    except ZeroVariation:
+        z = None
+    flags = {"z_branch": info.get("branch"), "z_clamped_any": bool(np.any(info.get("clamped", False)))}
+    return RegistrationReport(
+        explained_ratios=ratios,
+        z_stats=z,
+        dW2_template_to_target=dw2,
+        warp_sup_errors=warp_errs,
+        curve_rel_L2_errors=rel_errs,
+        mean_sup_error=mean_sup,
+        flags=flags,
     )

@@ -4,6 +4,8 @@ Each test prints a single PASS/FAIL line (visible with `pytest -s` or in the
 captured-output section).  Two clauses are strict-xfail: measurement shows
 their stated targets exceed what this estimator class delivers at those
 design points (the analysis lives in the xfail reasons).
+
+Every test here is marked ``slow``; ``pytest -m "not slow"`` leaves them out.
 """
 
 import math
@@ -49,6 +51,8 @@ from varireg.variation import (
 from conftest import random_step_cdf
 from oracles import pairwise_warp_oracle
 from test_registration import fisher_pair, linear_phi
+
+pytestmark = pytest.mark.slow
 
 
 def report(num, name, ok, detail):

@@ -4,9 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import per_curve_inverse, per_curve_truth_bundle
+from oracles import per_curve_inverse, per_curve_scores, per_curve_truth_bundle
 from varireg.cli import main
-from varireg.dataio import fmt, read_curves_csv, write_warps_csv, write_wide_csv
+from varireg.dataio import fmt, read_curves_csv, read_warps_csv, write_warps_csv, write_wide_csv
 from varireg.fpca import DENSE_SOLVE_CAP, trapezoid_weights
 from varireg.simulate import LatentModelConfig, WarpLawConfig
 
@@ -116,6 +116,58 @@ def test_register_bandwidth_too_small_exit4(tmp_path, capsys):
     assert "bandwidth" in err and ">" in err
 
 
+def _write_long(path, curves, ids):
+    lines = ["curve_id,t,value"]
+    for cid, c in zip(ids, curves):
+        lines += [f"{cid},{fmt(t)},{fmt(v)}" for t, v in zip(c.grid, c.values)]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def test_register_grid_short_of_the_others_exit0(tmp_path, capsys):
+    from test_registration import short_grid_sample
+
+    src = tmp_path / "long.csv"
+    _write_long(src, short_grid_sample(), ["a", "b", "c", "short"])
+    assert run("register", src, "--out", tmp_path / "out") == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    h = report["flags"]["bandwidths"]
+    assert h[3] > h[0] == h[1] == h[2]
+    # a fixed bandwidth is used as given
+    assert run("register", src, "--bandwidth", repr(h[0]), "--out", tmp_path / "fixed") == 4
+    assert "empty smoothing window" in capsys.readouterr().err
+
+
+def test_diagnose_warps_on_their_own_grids(tmp_path):
+    # warps.csv rows of one curve need not share the other curves' points
+    sim, out, dia = tmp_path / "sim", tmp_path / "out", tmp_path / "dia"
+    assert run("simulate", "--model", "model1", "--n", "5", "--r", "41", "--seed", "8", "--out", sim) == 0
+    assert run("register", sim / "observed.csv", "--out", out) == 0
+    warps = read_warps_csv(out / "warps.csv")
+    rng = np.random.default_rng(8)
+    kept = {}
+    for k, (cid, (t, w, inv)) in enumerate(warps.items()):
+        keep = rng.random(t.size) < 0.6
+        keep[0], keep[-1] = True, k % 2 == 0
+        if k % 2:
+            keep &= t <= 0.5  # past its own last point a row counts no error
+        kept[cid] = (t[keep], w[keep], inv[keep])
+    _write_own_grid_warps(out / "warps.csv", kept)
+    assert run("diagnose", out, "--truth", sim, "--out", dia) == 0
+    report = json.loads((dia / "report.json").read_text())
+    truth = read_warps_csv(sim / "truth_warps.csv")
+    want = [
+        float(np.abs(w - np.interp(t, *truth[cid][:2])).max()) for cid, (t, w, _) in kept.items()
+    ]
+    assert report["warp_sup_errors"] == want
+
+
+def _write_own_grid_warps(path, warps):
+    lines = ["curve_id,t,warp_value,inverse_warp_value"]
+    for cid, (t, w, inv) in warps.items():
+        lines += [f"{cid},{fmt(a)},{fmt(b)},{fmt(c)}" for a, b, c in zip(t, w, inv)]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def test_register_time_rescaling(tmp_path):
     grid = np.linspace(0.0, 10.0, 31)  # days, not [0,1]
     src = tmp_path / "in.csv"
@@ -145,6 +197,18 @@ def test_register_output_grid_above_dense_solve_cap(tmp_path):
     w = trapezoid_weights(t)
     expected = np.array([[np.sum(w * c.values[keep] * f) for f in phi.T] for c in registered])
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14)
+
+
+def test_register_scores_csv_has_per_curve_bits(tmp_path):
+    sim, out = tmp_path / "sim", tmp_path / "out"
+    assert run("simulate", "--model", "rank2", "--n", "6", "--r", "61", "--seed", "4", "--out", sim) == 0
+    assert run("register", sim / "observed.csv", "--out", out) == 0
+    eig = np.loadtxt(out / "eigen.csv", delimiter=",", skiprows=1)
+    _, registered, _ = read_curves_csv(out / "registered.csv")
+    score_rows = (out / "scores.csv").read_text().strip().splitlines()[1:]
+    got = [[float(x) for x in row.split(",")[1:]] for row in score_rows]
+    want = np.column_stack([per_curve_scores(registered, f, eig[:, 0]) for f in eig[:, 1:].T])
+    assert got == want.tolist()
 
 
 def test_simulate_unknown_model_exit2(tmp_path, capsys):

@@ -1,19 +1,29 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from oracles import per_curve_truth_bundle
+from oracles import (
+    per_curve_evaluate_against_truth,
+    per_curve_scores,
+    per_curve_truth_bundle,
+    per_curve_truth_errors,
+    per_curve_z_statistic,
+)
 from varireg import diagnostics
 from varireg.diagnostics import (
     evaluate_against_truth,
     rate_check,
     rate_grid_size,
+    truth_errors,
     z_statistic,
 )
-from varireg.errors import ZeroVariation
-from varireg.fpca import cross_sectional_mean
+from varireg.errors import VariregError, ZeroVariation
+from varireg.fpca import covariance_matrix, cross_sectional_mean, leading_eigenpairs, scores
 from varireg.registration import (
+    RegisterOptions,
     RegistrationResult,
     WarpMap,
     register_complete,
@@ -21,6 +31,7 @@ from varireg.registration import (
 )
 from varireg.simulate import (
     LatentModelConfig,
+    TruthBundle,
     WarpLawConfig,
     invert_warps,
     make_truth_bundle,
@@ -158,6 +169,9 @@ def test_evaluate_fisher_pair_warp_errors():
         def warp_values(self, i, t):
             return warps_true[i](t)
 
+        def warp_rows(self, rows, t):
+            return np.array([warps_true[i](t) for i in range(self.n)[rows]])
+
     report = evaluate_against_truth(result, _Bundle())
     assert report.warp_sup_errors.max() <= 2.0 / r
 
@@ -171,6 +185,201 @@ def test_evaluate_breakdown_c2_error_small():
         report = evaluate_against_truth(result, bundle)
         rels.extend(report.curve_rel_L2_errors.tolist())
     assert np.median(rels) <= 0.15
+
+
+# --- batched diagnostics against their per-curve oracles ---------------------------
+
+
+def _outcome(fn, *args, **kwargs):
+    """fn's result, or its error as (type, message, curve_id)."""
+    try:
+        return fn(*args, **kwargs)
+    except (VariregError, ValueError) as err:
+        return (type(err), str(err), getattr(err, "curve_id", None))
+
+
+def _same(a, b):
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        assert isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    elif isinstance(a, dict):
+        assert a.keys() == b.keys()
+        for k in a:
+            _same(a[k], b[k])
+    else:
+        assert a == b or (a != a and b != b), (a, b)
+
+
+@st.composite
+def common_grid_samples(draw):
+    """Curves on one grid, n = 1..6: random walks of mixed scales, rank-1
+    samples, +-pairs (an exactly flat mean), repeats, and constant curves."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    r = draw(st.integers(3, 30))
+    if draw(st.booleans()):
+        grid = np.linspace(0.0, 1.0, r)
+    else:
+        grid = np.unique(np.concatenate(([0.0, 1.0], rng.random(r))))
+    n = draw(st.integers(1, 6))
+    shape = draw(st.sampled_from(["walks", "rank1", "plus_minus", "identical", "one_constant", "constant"]))
+
+    def walk():
+        return np.cumsum(rng.standard_normal(grid.size)) * 10.0 ** rng.uniform(-2, 1)
+
+    if shape == "walks":
+        rows = [walk() for _ in range(n)]
+    elif shape == "rank1":
+        phi = walk()
+        rows = [rng.normal(1.5, 1.0) * phi for _ in range(n)]
+    elif shape == "plus_minus":
+        half = [walk() for _ in range((n + 1) // 2)]
+        rows = (half + [-x for x in half])[: max(n, 2)]
+    elif shape == "identical":
+        rows = [walk()] * n
+    else:
+        rows = [walk() for _ in range(n)]
+        rows[int(rng.integers(0, n))] = np.full(grid.size, 2.5)
+        if shape == "constant":
+            rows = [np.full(grid.size, float(k)) for k in range(n)]
+    return [DiscreteCurve(grid, x) for x in rows]
+
+
+@given(common_grid_samples(), st.sampled_from(["auto", "force_zero_deriv"]))
+def test_z_statistic_matches_per_curve_oracle(curves, mean_mode):
+    info, ref_info = {}, {}
+    got = _outcome(z_statistic, curves, mean_mode, info=info)
+    _same(got, _outcome(per_curve_z_statistic, curves, mean_mode, info=ref_info))
+    _same(info, ref_info)
+
+
+@pytest.mark.parametrize(
+    "mean_mode, branch",
+    [("auto", "mean_deriv"), ("force_zero_deriv", "zero_mean"), ("auto", "zero_mean"),
+     ("force_zero_deriv", "zero_mean_degenerate")],
+)
+def test_z_statistic_branches_match_per_curve_oracle(mean_mode, branch):
+    grid = np.linspace(0.0, 1.0, 41)
+    rng = np.random.default_rng(4)
+    rows = [np.cumsum(rng.standard_normal(grid.size)) for _ in range(4)]
+    rows[1] = rows[1] * 1e-3  # a small curve: its raw z exceeds 2 and is clamped
+    if branch == "zero_mean" and mean_mode == "auto":
+        rows = rows[:2] + [-rows[0], -rows[1]]  # the mean is exactly 0
+    if branch == "zero_mean_degenerate":
+        rows = [rows[0]] * 2  # the mean is exactly the curve: covariance 0
+    curves = [DiscreteCurve(grid, x) for x in rows]
+    info, ref_info = {}, {}
+    got = z_statistic(curves, mean_mode, info=info)
+    _same(got, per_curve_z_statistic(curves, mean_mode, info=ref_info))
+    _same(info, ref_info)
+    assert info["branch"] == branch
+
+
+@given(common_grid_samples(), st.integers(0, 2**32 - 1))
+def test_scores_match_per_curve_oracle(curves, seed):
+    grid = curves[0].grid
+    phi = np.random.default_rng(seed).standard_normal(grid.size)
+    _same(scores(curves, phi, grid), per_curve_scores(curves, phi, grid))
+    if len(curves) >= 2 and not np.all([np.ptp(c.values) == 0 for c in curves]):
+        eig = leading_eigenpairs(covariance_matrix(curves), grid, 2)
+        for f in eig.eigenfunctions:
+            _same(scores(curves, f, grid), per_curve_scores(curves, f, grid))
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 7),
+    st.integers(1, 40),
+    st.sampled_from([1, 7, 100, None]),
+)
+def test_truth_errors_match_per_curve_oracle(seed, n, width, block_cells):
+    rng = np.random.default_rng(seed)
+    grid = np.unique(np.concatenate(([0.0, 1.0], rng.random(int(rng.integers(1, 20))))))
+    est, true = rng.random((n, width)), rng.random((n, width))
+    true[: n // 2] = est[: n // 2]  # exact warps: error 0
+    registered = rng.standard_normal((n, grid.size))
+    latent = rng.standard_normal((n, grid.size))
+    latent[0] = 0.0  # a zero truth curve: the relative error divides by 1e-300
+    mean = DiscreteCurve(grid, rng.standard_normal(grid.size))
+    cells = diagnostics._BLOCK_CELLS if block_cells is None else block_cells
+    with mock.patch.object(diagnostics, "_BLOCK_CELLS", cells):
+        got = truth_errors(lambda rows: (est[rows], true[rows]), width, registered, latent, mean)
+    want = per_curve_truth_errors(
+        zip(est, true),
+        [DiscreteCurve(grid, x) for x in registered],
+        [DiscreteCurve(grid, x) for x in latent],
+        mean,
+    )
+    for a, b in zip(got, want, strict=True):
+        _same(a, b)
+
+
+def _assert_same_report(got, want):
+    for field in vars(want):
+        _same(getattr(got, field), getattr(want, field))
+
+
+def _short_grids(curves, rng):
+    """Each curve on its own subset of its grid, as read from a long CSV;
+    some stop short of 1, which gives their warps their own sample points."""
+    out = []
+    for c in curves:
+        keep = rng.random(c.grid.size) < 0.7
+        keep[0] = True
+        keep[-1] = rng.random() < 0.6
+        if keep.sum() < 3:
+            keep[:3] = True
+        out.append(DiscreteCurve(c.grid[keep], c.values[keep]))
+    return out
+
+
+@given(
+    st.integers(0, 2**16),
+    st.sampled_from([1, 2, 3, 5]),
+    st.sampled_from([21, 40]),
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+)
+def test_evaluate_against_truth_matches_per_curve_oracle(seed, n, r, identity, own_grids, smooth):
+    cfg = LatentModelConfig("model1", grid_size=r)
+    bundle = make_truth_bundle(cfg, None if identity else WarpLawConfig(), n, seed)
+    curves = bundle.observed
+    if own_grids:
+        curves = _short_grids(curves, np.random.default_rng(seed))
+    result = register_discrete(curves, RegisterOptions(smooth_warps=smooth))
+    _assert_same_report(
+        evaluate_against_truth(result, bundle), per_curve_evaluate_against_truth(result, bundle)
+    )
+
+
+def test_diagnostics_tall_match_oracle_and_permutation():
+    bundle = make_truth_bundle(LatentModelConfig("model1", grid_size=201), WarpLawConfig(), 1000, 17)
+    res = register_discrete(bundle.observed)
+    report = evaluate_against_truth(res, bundle)
+    _assert_same_report(report, per_curve_evaluate_against_truth(res, bundle))
+    eig = leading_eigenpairs(covariance_matrix(res.registered), res.output_grid, 3)
+    s = [scores(res.registered, f, eig.grid) for f in eig.eigenfunctions]
+
+    perm = np.random.default_rng(3).permutation(bundle.n)
+    shuffled = TruthBundle(
+        bundle.grid,
+        [bundle.latent[i] for i in perm],
+        [bundle.observed[i] for i in perm],
+        [bundle.warps[i] for i in perm],
+        bundle.coefficients[perm],
+        bundle.f_phi,
+    )
+    res_p = register_discrete(shuffled.observed)
+    report_p = evaluate_against_truth(res_p, shuffled)
+    for field in ("z_stats", "warp_sup_errors", "curve_rel_L2_errors"):
+        _same(getattr(report_p, field), getattr(report, field)[perm])
+    for field in ("explained_ratios", "dW2_template_to_target", "mean_sup_error", "flags"):
+        _same(getattr(report_p, field), getattr(report, field))
+    for f, row in zip(eig.eigenfunctions, s):
+        _same(scores(res_p.registered, f, eig.grid), row[perm])
+    _same(z_statistic(res_p.registered, "force_zero_deriv"),
+          z_statistic(res.registered, "force_zero_deriv")[perm])
 
 
 # --- rate_check --------------------------------------------------------------------

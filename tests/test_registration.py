@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from varireg.errors import EmptySample, NonMonotoneInput, VariregError, ZeroVariation
+from varireg.errors import EmptySample, EmptyWindow, NonMonotoneInput, VariregError, ZeroVariation
 from varireg.fpca import cross_sectional_mean
 from varireg.registration import (
     NoisyOptions,
@@ -25,6 +25,7 @@ from varireg.simulate import (
     make_truth_bundle,
     substream,
 )
+from varireg.smoothing import suggested_min_bandwidth
 from varireg.variation import DiscreteCurve, discrete_variation_cdf
 
 from conftest import random_step_cdf
@@ -555,8 +556,8 @@ def test_estimate_warps_matches_per_curve_oracle(seed, n, grid_size):
         _same_bits(g.sample_v, w.sample_v)
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.booleans())
-def test_interp_rows_has_the_bits_of_np_interp(seed, n, shared):
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.booleans(), st.booleans())
+def test_interp_rows_has_the_bits_of_np_interp(seed, n, shared, per_row_x):
     rng = np.random.default_rng(seed)
 
     def samples():
@@ -570,11 +571,14 @@ def test_interp_rows_has_the_bits_of_np_interp(seed, n, shared):
     v_rows = np.empty((n, width))
     for i, (t, v) in enumerate(zip(ts, vs)):
         t_rows[i, :t.size], v_rows[i, :t.size], v_rows[i, t.size:] = t, v, v[-1]
-    # queries between, at and beyond every row's samples
+    # queries between, at and beyond every row's samples; with per_row_x
+    # each row has its own, as many as the others
     x = np.sort(np.concatenate([rng.random(20), *ts, [-1.0, 2.0]]))
+    if per_row_x:
+        x = np.sort(np.where(rng.random((n, x.size)) < 0.5, x, rng.random((n, x.size))), axis=1)
     got = _interp_rows(x, t_rows[:1] if shared else t_rows, v_rows)
     for i, (t, v) in enumerate(zip(ts, vs)):
-        assert got[i].tobytes() == np.interp(x, t, v).tobytes()
+        assert got[i].tobytes() == np.interp(x[i] if per_row_x else x, t, v).tobytes()
 
 
 def _walk(grid, seed):
@@ -628,3 +632,32 @@ def test_register_discrete_tall_matches_oracle_and_permutation():
         _same_bits(res_p.warps[i].sample_v, res.warps[j].sample_v)
         _same_bits(res_p.inverse_warps[i].sample_v, res.inverse_warps[j].sample_v)
         _same_bits(res_p.registered[i].values, res.registered[j].values)
+
+
+def short_grid_sample(side="end"):
+    """Three curves on [0, 1] and one whose grid stops at 0.9 (or starts at 0.1)."""
+    grid = np.linspace(0.0, 1.0, 51)
+    short = np.linspace(0.0, 0.9, 46) if side == "end" else np.linspace(0.1, 1.0, 46)
+
+    def f(t, a):
+        return np.sin(2 * np.pi * t) + a * t
+
+    return [DiscreteCurve(grid, f(grid, a)) for a in (0.1, 0.3, 0.5)] + [DiscreteCurve(short, f(short, 0.2))]
+
+
+@pytest.mark.parametrize("side", ["end", "start"])
+def test_default_bandwidth_widens_for_a_grid_short_of_the_others(side):
+    # the short curve's warp runs past its grid, so its curve is evaluated
+    # where 1.1 of its gaps holds no grid point
+    curves = short_grid_sample(side)
+    res = register_discrete(curves)
+    h = res.metadata["bandwidths"]
+    assert h[:3] == [min(1.1 * c.max_gap, 1.0) for c in curves[:3]]
+    e = res.warps[3](res.output_grid)
+    reach = 1.1 * curves[3].max_gap
+    assert e.max() > 0.9 + reach if side == "end" else e.min() < 0.1 - reach
+    assert h[3] == suggested_min_bandwidth(curves[3].grid, e) > 1.1 * curves[3].max_gap
+    assert all(np.isfinite(c.values).all() for c in res.registered)
+    # a fixed bandwidth is used as given
+    with pytest.raises(EmptyWindow):
+        register_discrete(curves, RegisterOptions(bandwidth=1.1 * curves[3].max_gap))

@@ -15,8 +15,10 @@ from varireg.simulate import (
     LatentDraw,
     LatentModelConfig,
     SineMixtureWarp,
+    TruthBundle,
     WarpLawConfig,
     counterexample_pair,
+    evaluate_warps,
     invert_warps,
     make_truth_bundle,
     observe,
@@ -114,6 +116,28 @@ def test_invert_warps_matches_per_curve_bisection(warp_list, t, block_cells):
             one = warp.inverse(t)
             assert np.shape(one) == np.shape(ref)
             assert np.asarray(one).tobytes() == np.asarray(ref).tobytes()
+
+
+@given(st.lists(warps(), min_size=1, max_size=6), points, st.sampled_from([1, 7, 1 << 16]))
+@example(
+    [SineMixtureWarp([0, 3], [0.5, 0.5], 1.01), IdentityWarp(), CounterexampleWarp(2, 0.3)],
+    np.array([0.0, 0.3, 1.0]),
+    7,
+)
+def test_evaluate_warps_matches_per_warp_calls(warp_list, t, block_cells):
+    """Every row of the batched forward map has the bits of its warp called
+    alone, in any blocks; ``TruthBundle.warp_values`` is the one-row case."""
+    with mock.patch.object(simulate, "_BLOCK_CELLS", block_cells):
+        got = evaluate_warps(warp_list, t)
+        bundle = TruthBundle(np.linspace(0.0, 1.0, 3), [], [], warp_list, np.zeros((0, 1)))
+        assert got.shape == (len(warp_list), np.size(t))
+        for i, (row, warp) in enumerate(zip(got, warp_list)):
+            ref = np.asarray(warp(t), dtype=float)
+            assert row.tobytes() == ref.ravel().tobytes()
+            one = bundle.warp_values(i, t)
+            assert np.shape(one) == np.shape(ref)
+            assert one.tobytes() == ref.tobytes()
+        assert bundle.warp_rows(slice(1, None), t).tobytes() == got[1:].tobytes()
 
 
 MODEL_PARAMS = {"breakdown": {"c": 1.0, "r_scale": 0.1, "rank": 3}}

@@ -189,6 +189,19 @@ def test_loocv_noise_increases_bandwidth():
     assert h_noisy > h_smooth
 
 
+def test_default_loocv_candidates_stay_off_the_gap_lattice():
+    # a candidate of a whole number of gaps puts a neighbour on a uniform grid
+    # at |u| = 1, where its kernel weight is rounding noise
+    for r in range(4, 2002):
+        grid = np.linspace(0.0, 1.0, r)
+        curve = DiscreteCurve(grid, grid)
+        for h in default_loocv_candidates(curve):
+            k = int(round(h / curve.max_gap))
+            for j in range(max(k - 1, 1), min(k + 2, r)):
+                u = (grid[j:] - grid[:-j]) / h
+                assert np.abs(u - 1.0).min() > 1e-9, (r, h, j)
+
+
 def test_loocv_tie_prefers_smaller():
     # every leave-one-out window holds one neighbour under both candidates,
     # so both predict the neighbour's value exactly and their errors tie
@@ -346,8 +359,8 @@ def test_shared_pass_gives_each_degree_its_own_bits(seed, r, degrees, loo, gaps)
 
 @pytest.mark.parametrize("noise, seed", [(0.1, 3), (0.4, 5)])
 def test_loocv_matches_dense_oracle_on_noisy_model1(noise, seed):
-    # uniform grids put the 2 x gap candidate's window edge exactly at |u| = 1;
-    # at seed 3 some choices there hinge on the rounding of w u^p y
+    # the library and the dense reference pick the same bandwidths from the
+    # default ladder, fit for fit
     bundle = make_truth_bundle(
         LatentModelConfig("model1", grid_size=101, noise_halfwidth=noise), WarpLawConfig(), 100, seed
     )
