@@ -11,7 +11,7 @@ import argparse
 import numpy as np
 
 from varireg.diagnostics import evaluate_against_truth
-from varireg.fpca import covariance_matrix, cross_sectional_mean, leading_eigenpairs
+from varireg.fpca import cross_sectional_mean, row_eigenpairs
 from varireg.registration import NoisyOptions, register_discrete, register_noisy
 from varireg.simulate import LatentModelConfig, WarpLawConfig, make_truth_bundle
 
@@ -48,7 +48,7 @@ def main():
     warped_mean = cross_sectional_mean(bundle.observed)
     true_on_obs = cross_sectional_mean(bundle.latent)
     warp_sup = np.abs(warped_mean.values - true_on_obs.values).max()
-    eig_w = leading_eigenpairs(covariance_matrix(bundle.observed), bundle.grid, 3)
+    eig_w = row_eigenpairs(np.stack([c.values for c in bundle.observed]), bundle.grid, 3)
 
     print(f"model={args.model} n={args.n} r={args.r} noise={args.noise} seed={args.seed}")
     print(f"mean sup error:        registered {report.mean_sup_error:.4f}   warped {warp_sup:.4f}")

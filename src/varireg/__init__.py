@@ -29,6 +29,7 @@ from .fpca import (
     covariance_matrix,
     cross_sectional_mean,
     leading_eigenpairs,
+    row_eigenpairs,
     scores,
 )
 from .registration import (

@@ -25,7 +25,7 @@ from .errors import (
     SingularFit,
     ZeroVariation,
 )
-from .fpca import covariance_matrix, leading_eigenpairs, row_scores
+from .fpca import row_eigenpairs, row_scores
 from .registration import (
     NoisyOptions,
     RegisterOptions,
@@ -222,15 +222,11 @@ def cmd_register(args) -> int:
 
     ratios = None
     if len(curves) >= 2:
-        m = min(n_eigen, len(grid))
-        eig = leading_eigenpairs(covariance_matrix(result.registered), grid, m)
-        dataio.write_eigen_csv(out_dir / "eigen.csv", eig.grid, eig.eigenfunctions)
-        # score on the eigenfunctions' grid, which is thinned when grid is large
-        keep = np.searchsorted(grid, eig.grid)
-        on_eig_grid = np.stack([c.values for c in result.registered])[:, keep]
-        score_mat = np.column_stack(
-            [row_scores(on_eig_grid, eig.eigenfunctions[j], eig.grid) for j in range(m)]
-        )
+        # at most min(--eigen, n, r) pairs: past the sample size they are null directions
+        values = np.stack([c.values for c in result.registered])
+        eig = row_eigenpairs(values, grid, n_eigen)
+        dataio.write_eigen_csv(out_dir / "eigen.csv", grid, eig.eigenfunctions)
+        score_mat = np.column_stack([row_scores(values, phi, grid) for phi in eig.eigenfunctions])
         dataio.write_scores_csv(out_dir / "scores.csv", ids, score_mat)
         ratios = eig.explained_ratios
 
@@ -351,6 +347,7 @@ def cmd_diagnose(args) -> int:
         return EXIT_PARSE
 
     grid = registered[0].grid
+    values = np.stack([c.values for c in registered])
     n = len(registered)
     report = {"n_curves": n}
     zinfo = {}
@@ -361,8 +358,7 @@ def cmd_diagnose(args) -> int:
             z = z_statistic(registered, info=zinfo)
         except ZeroVariation:
             z = None
-        eig = leading_eigenpairs(covariance_matrix(registered), grid, min(3, n))
-        ratios = eig.explained_ratios
+        ratios = row_eigenpairs(values, grid, 3).explained_ratios
     report["z_stats"] = _json_float_list(z)
     report["z_branch"] = zinfo.get("branch")
     report["explained_ratios"] = _json_float_list(ratios)
@@ -381,6 +377,11 @@ def cmd_diagnose(args) -> int:
         if truth_ids != ids:
             print("error: truth and result curve ids differ", file=sys.stderr)
             return EXIT_PARSE
+        for name, samples in (("warps.csv", warp_samples), ("truth_warps.csv", truth_warps)):
+            missing = next((cid for cid in ids if cid not in samples), None)
+            if missing is not None:
+                print(f"error: {name} has no rows for curve {missing!r}", file=sys.stderr)
+                return EXIT_PARSE
 
         def warp_block(rows):
             # estimated warps on the grid of warps.csv, truth warps interpolated onto it
@@ -393,7 +394,6 @@ def cmd_diagnose(args) -> int:
 
         width = max(warp_samples[cid][0].size for cid in ids)
         latent = _interp_rows(grid, *_stack([c.grid for c in truth_latent], [c.values for c in truth_latent]))
-        values = np.stack([c.values for c in registered])
         warp_errs, rel_errs, mean_sup = truth_errors(warp_block, width, values, latent, mean)
         report["warp_sup_errors"] = _json_float_list(warp_errs)
         report["curve_rel_L2_errors"] = _json_float_list(rel_errs)

@@ -13,13 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import GridMismatch, ZeroVariation
-from .fpca import (
-    covariance_matrix,
-    leading_eigenpairs,
-    row_scores,
-    sorted_row_mean,
-    trapezoid_weights,
-)
+from .fpca import row_eigenpairs, row_scores, sorted_row_mean, trapezoid_weights
 from .registration import RegistrationResult, _evaluate, _interp_rows
 from .simulate import (
     _BLOCK_CELLS,
@@ -93,7 +87,7 @@ def z_statistic(curves, mean_mode: str = "auto", info: dict = None) -> np.ndarra
         raw = 2.0 * integral(np.abs(derivs - mu_deriv)) / denoms
         branch = "mean_deriv"
     else:
-        eig = leading_eigenpairs(covariance_matrix(curves), grid, 2)
+        eig = row_eigenpairs(x, grid, 2)
         gamma = np.sqrt(eig.eigenvalues)
         if gamma[0] <= 0.0:
             raw = np.zeros(len(curves))
@@ -161,11 +155,10 @@ def evaluate_against_truth(result: RegistrationResult, truth: TruthBundle) -> Re
     if result.n != truth.n:
         raise GridMismatch("result and truth have different sample sizes")
     out_grid = result.output_grid
-    m = min(3, result.n) if result.n >= 2 else 1
+    registered = np.stack([c.values for c in result.registered])
     ratios = None
     if result.n >= 2:
-        eig = leading_eigenpairs(covariance_matrix(result.registered), out_grid, m)
-        ratios = eig.explained_ratios
+        ratios = row_eigenpairs(registered, out_grid, 3).explained_ratios
 
     info = {}
     try:
@@ -185,7 +178,6 @@ def evaluate_against_truth(result: RegistrationResult, truth: TruthBundle) -> Re
         return _evaluate(result.warps[rows], at), truth.warp_rows(rows, dense)
 
     latent = _interp_rows(out_grid, truth.grid[None], np.stack([c.values for c in truth.latent]))
-    registered = np.stack([c.values for c in result.registered])
     warp_errs, rel_errs, mean_sup = truth_errors(warp_block, dense.size, registered, latent, result.mean)
 
     return RegistrationReport(

@@ -3,18 +3,19 @@
 The eigenproblem is solved under trapezoid quadrature weights on the
 analysis grid, so eigenfunctions are orthonormal in the quadrature inner
 product and the eigenvalue sum equals the weighted trace of the covariance.
+A sample with fewer curves than grid points is decomposed by a thin SVD of
+its centred rows, so no (grid x grid) array is formed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptySample, GridMismatch, NonSymmetric
-from .variation import DiscreteCurve, thin_index
-
-DENSE_SOLVE_CAP = 2048  # grids larger than this are thinned before eigh
+from .variation import DiscreteCurve
 
 
 def trapezoid_weights(grid: np.ndarray) -> np.ndarray:
@@ -34,14 +35,6 @@ def _common_grid(curves) -> np.ndarray:
         if c.grid is not grid and not np.array_equal(c.grid, grid):
             raise GridMismatch("curves are not on a common grid")
     return grid
-
-
-def _canonical_matrix(curves) -> tuple[np.ndarray, np.ndarray]:
-    """Stack curve values in a canonical (input-order independent) row order."""
-    grid = _common_grid(curves)
-    mat = np.stack([c.values for c in curves])
-    order = np.lexsort(mat.T[::-1])
-    return grid, mat[order]
 
 
 def cross_sectional_mean(curves) -> DiscreteCurve:
@@ -65,10 +58,22 @@ def covariance_matrix(curves) -> np.ndarray:
     curves = list(curves)
     if len(curves) < 2:
         raise EmptySample("covariance needs at least two curves")
-    _, mat = _canonical_matrix(curves)
-    mean = np.sort(mat, axis=0).sum(axis=0) / mat.shape[0]
-    centered = mat - mean
-    cov = centered.T @ centered / mat.shape[0]
+    _common_grid(curves)
+    return _row_covariance(np.stack([c.values for c in curves]))
+
+
+def _centered_rows(rows) -> np.ndarray:
+    """Rows in a canonical (input-order independent) order, minus their sorted-sum mean."""
+    if rows.shape[0] < 2:
+        raise EmptySample("covariance needs at least two curves")
+    rows = rows[np.lexsort(rows.T[::-1])]
+    return rows - np.sort(rows, axis=0).sum(axis=0) / rows.shape[0]
+
+
+def _row_covariance(rows) -> np.ndarray:
+    """covariance_matrix of the curves whose values are the rows of ``rows``."""
+    centered = _centered_rows(rows)
+    cov = centered.T @ centered / centered.shape[0]
     return (cov + cov.T) / 2.0
 
 
@@ -111,27 +116,50 @@ def leading_eigenpairs(kernel: np.ndarray, grid, m: int) -> EigenDecomposition:
     if m < 1:
         raise ValueError("need m >= 1")
 
-    if grid.size > DENSE_SOLVE_CAP:
-        idx = thin_index(grid.size, DENSE_SOLVE_CAP)
-        grid = grid[idx]
-        kernel = kernel[np.ix_(idx, idx)]
-
     w = trapezoid_weights(grid)
     sqw = np.sqrt(w)
     sym = sqw[:, None] * kernel * sqw[None, :]
     sym = (sym + sym.T) / 2.0
     evals, evecs = np.linalg.eigh(sym)
-    evals = evals[::-1]
-    evecs = evecs[:, ::-1]
-    trace = float(np.clip(evals, 0.0, None).sum())
+    return _decomposition(grid, w, sqw, evals[::-1], evecs[:, ::-1].T, min(m, grid.size))
 
-    m = min(m, grid.size)
+
+def row_eigenpairs(rows, grid, m: int) -> EigenDecomposition:
+    """leading_eigenpairs of the covariance of the curves whose values are the rows of ``rows``.
+
+    With at least as many curves as grid points this is
+    leading_eigenpairs(covariance_matrix(curves), grid, m), bit for bit.
+    With fewer, it is the thin SVD of the centred rows, in canonical order
+    and weighted by sqrt(trapezoid / n): the eigenvalues are the squared
+    singular values, the right singular vectors map back to the
+    eigenfunctions, and the missing eigenvalues are exactly zero.  Time is
+    O(n r min(n, r)) and memory O(n r).  Returns min(m, n, r) pairs; past
+    the sample size the eigenfunctions are null directions.
+    """
+    grid = np.asarray(grid, dtype=float)
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != grid.size:
+        raise GridMismatch("rows do not match the grid")
+    if m < 1:
+        raise ValueError("need m >= 1")
+    n = rows.shape[0]
+    if n >= grid.size:
+        return leading_eigenpairs(_row_covariance(rows), grid, m)
+    w = trapezoid_weights(grid)
+    sqw = np.sqrt(w)
+    _, s, vt = np.linalg.svd(_centered_rows(rows) * (sqw / math.sqrt(n)), full_matrices=False)
+    return _decomposition(grid, w, sqw, s * s, vt, min(m, n))
+
+
+def _decomposition(grid, w, sqw, evals, vectors, m) -> EigenDecomposition:
+    """The first m pairs from nonincreasing eigenvalues of W^1/2 K W^1/2 and
+    their eigenvectors (rows of ``vectors``), mapped back through 1/sqrt(w)."""
+    trace = float(np.clip(evals, 0.0, None).sum())
     values = np.clip(evals[:m], 0.0, None)
     funcs = np.empty((m, grid.size))
     with np.errstate(divide="ignore", invalid="ignore"):
         for j in range(m):
-            phi = evecs[:, j] / sqw
-            funcs[j] = _fix_sign(phi, w)
+            funcs[j] = _fix_sign(vectors[j] / sqw, w)
     if trace <= 0.0:
         ratios = np.zeros(m)
         return EigenDecomposition(grid, values, funcs, ratios, trace_zero=True)

@@ -414,16 +414,21 @@ def _default_bandwidths(gaps, grids, eval_points):
     """1.1 x each curve's largest grid gap, widened where that leaves a window empty.
 
     Between its first and last grid point a curve's windows always hold a
-    point at 1.1 gaps.  A curve evaluated past either end (its grid stops
-    short of the others') gets at least suggested_min_bandwidth instead.
+    point at 1.1 gaps.
     """
-    h = np.minimum(1.1 * gaps, 1.0)
+    return _widen_short(np.minimum(1.1 * gaps, 1.0), grids, eval_points)
+
+
+def _widen_short(h, grids, eval_points):
+    """Bandwidths ``h`` with each curve evaluated past either end of its own
+    grid (a grid that stops short of the others') widened to at least
+    suggested_min_bandwidth, at most 1.  Every other curve keeps its ``h``.
+    """
     last = np.where(grids < np.inf, grids, -np.inf).max(axis=1)
     out = (eval_points.min(axis=1) < grids[:, 0]) | (eval_points.max(axis=1) > last)
     if out.any():
         own = grids[out] if grids.shape[0] > 1 else grids
-        widest = np.maximum(1.1 * gaps[out], suggested_min_bandwidths(own, eval_points[out]))
-        h[out] = np.minimum(widest, 1.0)
+        h[out] = np.minimum(np.maximum(h[out], suggested_min_bandwidths(own, eval_points[out])), 1.0)
     return h
 
 
@@ -432,13 +437,14 @@ def register_complete(sample, output_grid=None, threads: int = 1) -> Registratio
 
     Realized as the fine-grid limit of the discrete pipeline: the smoothing
     bandwidth is forced into the single-nearest-point regime and warps stay
-    raw.  Intended for dense grids (r >= 500 recommended).  ``threads`` is
-    accepted and has no effect.
+    raw; a curve whose grid stops short of the others' is widened as in
+    register_discrete.  Intended for dense grids (r >= 500 recommended).
+    ``threads`` is accepted and has no effect.
     """
     options = RegisterOptions(
         smooth_warps=False, output_grid=output_grid, threads=threads
     )
-    rule = lambda gaps, grids, e: np.minimum(0.505 * gaps, 1.0)
+    rule = lambda gaps, grids, e: _widen_short(np.minimum(0.505 * gaps, 1.0), grids, e)
     return _register_noiseless(sample, options, rule, "complete")
 
 

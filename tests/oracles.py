@@ -42,12 +42,7 @@ from varireg.errors import (
     SingularFit,
     ZeroVariation,
 )
-from varireg.fpca import (
-    covariance_matrix,
-    cross_sectional_mean,
-    leading_eigenpairs,
-    trapezoid_weights,
-)
+from varireg.fpca import cross_sectional_mean, row_eigenpairs, trapezoid_weights
 from varireg.registration import (
     OUTPUT_GRID_CAP,
     WARP_GRID_CAP,
@@ -463,9 +458,8 @@ def per_curve_register_discrete(sample, options=None) -> RegistrationResult:
 def per_curve_register_complete(sample, output_grid=None) -> RegistrationResult:
     """register_complete one curve at a time."""
     options = RegisterOptions(smooth_warps=False, output_grid=output_grid)
-    return _per_curve_noiseless(
-        sample, options, lambda c, e: min(0.505 * c.max_gap, 1.0), "complete"
-    )
+    rule = lambda c, e: min(max(0.505 * c.max_gap, suggested_min_bandwidth(c.grid, e)), 1.0)
+    return _per_curve_noiseless(sample, options, rule, "complete")
 
 
 def per_curve_register_noisy(sample, opts=None) -> RegistrationResult:
@@ -567,8 +561,7 @@ def per_curve_z_statistic(curves, mean_mode="auto", info=None) -> np.ndarray:
         )
         branch = "mean_deriv"
     else:
-        kernel = covariance_matrix(curves)
-        eig = leading_eigenpairs(kernel, grid, 2)
+        eig = row_eigenpairs(np.stack([c.values for c in curves]), grid, 2)
         gamma = np.sqrt(eig.eigenvalues)
         if gamma[0] <= 0.0:
             raw = np.zeros(len(curves))
@@ -641,7 +634,7 @@ def per_curve_evaluate_against_truth(result, truth) -> RegistrationReport:
     m = min(3, result.n) if result.n >= 2 else 1
     ratios = None
     if result.n >= 2:
-        eig = leading_eigenpairs(covariance_matrix(result.registered), out_grid, m)
+        eig = row_eigenpairs(np.stack([c.values for c in result.registered]), out_grid, m)
         ratios = eig.explained_ratios
     info = {}
     try:

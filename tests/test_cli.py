@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from oracles import per_curve_inverse, per_curve_scores, per_curve_truth_bundle
 from varireg.cli import main
 from varireg.dataio import fmt, read_curves_csv, read_warps_csv, write_warps_csv, write_wide_csv
-from varireg.fpca import DENSE_SOLVE_CAP, trapezoid_weights
+from varireg.fpca import trapezoid_weights
 from varireg.simulate import LatentModelConfig, WarpLawConfig
 
 
@@ -137,6 +138,45 @@ def test_register_grid_short_of_the_others_exit0(tmp_path, capsys):
     assert "empty smoothing window" in capsys.readouterr().err
 
 
+def test_register_complete_grid_short_of_the_others_exit0(tmp_path):
+    from test_registration import short_grid_sample
+
+    src = tmp_path / "long.csv"
+    _write_long(src, short_grid_sample(), ["a", "b", "c", "short"])
+    assert run("register", src, "--regime", "complete", "--out", tmp_path / "out") == 0
+    h = json.loads((tmp_path / "out" / "report.json").read_text())["flags"]["bandwidths"]
+    assert h[3] > h[0] == h[1] == h[2]
+
+
+def test_diagnose_flat_mean_above_2048_points_exit0(tmp_path):
+    # curves in +/- pairs register to a (numerically) flat mean, which sends
+    # the z-statistic to its zero-mean branch, on 2100 output points
+    grid = np.linspace(0.0, 1.0, 41)
+    rows = [np.sin(2 * np.pi * grid) + a * np.cos(2 * np.pi * grid) for a in (0.2, 0.5, 0.9)]
+    src, out = tmp_path / "in.csv", tmp_path / "out"
+    write_wide(src, grid, rows + [-x for x in rows])
+    assert run("register", src, "--output-grid-size", "2100", "--out", out) == 0
+    assert run("diagnose", out, "--out", tmp_path / "dia") == 0
+    report = json.loads((tmp_path / "dia" / "report.json").read_text())
+    assert report["z_branch"] == "zero_mean"
+    z = np.array(report["z_stats"])
+    assert z.shape == (6,) and ((z >= 0.0) & (z <= 2.0)).all()
+
+
+@pytest.mark.parametrize("where", ["result", "truth"])
+def test_diagnose_warps_file_missing_a_curve_exit2(tmp_path, capsys, where):
+    sim, out = tmp_path / "sim", tmp_path / "out"
+    assert run("simulate", "--model", "model1", "--n", "5", "--r", "41", "--seed", "8", "--out", sim) == 0
+    assert run("register", sim / "observed.csv", "--out", out) == 0
+    path = out / "warps.csv" if where == "result" else sim / "truth_warps.csv"
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(x for x in lines if not x.startswith("curve_4,")) + "\n")
+    assert run("diagnose", out, "--truth", sim, "--out", tmp_path / "dia") == 2
+    err = capsys.readouterr().err
+    assert path.name in err and "'curve_4'" in err
+    assert not (tmp_path / "dia").exists()
+
+
 def test_diagnose_warps_on_their_own_grids(tmp_path):
     # warps.csv rows of one curve need not share the other curves' points
     sim, out, dia = tmp_path / "sim", tmp_path / "out", tmp_path / "dia"
@@ -179,24 +219,50 @@ def test_register_time_rescaling(tmp_path):
     assert report["time_rescale"] == {"offset": 0.0, "scale": 10.0}
 
 
-def test_register_output_grid_above_dense_solve_cap(tmp_path):
-    # eigen.csv is thinned to DENSE_SOLVE_CAP points; scores.csv must use that grid
+def test_register_eigen_and_scores_on_the_full_output_grid(tmp_path):
+    # above 2048 points eigen.csv and scores.csv still use every output point
     sim = tmp_path / "sim"
     out = tmp_path / "out"
-    size = DENSE_SOLVE_CAP + 52
+    size = 2100
     assert run("simulate", "--model", "model1", "--n", "4", "--r", "51", "--seed", "3", "--out", sim) == 0
     assert run("register", sim / "observed.csv", "--output-grid-size", size, "--out", out) == 0
     eig = np.loadtxt(out / "eigen.csv", delimiter=",", skiprows=1)
     t, phi = eig[:, 0], eig[:, 1:]
     _, registered, _ = read_curves_csv(out / "registered.csv")
-    assert registered[0].grid.size == size and t.size == DENSE_SOLVE_CAP
-    keep = np.searchsorted(registered[0].grid, t)
-    np.testing.assert_array_equal(registered[0].grid[keep], t)
+    assert t.size == size and phi.shape[1] == 3
+    np.testing.assert_array_equal(registered[0].grid, t)
+    w = trapezoid_weights(t)
+    np.testing.assert_allclose((phi.T * w) @ phi, np.eye(3), atol=1e-8)
     score_rows = (out / "scores.csv").read_text().strip().splitlines()[1:]
     got = np.array([[float(x) for x in row.split(",")[1:]] for row in score_rows])
-    w = trapezoid_weights(t)
-    expected = np.array([[np.sum(w * c.values[keep] * f) for f in phi.T] for c in registered])
+    expected = np.array([[np.sum(w * c.values * f) for f in phi.T] for c in registered])
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14)
+
+
+def test_register_eigen_clamped_to_sample_size(tmp_path):
+    # past the sample size the eigenfunctions are null directions
+    sim, out = tmp_path / "sim", tmp_path / "out"
+    assert run("simulate", "--model", "rank2", "--n", "4", "--r", "41", "--seed", "6", "--out", sim) == 0
+    assert run("register", sim / "observed.csv", "--eigen", "10", "--out", out) == 0
+    assert np.loadtxt(out / "eigen.csv", delimiter=",", skiprows=1).shape == (41, 5)
+    header = (out / "scores.csv").read_text().splitlines()[0]
+    assert len(header.split(",")) == 5
+    report = json.loads((out / "report.json").read_text())
+    assert report["n_eigen"] == 10 and len(report["explained_ratios"]) == 4
+
+
+def test_register_fpca_memory_is_o_of_n_r(tmp_path):
+    # a dense 5000 x 5000 covariance alone would take 200 MB
+    sim, out = tmp_path / "sim", tmp_path / "out"
+    assert run("simulate", "--model", "model1", "--n", "4", "--r", "51", "--seed", "3", "--out", sim) == 0
+    tracemalloc.start()
+    try:
+        code = run("register", sim / "observed.csv", "--output-grid-size", "5000", "--out", out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and peak < 100e6
+    assert np.loadtxt(out / "eigen.csv", delimiter=",", skiprows=1).shape == (5000, 4)
 
 
 def test_register_scores_csv_has_per_curve_bits(tmp_path):
@@ -492,7 +558,7 @@ FLAG_CASES = [
     ],
     *[
         (f"output_grid_{size}", ["register", "{obs}", "--output-grid-size", str(size)], {}, 0)
-        for size in (1024, 1025, 2048, 2049)  # either side of OUTPUT_GRID_CAP and DENSE_SOLVE_CAP
+        for size in (1024, 1025, 2048, 2049)  # either side of OUTPUT_GRID_CAP and of 2048 points
     ],
 ]
 

@@ -68,6 +68,21 @@ def test_z_zero_mean_branch_eta_zero():
     np.testing.assert_allclose(z, 0.0, atol=1e-8)
 
 
+def test_z_zero_mean_branch_above_2048_grid_points():
+    # the eigenfunctions live on the curves' whole grid, however fine
+    grid = np.linspace(0.0, 1.0, 3001)
+    coefs = np.random.default_rng(9).standard_normal((6, 2))
+    curves = [
+        DiscreteCurve(grid, a * np.sin(2 * np.pi * grid) + b * np.cos(2 * np.pi * grid))
+        for a, b in coefs
+    ]
+    info = {}
+    z = z_statistic(curves, mean_mode="force_zero_deriv", info=info)
+    assert info["branch"] == "zero_mean"
+    assert z.shape == (6,) and ((z >= 0.0) & (z <= 2.0)).all()
+    _same(z, per_curve_z_statistic(curves, "force_zero_deriv"))
+
+
 def test_z_breakdown_quadrature_oracle():
     # analytic sample from the rank-2 family; module works on a dense grid,
     # the oracle integrates analytic derivatives on 1e5+1 quadrature points

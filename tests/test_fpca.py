@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from varireg.errors import EmptySample, GridMismatch, NonSymmetric
 from varireg.fpca import (
     covariance_matrix,
     cross_sectional_mean,
     leading_eigenpairs,
+    row_eigenpairs,
     scores,
     trapezoid_weights,
 )
@@ -164,3 +168,138 @@ def test_scores_grid_mismatch():
     grid = np.linspace(0.0, 1.0, 10)
     with pytest.raises(GridMismatch):
         scores([DiscreteCurve(grid, grid)], np.ones(11), np.linspace(0, 1, 11))
+
+
+@st.composite
+def row_samples(draw):
+    """(rows, grid, m) on either side of n = r: random, rank-deficient or identical rows."""
+    r = draw(st.integers(3, 40))
+    n = draw(st.sampled_from([2, max(2, r - 1), r, r + 1]) | st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = np.concatenate(([0.0], np.cumsum(rng.uniform(0.2, 1.0, r - 1))))
+    grid /= grid[-1]
+    kind = draw(st.sampled_from(["random", "low_rank", "identical"]))
+    if kind == "random":
+        rows = rng.standard_normal((n, r))
+    elif kind == "low_rank":
+        k = draw(st.integers(1, 3))
+        rows = rng.standard_normal((n, k)) @ rng.standard_normal((k, r)) + rng.standard_normal(r)
+    else:
+        # integer values: the sorted-sum mean is exact, so the centred rows are 0
+        rows = np.tile(rng.integers(-8, 9, r).astype(float), (n, 1))
+    m = draw(st.integers(1, min(n, r)))
+    return rows, grid, m
+
+
+def _weighted_spectrum(rows, grid):
+    """All eigenvalues of W^1/2 K W^1/2, nonincreasing."""
+    sqw = np.sqrt(trapezoid_weights(grid))
+    kernel = covariance_matrix(DiscreteCurve.batch(grid, rows))
+    return np.linalg.eigvalsh(sqw[:, None] * kernel * sqw[None, :])[::-1]
+
+
+@given(row_samples())
+def test_row_eigenpairs_matches_covariance_eigh(sample):
+    rows, grid, m = sample
+    n, r = rows.shape
+    got = row_eigenpairs(rows, grid, m)
+    want = leading_eigenpairs(covariance_matrix(DiscreteCurve.batch(grid, rows)), grid, m)
+    if n >= r:  # the covariance eigh itself
+        np.testing.assert_array_equal(got.eigenvalues, want.eigenvalues)
+        np.testing.assert_array_equal(got.eigenfunctions, want.eigenfunctions)
+        np.testing.assert_array_equal(got.explained_ratios, want.explained_ratios)
+    np.testing.assert_array_equal(got.grid, grid)
+    assert got.eigenvalues.size == want.eigenvalues.size == m
+    assert got.trace_zero == want.trace_zero
+    lead = want.eigenvalues[0]
+    assert np.abs(got.eigenvalues - want.eigenvalues).max() <= 1e-12 * lead
+    assert np.abs(got.explained_ratios - want.explained_ratios).max() <= 1e-12
+    if lead <= 0.0:
+        return
+    w = trapezoid_weights(grid)
+    kernel = covariance_matrix(DiscreteCurve.batch(grid, rows))
+    trace = float(np.sum(w * np.diag(kernel)))  # the weighted trace, not from any eigensolver
+    np.testing.assert_allclose(got.explained_ratios * trace, got.eigenvalues, rtol=1e-9, atol=1e-12 * lead)
+    # Both solvers are backward stable, with a backward error of a few
+    # hundred ulps of lead at these sizes (forming the covariance included).
+    # By Davis-Kahan an eigenvector whose eigenvalue is `gap` away from the
+    # rest of the spectrum then moves by at most ~1e-13 * lead / gap in the
+    # quadrature norm; 1e-10 * lead / gap leaves a wide margin.  Pairs with
+    # a gap under 1e-4 * lead are not separated and are not compared.
+    spectrum = _weighted_spectrum(rows, grid)
+    sqw = np.sqrt(w)
+    for j in range(m):
+        gap = min(spectrum[j - 1] - spectrum[j] if j else np.inf,
+                  spectrum[j] - spectrum[j + 1] if j + 1 < r else np.inf)
+        if gap < 1e-4 * lead:
+            continue
+        tol = 1e-10 * lead / gap
+        a, b = got.eigenfunctions[j], want.eigenfunctions[j]
+        # the quadrature norm of a - b bounds the change of its integral too
+        integral = abs(np.sum(w * b))
+        top = np.sort(np.abs(b))[-2:]
+        clear = abs(integral - 1e-10) > 2 * tol and (
+            integral >= 1e-10 or top[1] - top[0] > 2 * tol / sqw.min()
+        )
+        diff = np.sqrt(np.sum(w * (a - b) ** 2))
+        if clear:
+            assert diff <= tol, (j, diff, tol)
+        else:  # _fix_sign sits on a tie: the sign may go either way
+            assert min(diff, np.sqrt(np.sum(w * (a + b) ** 2))) <= tol
+
+
+def test_row_eigenpairs_bit_for_bit_when_n_at_least_r(rng):
+    for n, r in ((1000, 201), (41, 41), (60, 7)):
+        grid = np.linspace(0.0, 1.0, r)
+        rows = rng.standard_normal((n, r)).cumsum(axis=1)
+        got = row_eigenpairs(rows, grid, 3)
+        want = leading_eigenpairs(covariance_matrix(DiscreteCurve.batch(grid, rows)), grid, 3)
+        np.testing.assert_array_equal(got.eigenvalues, want.eigenvalues)
+        np.testing.assert_array_equal(got.eigenfunctions, want.eigenfunctions)
+        np.testing.assert_array_equal(got.explained_ratios, want.explained_ratios)
+
+
+@given(row_samples(), st.randoms(use_true_random=False))
+def test_row_eigenpairs_permutation_invariant(sample, random):
+    rows, grid, m = sample
+    order = list(range(rows.shape[0]))
+    random.shuffle(order)
+    a = row_eigenpairs(rows, grid, m)
+    b = row_eigenpairs(rows[order], grid, m)
+    np.testing.assert_array_equal(a.eigenvalues, b.eigenvalues)
+    np.testing.assert_array_equal(a.eigenfunctions, b.eigenfunctions)
+    np.testing.assert_array_equal(a.explained_ratios, b.explained_ratios)
+
+
+def test_row_eigenpairs_returns_at_most_n_pairs(rng):
+    grid = np.linspace(0.0, 1.0, 50)
+    eig = row_eigenpairs(rng.standard_normal((4, 50)), grid, 10)
+    assert eig.eigenvalues.size == 4 and eig.eigenfunctions.shape == (4, 50)
+    w = trapezoid_weights(grid)
+    gram = (eig.eigenfunctions[:3] * w) @ eig.eigenfunctions[:3].T
+    np.testing.assert_allclose(gram, np.eye(3), atol=1e-10)
+
+
+def test_row_eigenpairs_errors():
+    grid = np.linspace(0.0, 1.0, 9)
+    with pytest.raises(EmptySample):
+        row_eigenpairs(np.ones((1, 9)), grid, 1)
+    with pytest.raises(GridMismatch):
+        row_eigenpairs(np.ones((3, 8)), grid, 1)
+    with pytest.raises(ValueError):
+        row_eigenpairs(np.eye(9)[:3], grid, 0)
+
+
+def test_row_eigenpairs_memory_is_o_of_n_r():
+    # a dense 5000 x 5000 covariance alone would take 200 MB
+    rng = np.random.default_rng(3)
+    grid = np.linspace(0.0, 1.0, 5000)
+    rows = rng.standard_normal((4, 5000)).cumsum(axis=1)
+    tracemalloc.start()
+    try:
+        eig = row_eigenpairs(rows, grid, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
+    assert eig.eigenfunctions.shape == (4, 5000)

@@ -661,3 +661,17 @@ def test_default_bandwidth_widens_for_a_grid_short_of_the_others(side):
     # a fixed bandwidth is used as given
     with pytest.raises(EmptyWindow):
         register_discrete(curves, RegisterOptions(bandwidth=1.1 * curves[3].max_gap))
+
+
+@pytest.mark.parametrize("side", ["end", "start"])
+def test_register_complete_widens_for_a_grid_short_of_the_others(side):
+    # the nearest-point bandwidth of 0.505 gaps leaves the short curve's
+    # windows past its grid empty; only that curve is widened
+    curves = short_grid_sample(side)
+    res = register_complete(curves)
+    h = res.metadata["bandwidths"]
+    assert h[:3] == [min(0.505 * c.max_gap, 1.0) for c in curves[:3]]
+    e = res.warps[3](res.output_grid)
+    assert h[3] == suggested_min_bandwidth(curves[3].grid, e) > 0.505 * curves[3].max_gap
+    assert all(np.isfinite(c.values).all() for c in res.registered)
+    _assert_same_result(res, per_curve_register_complete(curves))
