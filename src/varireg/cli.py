@@ -374,7 +374,8 @@ def cmd_diagnose(args) -> int:
         except (OSError, dataio.InputFormatError, ValueError) as exc:
             print(f"error: cannot read truth files: {exc}", file=sys.stderr)
             return EXIT_PARSE
-        if truth_ids != ids:
+        latent_by_id = dict(zip(truth_ids, truth_latent))
+        if latent_by_id.keys() != set(ids):
             print("error: truth and result curve ids differ", file=sys.stderr)
             return EXIT_PARSE
         for name, samples in (("warps.csv", warp_samples), ("truth_warps.csv", truth_warps)):
@@ -393,6 +394,7 @@ def cmd_diagnose(args) -> int:
             return w_est, _interp_rows(x if x.shape[0] > 1 else x[0], t_true, w_true)
 
         width = max(warp_samples[cid][0].size for cid in ids)
+        truth_latent = [latent_by_id[cid] for cid in ids]  # in the result's curve order
         latent = _interp_rows(grid, *_stack([c.grid for c in truth_latent], [c.values for c in truth_latent]))
         warp_errs, rel_errs, mean_sup = truth_errors(warp_block, width, values, latent, mean)
         report["warp_sup_errors"] = _json_float_list(warp_errs)

@@ -72,6 +72,8 @@ def read_curves_csv(path):
 
 
 def _rescale_times(all_t):
+    if not all_t:
+        raise InputFormatError("no data rows")
     lo = min(t for t, _ in all_t)
     hi = max(t for t, _ in all_t)
     if 0.0 <= lo and hi <= 1.0:

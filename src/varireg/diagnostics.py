@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import GridMismatch, ZeroVariation
 from .fpca import row_eigenpairs, row_scores, sorted_row_mean, trapezoid_weights
-from .registration import RegistrationResult, _evaluate, _interp_rows
+from .registration import RegistrationResult, _evaluate, _interp_rows, _template, _variation
 from .simulate import (
     _BLOCK_CELLS,
     LatentModelConfig,
@@ -23,12 +23,7 @@ from .simulate import (
     make_truth_bundle,
     true_variation_cdf,
 )
-from .variation import (
-    discrete_variation_cdf,
-    generalized_inverse,
-    mean_quantile,
-    wasserstein2,
-)
+from .variation import generalized_inverse, wasserstein2
 
 Z_CLAMP_TOL = 1e-9
 
@@ -238,11 +233,8 @@ def rate_check(
             bundle = make_truth_bundle(
                 cfg, warp_cfg, n, seed, stream_offset=(a << 40) | (b << 20), dense_r=64
             )
-            quantiles = [
-                generalized_inverse(discrete_variation_cdf(c).cdf)
-                for c in bundle.observed
-            ]
-            qbar = mean_quantile(quantiles)
+            values = np.stack([c.values for c in bundle.observed])
+            qbar = _template(_variation(values), bundle.grid[None, 1:])[0]
             vals[b] = wasserstein2(qbar, target_q) ** 2
         means[a] = vals.mean()
         ses[a] = vals.std(ddof=1) / math.sqrt(reps) if reps > 1 else 0.0

@@ -11,11 +11,12 @@ estimation itself.  Three observation regimes share the machinery:
 * ``register_noisy`` -- measurement error; local polynomial pre-smoothing
   supplies the derivative-based variation CDFs.
 
-Every stage works on the whole sample at once, one row per curve: the
-variation levels, the template, the warps and their boundary extension,
-and the kernel evaluation of the registered curves.  A row's arithmetic
-depends on that row alone, so each curve gets the bits it would get alone,
-under any order of the sample.
+Every stage of every regime works on the whole sample at once, one row
+per curve: the leave-one-out bandwidths and derivative fits of the noisy
+regime, the variation levels, the template, the warps and their boundary
+extension, and the kernel evaluation of the registered curves.  A row's
+arithmetic depends on that row alone, so each curve gets the bits it
+would get alone, under any order of the sample.
 """
 
 from __future__ import annotations
@@ -24,13 +25,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptySample, NonMonotoneInput, ZeroVariation
+from .errors import AllCandidatesSingular, EmptySample, NonMonotoneInput, SingularFit, ZeroVariation
 from .fpca import sorted_row_mean
 from .smoothing import (
-    SmootherConfig,
-    default_loocv_candidates,
-    local_poly,
-    loocv_bandwidths,
+    _loocv_ladders,
+    _loocv_rows,
+    _row_fits,
     monotone_through_knots,
     nadaraya_watson_rows,
     suggested_min_bandwidths,
@@ -210,43 +210,54 @@ def _cut_warp(t, v, t_r) -> WarpMap:
 def _warp_maps(cum, locs, grid):
     """The template, warps and inverse warps of curves with cumulative jumps ``cum``.
 
-    Row i of ``cum`` holds curve i's cumulative jump sizes at its jump
-    locations, row i of ``locs`` (or its one row, shared by all); a jump of
-    size 0 repeats the level before it.  ``cum`` is normalized in place.
-    Returns (template_cdf, template_quantile, warps, inverse_warps, each
-    curve's last jump location).
+    ``cum`` and ``locs`` are as for _template, which normalizes ``cum`` in
+    place.  Returns (template_cdf, template_quantile, warps, inverse_warps,
+    each curve's last jump location).
     """
-    cum /= cum[:, -1:].copy()
-    keep = np.diff(cum, axis=1, prepend=0.0) > 0  # where each level is first reached
-    template_cdf, template_q, warp, inverse, last = _estimate_warps(cum, keep, locs, grid)
+    template_cdf, template_q, warp, inverse, last = _estimate_warps(cum, locs, grid)
     warps = _extend_rows(grid, warp, last)
     return template_cdf, template_q, warps, _extend_rows(grid, inverse, last), last
 
 
-def _estimate_warps(levels, keep, locs, grid):
-    """The template, and every curve's warp and inverse warp sampled at ``grid``.
+def _template(cum, locs):
+    """The mean-quantile template of curves with cumulative jumps ``cum``.
 
-    Row i of ``levels`` holds curve i's variation CDF at its jump locations,
-    row i of ``locs`` (or its one row, shared by all); ``keep`` marks where
-    each level is first reached, and every row ends at level 1.  Returns
-    (template_cdf, template_quantile, warp samples, inverse-warp samples,
-    each curve's last jump location), the samples as (n, grid.size) arrays.
+    Row i of ``cum`` holds curve i's cumulative jump sizes at its jump
+    locations, row i of ``locs`` (or its one row, shared by all); a jump of
+    size 0 repeats the level before it.  ``cum`` is normalized in place into
+    the curves' variation CDF levels.  Returns (template_quantile, where
+    each level is first reached, the index of each such level in the
+    template's breakpoints).
     """
-    n, m = levels.shape
-    rows = np.arange(n)[:, None]
-    all_locs = np.broadcast_to(locs, levels.shape)
+    cum /= cum[:, -1:].copy()
+    keep = np.diff(cum, axis=1, prepend=0.0) > 0
     per_curve = np.count_nonzero(keep, axis=1)
-    points, index = np.unique(np.concatenate(([0.0], levels[keep])), return_inverse=True)
+    points, index = np.unique(np.concatenate(([0.0], cum[keep])), return_inverse=True)
     index = index[1:]
     template_q = mean_quantile_flat(
-        points, index, all_locs[keep], np.cumsum(per_curve) - per_curve
+        points, index, np.broadcast_to(locs, cum.shape)[keep], np.cumsum(per_curve) - per_curve
     )
+    return template_q, keep, index
+
+
+def _estimate_warps(cum, locs, grid):
+    """The template, and every curve's warp and inverse warp sampled at ``grid``.
+
+    ``cum`` and ``locs`` are as for _template.  Returns (template_cdf,
+    template_quantile, warp samples, inverse-warp samples, each curve's last
+    jump location), the samples as (n, grid.size) arrays.
+    """
+    template_q, keep, index = _template(cum, locs)
     template_cdf = quantile_to_cdf(template_q)
+    n, m = cum.shape
+    rows = np.arange(n)[:, None]
+    all_locs = np.broadcast_to(locs, cum.shape)
     # warp i is Q_i(F(t)): where curve i first reaches the template level F(t)
     level = template_cdf(grid)
-    warp = np.where(level > 0.0, all_locs[rows, searchsorted_rows(levels, level)], 0.0)
-    # inverse warp i is Q(F_i(t)): F_i(t) is a level in `points`, and the
-    # template's value there is at its index, carried over repeated levels
+    warp = np.where(level > 0.0, all_locs[rows, searchsorted_rows(cum, level)], 0.0)
+    # inverse warp i is Q(F_i(t)): F_i(t) is a level of the template's
+    # breakpoints, and its value there is at the level's index, carried over
+    # repeated levels
     at = np.zeros((n, m + 1), dtype=index.dtype)
     at[:, 1:][keep] = index
     np.maximum.accumulate(at, axis=1, out=at)
@@ -291,6 +302,13 @@ def _stack(grids, values):
     padded[valid] = np.concatenate(values)
     padded[~valid] = np.repeat([v[-1] for v in values], sizes.max() - sizes)
     return padded_grids, padded
+
+
+def _max_gaps(grids, n):
+    """The largest grid gap of each of n curves, their grids laid out as by _stack."""
+    with np.errstate(invalid="ignore"):  # inf - inf in the padding
+        gaps = np.where(grids[:, 1:] < np.inf, np.diff(grids, axis=1), 0.0)
+    return np.broadcast_to(gaps.max(axis=1), n)
 
 
 def _evaluate(warps, x) -> np.ndarray:
@@ -368,10 +386,7 @@ def _register_noiseless(curves, options, bandwidth_rule, regime):
     if options.smooth_warps:
         warps = _smooth(warps, options.n_knots)
     output_grid = _default_output_grid(points, options.output_grid)
-    if grids.shape[0] == 1:
-        gaps = np.full(len(curves), curves[0].max_gap)
-    else:
-        gaps = np.array([c.max_gap for c in curves])
+    gaps = _max_gaps(grids, len(curves))
     eval_points = _evaluate(warps, np.clip(output_grid, 0.0, 1.0))
     bandwidths = bandwidth_rule(gaps, grids, eval_points)
     fits = nadaraya_watson_rows(grids, values, bandwidths, eval_points)
@@ -380,17 +395,19 @@ def _register_noiseless(curves, options, bandwidth_rule, regime):
         "smooth_warps": bool(options.smooth_warps),
         "n_knots": int(options.n_knots),
         "boundary_knots_appended": bool((last < 1.0).any()),
-        "output_grid_size": int(output_grid.size),
     }
+    return _result(template_cdf, template_q, warps, inverse_warps, output_grid, fits, regime, meta)
+
+
+def _result(template_cdf, template_q, warps, inverse_warps, output_grid, fits, regime, meta):
+    """A pipeline's RegistrationResult from its template, warps and fits.
+
+    Row i of ``fits`` holds curve i registered on ``output_grid``.
+    """
+    meta["output_grid_size"] = int(output_grid.size)
     return RegistrationResult(
-        warps=warps,
-        inverse_warps=inverse_warps,
-        template_cdf=template_cdf,
-        template_quantile=template_q,
-        registered=DiscreteCurve.batch(output_grid, fits),
-        mean=sorted_row_mean(output_grid, fits),
-        regime=regime,
-        metadata=meta,
+        warps, inverse_warps, template_cdf, template_q,
+        DiscreteCurve.batch(output_grid, fits), sorted_row_mean(output_grid, fits), regime, meta,
     )
 
 
@@ -451,61 +468,59 @@ def register_complete(sample, output_grid=None, threads: int = 1) -> Registratio
 def register_noisy(sample, opts: NoisyOptions = None) -> RegistrationResult:
     """Register discretely observed curves contaminated by measurement error.
 
-    Per curve: a local quadratic fit estimates the derivative on a uniform
-    grid; the normalized cumulative absolute derivative (trapezoid rule)
-    replaces the raw increment CDF; warps follow as in the discrete
-    pipeline; a local linear fit evaluates the registered curve.
+    Over the rows of the sample at once, one per curve: leave-one-out picks
+    each curve's h1 and h2 from its default ladder (with ``auto``); a local
+    quadratic fit estimates the derivative on a uniform grid; the normalized
+    cumulative absolute derivative (trapezoid rule) replaces the raw
+    increment CDF; warps follow as in the discrete pipeline; a local linear
+    fit evaluates the registered curve.  The lowest-index failing curve
+    raises what it raises alone: AllCandidatesSingular, SingularFit or
+    ZeroVariation, in that order.
     """
     opts = opts or NoisyOptions()
     curves = list(sample)
     if not curves:
         raise EmptySample("no curves to register")
-    for c in curves:
-        if c.grid.size < 10:
-            raise ValueError("noisy pipeline needs at least 10 points per curve")
+    grids, values = _stack([c.grid for c in curves], [c.values for c in curves])
+    if (np.count_nonzero(grids < np.inf, axis=1) < 10).any():
+        raise ValueError("noisy pipeline needs at least 10 points per curve")
+    n = len(curves)
     deriv_grid = np.linspace(0.0, 1.0, opts.deriv_grid_size)
-
-    def _prepare(i, curve):
-        if opts.auto:
-            # both degrees from one pass over the leave-one-out windows
-            h1, h2 = loocv_bandwidths(curve, (2, 1), default_loocv_candidates(curve))
-        else:
-            h1, h2 = float(opts.h1), float(opts.h2)
-        cfg1 = SmootherConfig(bandwidth=h1, degree=2, deriv_order=1)
-        deriv = np.abs(local_poly(curve, cfg1, deriv_grid))
-        cell = (deriv[:-1] + deriv[1:]) / 2.0 * np.diff(deriv_grid)
-        if np.sum(cell) <= 1e-12 * max(float(np.abs(curve.values).max()), 1.0):
-            raise ZeroVariation(
-                "estimated derivative integrates to (numerically) zero", curve_id=i
-            )
-        return h1, h2, cell
-
-    prepared = [_prepare(i, c) for i, c in enumerate(curves)]
+    if opts.auto:
+        # both degrees from one pass over the leave-one-out windows
+        ladders = _loocv_ladders(_max_gaps(grids, n))
+        (h1, h2), failed = _loocv_rows(grids, values, ladders, (2, 1))
+    else:
+        h1, h2 = np.full(n, float(opts.h1)), np.full(n, float(opts.h2))
+        failed = np.zeros(n, dtype=bool)
+    deriv = np.abs(_row_fits(grids, values, h1[:, None], deriv_grid[None], [2], 1)[0, :, 0])
+    singular = np.isnan(deriv)
+    cell = (deriv[:, :-1] + deriv[:, 1:]) / 2.0 * np.diff(deriv_grid)
+    del deriv  # only the cells are alive while the template is built
+    flat = cell.sum(axis=1) <= 1e-12 * np.maximum(np.abs(values).max(axis=1), 1.0)
+    bad = failed | singular.any(axis=1) | flat
+    if bad.any():
+        i = int(np.argmax(bad))
+        if failed[i]:
+            raise AllCandidatesSingular("every candidate bandwidth left a singular window")
+        if singular[i].any():
+            raise SingularFit(float(deriv_grid[np.argmax(singular[i])]))
+        raise ZeroVariation("estimated derivative integrates to (numerically) zero", curve_id=i)
     # every curve's variation CDF jumps on deriv_grid[1:]
     template_cdf, template_q, warps, inverse_warps, _ = _warp_maps(
-        np.cumsum([p[2] for p in prepared], axis=1), deriv_grid[None, 1:], deriv_grid
+        np.cumsum(cell, axis=1, out=cell), deriv_grid[None, 1:], deriv_grid
     )
-    output_grid = _default_output_grid(np.concatenate([c.grid for c in curves]), opts.output_grid)
+    output_grid = _default_output_grid(grids[grids < np.inf], opts.output_grid)
     eval_points = _evaluate(warps, np.clip(output_grid, 0.0, 1.0))
-    fits = np.array([
-        local_poly(curve, SmootherConfig(bandwidth=h2, degree=1, deriv_order=0), e)
-        for curve, (_, h2, _), e in zip(curves, prepared, eval_points)
-    ])
+    fits = _row_fits(grids, values, h2[:, None], eval_points, [1])[0, :, 0]
+    singular = np.isnan(fits)
+    if singular.any():  # first curve, first window
+        raise SingularFit(float(eval_points.flat[np.argmax(singular)]))
     meta = {
-        "h1": [float(p[0]) for p in prepared],
-        "h2": [float(p[1]) for p in prepared],
+        "h1": h1.tolist(),
+        "h2": h2.tolist(),
         "auto_bandwidth": bool(opts.auto),
         "deriv_grid_size": int(opts.deriv_grid_size),
         "boundary_knots_appended": False,
-        "output_grid_size": int(output_grid.size),
     }
-    return RegistrationResult(
-        warps=warps,
-        inverse_warps=inverse_warps,
-        template_cdf=template_cdf,
-        template_quantile=template_q,
-        registered=DiscreteCurve.batch(output_grid, fits),
-        mean=sorted_row_mean(output_grid, fits),
-        regime="noisy",
-        metadata=meta,
-    )
+    return _result(template_cdf, template_q, warps, inverse_warps, output_grid, fits, "noisy", meta)

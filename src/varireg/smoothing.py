@@ -2,9 +2,12 @@
 
 Epanechnikov kernel, Nadaraya-Watson regression, local polynomial
 regression (values and first derivatives), leave-one-out bandwidth
-selection, and monotone smoothing of warp maps.  Every kernel fit runs
-through one local-polynomial routine over the kernel's compact-support
-windows, never a dense (evaluation x grid) weight matrix.
+selection, and monotone smoothing of warp maps.  Every kernel fit, of
+one curve or of a whole sample, runs through one windowed local-polynomial
+kernel over rows of curves (``_row_fits``): degrees 0, 1 and 2, values or
+slopes, leave-one-out or not, over the kernel's compact-support windows,
+never a dense (evaluation x grid) weight matrix.  Each curve gets the bits
+it would get alone.
 """
 
 from __future__ import annotations
@@ -17,9 +20,11 @@ from scipy.interpolate import PchipInterpolator
 from .errors import AllCandidatesSingular, EmptyWindow, SingularFit
 from .variation import DiscreteCurve, searchsorted_rows
 
-_CELL_BUDGET = 1 << 18  # cap on bandwidths x eval points x window width per pass
-_BLOCK_BUDGET = 1 << 16  # window points per block of nadaraya_watson_rows; smaller
-# blocks than _CELL_BUDGET stay in cache and keep the peak memory of a sample down
+_CELL_BUDGET = 1 << 18  # bandwidths x eval points x window width per chunk of one curve
+_BLOCK_BUDGET = 1 << 15  # window points per block of _row_fits; smaller blocks than
+# _CELL_BUDGET stay in cache and keep the peak memory of a sample down
+_LOO_BLOCK_FITS = 1 << 13  # fits per row block of _loo_errors: its arrays over
+# (rows, bandwidths, points) stay smaller than one block's windows
 
 
 @dataclass(frozen=True)
@@ -82,46 +87,68 @@ def suggested_min_bandwidths(grids, eval_points) -> np.ndarray:
     return np.minimum(left, right).max(axis=1) * (1.0 + 1e-9)
 
 
-def _windowed_fits(grid, values, bandwidths, eval_points, degrees, deriv_order=0,
-                   loo=False, kernel=EPANECHNIKOV):
-    """Local polynomial fits over the kernel's compact-support windows.
+def _row_fits(grids, values, bandwidths, eval_points, degrees, deriv_order=0,
+              loo=False, kernel=EPANECHNIKOV):
+    """Local polynomial fits of many curves over the kernel's compact-support windows.
 
-    Returns an array of shape (len(degrees), len(bandwidths), len(eval_points))
-    whose entry [d, k] holds, at each evaluation point, the deriv_order
-    coefficient (scaled back to the time axis) of the weighted least-squares
-    fit of degree degrees[d] with bandwidth bandwidths[k] (Fan & Gijbels 1996,
-    ch. 3); nan marks a window with fewer than degree + 1 positively weighted
-    points.  Degree 0 is the Nadaraya-Watson average, with the weights
-    normalized before the dot product so a single-point window returns its
-    value exactly.  With ``loo`` a grid point coinciding with the evaluation
-    point gets weight 0.  All degrees share one pass over the windows, and
-    each gets the same bits as a fit of that degree alone.
+    ``grids`` holds one sorted grid shared by every curve, or one per curve,
+    padded past its last point with +inf; ``values`` (n, L) is padded with
+    any finite value.  ``bandwidths`` (n, K) holds one row per curve, and
+    ``eval_points`` (n, m) one per curve or one shared by all.  Returns an
+    array of shape (len(degrees), n, K, m) whose entry [d, i, k] holds, at
+    each of curve i's evaluation points, the deriv_order coefficient
+    (scaled back to the time axis) of the weighted least-squares fit of
+    degree degrees[d] with bandwidth bandwidths[i, k] (Fan & Gijbels 1996,
+    ch. 3); nan marks a window with fewer than degree + 1 positively
+    weighted points.  Degree 0 is the Nadaraya-Watson
+    average, with the weights normalized before the dot product so a
+    single-point window returns its value exactly.  With ``loo`` a grid
+    point coinciding with the evaluation point gets weight 0.
+
+    Each fit has the same bits whatever the other curves, their order and
+    the other degrees: sums over a window associate by its padded length,
+    and a curve's padding depends on that curve alone.  Its evaluation
+    points are taken _CELL_BUDGET // (K x its widest window) at a time, and
+    each such chunk is padded to its widest window over the K bandwidths.
+    Cells of one padded width run together in blocks of at most
+    _BLOCK_BUDGET window points.
     """
-    h = np.asarray(bandwidths, dtype=float).reshape(-1, 1)
-    e = np.asarray(eval_points, dtype=float)
-    # [lo, lo + width) per (bandwidth, eval point), widened by one index on each
-    # side so rounding in e +- h never drops a point the kernel weights
-    lo = np.maximum(np.searchsorted(grid, e - h, "right") - 1, 0)
-    width = np.minimum(np.searchsorted(grid, e + h, "left") + 1, grid.size) - lo
-    out = np.empty((len(degrees),) + lo.shape)
-    step = max(1, _CELL_BUDGET // (h.size * max(int(width.max(initial=0)), 1)))
-    for start in range(0, e.size, step):
-        cols = slice(start, start + step)
-        idx = lo[:, cols, None] + np.arange(int(width[:, cols].max(initial=0)))
-        np.minimum(idx, grid.size - 1, out=idx)
-        out[:, :, cols] = _fit_chunk(
-            grid[idx], values[idx], e[cols], h, width[:, cols],
-            degrees, deriv_order, loo, kernel,
-        )
+    h = np.asarray(bandwidths, dtype=float)
+    if not ((h > 0.0) & (h <= 1.0)).all():
+        raise ValueError("bandwidth must lie in (0, 1]")
+    (n, K), m = h.shape, np.shape(eval_points)[1]
+    e = np.broadcast_to(np.asarray(eval_points, dtype=float), (n, m))
+    size = np.broadcast_to(np.count_nonzero(grids < np.inf, axis=1), n)
+    # [lo, lo + width) per (curve, bandwidth, eval point), widened by one index
+    # on each side so rounding in e +- h never drops a point the kernel weights
+    edge = (e[:, None, :] - h[:, :, None]).reshape(n, -1)
+    lo = np.maximum(searchsorted_rows(grids, edge, "right") - 1, 0).reshape(n, K, m)
+    edge = (e[:, None, :] + h[:, :, None]).reshape(n, -1)
+    width = np.minimum(searchsorted_rows(grids, edge, "left") + 1, size[:, None]).reshape(n, K, m) - lo
+    del edge  # the (curves x bandwidths x points) arrays set the peak memory of a large sample
+    widest = width.max(axis=1)
+    step = np.maximum(_CELL_BUDGET // (K * np.maximum(widest.max(axis=1, initial=0), 1)), 1)
+    chunk = (np.arange(m) // step[:, None] + m * np.arange(n)[:, None]).ravel()
+    pad = np.zeros(n * m, dtype=width.dtype)
+    np.maximum.at(pad, chunk, widest.ravel())
+    pad = pad[chunk]
+    del widest, chunk
+    out = np.empty((len(degrees), n, K, m))
+    for p in np.unique(pad):
+        cells = np.flatnonzero(pad == p)
+        per_block = max(_BLOCK_BUDGET // (K * p), 1)
+        for start in range(0, cells.size, per_block):
+            i, j = np.divmod(cells[start:start + per_block], m)
+            row = i[:, None, None]
+            idx = lo[i, :, j][..., None] + np.arange(p)
+            np.minimum(idx, size[row] - 1, out=idx)
+            at = idx + row * values.shape[1]  # flat gathers are faster than [row, idx]
+            fits = _fit_chunk(
+                grids.ravel()[at if grids.shape[0] > 1 else idx], values.ravel()[at],
+                e[i, j][:, None], h[i], width[i, :, j], degrees, deriv_order, loo, kernel,
+            )
+            out[:, i, :, j] = np.stack(fits, axis=1)
     return out
-
-
-def _windowed_fit(grid, values, bandwidths, eval_points, degree, deriv_order=0,
-                  loo=False, kernel=EPANECHNIKOV):
-    """_windowed_fits for one degree: shape (len(bandwidths), len(eval_points))."""
-    return _windowed_fits(
-        grid, values, bandwidths, eval_points, [degree], deriv_order, loo, kernel
-    )[0]
 
 
 def _fit_chunk(g, y, e, h, width, degrees, deriv_order, loo, kernel):
@@ -212,48 +239,16 @@ def nadaraya_watson_rows(grids, values, bandwidths, eval_points, kernel=EPANECHN
     padded past its last point with +inf; ``values`` (n, L) is padded with
     any finite value.  ``bandwidths`` has one entry and ``eval_points`` one
     row per curve.  Each fit has the bits nadaraya_watson gives the curve
-    alone: a cell is padded to the window width that its curve's own pass
-    pads it to, and cells of one width run together in blocks of at most
-    _BLOCK_BUDGET window points.  Raises EmptyWindow for the first curve
-    with an empty window.
+    alone.  Raises EmptyWindow for the first curve with an empty window.
     """
-    h = np.asarray(bandwidths, dtype=float)
     e = np.asarray(eval_points, dtype=float)
-    if not ((h > 0.0) & (h <= 1.0)).all():
-        raise ValueError("bandwidth must lie in (0, 1]")
-    n, m = e.shape
-    size = np.count_nonzero(grids < np.inf, axis=1)
-    lo = np.maximum(searchsorted_rows(grids, e - h[:, None], "right") - 1, 0)
-    width = np.minimum(searchsorted_rows(grids, e + h[:, None], "left") + 1, size[:, None]) - lo
-    # a curve alone is fitted `step` evaluation points at a time, each chunk
-    # padded to its widest window (_windowed_fits); sums over the padding
-    # associate by its length, so each cell keeps its chunk's
-    step = np.maximum(_CELL_BUDGET // np.maximum(width.max(axis=1), 1), 1)
-    chunk = (np.arange(m) // step[:, None] + m * np.arange(n)[:, None]).ravel()
-    pad = np.zeros(n * m, dtype=width.dtype)
-    np.maximum.at(pad, chunk, width.ravel())
-    pad = pad[chunk]
-    out = np.empty(n * m)
-    for p in np.unique(pad):
-        cells = np.flatnonzero(pad == p)
-        per_block = max(_BLOCK_BUDGET // p, 1)
-        for start in range(0, cells.size, per_block):
-            c = cells[start:start + per_block]
-            row = (c // m)[:, None]
-            grid_row = row if grids.shape[0] > 1 else 0
-            idx = lo.flat[c][:, None] + np.arange(p)
-            np.minimum(idx, size[grid_row] - 1, out=idx)
-            g, y = grids[grid_row, idx], values[row, idx]
-            out[c] = _fit_chunk(g, y, e.flat[c], h[row[:, 0]], width.flat[c], [0], 0, False, kernel)[0]
-    out = out.reshape(n, m)
+    h = np.asarray(bandwidths, dtype=float)[:, None]
+    out = _row_fits(grids, values, h, e, [0], kernel=kernel)[0, :, 0]
     empty = np.isnan(out)
     if empty.any():
-        i = int(np.argmax(empty.any(axis=1)))
+        i, j = np.unravel_index(np.argmax(empty), out.shape)  # first curve, first window
         grid = grids[i if grids.shape[0] > 1 else 0]
-        raise EmptyWindow(
-            float(e[i, np.argmax(empty[i])]),
-            suggested_min_bandwidth(grid[grid < np.inf], e[i]),
-        )
+        raise EmptyWindow(float(e[i, j]), suggested_min_bandwidth(grid[grid < np.inf], e[i]))
     return out
 
 
@@ -264,14 +259,56 @@ def local_poly(curve: DiscreteCurve, cfg: SmootherConfig, eval_points) -> np.nda
     underdetermined.
     """
     eval_points = np.asarray(eval_points, dtype=float)
-    out = _windowed_fit(
-        curve.grid, curve.values, [cfg.bandwidth], eval_points,
-        cfg.degree, cfg.deriv_order, kernel=cfg.kernel,
-    )[0]
+    e = eval_points.reshape(1, -1)
+    out = _row_fits(
+        curve.grid[None], curve.values[None], [[cfg.bandwidth]], e,
+        [cfg.degree], cfg.deriv_order, kernel=cfg.kernel,
+    )[0, :, 0]
     singular = np.isnan(out)
     if singular.any():
-        raise SingularFit(float(eval_points[int(np.argmax(singular))]))
-    return out
+        raise SingularFit(float(e.flat[np.argmax(singular)]))
+    return out.reshape(eval_points.shape)
+
+
+def _loocv_rows(grids, values, candidates, degrees):
+    """loocv_bandwidths of many curves, one row of sorted ``candidates`` each.
+
+    Arguments are as for _loo_errors.  Returns the chosen bandwidths,
+    (len(degrees), n), and a mask of the curves for which some degree
+    skipped every candidate.
+    """
+    errs = _loo_errors(grids, values, candidates, degrees)
+    best = np.argmin(errs, axis=-1)[..., None]  # first minimum: the smaller bandwidth wins ties
+    chosen = np.take_along_axis(np.broadcast_to(candidates, errs.shape), best, axis=-1)[..., 0]
+    failed = (np.take_along_axis(errs, best, axis=-1)[..., 0] == np.inf).any(axis=0)
+    return chosen, failed
+
+
+def _loo_errors(grids, values, candidates, degrees):
+    """Leave-one-out squared prediction errors of many curves: (len(degrees), n, K).
+
+    ``grids`` and ``values`` are laid out as for _row_fits; ``candidates``
+    (n, K) holds each curve's bandwidths.  A skipped candidate (an
+    underdetermined window) has error inf.  Curves run in blocks of rows,
+    each reduced to its errors at once, so no prediction array of the whole
+    sample is formed.  Each error is summed over its curve's own points and
+    has the bits of its curve's pass alone.
+    """
+    n, K = candidates.shape
+    size = np.count_nonzero(np.broadcast_to(grids, values.shape) < np.inf, axis=1)
+    # each curve is predicted at its own grid points; a padded row repeats its last
+    eval_points = np.minimum(grids, np.where(grids < np.inf, grids, -np.inf).max(axis=1, keepdims=True))
+    errs = np.empty((len(degrees), n, K))
+    rows = max(_LOO_BLOCK_FITS // (K * grids.shape[1]), 1)
+    for start in range(0, n, rows):
+        b = slice(start, start + rows)
+        own = slice(None) if grids.shape[0] == 1 else b
+        preds = _row_fits(grids[own], values[b], candidates[b], eval_points[own], degrees, loo=True)
+        sq = (preds - values[b, None]) ** 2
+        for s in np.unique(size[b]):
+            r = np.flatnonzero(size[b] == s)
+            errs[:, start + r] = sq[:, r, :, :s].sum(axis=-1)
+    return np.where(errs < np.inf, errs, np.inf)  # nan: a skipped candidate
 
 
 def loocv_bandwidths(curve: DiscreteCurve, degrees, candidates) -> list:
@@ -282,16 +319,10 @@ def loocv_bandwidths(curve: DiscreteCurve, degrees, candidates) -> list:
     for degree in degrees:
         for h in candidates:
             SmootherConfig(bandwidth=h, degree=degree)  # rejects out-of-range candidates
-    preds = _windowed_fits(curve.grid, curve.values, candidates, curve.grid, degrees, loo=True)
-    errs = np.sum((preds - curve.values) ** 2, axis=-1)
-    errs = np.where(errs < np.inf, errs, np.inf)  # nan: a skipped candidate
-    chosen = []
-    for row in errs:
-        best = int(np.argmin(row))  # first minimum: the smaller bandwidth wins ties
-        if row[best] == np.inf:
-            raise AllCandidatesSingular("every candidate bandwidth left a singular window")
-        chosen.append(candidates[best])
-    return chosen
+    chosen, failed = _loocv_rows(curve.grid[None], curve.values[None], np.array([candidates]), degrees)
+    if failed[0]:
+        raise AllCandidatesSingular("every candidate bandwidth left a singular window")
+    return chosen[:, 0].tolist()
 
 
 def loocv_bandwidth(curve: DiscreteCurve, degree: int, candidates) -> float:
@@ -311,14 +342,25 @@ def default_loocv_candidates(curve: DiscreteCurve, count: int = 12) -> np.ndarra
     would put a leave-one-out neighbour on a uniform grid at |u| = 1 to
     within an ulp, where its kernel weight is rounding noise; boundary fits
     of degree 1 and 2 are then near singular, and the noise can pick the
-    bandwidth.
+    bandwidth.  When 2.5 gaps reach the top the ladder is that one value,
+    at most 1.
     """
-    gap = curve.max_gap
-    lo = 2.5 * gap
-    hi = (np.floor(0.25 / gap) + 0.5) * gap
-    if lo >= hi:
-        return np.array([min(lo, 1.0)])
-    return np.exp(np.linspace(np.log(lo), np.log(hi), count))
+    ladder = _loocv_ladders(np.array([curve.max_gap]), count)[0]
+    return ladder if ladder[0] < ladder[-1] else ladder[:1]
+
+
+def _loocv_ladders(gaps, count: int = 12) -> np.ndarray:
+    """default_loocv_candidates of curves with largest grid gaps ``gaps``, one row each.
+
+    A ladder of one value is that value ``count`` times, so that every row
+    has ``count`` candidates; the leave-one-out choice is the same.
+    """
+    lo = 2.5 * gaps
+    hi = (np.floor(0.25 / gaps) + 0.5) * gaps
+    ladders = np.repeat(np.minimum(lo, 1.0)[:, None], count, axis=1)
+    more = lo < hi
+    ladders[more] = np.exp(np.linspace(np.log(lo[more]), np.log(hi[more]), count, axis=1))
+    return ladders
 
 
 def monotone_smooth_warp(sample_t, sample_v, n_knots: int = 11, n_out: int = 1024):

@@ -4,6 +4,11 @@
   Epanechnikov weight matrix between every evaluation point and every grid
   point: simple and obviously correct, but O(eval x grid) per fit.  The
   library computes the same fits over compact-support windows.
+* The per-curve windowed pass: one curve's fits for many bandwidths and
+  degrees over its compact-support windows, chunk by chunk, and the
+  leave-one-out choice and local polynomial fit built on it.  The library
+  runs one windowed kernel over the rows of a whole sample, padding each
+  row as this pass pads its curve.
 * The pairwise warp oracle, which averages all pairwise alignment maps
   instead of going through the mean-quantile template.
 * The dense mean-quantile table: every input evaluated at every point of
@@ -22,6 +27,9 @@
   against the truth, each curve's derivative, integrals, warps and truth
   warps taken on their own.  The library sums along the rows of one
   (curves x points) array.
+* The per-curve rate check: each replicate's template from every curve's
+  own variation CDF and quantile, averaged by ``mean_quantile``.  The
+  library builds it with the registration pipelines' batched template.
 """
 
 from __future__ import annotations
@@ -32,7 +40,9 @@ import numpy as np
 
 from scipy.interpolate import PchipInterpolator
 
-from varireg.diagnostics import Z_CLAMP_TOL, RegistrationReport
+from dataclasses import replace
+
+from varireg.diagnostics import Z_CLAMP_TOL, RateCheckResult, RegistrationReport, rate_grid_size
 from varireg.errors import (
     AllCandidatesSingular,
     EmptySample,
@@ -57,16 +67,18 @@ from varireg.simulate import (
     AnalyticWarp,
     IdentityWarp,
     TruthBundle,
+    make_truth_bundle,
     sample_latent,
     sample_warp,
     substream,
+    true_variation_cdf,
 )
 from varireg.smoothing import (
+    _CELL_BUDGET,
+    EPANECHNIKOV,
     SmootherConfig,
-    _windowed_fit,
+    _fit_chunk,
     default_loocv_candidates,
-    local_poly,
-    loocv_bandwidths,
     suggested_min_bandwidth,
 )
 from varireg.variation import (
@@ -176,6 +188,69 @@ def dense_loocv_bandwidth(curve, degree, candidates) -> float:
     if best_h is None:
         raise AllCandidatesSingular("every candidate bandwidth left a singular window")
     return best_h
+
+
+def per_curve_windowed_fits(grid, values, bandwidths, eval_points, degrees, deriv_order=0,
+                            loo=False, kernel=EPANECHNIKOV):
+    """Local polynomial fits of one curve over the kernel's compact-support windows.
+
+    Returns an array of shape (len(degrees), len(bandwidths), len(eval_points))
+    of the fits the library's row kernel makes, nan where a window is
+    underdetermined.  The evaluation points are taken
+    _CELL_BUDGET // (bandwidths x widest window) at a time, each chunk padded
+    to its widest window.
+    """
+    h = np.asarray(bandwidths, dtype=float).reshape(-1, 1)
+    e = np.asarray(eval_points, dtype=float)
+    lo = np.maximum(np.searchsorted(grid, e - h, "right") - 1, 0)
+    width = np.minimum(np.searchsorted(grid, e + h, "left") + 1, grid.size) - lo
+    out = np.empty((len(degrees),) + lo.shape)
+    step = max(1, _CELL_BUDGET // (h.size * max(int(width.max(initial=0)), 1)))
+    for start in range(0, e.size, step):
+        cols = slice(start, start + step)
+        idx = lo[:, cols, None] + np.arange(int(width[:, cols].max(initial=0)))
+        np.minimum(idx, grid.size - 1, out=idx)
+        out[:, :, cols] = _fit_chunk(
+            grid[idx], values[idx], e[cols], h, width[:, cols],
+            degrees, deriv_order, loo, kernel,
+        )
+    return out
+
+
+def per_curve_windowed_fit(grid, values, bandwidths, eval_points, degree, deriv_order=0,
+                           loo=False, kernel=EPANECHNIKOV):
+    """per_curve_windowed_fits for one degree: shape (len(bandwidths), len(eval_points))."""
+    return per_curve_windowed_fits(
+        grid, values, bandwidths, eval_points, [degree], deriv_order, loo, kernel
+    )[0]
+
+
+def per_curve_local_poly(curve, cfg, eval_points) -> np.ndarray:
+    """local_poly from the per-curve windowed pass."""
+    eval_points = np.asarray(eval_points, dtype=float)
+    out = per_curve_windowed_fit(
+        curve.grid, curve.values, [cfg.bandwidth], eval_points,
+        cfg.degree, cfg.deriv_order, kernel=cfg.kernel,
+    )[0]
+    singular = np.isnan(out)
+    if singular.any():
+        raise SingularFit(float(eval_points[int(np.argmax(singular))]))
+    return out
+
+
+def per_curve_loocv_bandwidths(curve, degrees, candidates) -> list:
+    """loocv_bandwidths from the per-curve windowed pass."""
+    candidates = sorted(float(h) for h in candidates)
+    preds = per_curve_windowed_fits(curve.grid, curve.values, candidates, curve.grid, degrees, loo=True)
+    errs = np.sum((preds - curve.values) ** 2, axis=-1)
+    errs = np.where(errs < np.inf, errs, np.inf)  # nan: a skipped candidate
+    chosen = []
+    for row in errs:
+        best = int(np.argmin(row))
+        if row[best] == np.inf:
+            raise AllCandidatesSingular("every candidate bandwidth left a singular window")
+        chosen.append(candidates[best])
+    return chosen
 
 
 def pairwise_warp_oracle(cdfs, i: int, grid) -> WarpMap:
@@ -369,9 +444,9 @@ def per_curve_estimate_warps(cdfs, grid=None):
 
 
 def per_curve_nadaraya_watson(curve, cfg, eval_points) -> np.ndarray:
-    """Windowed Nadaraya-Watson fit of one curve, as local_poly's pass makes it."""
+    """Windowed Nadaraya-Watson fit of one curve, from the per-curve windowed pass."""
     eval_points = np.asarray(eval_points, dtype=float)
-    out = _windowed_fit(
+    out = per_curve_windowed_fit(
         curve.grid, curve.values, [cfg.bandwidth], eval_points, 0, kernel=cfg.kernel
     )[0]
     empty = np.isnan(out)
@@ -475,11 +550,11 @@ def per_curve_register_noisy(sample, opts=None) -> RegistrationResult:
     prepared = []
     for i, curve in enumerate(curves):
         if opts.auto:
-            h1, h2 = loocv_bandwidths(curve, (2, 1), default_loocv_candidates(curve))
+            h1, h2 = per_curve_loocv_bandwidths(curve, (2, 1), default_loocv_candidates(curve))
         else:
             h1, h2 = float(opts.h1), float(opts.h2)
         cfg1 = SmootherConfig(bandwidth=h1, degree=2, deriv_order=1)
-        deriv = np.abs(local_poly(curve, cfg1, deriv_grid))
+        deriv = np.abs(per_curve_local_poly(curve, cfg1, deriv_grid))
         cell = (deriv[:-1] + deriv[1:]) / 2.0 * np.diff(deriv_grid)
         total = float(np.sum(cell))
         if total <= 1e-12 * max(float(np.abs(curve.values).max()), 1.0):
@@ -495,7 +570,7 @@ def per_curve_register_noisy(sample, opts=None) -> RegistrationResult:
     for curve, warp, (_, h2, _) in zip(curves, warps, prepared):
         cfg2 = SmootherConfig(bandwidth=h2, degree=1, deriv_order=0)
         registered.append(
-            DiscreteCurve(output_grid, local_poly(curve, cfg2, warp(output_grid)))
+            DiscreteCurve(output_grid, per_curve_local_poly(curve, cfg2, warp(output_grid)))
         )
     meta = {
         "h1": [float(p[0]) for p in prepared],
@@ -651,3 +726,34 @@ def per_curve_evaluate_against_truth(result, truth) -> RegistrationReport:
         mean_sup_error=mean_sup,
         flags=flags,
     )
+
+
+def per_curve_rate_check(model_cfg, warp_cfg, ns, reps, seed, dense_r=10000) -> RateCheckResult:
+    """rate_check with each replicate's template built curve by curve."""
+    ns = sorted(int(n) for n in ns)
+    if not ns or ns[0] < 2 or reps < 1:
+        raise ValueError("need sample sizes >= 2 and reps >= 1")
+    target_q = generalized_inverse(true_variation_cdf(model_cfg, dense_r))
+    means = np.empty(len(ns))
+    ses = np.empty(len(ns))
+    grid_sizes = []
+    for a, n in enumerate(ns):
+        r = rate_grid_size(n)
+        grid_sizes.append(r)
+        cfg = replace(model_cfg, grid_size=r)
+        vals = np.empty(reps)
+        for b in range(reps):
+            bundle = make_truth_bundle(
+                cfg, warp_cfg, n, seed, stream_offset=(a << 40) | (b << 20), dense_r=64
+            )
+            quantiles = [
+                generalized_inverse(discrete_variation_cdf(c).cdf) for c in bundle.observed
+            ]
+            vals[b] = wasserstein2(mean_quantile(quantiles), target_q) ** 2
+        means[a] = vals.mean()
+        ses[a] = vals.std(ddof=1) / math.sqrt(reps) if reps > 1 else 0.0
+    floor = (1.0 / (grid_sizes[-1] - 1)) ** 2
+    if warp_cfg is None or means[-1] < 2.0 * floor:
+        return RateCheckResult(ns, grid_sizes, means, ses, slope=None, flag="at_discretization_floor")
+    slope = float(np.polyfit(np.log(np.asarray(ns, dtype=float)), np.log(means), 1)[0])
+    return RateCheckResult(ns, grid_sizes, means, ses, slope=slope)

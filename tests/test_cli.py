@@ -208,6 +208,42 @@ def _write_own_grid_warps(path, warps):
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+@pytest.mark.parametrize("header", ["t,curve_1,curve_2", "curve_id,t,value"])
+def test_register_header_only_exit2(tmp_path, capsys, header):
+    src = tmp_path / "in.csv"
+    src.write_text(header + "\n", encoding="utf-8")
+    assert run("register", src, "--out", tmp_path / "out") == 2
+    assert "no data rows" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _metrics_by_id(directory):
+    rows = (Path(directory) / "metrics.csv").read_text().splitlines()
+    return {row.split(",")[0]: row for row in rows[1:]}
+
+
+def test_diagnose_truth_matched_by_curve_id(tmp_path, capsys):
+    # a register run on the columns of observed.csv in another order is
+    # diagnosed against the same truth, curve by curve
+    sim = tmp_path / "sim"
+    assert run("simulate", "--model", "model1", "--n", "8", "--r", "51", "--seed", "5", "--out", sim) == 0
+    lines = [row.split(",") for row in (sim / "observed.csv").read_text().splitlines()]
+    order = [0] + list(np.random.default_rng(3).permutation(np.arange(1, 9)))
+    shuffled = tmp_path / "shuffled.csv"
+    shuffled.write_text("\n".join(",".join(row[j] for j in order) for row in lines) + "\n")
+    for name, src in (("plain", sim / "observed.csv"), ("shuffled", shuffled)):
+        assert run("register", src, "--out", tmp_path / name) == 0
+        assert run("diagnose", tmp_path / name, "--truth", sim, "--out", tmp_path / f"{name}_dia") == 0
+    plain, permuted = _metrics_by_id(tmp_path / "plain_dia"), _metrics_by_id(tmp_path / "shuffled_dia")
+    assert list(permuted) == [lines[0][j] for j in order[1:]] != list(plain)
+    assert permuted == plain
+    # a truth whose ids are another set still exits 2
+    latent = (sim / "truth_latent.csv").read_text().replace("curve_8", "curve_9")
+    (sim / "truth_latent.csv").write_text(latent)
+    assert run("diagnose", tmp_path / "plain", "--truth", sim, "--out", tmp_path / "bad") == 2
+    assert "curve ids differ" in capsys.readouterr().err
+
+
 def test_register_time_rescaling(tmp_path):
     grid = np.linspace(0.0, 10.0, 31)  # days, not [0,1]
     src = tmp_path / "in.csv"

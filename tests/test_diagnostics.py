@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from oracles import (
     per_curve_evaluate_against_truth,
+    per_curve_rate_check,
     per_curve_scores,
     per_curve_truth_bundle,
     per_curve_truth_errors,
@@ -442,3 +443,19 @@ def test_rate_check_matches_per_curve_simulator(monkeypatch):
     assert got.means.tobytes() == ref.means.tobytes()
     assert got.std_errors.tobytes() == ref.std_errors.tobytes()
     assert got.slope == ref.slope
+
+
+@pytest.mark.parametrize(
+    "model, warp_cfg, ns, reps, seed",
+    [("model1", WarpLawConfig(), [25, 50], 3, 41), ("model2", WarpLawConfig(), [10, 30, 60], 3, 9)],
+)
+def test_rate_check_matches_per_curve_template(model, warp_cfg, ns, reps, seed):
+    """The batched template gives the rate check the bits of the per-curve one."""
+    cfg = LatentModelConfig(model)
+    got = rate_check(cfg, warp_cfg, ns, reps, seed, dense_r=2000)
+    ref = per_curve_rate_check(cfg, warp_cfg, ns, reps, seed, dense_r=2000)
+    assert ref.slope is not None
+    assert got.means.tobytes() == ref.means.tobytes()
+    assert got.std_errors.tobytes() == ref.std_errors.tobytes()
+    assert got.slope == ref.slope and got.flag == ref.flag
+    assert (got.ns, got.grid_sizes) == (ref.ns, ref.grid_sizes)

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -528,15 +532,107 @@ def test_register_complete_matches_per_curve_oracle(curves, size):
     st.sampled_from([0.05, 0.1, 0.3]),
     st.sampled_from([16, 40]),
     st.floats(0.0, 0.3),
+    st.booleans(),
 )
-def test_register_noisy_matches_per_curve_oracle(curves, h1, h2, deriv_size, noise):
+def test_register_noisy_matches_per_curve_oracle(curves, h1, h2, deriv_size, noise, auto):
+    # with auto, h1 and h2 come from each curve's leave-one-out ladder
     rng = np.random.default_rng(len(curves))
     curves = [
         DiscreteCurve(c.grid, c.values + noise * rng.standard_normal(c.grid.size))
         for c in curves
     ]
-    opts = NoisyOptions(h1=h1, h2=h2, auto=False, deriv_grid_size=deriv_size)
+    opts = NoisyOptions(h1=h1, h2=h2, auto=auto, deriv_grid_size=deriv_size)
     _assert_matches_oracle(register_noisy, per_curve_register_noisy, curves, opts)
+
+
+def _noisy_walks(grids, seed):
+    rng = np.random.default_rng(seed)
+    return [DiscreteCurve(g, np.sin(6 * g) + 0.1 * rng.standard_normal(g.size)) for g in grids]
+
+
+@pytest.mark.parametrize(
+    "case", ["own_grids", "constant_then_all_singular", "all_singular_then_constant"]
+)
+def test_register_noisy_matches_per_curve_oracle_cases(case):
+    rng = np.random.default_rng(6)
+    # own_grids: curve 2's largest gap of 0.5 collapses its ladder to one value
+    # (1.0), and the sample runs with the other curves' ladders of 12
+    grids = [np.unique(np.concatenate(([0.0, 1.0], rng.random(k)))) for k in (40, 60, 10, 80)]
+    grids[2] = np.concatenate((np.linspace(0.0, 0.5, 11), [1.0]))
+    curves = _noisy_walks(grids, 1)
+    if case != "own_grids":
+        # 10 uniform points: 2.5 gaps hold two leave-one-out neighbours at
+        # t = 0, too few for the local quadratic under the one candidate
+        singular = _noisy_walks([np.linspace(0.0, 1.0, 10)], 2)[0]
+        constant = DiscreteCurve(grids[0], np.full(grids[0].size, 2.5))
+        pair = [constant, singular] if case.startswith("constant") else [singular, constant]
+        curves = curves[:1] + pair + curves[1:]
+    _assert_matches_oracle(register_noisy, per_curve_register_noisy, curves, NoisyOptions())
+    if case == "own_grids":
+        res = register_noisy(curves)
+        assert res.metadata["h1"][2] == res.metadata["h2"][2] == 1.0
+
+
+def test_register_noisy_model1_matches_oracle_and_permutation():
+    bundle = make_truth_bundle(
+        LatentModelConfig("model1", grid_size=101, noise_halfwidth=0.1), WarpLawConfig(), 100, seed=3
+    )
+    res = register_noisy(bundle.observed)
+    _assert_same_result(res, per_curve_register_noisy(bundle.observed))
+    perm = np.random.default_rng(2).permutation(len(bundle.observed))
+    res_p = register_noisy([bundle.observed[i] for i in perm])
+    _same_bits(res_p.template_quantile.values, res.template_quantile.values)
+    _same_bits(res_p.mean.values, res.mean.values)
+    assert res_p.metadata["h1"] == [res.metadata["h1"][j] for j in perm]
+    for i, j in enumerate(perm):
+        _same_bits(res_p.warps[i].sample_v, res.warps[j].sample_v)
+        _same_bits(res_p.registered[i].values, res.registered[j].values)
+
+
+def test_register_noisy_memory_runs_in_row_blocks():
+    # one leave-one-out pass over the whole sample would hold every curve's
+    # predictions for all 12 candidates and both degrees (about 14 MB here)
+    bundle = make_truth_bundle(
+        LatentModelConfig("model1", grid_size=101, noise_halfwidth=0.1), WarpLawConfig(), 100, seed=3
+    )
+    register_noisy(bundle.observed[:4])
+    tracemalloc.start()
+    try:
+        register_noisy(bundle.observed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+_NOISY_DIGEST = """
+import hashlib, sys
+from varireg.registration import register_noisy
+from varireg.simulate import LatentModelConfig, WarpLawConfig, make_truth_bundle
+cfg = LatentModelConfig("model1", grid_size=101, noise_halfwidth=0.1)
+res = register_noisy(make_truth_bundle(cfg, WarpLawConfig(), 40, 3).observed)
+h = hashlib.sha256(repr(res.metadata).encode())
+for w in res.warps + res.inverse_warps:
+    h.update(w.sample_t.tobytes() + w.sample_v.tobytes())
+for c in res.registered + [res.mean]:
+    h.update(c.values.tobytes())
+h.update(res.template_quantile.values.tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_register_noisy_same_bytes_at_one_and_two_blas_threads():
+    # the stacked moment solves go through LAPACK
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", _NOISY_DIGEST], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1] and len(digests[0].strip()) == 64
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.sampled_from([None, 2, 33]))

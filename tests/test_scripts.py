@@ -18,6 +18,7 @@ SCRIPT_RUNS = [
         id="breakdown_grid",
     ),
     pytest.param("run_rate_check.py", ["--ns", "5,10", "--reps", "2"], id="rate_check"),
+    pytest.param("code_lines.py", [], id="code_lines"),
 ]
 
 

@@ -7,8 +7,10 @@ from varireg.simulate import LatentModelConfig, WarpLawConfig, make_truth_bundle
 from varireg.smoothing import (
     EPANECHNIKOV,
     SmootherConfig,
-    _windowed_fit,
-    _windowed_fits,
+    _loo_errors,
+    _loocv_ladders,
+    _loocv_rows,
+    _row_fits,
     default_loocv_candidates,
     local_poly,
     loocv_bandwidth,
@@ -25,6 +27,9 @@ from oracles import (
     dense_loocv_bandwidth,
     dense_loocv_predictions,
     dense_nadaraya_watson,
+    per_curve_loocv_bandwidths,
+    per_curve_windowed_fit,
+    per_curve_windowed_fits,
 )
 
 
@@ -286,7 +291,7 @@ def test_windowed_fit_matches_dense_oracle(seed, r, degree_deriv, loo, gaps):
     pts = np.concatenate((rng.random(15), grid, grid - h, grid + h))
     cfg = SmootherConfig(bandwidth=h, degree=degree, deriv_order=deriv)
 
-    new = _windowed_fit(grid, values, [h], pts, degree, deriv, loo)[0]
+    new = per_curve_windowed_fit(grid, values, [h], pts, degree, deriv, loo)[0]
     old = dense_local_poly_chunk(grid, values, cfg, pts, loo)
     checked = _assert_fits_agree(new, old, grid, h, pts, degree, deriv, loo, np.abs(values).max())
 
@@ -310,7 +315,7 @@ def test_loocv_matches_dense_oracle(seed, r, degree, gaps):
     curve = DiscreteCurve(grid, values)
     # a factor below 0.2 / 0.4 leaves every leave-one-out window empty
     candidates = sorted(min(g / (r - 1), 1.0) for g in gaps)
-    preds = _windowed_fit(grid, values, candidates, grid, degree, loo=True)
+    preds = per_curve_windowed_fit(grid, values, candidates, grid, degree, loo=True)
     checked = True
     for h, row in zip(candidates, preds):
         old = dense_local_poly_chunk(grid, values, SmootherConfig(h, degree), grid, loo=True)
@@ -342,9 +347,9 @@ def test_shared_pass_gives_each_degree_its_own_bits(seed, r, degrees, loo, gaps)
     values = rng.standard_normal(r).cumsum()
     bandwidths = sorted(min(g / (r - 1), 1.0) for g in gaps)
     pts = grid if loo else np.concatenate((rng.random(15), grid))
-    shared = _windowed_fits(grid, values, bandwidths, pts, degrees, loo=loo)
+    shared = per_curve_windowed_fits(grid, values, bandwidths, pts, degrees, loo=loo)
     for degree, fits in zip(degrees, shared):
-        alone = _windowed_fit(grid, values, bandwidths, pts, degree, loo=loo)
+        alone = per_curve_windowed_fit(grid, values, bandwidths, pts, degree, loo=loo)
         assert fits.tobytes() == alone.tobytes()
     if loo:
         curve = DiscreteCurve(grid, values)
@@ -370,6 +375,120 @@ def test_loocv_matches_dense_oracle_on_noisy_model1(noise, seed):
         for degree in (0, 1, 2):
             assert loocv_bandwidth(curve, degree, candidates) == expected[degree]
         assert loocv_bandwidths(curve, (2, 1, 0), candidates) == expected[::-1]
+
+
+# --- the row kernel against the per-curve pass --------------------------------
+
+
+def _padded_rows(grids, values):
+    """(grids, values) laid out as the row kernel takes them: one shared grid
+    row, or one row per curve padded with +inf (grid) and its last value."""
+    if all(g is grids[0] for g in grids):
+        return grids[0][None], np.stack(values)
+    width = max(g.size for g in grids)
+    g_rows = np.full((len(grids), width), np.inf)
+    v_rows = np.empty((len(grids), width))
+    for i, (g, v) in enumerate(zip(grids, values)):
+        g_rows[i, :g.size], v_rows[i, :g.size], v_rows[i, g.size:] = g, v, v[-1]
+    return g_rows, v_rows
+
+
+@st.composite
+def row_samples(draw):
+    """1 to 5 random-walk curves on one jittered grid or on their own."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        grids = [_jittered_grid(rng, int(rng.integers(5, 41)))] * n
+    else:
+        grids = [_jittered_grid(rng, int(rng.integers(5, 41))) for _ in range(n)]
+    return rng, grids, [rng.standard_normal(g.size).cumsum() for g in grids]
+
+
+@given(
+    row_samples(),
+    st.integers(1, 4),
+    st.sampled_from([((0,), 0), ((1,), 0), ((2,), 0), ((2, 0, 1), 0), ((2,), 1)]),
+    st.booleans(),
+)
+def test_row_kernel_matches_per_curve_pass(sample, K, degrees_deriv, loo):
+    # every curve's fits have the bits of its own pass, in any order of the rows
+    rng, grids, values = sample
+    degrees, deriv = degrees_deriv
+    n = len(grids)
+    h = np.sort(np.minimum(rng.uniform(0.2, 8.0, (n, K)) / 20.0, 1.0), axis=1)
+    # eval points between, at and beyond the grid points; with loo some coincide
+    e = np.stack([np.concatenate((rng.uniform(-0.1, 1.1, 12), g[rng.integers(0, g.size, 8)]))
+                  for g in grids])
+    g_rows, v_rows = _padded_rows(grids, values)
+    got = _row_fits(g_rows, v_rows, h, e, degrees, deriv, loo)
+    assert got.shape == (len(degrees), n, K, e.shape[1])
+    for i in range(n):
+        want = per_curve_windowed_fits(grids[i], values[i], h[i], e[i], degrees, deriv, loo)
+        assert got[:, i].tobytes() == want.tobytes()
+    perm = rng.permutation(n)
+    g_perm = g_rows if g_rows.shape[0] == 1 else g_rows[perm]
+    permuted = _row_fits(g_perm, v_rows[perm], h[perm], e[perm], degrees, deriv, loo)
+    assert permuted.tobytes() == got[:, perm].tobytes()
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_row_kernel_pads_each_chunk_as_the_per_curve_pass(shared):
+    # at r = 1001 and h = 0.3 a curve alone is fitted in several chunks of
+    # evaluation points, each padded to its own widest window
+    rng = np.random.default_rng(4)
+    grids = [np.linspace(0.0, 1.0, 1001)] * 3 if shared else [
+        _jittered_grid(rng, r) for r in (1001, 700, 1001)
+    ]
+    values = [rng.standard_normal(g.size).cumsum() for g in grids]
+    h = np.array([[0.05, 0.3], [0.02, 0.25], [0.3, 0.3]])
+    e = np.stack([np.sort(rng.random(1001)) for _ in grids])
+    g_rows, v_rows = _padded_rows(grids, values)
+    got = _row_fits(g_rows, v_rows, h, e, (2, 1))
+    for i in range(3):
+        want = per_curve_windowed_fits(grids[i], values[i], h[i], e[i], (2, 1))
+        assert got[:, i].tobytes() == want.tobytes()
+
+
+@given(row_samples(), st.integers(1, 5), st.lists(st.integers(0, 2), min_size=1, max_size=3))
+def test_loocv_rows_match_per_curve_pass(sample, K, degrees):
+    # every curve's errors have the bits of its own pass, summed over its own
+    # points; a row of one value repeated K times chooses as the value alone
+    rng, grids, values = sample
+    n = len(grids)
+    candidates = np.sort(np.minimum(rng.uniform(0.2, 8.0, (n, K)) / 20.0, 1.0), axis=1)
+    candidates[rng.random(n) < 0.3] = candidates[0, -1]
+    rows = _padded_rows(grids, values)
+    errs = _loo_errors(*rows, candidates, degrees)
+    chosen, failed = _loocv_rows(*rows, candidates, degrees)
+    for i in range(n):
+        preds = per_curve_windowed_fits(grids[i], values[i], candidates[i], grids[i], degrees, loo=True)
+        want = np.sum((preds - values[i]) ** 2, axis=-1)
+        assert errs[:, i].tobytes() == np.where(want < np.inf, want, np.inf).tobytes()
+        try:
+            row = np.unique(candidates[i])
+            want = per_curve_loocv_bandwidths(DiscreteCurve(grids[i], values[i]), degrees, row)
+        except AllCandidatesSingular:
+            assert failed[i]
+            continue
+        assert not failed[i]
+        assert chosen[:, i].tolist() == want
+
+
+def test_loocv_ladders_are_the_default_ladders():
+    # a ladder that collapses to one value is that value repeated
+    rng = np.random.default_rng(8)
+    grids = [np.linspace(0.0, 1.0, r) for r in range(4, 2002)]
+    grids += [np.unique(np.concatenate(([0.0, 1.0], rng.random(k)))) for k in rng.integers(2, 300, 500)]
+    curves = [DiscreteCurve(g, g) for g in grids]
+    ladders = _loocv_ladders(np.array([c.max_gap for c in curves]))
+    assert ladders.shape == (len(curves), 12)
+    collapsed = 0
+    for ladder, curve in zip(ladders, curves):
+        want = default_loocv_candidates(curve)
+        collapsed += want.size == 1
+        assert ladder.tobytes() == np.broadcast_to(want, 12).tobytes()
+    assert collapsed > 0
 
 
 # --- monotone warp smoothing --------------------------------------------------
