@@ -133,6 +133,14 @@ def _number(cfg, key, kind, default=None):
         raise ValueError(f"{key} must be a number, got {value!r}") from None
 
 
+def _boolean(cfg, key, default):
+    """``cfg[key]`` for an on/off setting; ValueError naming the key if it is not a JSON boolean."""
+    value = cfg.get(key, default)
+    if not isinstance(value, bool):
+        raise ValueError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def _json_float_list(arr):
     return [float(x) for x in np.asarray(arr).ravel()] if arr is not None else None
 
@@ -154,25 +162,23 @@ def cmd_register(args) -> int:
 
     regime = cfg.get("regime", "discrete")
     out_dir = Path(cfg.get("out", "."))
-    auto = cfg.get("auto_bandwidth")
-    if auto is None:
-        auto = cfg.get("h1") is None or cfg.get("h2") is None
     try:
         resolve_threads(cfg.get("threads"))  # validated only; the pipelines run serially
-        n_eigen = int(cfg.get("eigen", 3))
+        n_eigen = _number(cfg, "eigen", int, 3)
         if n_eigen < 1:
             raise ValueError(f"--eigen must be at least 1, got {n_eigen}")
         grid_override = None
-        if cfg.get("output_grid_size") is not None:
-            size = int(cfg["output_grid_size"])
+        size = _number(cfg, "output_grid_size", int)
+        if size is not None:
             if size < 3:
                 raise ValueError(f"--output-grid-size must be at least 3, got {size}")
             grid_override = np.linspace(0.0, 1.0, size)
         if regime == "noisy":
+            h1, h2 = _number(cfg, "h1", float), _number(cfg, "h2", float)
             opts = NoisyOptions(
-                h1=cfg.get("h1"),
-                h2=cfg.get("h2"),
-                auto=bool(auto),
+                h1=h1,
+                h2=h2,
+                auto=_boolean(cfg, "auto_bandwidth", h1 is None or h2 is None),
                 output_grid=grid_override,
             )
             result = register_noisy(curves, opts)
@@ -180,9 +186,9 @@ def cmd_register(args) -> int:
             result = register_complete(curves, output_grid=grid_override)
         elif regime == "discrete":
             opts = RegisterOptions(
-                bandwidth=cfg.get("bandwidth"),
-                smooth_warps=bool(cfg.get("smooth_warps", False)),
-                n_knots=int(cfg.get("knots", 11)),
+                bandwidth=_number(cfg, "bandwidth", float),
+                smooth_warps=_boolean(cfg, "smooth_warps", False),
+                n_knots=_number(cfg, "knots", int, 11),
                 output_grid=grid_override,
             )
             result = register_discrete(curves, opts)
@@ -414,8 +420,8 @@ def cmd_diagnose(args) -> int:
                 LatentModelConfig(name=cfg.get("rate_model", "model1")),
                 WarpLawConfig(),
                 ns,
-                int(cfg.get("rate_reps", 50)),
-                int(cfg["seed"]),
+                _number(cfg, "rate_reps", int, 50),
+                _number(cfg, "seed", int),
             )
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -6,8 +6,11 @@ selection, and monotone smoothing of warp maps.  Every kernel fit, of
 one curve or of a whole sample, runs through one windowed local-polynomial
 kernel over rows of curves (``_row_fits``): degrees 0, 1 and 2, values or
 slopes, leave-one-out or not, over the kernel's compact-support windows,
-never a dense (evaluation x grid) weight matrix.  Each curve gets the bits
-it would get alone.
+never a dense (evaluation x grid) weight matrix.  A fit's window, kernel
+weights, moments and moment matrix are computed once per distinct (grid,
+bandwidth, evaluation point) row: once for all the curves that share a
+grid, a row of evaluation points and a row of bandwidths, otherwise once
+per curve.  Each curve gets the bits it would get alone.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from .variation import DiscreteCurve, searchsorted_rows
 _CELL_BUDGET = 1 << 18  # bandwidths x eval points x window width per chunk of one curve
 _BLOCK_BUDGET = 1 << 15  # window points per block of _row_fits; smaller blocks than
 # _CELL_BUDGET stay in cache and keep the peak memory of a sample down
-_LOO_BLOCK_FITS = 1 << 13  # fits per row block of _loo_errors: its arrays over
-# (rows, bandwidths, points) stay smaller than one block's windows
+_LOO_BLOCK_FITS = 1 << 15  # fits per row block of _loo_errors: enough curves to share
+# each window geometry, with arrays over (rows, bandwidths, points) of one block's size
 
 
 @dataclass(frozen=True)
@@ -105,31 +108,47 @@ def _row_fits(grids, values, bandwidths, eval_points, degrees, deriv_order=0,
     single-point window returns its value exactly.  With ``loo`` a grid
     point coinciding with the evaluation point gets weight 0.
 
+    A fit has two halves.  Its window, kernel weights w, products w u^p,
+    moments s_p, moment matrix S and determined-window mask depend on the
+    grid, the bandwidth and the evaluation point alone; the gather of y,
+    the sums t_p = sum (w u^p) y and the solve depend on the curve.  With
+    one shared grid and one shared row of evaluation points, the first half
+    is computed once per distinct bandwidth row and reused by every curve
+    that has that row (the leave-one-out pass, the derivative pass);
+    otherwise once per curve.
+
     Each fit has the same bits whatever the other curves, their order and
     the other degrees: sums over a window associate by its padded length,
-    and a curve's padding depends on that curve alone.  Its evaluation
+    and a curve's padding depends on its own windows alone.  Its evaluation
     points are taken _CELL_BUDGET // (K x its widest window) at a time, and
     each such chunk is padded to its widest window over the K bandwidths.
     Cells of one padded width run together in blocks of at most
-    _BLOCK_BUDGET window points.
+    _BLOCK_BUDGET window points, curves x cells where curves share them, and
+    every S gets its own LAPACK solve.
     """
     h = np.asarray(bandwidths, dtype=float)
     if not ((h > 0.0) & (h <= 1.0)).all():
         raise ValueError("bandwidth must lie in (0, 1]")
-    (n, K), m = h.shape, np.shape(eval_points)[1]
-    e = np.broadcast_to(np.asarray(eval_points, dtype=float), (n, m))
-    size = np.broadcast_to(np.count_nonzero(grids < np.inf, axis=1), n)
-    # [lo, lo + width) per (curve, bandwidth, eval point), widened by one index
-    # on each side so rounding in e +- h never drops a point the kernel weights
-    edge = (e[:, None, :] - h[:, :, None]).reshape(n, -1)
-    lo = np.maximum(searchsorted_rows(grids, edge, "right") - 1, 0).reshape(n, K, m)
-    edge = (e[:, None, :] + h[:, :, None]).reshape(n, -1)
-    width = np.minimum(searchsorted_rows(grids, edge, "left") + 1, size[:, None]).reshape(n, K, m) - lo
+    n, K = h.shape
+    rows, m = np.shape(eval_points)
+    shared = rows == 1 and grids.shape[0] == 1
+    if shared:  # one geometry per distinct bandwidth row, with the curves that have it
+        h, of = np.unique(h, axis=0, return_inverse=True)
+        members = [np.flatnonzero(of.ravel() == k)[:, None] for k in range(h.shape[0])]
+    G, L = h.shape[0], values.shape[1]
+    e = np.broadcast_to(np.asarray(eval_points, dtype=float), (G, m))
+    size = np.broadcast_to(np.count_nonzero(grids < np.inf, axis=1), G)
+    # [lo, lo + width) per (geometry, bandwidth, eval point), widened by one
+    # index on each side so rounding in e +- h never drops a point the kernel weights
+    edge = (e[:, None, :] - h[:, :, None]).reshape(G, -1)
+    lo = np.maximum(searchsorted_rows(grids, edge, "right") - 1, 0).reshape(G, K, m)
+    edge = (e[:, None, :] + h[:, :, None]).reshape(G, -1)
+    width = np.minimum(searchsorted_rows(grids, edge, "left") + 1, size[:, None]).reshape(G, K, m) - lo
     del edge  # the (curves x bandwidths x points) arrays set the peak memory of a large sample
     widest = width.max(axis=1)
     step = np.maximum(_CELL_BUDGET // (K * np.maximum(widest.max(axis=1, initial=0), 1)), 1)
-    chunk = (np.arange(m) // step[:, None] + m * np.arange(n)[:, None]).ravel()
-    pad = np.zeros(n * m, dtype=width.dtype)
+    chunk = (np.arange(m) // step[:, None] + m * np.arange(G)[:, None]).ravel()
+    pad = np.zeros(G * m, dtype=width.dtype)
     np.maximum.at(pad, chunk, widest.ravel())
     pad = pad[chunk]
     del widest, chunk
@@ -137,24 +156,35 @@ def _row_fits(grids, values, bandwidths, eval_points, degrees, deriv_order=0,
     for p in np.unique(pad):
         cells = np.flatnonzero(pad == p)
         per_block = max(_BLOCK_BUDGET // (K * p), 1)
-        for start in range(0, cells.size, per_block):
-            i, j = np.divmod(cells[start:start + per_block], m)
-            row = i[:, None, None]
-            idx = lo[i, :, j][..., None] + np.arange(p)
-            np.minimum(idx, size[row] - 1, out=idx)
-            at = idx + row * values.shape[1]  # flat gathers are faster than [row, idx]
-            fits = _fit_chunk(
-                grids.ravel()[at if grids.shape[0] > 1 else idx], values.ravel()[at],
-                e[i, j][:, None], h[i], width[i, :, j], degrees, deriv_order, loo, kernel,
-            )
-            out[:, i, :, j] = np.stack(fits, axis=1)
+        # a block of shared cells stays in one geometry row, so its curves share it
+        for part in np.split(cells, np.flatnonzero(np.diff(cells // m)) + 1) if shared else [cells]:
+            for start in range(0, part.size, per_block):
+                g, j = np.divmod(part[start:start + per_block], m)
+                idx = lo[g, :, j][..., None] + np.arange(p)
+                np.minimum(idx, size[g][:, None, None] - 1, out=idx)
+                hg = h[g]
+                geometry = _window_geometry(
+                    grids.ravel()[idx + g[:, None, None] * L if grids.shape[0] > 1 else idx],
+                    e[g, j][:, None], hg, width[g, :, j], degrees, loo, kernel,
+                )
+                curves = members[g[0]] if shared else g
+                per_fit = max(_BLOCK_BUDGET // (g.size * K * p), 1) if shared else g.size
+                for first in range(0, curves.shape[0], per_fit):
+                    i = curves[first:first + per_fit]
+                    # flat gathers are faster than [row, idx]
+                    y = values.ravel()[idx + i[..., None, None] * L]
+                    fits = _curve_fits(geometry, y, degrees, deriv_order, hg)
+                    out[:, i, :, j] = np.stack(fits, axis=-2)
     return out
 
 
-def _fit_chunk(g, y, e, h, width, degrees, deriv_order, loo, kernel):
-    """Fits from windows g, y padded to one width; the first ``width`` points count.
+def _window_geometry(g, e, h, width, degrees, loo, kernel):
+    """The half of the fits in windows g, padded to one width, that no curve enters.
 
-    ``e``, ``h`` and ``width`` broadcast to the shape of the fits, g.shape[:-1].
+    The first ``width`` points of a window count; ``e``, ``h`` and ``width``
+    broadcast to g.shape[:-1].  Returns the products w u^p (p <= the top
+    degree; none for degree 0 alone) and, per degree, the weights or moment
+    matrices of its fits with the mask of the windows that determine them.
     """
     u = g - e[..., None]
     u /= h[..., None]
@@ -162,59 +192,77 @@ def _fit_chunk(g, y, e, h, width, degrees, deriv_order, loo, kernel):
     w *= np.arange(g.shape[-1]) < width[..., None]  # drop the clipped padding
     if loo:
         w[g == e[..., None]] = 0.0
-    s = [w.sum(axis=-1)]
+    s, wu = [w.sum(axis=-1)], []
     top = max(degrees)
     if top:
+        wu.append(w)
         npts = np.count_nonzero(w > 0.0, axis=-1)
-        # moments s_p = sum w u^p (p <= 2d) and t_p = sum (w u^p) y (p <= d).  A
-        # point at |u| just below 1 weighs ~1e-16 and can make S near singular;
-        # products formed in the order of the dense reference in tests/oracles.py
-        # round like it there, so both pick the same LOO bandwidths.
-        wu = w * y
-        t = [wu.sum(axis=-1)]
+        # moments s_p = sum w u^p (p <= 2d).  A point at |u| just below 1
+        # weighs ~1e-16 and can make S near singular; products formed in the
+        # order of the dense reference in tests/oracles.py round like it
+        # there, so both pick the same LOO bandwidths.
         up = u.copy()
         for p in range(1, 2 * top + 1):
-            np.multiply(w, up, out=wu)
-            s.append(wu.sum(axis=-1))
+            wup = w * up
+            s.append(wup.sum(axis=-1))
             if p <= top:
-                wu *= y
-                t.append(wu.sum(axis=-1))
+                wu.append(wup)
             if p < 2 * top:
                 up *= u
-    fits = []
-    for degree in degrees:
+    fit = {}
+    for degree in set(degrees):
         if degree == 0:
             with np.errstate(invalid="ignore", divide="ignore"):
-                fit = np.sum(w / s[0][..., None] * y, axis=-1)
-            fit[s[0] <= 0.0] = np.nan
+                fit[0] = w / s[0][..., None], s[0] > 0.0
         else:
-            fit = _solve_moments(s, t, npts, degree, deriv_order, h)
-        fits.append(fit)
+            S = np.empty(npts.shape + (degree + 1, degree + 1))
+            for p in range(degree + 1):
+                for q in range(degree + 1):
+                    S[..., p, q] = s[p + q]
+            ok = npts >= degree + 1
+            S[~ok] = np.eye(degree + 1)  # solved without a mask; the fit is dropped
+            fit[degree] = S, ok
+    return wu, fit
+
+
+def _curve_fits(geometry, y, degrees, deriv_order, h):
+    """Fits of each degree from window values y and the geometry of their windows.
+
+    ``y`` has the windows' shape, with any leading axes of curves sharing
+    them; nan marks an undetermined window.
+    """
+    wu, fit = geometry
+    t = [np.sum(wp * y, axis=-1) for wp in wu]  # t_p = sum (w u^p) y
+    fits = []
+    for degree in degrees:
+        a, ok = fit[degree]  # the normalized weights (degree 0) or S
+        if degree == 0:
+            out = np.sum(a * y, axis=-1)
+        else:
+            out = _solve_moments(a, ok, t[:degree + 1], deriv_order, h)
+        np.copyto(out, np.nan, where=~ok)
+        fits.append(out)
     return fits
 
 
-def _solve_moments(s, t, npts, degree, deriv_order, h):
-    """Fit of one degree >= 1 from the window moments; nan where underdetermined."""
-    S = np.empty(npts.shape + (degree + 1, degree + 1))
-    for p in range(degree + 1):
-        for q in range(degree + 1):
-            S[..., p, q] = s[p + q]
-    b = np.stack(t[: degree + 1], axis=-1)
-    ok = npts >= degree + 1
-    coef = np.full(b.shape, np.nan)
-    if ok.any():
-        try:
-            coef[ok] = np.linalg.solve(S[ok], b[ok][..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            for i in zip(*np.nonzero(ok)):
-                try:
-                    coef[i] = np.linalg.solve(S[i], b[i])
-                except np.linalg.LinAlgError:
-                    ok[i] = False
+def _solve_moments(S, ok, t, deriv_order, h):
+    """deriv_order coefficients of the fits with moment matrices S and sums t.
+
+    One LAPACK solve per matrix and curve.  A singular S among the ``ok``
+    windows leaves ``ok``, for every curve that shares it.
+    """
+    b = np.stack(t, axis=-1)[..., None]
+    try:
+        coef = np.linalg.solve(S, b)[..., 0]
+    except np.linalg.LinAlgError:
+        coef = np.full(b.shape[:-1], np.nan)
+        for c, k in zip(*np.nonzero(ok)):
+            try:
+                coef[..., c, k, :] = np.linalg.solve(S[c, k], b[..., c, k, :, :])[..., 0]
+            except np.linalg.LinAlgError:
+                ok[c, k] = False
     # factorial(deriv_order) is 1 for orders 0 and 1; undo the bandwidth scaling
-    fit = coef[..., deriv_order] / h**deriv_order
-    fit[~ok] = np.nan
-    return fit
+    return coef[..., deriv_order] / h**deriv_order
 
 
 def nadaraya_watson(curve: DiscreteCurve, cfg: SmootherConfig, eval_points) -> np.ndarray:
@@ -289,10 +337,12 @@ def _loo_errors(grids, values, candidates, degrees):
 
     ``grids`` and ``values`` are laid out as for _row_fits; ``candidates``
     (n, K) holds each curve's bandwidths.  A skipped candidate (an
-    underdetermined window) has error inf.  Curves run in blocks of rows,
-    each reduced to its errors at once, so no prediction array of the whole
-    sample is formed.  Each error is summed over its curve's own points and
-    has the bits of its curve's pass alone.
+    underdetermined window) has error inf.  Curves run in blocks of
+    _LOO_BLOCK_FITS // (K x points) rows, each reduced to its errors at
+    once, so no prediction array of the whole sample is formed; on a shared
+    grid a block's curves share each window's weights and moments.  Each
+    error is summed over its curve's own points and has the bits of its
+    curve's pass alone.
     """
     n, K = candidates.shape
     size = np.count_nonzero(np.broadcast_to(grids, values.shape) < np.inf, axis=1)

@@ -5,10 +5,12 @@
   point: simple and obviously correct, but O(eval x grid) per fit.  The
   library computes the same fits over compact-support windows.
 * The per-curve windowed pass: one curve's fits for many bandwidths and
-  degrees over its compact-support windows, chunk by chunk, and the
+  degrees over its compact-support windows, chunk by chunk, each window's
+  weights and moments built together with the curve's sums, and the
   leave-one-out choice and local polynomial fit built on it.  The library
   runs one windowed kernel over the rows of a whole sample, padding each
-  row as this pass pads its curve.
+  row as this pass pads its curve, and builds a window's weights and
+  moments once for every curve that shares its grid, bandwidth and point.
 * The pairwise warp oracle, which averages all pairwise alignment maps
   instead of going through the mean-quantile template.
 * The dense mean-quantile table: every input evaluated at every point of
@@ -77,7 +79,6 @@ from varireg.smoothing import (
     _CELL_BUDGET,
     EPANECHNIKOV,
     SmootherConfig,
-    _fit_chunk,
     default_loocv_candidates,
     suggested_min_bandwidth,
 )
@@ -188,6 +189,74 @@ def dense_loocv_bandwidth(curve, degree, candidates) -> float:
     if best_h is None:
         raise AllCandidatesSingular("every candidate bandwidth left a singular window")
     return best_h
+
+
+def _fit_chunk(g, y, e, h, width, degrees, deriv_order, loo, kernel):
+    """Fits from windows g, y padded to one width; the first ``width`` points count.
+
+    ``e``, ``h`` and ``width`` broadcast to the shape of the fits, g.shape[:-1].
+    Every window's weights and moments are built with its curve's sums, one
+    window at a time in the stacked solve.
+    """
+    u = g - e[..., None]
+    u /= h[..., None]
+    w = kernel(u)
+    w *= np.arange(g.shape[-1]) < width[..., None]  # drop the clipped padding
+    if loo:
+        w[g == e[..., None]] = 0.0
+    s = [w.sum(axis=-1)]
+    top = max(degrees)
+    if top:
+        npts = np.count_nonzero(w > 0.0, axis=-1)
+        # moments s_p = sum w u^p (p <= 2d) and t_p = sum (w u^p) y (p <= d).  A
+        # point at |u| just below 1 weighs ~1e-16 and can make S near singular;
+        # products formed in the order of the dense reference in tests/oracles.py
+        # round like it there, so both pick the same LOO bandwidths.
+        wu = w * y
+        t = [wu.sum(axis=-1)]
+        up = u.copy()
+        for p in range(1, 2 * top + 1):
+            np.multiply(w, up, out=wu)
+            s.append(wu.sum(axis=-1))
+            if p <= top:
+                wu *= y
+                t.append(wu.sum(axis=-1))
+            if p < 2 * top:
+                up *= u
+    fits = []
+    for degree in degrees:
+        if degree == 0:
+            with np.errstate(invalid="ignore", divide="ignore"):
+                fit = np.sum(w / s[0][..., None] * y, axis=-1)
+            fit[s[0] <= 0.0] = np.nan
+        else:
+            fit = _solve_moments(s, t, npts, degree, deriv_order, h)
+        fits.append(fit)
+    return fits
+
+
+def _solve_moments(s, t, npts, degree, deriv_order, h):
+    """Fit of one degree >= 1 from the window moments; nan where underdetermined."""
+    S = np.empty(npts.shape + (degree + 1, degree + 1))
+    for p in range(degree + 1):
+        for q in range(degree + 1):
+            S[..., p, q] = s[p + q]
+    b = np.stack(t[: degree + 1], axis=-1)
+    ok = npts >= degree + 1
+    coef = np.full(b.shape, np.nan)
+    if ok.any():
+        try:
+            coef[ok] = np.linalg.solve(S[ok], b[ok][..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            for i in zip(*np.nonzero(ok)):
+                try:
+                    coef[i] = np.linalg.solve(S[i], b[i])
+                except np.linalg.LinAlgError:
+                    ok[i] = False
+    # factorial(deriv_order) is 1 for orders 0 and 1; undo the bandwidth scaling
+    fit = coef[..., deriv_order] / h**deriv_order
+    fit[~ok] = np.nan
+    return fit
 
 
 def per_curve_windowed_fits(grid, values, bandwidths, eval_points, degrees, deriv_order=0,

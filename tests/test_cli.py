@@ -553,12 +553,11 @@ def cli_inputs(tmp_path_factory):
     phi = np.exp(np.cos(2 * np.pi * grid - np.pi))
     write_wide(tied_csv, grid, [phi, phi, np.minimum(phi, 2.0), np.round(phi, 1)])
     configs = {}
-    for name, bad in BAD_SIMULATE_SETTINGS.items():
-        configs[f"config_{name}"] = base / f"{name}.json"
-        configs[f"config_{name}"].write_text(
-            json.dumps({"model": "breakdown", "c": 1.0, "r_scale": 0.1, "seed": 1, **bad}),
-            encoding="utf-8",
-        )
+    for command, settings, fixed in BAD_SETTINGS:
+        for name, bad in settings.items():
+            path = base / f"{command}_{name}.json"
+            path.write_text(json.dumps({**fixed, **bad}), encoding="utf-8")
+            configs[f"{command}_config_{name}"] = path
     return {
         "obs": sim / "observed.csv", "result": result, "long": long_csv, "flat": flat_csv,
         "tied": tied_csv, **configs,
@@ -572,6 +571,28 @@ BAD_SIMULATE_SETTINGS = {
     "n_null": {"n": None},
     "beta_list": {"beta": [1.5]},
 }
+
+# register and diagnose settings of the wrong type, numbers and booleans alike
+BAD_REGISTER_SETTINGS = {
+    "eigen_null": {"eigen": None},
+    "eigen_list": {"eigen": [2]},
+    "knots_null": {"knots": None, "smooth_warps": True},
+    "bandwidth_list": {"bandwidth": [0.1]},
+    "output_grid_size_list": {"output_grid_size": [101]},
+    "noisy_h1_abc": {"regime": "noisy", "h1": "abc"},
+    "noisy_h1_list": {"regime": "noisy", "h1": [0.2]},
+    "noisy_auto_bandwidth_no": {"regime": "noisy", "auto_bandwidth": "no"},
+    "smooth_warps_false_string": {"smooth_warps": "false"},
+}
+BAD_DIAGNOSE_SETTINGS = {
+    "rate_reps_null": {"rate_reps": None},
+    "seed_list": {"seed": [1]},
+}
+BAD_SETTINGS = [
+    ("simulate", BAD_SIMULATE_SETTINGS, {"model": "breakdown", "c": 1.0, "r_scale": 0.1, "seed": 1}),
+    ("register", BAD_REGISTER_SETTINGS, {}),
+    ("diagnose", BAD_DIAGNOSE_SETTINGS, {"rate_ns": "5", "seed": 1}),
+]
 
 
 FLAG_CASES = [
@@ -589,8 +610,18 @@ FLAG_CASES = [
     ("tiny_bandwidths", ["register", "{obs}", "--regime", "noisy", "--h1", "1e-4", "--h2", "1e-4"], {}, 4),
     ("output_grid_0", ["register", "{obs}", "--output-grid-size", "0"], {}, 2),
     *[
-        (f"simulate_config_{name}", ["simulate", "--config", f"{{config_{name}}}"], {}, 2)
+        (f"simulate_config_{name}", ["simulate", "--config", f"{{simulate_config_{name}}}"], {}, 2)
         for name in BAD_SIMULATE_SETTINGS
+    ],
+    *[
+        (f"register_config_{name}",
+         ["register", "{obs}", "--config", f"{{register_config_{name}}}"], {}, 2)
+        for name in BAD_REGISTER_SETTINGS
+    ],
+    *[
+        (f"diagnose_config_{name}",
+         ["diagnose", "{result}", "--config", f"{{diagnose_config_{name}}}"], {}, 2)
+        for name in BAD_DIAGNOSE_SETTINGS
     ],
     *[
         (f"output_grid_{size}", ["register", "{obs}", "--output-grid-size", str(size)], {}, 0)

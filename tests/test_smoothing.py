@@ -1,11 +1,16 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from varireg import smoothing
 from varireg.errors import AllCandidatesSingular, EmptyWindow, SingularFit
 from varireg.simulate import LatentModelConfig, WarpLawConfig, make_truth_bundle
 from varireg.smoothing import (
+    _BLOCK_BUDGET,
     EPANECHNIKOV,
+    KernelSpec,
     SmootherConfig,
     _loo_errors,
     _loocv_ladders,
@@ -394,11 +399,13 @@ def _padded_rows(grids, values):
 
 
 @st.composite
-def row_samples(draw):
-    """1 to 5 random-walk curves on one jittered grid or on their own."""
+def row_samples(draw, max_shared=5):
+    """1 to 5 random-walk curves on their own jittered grids, or 1 to
+    ``max_shared`` on one."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(1, 5))
-    if draw(st.booleans()):
+    shared = draw(st.booleans())
+    n = draw(st.integers(1, max_shared if shared else 5))
+    if shared:
         grids = [_jittered_grid(rng, int(rng.integers(5, 41)))] * n
     else:
         grids = [_jittered_grid(rng, int(rng.integers(5, 41))) for _ in range(n)]
@@ -406,30 +413,77 @@ def row_samples(draw):
 
 
 @given(
-    row_samples(),
+    row_samples(max_shared=24),
     st.integers(1, 4),
     st.sampled_from([((0,), 0), ((1,), 0), ((2,), 0), ((2, 0, 1), 0), ((2,), 1)]),
     st.booleans(),
+    st.booleans(),
+    st.sampled_from([None, 3, 1]),
+    st.sampled_from([_BLOCK_BUDGET, 256]),
 )
-def test_row_kernel_matches_per_curve_pass(sample, K, degrees_deriv, loo):
-    # every curve's fits have the bits of its own pass, in any order of the rows
+def test_row_kernel_matches_per_curve_pass(sample, K, degrees_deriv, loo, shared_e, distinct, budget):
+    # every curve's fits have the bits of its own pass, in any order of the
+    # rows; on a shared grid with a shared row of evaluation points, curves
+    # with equal bandwidth rows share each window's weights and moments, in
+    # blocks of curves x cells (a small budget splits them)
     rng, grids, values = sample
     degrees, deriv = degrees_deriv
     n = len(grids)
     h = np.sort(np.minimum(rng.uniform(0.2, 8.0, (n, K)) / 20.0, 1.0), axis=1)
+    if distinct is not None:  # rows repeat
+        h = h[rng.integers(0, min(distinct, n), n)]
     # eval points between, at and beyond the grid points; with loo some coincide
     e = np.stack([np.concatenate((rng.uniform(-0.1, 1.1, 12), g[rng.integers(0, g.size, 8)]))
-                  for g in grids])
+                  for g in grids[:1 if shared_e else n]])
     g_rows, v_rows = _padded_rows(grids, values)
-    got = _row_fits(g_rows, v_rows, h, e, degrees, deriv, loo)
+    with patch.object(smoothing, "_BLOCK_BUDGET", budget):
+        got = _row_fits(g_rows, v_rows, h, e, degrees, deriv, loo)
+        perm = rng.permutation(n)
+        g_perm = g_rows if g_rows.shape[0] == 1 else g_rows[perm]
+        e_perm = e if e.shape[0] == 1 else e[perm]
+        permuted = _row_fits(g_perm, v_rows[perm], h[perm], e_perm, degrees, deriv, loo)
     assert got.shape == (len(degrees), n, K, e.shape[1])
     for i in range(n):
-        want = per_curve_windowed_fits(grids[i], values[i], h[i], e[i], degrees, deriv, loo)
+        want = per_curve_windowed_fits(grids[i], values[i], h[i], e[i % e.shape[0]], degrees, deriv, loo)
         assert got[:, i].tobytes() == want.tobytes()
-    perm = rng.permutation(n)
-    g_perm = g_rows if g_rows.shape[0] == 1 else g_rows[perm]
-    permuted = _row_fits(g_perm, v_rows[perm], h[perm], e[perm], degrees, deriv, loo)
     assert permuted.tobytes() == got[:, perm].tobytes()
+
+
+def test_row_kernel_drops_a_singular_shared_window():
+    # a duplicated grid point: at t = 0.5 with h below a grid gap the window
+    # holds two points at u = 0 and S is singular; the stacked solve raises,
+    # and each window is then solved alone, for every curve that shares it
+    grid = np.sort(np.append(np.linspace(0.0, 1.0, 21), 0.5))
+    rng = np.random.default_rng(6)
+    values = rng.standard_normal((5, grid.size)).cumsum(axis=1)
+    h = np.tile([0.04, 0.2, 0.3], (5, 1))
+    e = np.array([[0.0, 0.33, 0.5, 0.52, 1.0]])
+    for budget in (_BLOCK_BUDGET, 16):
+        with patch.object(smoothing, "_BLOCK_BUDGET", budget):
+            got = _row_fits(grid[None], values, h, e, (1, 2, 0))
+        for i in range(5):
+            want = per_curve_windowed_fits(grid, values[i], h[i], e[0], (1, 2, 0))
+            assert got[:, i].tobytes() == want.tobytes()
+    assert np.isnan(got[0, :, 0, 2]).all()  # two weighted points, but S is singular
+    assert not np.isnan(got[0, :, 1:]).any()
+
+
+def test_loo_pass_builds_each_window_geometry_once_per_row_block(monkeypatch):
+    # on a shared grid every curve has the same leave-one-out windows, weights
+    # and moments: the kernel weighs no more window points for 32 curves than
+    # for 4
+    weighed = []
+    kernel = KernelSpec.__call__
+    monkeypatch.setattr(KernelSpec, "__call__", lambda self, u: weighed.append(np.size(u)) or kernel(self, u))
+    grid = np.linspace(0.0, 1.0, 41)
+    rng = np.random.default_rng(3)
+    counts = []
+    for n in (4, 32):
+        values = np.sin(2 * np.pi * grid) + 0.1 * rng.standard_normal((n, grid.size))
+        weighed.clear()
+        _loo_errors(grid[None], values, _loocv_ladders(np.full(n, 1 / 40)), (2, 1))
+        counts.append(sum(weighed))
+    assert 0 < counts[1] < 2 * counts[0]
 
 
 @pytest.mark.parametrize("shared", [True, False])
