@@ -37,7 +37,6 @@ from .registration import (
     RegisterOptions,
     RegistrationResult,
     WarpMap,
-    boundary_extend,
     estimate_warps_discrete,
     register_complete,
     register_discrete,
@@ -55,21 +54,11 @@ from .simulate import (
     substream,
     true_variation_cdf,
 )
-from .smoothing import (
-    EPANECHNIKOV,
-    KernelSpec,
-    SmootherConfig,
-    loocv_bandwidth,
-    local_poly,
-    monotone_smooth_warp,
-    nadaraya_watson,
-)
 from .variation import (
     DiscreteCurve,
     QuantileFn,
     StepCdf,
     VariationSummary,
-    compose_quantile_cdf,
     discrete_variation_cdf,
     generalized_inverse,
     mean_quantile,

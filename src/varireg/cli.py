@@ -22,6 +22,7 @@ from .errors import (
     AllCandidatesSingular,
     EmptySample,
     EmptyWindow,
+    NotRankOne,
     SingularFit,
     ZeroVariation,
 )
@@ -141,19 +142,26 @@ def _boolean(cfg, key, default):
     return value
 
 
+def _path(cfg, key, default=None):
+    """``cfg[key]`` for a path setting; ValueError naming the key if it is not a string."""
+    value = cfg.get(key, default)
+    if value is not None and not isinstance(value, str):
+        raise ValueError(f"{key} must be a path, got {value!r}")
+    return value
+
+
 def _json_float_list(arr):
     return [float(x) for x in np.asarray(arr).ravel()] if arr is not None else None
 
 
 def cmd_register(args) -> int:
     cfg = _merge_config(args)
-    path = cfg.get("input")
-    if not path:
-        print("error: no input file given", file=sys.stderr)
-        return EXIT_PARSE
     try:
+        path, out_dir = _path(cfg, "input"), Path(_path(cfg, "out", "."))
+        if not path:
+            raise ValueError("no input file given")
         ids, curves, rescale = dataio.read_curves_csv(path)
-    except (OSError, dataio.InputFormatError) as exc:
+    except (OSError, ValueError, dataio.InputFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     if not curves:
@@ -161,7 +169,6 @@ def cmd_register(args) -> int:
         return EXIT_PARSE
 
     regime = cfg.get("regime", "discrete")
-    out_dir = Path(cfg.get("out", "."))
     try:
         resolve_threads(cfg.get("threads"))  # validated only; the pipelines run serially
         n_eigen = _number(cfg, "eigen", int, 3)
@@ -263,9 +270,9 @@ def cmd_simulate(args) -> int:
     if cfg.get("seed") is None:
         print("error: --seed is required for simulate", file=sys.stderr)
         return EXIT_PARSE
-    out_dir = Path(cfg.get("out", "."))
 
     try:
+        out_dir = Path(_path(cfg, "out", "."))
         seed = _number(cfg, "seed", int)
         n = _number(cfg, "n", int, 50)
         r = _number(cfg, "r", int, 101)
@@ -333,13 +340,15 @@ def _read_registered(result_dir):
 
 def cmd_diagnose(args) -> int:
     cfg = _merge_config(args)
-    result_dir = cfg.get("result")
-    if not result_dir:
-        print("error: no result directory given", file=sys.stderr)
+    try:
+        result_dir, truth_dir = _path(cfg, "result"), _path(cfg, "truth")
+        if not result_dir:
+            raise ValueError("no result directory given")
+        out_dir = Path(_path(cfg, "out", result_dir))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     result_dir = Path(result_dir)
-    out_dir = Path(cfg.get("out", result_dir))
-    truth_dir = cfg.get("truth")
 
     try:
         ids, registered = _read_registered(result_dir)
@@ -423,7 +432,7 @@ def cmd_diagnose(args) -> int:
                 _number(cfg, "rate_reps", int, 50),
                 _number(cfg, "seed", int),
             )
-        except ValueError as exc:
+        except (ValueError, NotRankOne) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_PARSE
         report["rate_check"] = {

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .variation import DiscreteCurve
+from .variation import DiscreteCurve, StepCdf
 
 
 class InputFormatError(Exception):
@@ -177,20 +177,35 @@ def write_warps_csv(path, ids, warp_values, inverse_warp_values, grid):
     write_rows(path, ["curve_id", "t", "warp_value", "inverse_warp_value"], rows)
 
 
-def read_warps_csv(path):
-    data = {}
-    with Path(path).open(newline="", encoding="utf-8") as fh:
+def _read_table(path, header):
+    """Yield the data rows of the CSV file ``path`` as (line number, fields).
+
+    Raises InputFormatError, with the line number, for an empty file, a
+    header other than ``header``, or a row with another number of fields.
+    """
+    path = Path(path)
+    with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if [h.strip() for h in header] != ["curve_id", "t", "warp_value", "inverse_warp_value"]:
-            raise InputFormatError("bad warps.csv header", 1)
+        first = next(reader, None)
+        if first is None:
+            raise InputFormatError(f"{path.name} is empty", 1)
+        if [h.strip() for h in first] != header:
+            raise InputFormatError(f"bad {path.name} header", 1)
         for line, row in enumerate(reader, start=2):
             if not row:
                 continue
-            cid = row[0]
-            data.setdefault(cid, []).append(
-                (_parse_float(row[1], line), _parse_float(row[2], line), _parse_float(row[3], line))
-            )
+            if len(row) != len(header):
+                message = f"expected {len(header)} fields in {path.name}, got {len(row)}"
+                raise InputFormatError(message, line)
+            yield line, row
+
+
+def read_warps_csv(path):
+    data = {}
+    for line, row in _read_table(path, ["curve_id", "t", "warp_value", "inverse_warp_value"]):
+        data.setdefault(row[0], []).append(
+            (_parse_float(row[1], line), _parse_float(row[2], line), _parse_float(row[3], line))
+        )
     out = {}
     for cid, pts in data.items():
         arr = np.array(sorted(pts))
@@ -204,14 +219,9 @@ def write_mean_csv(path, mean_curve):
 
 def read_mean_csv(path):
     grid, vals = [], []
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            grid.append(_parse_float(row[0], line))
-            vals.append(_parse_float(row[1], line))
+    for line, row in _read_table(path, ["t", "value"]):
+        grid.append(_parse_float(row[0], line))
+        vals.append(_parse_float(row[1], line))
     return np.array(grid), np.array(vals)
 
 
@@ -231,19 +241,10 @@ def write_template_csv(path, cdf):
 
 
 def read_template_csv(path):
-    from .variation import StepCdf
-
     locs, cums = [], []
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if [h.strip() for h in header] != ["jump_location", "cum_value"]:
-            raise InputFormatError("bad template.csv header", 1)
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            locs.append(_parse_float(row[0], line))
-            cums.append(_parse_float(row[1], line))
+    for line, row in _read_table(path, ["jump_location", "cum_value"]):
+        locs.append(_parse_float(row[0], line))
+        cums.append(_parse_float(row[1], line))
     return StepCdf(np.array(locs), np.array(cums))
 
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import GridMismatch, ZeroVariation
-from .fpca import row_eigenpairs, row_scores, sorted_row_mean, trapezoid_weights
-from .registration import RegistrationResult, _evaluate, _interp_rows, _template, _variation
+from .fpca import _common_grid, row_eigenpairs, row_scores, sorted_row_mean, trapezoid_weights
+from .registration import RegistrationResult, _evaluate, _interp_rows, _template
 from .simulate import (
     _BLOCK_CELLS,
     LatentModelConfig,
@@ -23,7 +23,7 @@ from .simulate import (
     make_truth_bundle,
     true_variation_cdf,
 )
-from .variation import generalized_inverse, wasserstein2
+from .variation import cumulative_variation, generalized_inverse, wasserstein2
 
 Z_CLAMP_TOL = 1e-9
 
@@ -55,10 +55,7 @@ def z_statistic(curves, mean_mode: str = "auto", info: dict = None) -> np.ndarra
     if mean_mode not in ("auto", "force_zero_deriv"):
         raise ValueError("mean_mode must be 'auto' or 'force_zero_deriv'")
     curves = list(curves)
-    grid = curves[0].grid
-    for c in curves[1:]:
-        if c.grid is not grid and not np.array_equal(c.grid, grid):
-            raise GridMismatch("z_statistic needs a common grid")
+    grid = _common_grid(curves)
     x = np.stack([c.values for c in curves])
     w = trapezoid_weights(grid)
 
@@ -234,7 +231,7 @@ def rate_check(
                 cfg, warp_cfg, n, seed, stream_offset=(a << 40) | (b << 20), dense_r=64
             )
             values = np.stack([c.values for c in bundle.observed])
-            qbar = _template(_variation(values), bundle.grid[None, 1:])[0]
+            qbar = _template(cumulative_variation(values), bundle.grid[None, 1:])[0]
             vals[b] = wasserstein2(qbar, target_q) ** 2
         means[a] = vals.mean()
         ses[a] = vals.std(ddof=1) / math.sqrt(reps) if reps > 1 else 0.0

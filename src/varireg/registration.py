@@ -36,11 +36,11 @@ from .smoothing import (
     suggested_min_bandwidths,
 )
 from .variation import (
-    ZERO_VARIATION_RTOL,
     DiscreteCurve,
     QuantileFn,
     StepCdf,
     closed_grid,
+    cumulative_variation,
     mean_quantile_flat,
     quantile_to_cdf,
     searchsorted_rows,
@@ -144,28 +144,17 @@ class NoisyOptions:
             raise ValueError("deriv_grid_size too small")
 
 
-def boundary_extend(sample_t, sample_v, last_grid_point=None) -> WarpMap:
-    """Turn raw warp samples into a WarpMap on all of [0,1].
-
-    When the observed grid stops short of 1 the estimated warp is only
-    defined up to that point; the map is pinned there and continued linearly
-    to (1,1).  (0,0) is always enforced, float overshoots are clamped, and
-    sub-tolerance monotonicity wiggles are flattened; decreasing (or nan)
-    samples raise NonMonotoneInput.
-    """
-    t = np.asarray(sample_t, dtype=float)
-    v = np.asarray(sample_v, dtype=float)
-    if t.shape != v.shape or t.ndim != 1 or t.size == 0:
-        raise ValueError("need matching 1-d sample arrays")
-    t_r = np.inf if last_grid_point is None else last_grid_point
-    return _extend_rows(t, v[None], np.array([t_r], dtype=float))[0]
-
-
 def _extend_rows(t, v, t_r) -> list:
-    """boundary_extend of every row of ``v``, all sampled at ``t``.
+    """Raw warp samples, one row of ``v`` per warp, all taken at ``t``, as
+    WarpMaps on all of [0,1].
 
-    t_r[i] is row i's last grid point (+inf for none).  The rows whose grid
-    does not stop short of 1 share one sample_t and are checked together.
+    t_r[i] is row i's last grid point (+inf for none).  Where the observed
+    grid stops short of 1 the estimated warp is only defined up to that
+    point; the map is pinned there and continued linearly to (1,1).  (0,0)
+    is always enforced, float overshoots are clamped, and sub-tolerance
+    monotonicity wiggles are flattened; decreasing (or nan) samples raise
+    NonMonotoneInput.  The rows whose grid does not stop short of 1 share
+    one sample_t and are checked together.
     """
     if not (np.diff(v, axis=1) >= -_MONOTONE_SLACK).all():
         raise NonMonotoneInput("warp samples decrease by more than tolerance")
@@ -345,7 +334,11 @@ def _interp_rows(x, t, v) -> np.ndarray:
 
 
 def _smooth(warps, n_knots) -> list:
-    """monotone_smooth_warp of every warp, as WarpMaps on one shared grid."""
+    """Every warp smoothed through ``n_knots`` equispaced knots
+    (monotone_through_knots), as WarpMaps on one shared grid.
+
+    Knot values come from linear interpolation of each warp's samples.
+    """
     if n_knots < 2:
         raise ValueError("need at least 2 knots")
     knot_values = _evaluate(warps, np.linspace(0.0, 1.0, n_knots))
@@ -356,23 +349,6 @@ def _smooth(warps, n_knots) -> list:
     return [unchecked(WarpMap, sample_t=t, sample_v=row) for row in v]
 
 
-def _variation(values):
-    """Cumulative absolute increments of each row of ``values``.
-
-    Raises ZeroVariation for the first (numerically) constant row.
-    """
-    cum = np.cumsum(np.abs(np.diff(values, axis=1)), axis=1)
-    total = cum[:, -1]
-    flat = (total <= ZERO_VARIATION_RTOL * np.abs(values).max(axis=1)) | (total <= 0.0)
-    bad = flat | (total == np.inf)
-    if bad.any():
-        i = int(np.argmax(bad))
-        if flat[i]:
-            raise ZeroVariation(curve_id=i)
-        raise ValueError(f"total variation of curve {i} overflows")
-    return cum
-
-
 def _register_noiseless(curves, options, bandwidth_rule, regime):
     curves = list(curves)
     if not curves:
@@ -381,7 +357,7 @@ def _register_noiseless(curves, options, bandwidth_rule, regime):
     points = grids[grids < np.inf]
     warp_grid = closed_grid(points, WARP_GRID_CAP)
     template_cdf, template_q, warps, inverse_warps, last = _warp_maps(
-        _variation(values), grids[:, 1:], warp_grid
+        cumulative_variation(values), grids[:, 1:], warp_grid
     )
     if options.smooth_warps:
         warps = _smooth(warps, options.n_knots)
@@ -439,7 +415,7 @@ def _default_bandwidths(gaps, grids, eval_points):
 def _widen_short(h, grids, eval_points):
     """Bandwidths ``h`` with each curve evaluated past either end of its own
     grid (a grid that stops short of the others') widened to at least
-    suggested_min_bandwidth, at most 1.  Every other curve keeps its ``h``.
+    suggested_min_bandwidths, at most 1.  Every other curve keeps its ``h``.
     """
     last = np.where(grids < np.inf, grids, -np.inf).max(axis=1)
     out = (eval_points.min(axis=1) < grids[:, 0]) | (eval_points.max(axis=1) > last)

@@ -69,9 +69,6 @@ class AnalyticWarp:
         out = invert_warps([self], t)[0].reshape(t.shape)
         return out if out.ndim else float(out)
 
-    def sample(self, grid) -> np.ndarray:
-        return np.asarray(self(np.asarray(grid, dtype=float)))
-
 
 class IdentityWarp(AnalyticWarp):
     def __call__(self, t):
@@ -105,14 +102,6 @@ class SineMixtureWarp(AnalyticWarp):
                 out = out - w * np.sin(np.pi * k * t) / (abs(k) * np.pi * self.beta)
         out = np.clip(out, 0.0, 1.0)
         return out if out.ndim else float(out)
-
-    def deriv(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.ones_like(t)
-        for k, w in zip(self.ks, self.weights):
-            if k != 0:
-                out = out - w * np.sign(k) * np.cos(np.pi * k * t) / self.beta
-        return out
 
 
 def invert_warps(warps, t) -> np.ndarray:
@@ -430,7 +419,6 @@ class TruthBundle:
     warps: list             # AnalyticWarp per draw
     coefficients: np.ndarray  # (n, rank)
     f_phi: StepCdf = None     # rank-1 models only
-    phi_dense: DiscreteCurve = None
     noise_halfwidth: float = 0.0
 
     @property
@@ -476,12 +464,7 @@ def make_truth_bundle(
         values = draw(inverse)
         latent.append(DiscreteCurve(grid, draw(grid)))
         observed.append(DiscreteCurve(grid, values if noise is None else values + noise))
-    f_phi = None
-    phi_dense = None
-    if cfg.is_rank_one:
-        f_phi = true_variation_cdf(cfg, dense_r)
-        tgrid = np.linspace(0.0, 1.0, dense_r)
-        phi_dense = DiscreteCurve(tgrid, cfg.basis()[0](tgrid))
+    f_phi = true_variation_cdf(cfg, dense_r) if cfg.is_rank_one else None
     return TruthBundle(
         grid=grid,
         latent=latent,
@@ -489,6 +472,5 @@ def make_truth_bundle(
         warps=warps,
         coefficients=np.array([draw.coefficients for draw in draws]),
         f_phi=f_phi,
-        phi_dense=phi_dense,
         noise_halfwidth=cfg.noise_halfwidth,
     )

@@ -1,27 +1,26 @@
 """Kernel smoothing machinery.
 
-Epanechnikov kernel, Nadaraya-Watson regression, local polynomial
-regression (values and first derivatives), leave-one-out bandwidth
-selection, and monotone smoothing of warp maps.  Every kernel fit, of
-one curve or of a whole sample, runs through one windowed local-polynomial
-kernel over rows of curves (``_row_fits``): degrees 0, 1 and 2, values or
-slopes, leave-one-out or not, over the kernel's compact-support windows,
-never a dense (evaluation x grid) weight matrix.  A fit's window, kernel
-weights, moments and moment matrix are computed once per distinct (grid,
-bandwidth, evaluation point) row: once for all the curves that share a
-grid, a row of evaluation points and a row of bandwidths, otherwise once
-per curve.  Each curve gets the bits it would get alone.
+The Epanechnikov kernel, and one windowed local-polynomial kernel over rows
+of curves (``_row_fits``) that makes every kernel fit of the pipelines:
+degrees 0, 1 and 2, values or slopes, leave-one-out or not, over the
+kernel's compact-support windows, never a dense (evaluation x grid) weight
+matrix.  On it sit the Nadaraya-Watson fits of the registered curves
+(``nadaraya_watson_rows``), the leave-one-out bandwidth choice
+(``_loocv_rows``) and its default candidate ladders; next to it, the
+monotone smoothing of warp maps (``monotone_through_knots``).  A fit's
+window, kernel weights, moments and moment matrix are computed once per
+distinct (grid, bandwidth, evaluation point) row: once for all the curves
+that share a grid, a row of evaluation points and a row of bandwidths,
+otherwise once per curve.  Each curve gets the bits it would get alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .errors import AllCandidatesSingular, EmptyWindow, SingularFit
-from .variation import DiscreteCurve, searchsorted_rows
+from .errors import EmptyWindow
+from .variation import searchsorted_rows
 
 _CELL_BUDGET = 1 << 18  # bandwidths x eval points x window width per chunk of one curve
 _BLOCK_BUDGET = 1 << 15  # window points per block of _row_fits; smaller blocks than
@@ -30,54 +29,15 @@ _LOO_BLOCK_FITS = 1 << 15  # fits per row block of _loo_errors: enough curves to
 # each window geometry, with arrays over (rows, bandwidths, points) of one block's size
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """Symmetric nonnegative kernel supported on [-1,1]."""
-
-    family: str = "epanechnikov"
-
-    def __post_init__(self):
-        if self.family != "epanechnikov":
-            raise ValueError(f"unknown kernel family {self.family!r}")
-
-    def __call__(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        return np.where(np.abs(u) < 1.0, 0.75 * (1.0 - u * u), 0.0)
-
-
-EPANECHNIKOV = KernelSpec()
-
-
-@dataclass(frozen=True)
-class SmootherConfig:
-    """Bandwidth, polynomial degree, and derivative order of one smoother."""
-
-    bandwidth: float
-    degree: int = 0
-    deriv_order: int = 0
-    kernel: KernelSpec = EPANECHNIKOV
-
-    def __post_init__(self):
-        if not (0 < self.bandwidth <= 1.0):
-            raise ValueError("bandwidth must lie in (0, 1]")
-        if self.degree not in (0, 1, 2):
-            raise ValueError("degree must be 0, 1 or 2")
-        if self.deriv_order not in (0, 1):
-            raise ValueError("deriv_order must be 0 or 1")
-        if self.deriv_order >= self.degree and not (
-            self.degree == 0 and self.deriv_order == 0
-        ):
-            raise ValueError("need deriv_order < degree (or degree 0, deriv 0)")
-
-
-def suggested_min_bandwidth(grid: np.ndarray, eval_points: np.ndarray) -> float:
-    """Smallest bandwidth for which every evaluation window is nonempty."""
-    eval_points = np.asarray(eval_points, dtype=float)
-    return float(suggested_min_bandwidths(grid[None], eval_points.reshape(1, -1))[0])
+def epanechnikov(u) -> np.ndarray:
+    """The Epanechnikov kernel 3/4 (1 - u^2) on |u| < 1, zero outside."""
+    u = np.asarray(u, dtype=float)
+    return np.where(np.abs(u) < 1.0, 0.75 * (1.0 - u * u), 0.0)
 
 
 def suggested_min_bandwidths(grids, eval_points) -> np.ndarray:
-    """suggested_min_bandwidth of every curve, one row of ``eval_points`` each.
+    """Smallest bandwidth for which every window of a curve is nonempty, one
+    per curve, with one row of ``eval_points`` each.
 
     ``grids`` holds one sorted grid shared by every curve, or one per curve,
     padded past its last point with +inf.
@@ -90,8 +50,7 @@ def suggested_min_bandwidths(grids, eval_points) -> np.ndarray:
     return np.minimum(left, right).max(axis=1) * (1.0 + 1e-9)
 
 
-def _row_fits(grids, values, bandwidths, eval_points, degrees, deriv_order=0,
-              loo=False, kernel=EPANECHNIKOV):
+def _row_fits(grids, values, bandwidths, eval_points, degrees, deriv_order=0, loo=False):
     """Local polynomial fits of many curves over the kernel's compact-support windows.
 
     ``grids`` holds one sorted grid shared by every curve, or one per curve,
@@ -165,7 +124,7 @@ def _row_fits(grids, values, bandwidths, eval_points, degrees, deriv_order=0,
                 hg = h[g]
                 geometry = _window_geometry(
                     grids.ravel()[idx + g[:, None, None] * L if grids.shape[0] > 1 else idx],
-                    e[g, j][:, None], hg, width[g, :, j], degrees, loo, kernel,
+                    e[g, j][:, None], hg, width[g, :, j], degrees, loo,
                 )
                 curves = members[g[0]] if shared else g
                 per_fit = max(_BLOCK_BUDGET // (g.size * K * p), 1) if shared else g.size
@@ -178,7 +137,7 @@ def _row_fits(grids, values, bandwidths, eval_points, degrees, deriv_order=0,
     return out
 
 
-def _window_geometry(g, e, h, width, degrees, loo, kernel):
+def _window_geometry(g, e, h, width, degrees, loo):
     """The half of the fits in windows g, padded to one width, that no curve enters.
 
     The first ``width`` points of a window count; ``e``, ``h`` and ``width``
@@ -188,7 +147,7 @@ def _window_geometry(g, e, h, width, degrees, loo, kernel):
     """
     u = g - e[..., None]
     u /= h[..., None]
-    w = kernel(u)
+    w = epanechnikov(u)
     w *= np.arange(g.shape[-1]) < width[..., None]  # drop the clipped padding
     if loo:
         w[g == e[..., None]] = 0.0
@@ -265,65 +224,36 @@ def _solve_moments(S, ok, t, deriv_order, h):
     return coef[..., deriv_order] / h**deriv_order
 
 
-def nadaraya_watson(curve: DiscreteCurve, cfg: SmootherConfig, eval_points) -> np.ndarray:
-    """Kernel-weighted average of curve values at each evaluation point.
-
-    Raises EmptyWindow when some evaluation point has no grid point strictly
-    within one bandwidth (the kernel vanishes at |u| = 1).
-    """
-    if cfg.degree != 0:
-        raise ValueError("nadaraya_watson requires degree 0")
-    eval_points = np.asarray(eval_points, dtype=float)
-    return nadaraya_watson_rows(
-        curve.grid[None], curve.values[None], [cfg.bandwidth],
-        eval_points.reshape(1, -1), cfg.kernel,
-    ).reshape(eval_points.shape)
-
-
-def nadaraya_watson_rows(grids, values, bandwidths, eval_points, kernel=EPANECHNIKOV):
-    """nadaraya_watson for many curves at once: row i of the result is curve i's.
+def nadaraya_watson_rows(grids, values, bandwidths, eval_points):
+    """Kernel-weighted averages of many curves: row i of the result is curve i's.
 
     ``grids`` holds one sorted grid shared by every curve, or one per curve,
     padded past its last point with +inf; ``values`` (n, L) is padded with
     any finite value.  ``bandwidths`` has one entry and ``eval_points`` one
-    row per curve.  Each fit has the bits nadaraya_watson gives the curve
-    alone.  Raises EmptyWindow for the first curve with an empty window.
+    row per curve.  Each fit has the bits the curve gets alone.  Raises
+    EmptyWindow for the first curve with an evaluation point that has no
+    grid point strictly within one bandwidth (the kernel vanishes at |u| = 1).
     """
     e = np.asarray(eval_points, dtype=float)
     h = np.asarray(bandwidths, dtype=float)[:, None]
-    out = _row_fits(grids, values, h, e, [0], kernel=kernel)[0, :, 0]
+    out = _row_fits(grids, values, h, e, [0])[0, :, 0]
     empty = np.isnan(out)
     if empty.any():
         i, j = np.unravel_index(np.argmax(empty), out.shape)  # first curve, first window
-        grid = grids[i if grids.shape[0] > 1 else 0]
-        raise EmptyWindow(float(e[i, j]), suggested_min_bandwidth(grid[grid < np.inf], e[i]))
+        own = grids[i:i + 1] if grids.shape[0] > 1 else grids
+        raise EmptyWindow(float(e[i, j]), float(suggested_min_bandwidths(own, e[i:i + 1])[0]))
     return out
 
 
-def local_poly(curve: DiscreteCurve, cfg: SmootherConfig, eval_points) -> np.ndarray:
-    """Local polynomial estimate of the curve (deriv 0) or its slope (deriv 1).
-
-    Raises SingularFit with the offending evaluation point when a window is
-    underdetermined.
-    """
-    eval_points = np.asarray(eval_points, dtype=float)
-    e = eval_points.reshape(1, -1)
-    out = _row_fits(
-        curve.grid[None], curve.values[None], [[cfg.bandwidth]], e,
-        [cfg.degree], cfg.deriv_order, kernel=cfg.kernel,
-    )[0, :, 0]
-    singular = np.isnan(out)
-    if singular.any():
-        raise SingularFit(float(e.flat[np.argmax(singular)]))
-    return out.reshape(eval_points.shape)
-
-
 def _loocv_rows(grids, values, candidates, degrees):
-    """loocv_bandwidths of many curves, one row of sorted ``candidates`` each.
+    """Leave-one-out bandwidths of many curves, one row of sorted ``candidates`` each.
 
-    Arguments are as for _loo_errors.  Returns the chosen bandwidths,
-    (len(degrees), n), and a mask of the curves for which some degree
-    skipped every candidate.
+    Arguments are as for _loo_errors.  Each curve gets, per degree, the
+    candidate minimizing its leave-one-out squared prediction error;
+    candidates whose windows are underdetermined anywhere are skipped, and
+    ties break toward the smaller bandwidth (under-smoothing).  Returns the
+    chosen bandwidths, (len(degrees), n), and a mask of the curves for
+    which some degree skipped every candidate.
     """
     errs = _loo_errors(grids, values, candidates, degrees)
     best = np.argmin(errs, axis=-1)[..., None]  # first minimum: the smaller bandwidth wins ties
@@ -361,49 +291,18 @@ def _loo_errors(grids, values, candidates, degrees):
     return np.where(errs < np.inf, errs, np.inf)  # nan: a skipped candidate
 
 
-def loocv_bandwidths(curve: DiscreteCurve, degrees, candidates) -> list:
-    """loocv_bandwidth for each of ``degrees``, from one pass over the windows."""
-    candidates = sorted(float(h) for h in candidates)
-    if not candidates:
-        raise AllCandidatesSingular("no candidate bandwidths given")
-    for degree in degrees:
-        for h in candidates:
-            SmootherConfig(bandwidth=h, degree=degree)  # rejects out-of-range candidates
-    chosen, failed = _loocv_rows(curve.grid[None], curve.values[None], np.array([candidates]), degrees)
-    if failed[0]:
-        raise AllCandidatesSingular("every candidate bandwidth left a singular window")
-    return chosen[:, 0].tolist()
-
-
-def loocv_bandwidth(curve: DiscreteCurve, degree: int, candidates) -> float:
-    """Candidate bandwidth minimizing leave-one-out squared prediction error.
-
-    Candidates whose leave-one-out windows are underdetermined anywhere are
-    skipped; ties break toward the smaller bandwidth (under-smoothing).
-    """
-    return loocv_bandwidths(curve, [degree], candidates)[0]
-
-
-def default_loocv_candidates(curve: DiscreteCurve, count: int = 12) -> np.ndarray:
-    """Log-spaced candidates from 2.5 largest grid gaps up to about 0.25.
-
-    Both ends are an odd number of half gaps: the top is 0.25 rounded down
-    to whole gaps, plus half a gap.  A candidate of a whole number of gaps
-    would put a leave-one-out neighbour on a uniform grid at |u| = 1 to
-    within an ulp, where its kernel weight is rounding noise; boundary fits
-    of degree 1 and 2 are then near singular, and the noise can pick the
-    bandwidth.  When 2.5 gaps reach the top the ladder is that one value,
-    at most 1.
-    """
-    ladder = _loocv_ladders(np.array([curve.max_gap]), count)[0]
-    return ladder if ladder[0] < ladder[-1] else ladder[:1]
-
-
 def _loocv_ladders(gaps, count: int = 12) -> np.ndarray:
-    """default_loocv_candidates of curves with largest grid gaps ``gaps``, one row each.
+    """Default leave-one-out candidates of curves with largest grid gaps ``gaps``, one row each.
 
-    A ladder of one value is that value ``count`` times, so that every row
-    has ``count`` candidates; the leave-one-out choice is the same.
+    Each row is ``count`` log-spaced candidates from 2.5 gaps up to about
+    0.25.  Both ends are an odd number of half gaps: the top is 0.25
+    rounded down to whole gaps, plus half a gap.  A candidate of a whole
+    number of gaps would put a leave-one-out neighbour on a uniform grid at
+    |u| = 1 to within an ulp, where its kernel weight is rounding noise;
+    boundary fits of degree 1 and 2 are then near singular, and the noise
+    can pick the bandwidth.  When 2.5 gaps reach the top the ladder is that
+    one value, at most 1, repeated ``count`` times; the leave-one-out choice
+    is that of the value alone.
     """
     lo = 2.5 * gaps
     hi = (np.floor(0.25 / gaps) + 0.5) * gaps
@@ -413,29 +312,14 @@ def _loocv_ladders(gaps, count: int = 12) -> np.ndarray:
     return ladders
 
 
-def monotone_smooth_warp(sample_t, sample_v, n_knots: int = 11, n_out: int = 1024):
-    """Monotone cubic smoothing of warp samples through equispaced knots.
-
-    Knot values come from linear interpolation of the input samples; a
-    shape-preserving (Fritsch-Carlson type) cubic interpolant through the
-    knots guarantees the output is nondecreasing and endpoint-preserving.
-    Returns (t, v) samples of the smoothed map on a dense grid.
-    """
-    sample_t = np.asarray(sample_t, dtype=float)
-    sample_v = np.asarray(sample_v, dtype=float)
-    if n_knots < 2:
-        raise ValueError("need at least 2 knots")
-    kv = np.interp(np.linspace(0.0, 1.0, n_knots), sample_t, sample_v)
-    kv[0], kv[-1] = sample_v[0], sample_v[-1]
-    t_out, v_out = monotone_through_knots(kv[None], n_out)
-    return t_out, v_out[0]
-
-
 def monotone_through_knots(knot_values, n_out: int = 1024):
-    """monotone_smooth_warp from its knot values, one row per warp.
+    """Monotone cubic smoothing of warps through equispaced knots, one row per warp.
 
-    Returns the dense grid and one row of smoothed samples per warp; each
-    row has the bits of a warp smoothed alone.
+    A shape-preserving (Fritsch-Carlson type) cubic interpolant through the
+    knot values, made nondecreasing first, keeps every output nondecreasing
+    and endpoint-preserving.  Returns the dense grid of ``n_out`` points
+    plus the knots, and one row of smoothed samples per warp; each row has
+    the bits of a warp smoothed alone.
     """
     knots = np.linspace(0.0, 1.0, knot_values.shape[1])
     kv = np.maximum.accumulate(knot_values, axis=1)

@@ -3,8 +3,8 @@
 A curve observed on a grid induces a distribution on [0,1]: the normalized
 cumulative sum of its absolute increments.  This module provides the exact
 piecewise machinery around such distributions: cadlag step CDFs, their
-generalized inverses (quantile functions), pointwise quantile means,
-compositions, and the 2-Wasserstein distance.  Every quantile function is a
+generalized inverses (quantile functions), pointwise quantile means, and
+the 2-Wasserstein distance.  Every quantile function is a
 left-continuous step function: a step CDF's generalized inverse is one, and
 so is a pointwise mean of them.  All integration is exact per segment, never
 by quadrature.
@@ -159,26 +159,6 @@ class StepCdf:
         out = np.where(idx < 0, 0.0, self.cum_values[np.maximum(idx, 0)])
         return out if t_arr.ndim else float(out)
 
-    @classmethod
-    def from_jumps(cls, locations, sizes) -> "StepCdf":
-        """Build from jump locations and nonnegative sizes; normalizes to 1.
-
-        Zero-size jumps are dropped so the level sequence is strictly
-        increasing (first location of each level is kept, which is what the
-        ">=" generalized inverse needs).
-        """
-        locations = _as_float_array(locations)
-        sizes = _as_float_array(sizes)
-        if (sizes < 0).any():
-            raise ValueError("jump sizes must be nonnegative")
-        cum = np.cumsum(sizes)
-        total = cum[-1]
-        if total <= 0:
-            raise ZeroVariation("all jump sizes are zero")
-        levels = cum / total
-        keep = np.diff(levels, prepend=0.0) > 0
-        return cls(locations[keep], levels[keep])
-
 
 @dataclass(frozen=True)
 class QuantileFn:
@@ -229,6 +209,24 @@ class VariationSummary:
             raise ValueError("total variation must be positive")
 
 
+def cumulative_variation(values) -> np.ndarray:
+    """Cumulative absolute increments of each row of ``values``.
+
+    Raises ZeroVariation for the first (numerically) constant row, with its
+    row index as curve_id.
+    """
+    cum = np.cumsum(np.abs(np.diff(values, axis=1)), axis=1)
+    total = cum[:, -1]
+    flat = (total <= ZERO_VARIATION_RTOL * np.abs(values).max(axis=1)) | (total <= 0.0)
+    bad = flat | (total == np.inf)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if flat[i]:
+            raise ZeroVariation(curve_id=i)
+        raise ValueError(f"total variation of curve {i} overflows")
+    return cum
+
+
 def discrete_variation_cdf(curve: DiscreteCurve, curve_id=None) -> VariationSummary:
     """Normalized cumulative absolute-increment distribution of a curve.
 
@@ -238,12 +236,11 @@ def discrete_variation_cdf(curve: DiscreteCurve, curve_id=None) -> VariationSumm
 
     Raises ZeroVariation for (numerically) constant curves.
     """
-    diffs = np.abs(np.diff(curve.values))
-    cum = np.cumsum(diffs)
+    try:
+        cum = cumulative_variation(curve.values[None])[0]
+    except ZeroVariation:
+        raise ZeroVariation(curve_id=curve_id) from None
     total = float(cum[-1])
-    scale = float(np.abs(curve.values).max())
-    if total <= ZERO_VARIATION_RTOL * scale or total <= 0.0:
-        raise ZeroVariation(curve_id=curve_id)
     levels = cum / total
     keep = np.diff(levels, prepend=0.0) > 0
     cdf = StepCdf(curve.grid[1:][keep], levels[keep])
@@ -354,12 +351,6 @@ def quantile_to_cdf(q: QuantileFn) -> StepCdf:
     if locs[0] <= 0.0:
         raise ValueError("quantile maps positive mass to location 0; not a CDF on (0,1]")
     return StepCdf(locs, levels)
-
-
-def compose_quantile_cdf(q: QuantileFn, cdf: StepCdf, eval_points) -> np.ndarray:
-    """Samples of t -> Q(F(t)) at ``eval_points``; nondecreasing in t."""
-    eval_points = _as_float_array(eval_points)
-    return np.asarray(q(cdf(eval_points)))
 
 
 def as_quantile(obj) -> QuantileFn:

@@ -4,6 +4,8 @@ import pytest
 
 from varireg.variation import DiscreteCurve, StepCdf
 
+from oracles import step_cdf_from_jumps
+
 hypothesis.settings.register_profile("ci", max_examples=60, deadline=None)
 hypothesis.settings.load_profile("ci")
 
@@ -13,7 +15,7 @@ def random_step_cdf(rng, max_jumps=20) -> StepCdf:
     locs = np.sort(rng.random(k))
     locs = np.unique(locs * 0.98 + 0.01)
     sizes = rng.random(locs.size) + 1e-3
-    return StepCdf.from_jumps(locs, sizes)
+    return step_cdf_from_jumps(locs, sizes)
 
 
 def random_curve(rng, r=None) -> DiscreteCurve:

@@ -4,6 +4,9 @@
   Epanechnikov weight matrix between every evaluation point and every grid
   point: simple and obviously correct, but O(eval x grid) per fit.  The
   library computes the same fits over compact-support windows.
+* The default leave-one-out ladder of one curve from its formula, and a
+  step CDF built from jump sizes.  The library builds every curve's ladder
+  at once and every variation CDF from its cumulative increments.
 * The per-curve windowed pass: one curve's fits for many bandwidths and
   degrees over its compact-support windows, chunk by chunk, each window's
   weights and moments built together with the curve's sums, and the
@@ -62,7 +65,6 @@ from varireg.registration import (
     NoisyOptions,
     RegistrationResult,
     WarpMap,
-    boundary_extend,
 )
 from varireg.simulate import (
     _BISECT_ITERS,
@@ -75,19 +77,12 @@ from varireg.simulate import (
     substream,
     true_variation_cdf,
 )
-from varireg.smoothing import (
-    _CELL_BUDGET,
-    EPANECHNIKOV,
-    SmootherConfig,
-    default_loocv_candidates,
-    suggested_min_bandwidth,
-)
+from varireg.smoothing import _CELL_BUDGET, epanechnikov, suggested_min_bandwidths
 from varireg.variation import (
     DiscreteCurve,
     QuantileFn,
     StepCdf,
     closed_grid,
-    compose_quantile_cdf,
     discrete_variation_cdf,
     generalized_inverse,
     mean_quantile,
@@ -96,30 +91,68 @@ from varireg.variation import (
 )
 
 
-def dense_nadaraya_watson(curve, cfg, eval_points) -> np.ndarray:
+def min_bandwidth(grid, eval_points) -> float:
+    """Smallest bandwidth for which every window of one curve on ``grid`` is nonempty."""
+    e = np.asarray(eval_points, dtype=float).reshape(1, -1)
+    return float(suggested_min_bandwidths(grid[None], e)[0])
+
+
+def loocv_ladder(gap, count=12) -> np.ndarray:
+    """The default leave-one-out candidates of a curve whose largest grid gap is ``gap``.
+
+    ``count`` log-spaced values from 2.5 gaps to 0.25 rounded down to whole
+    gaps, plus half a gap; when 2.5 gaps reach that top, the one value
+    2.5 gaps, at most 1.
+    """
+    lo = 2.5 * gap
+    hi = (np.floor(0.25 / gap) + 0.5) * gap
+    if lo >= hi:
+        return np.array([min(lo, 1.0)])
+    return np.exp(np.linspace(np.log(lo), np.log(hi), count))
+
+
+def step_cdf_from_jumps(locations, sizes) -> StepCdf:
+    """A StepCdf from jump locations and nonnegative sizes, normalized to 1.
+
+    Zero-size jumps are dropped so the level sequence is strictly
+    increasing (the first location of each level is kept, which is what the
+    ">=" generalized inverse needs).
+    """
+    locations = np.asarray(locations, dtype=float)
+    sizes = np.asarray(sizes, dtype=float)
+    if (sizes < 0).any():
+        raise ValueError("jump sizes must be nonnegative")
+    cum = np.cumsum(sizes)
+    total = cum[-1]
+    if total <= 0:
+        raise ZeroVariation("all jump sizes are zero")
+    levels = cum / total
+    keep = np.diff(levels, prepend=0.0) > 0
+    return StepCdf(locations[keep], levels[keep])
+
+
+def dense_nadaraya_watson(curve, h, eval_points) -> np.ndarray:
     """Kernel-weighted average; EmptyWindow where no grid point is in range."""
-    if cfg.degree != 0:
-        raise ValueError("nadaraya_watson requires degree 0")
     eval_points = np.asarray(eval_points, dtype=float)
-    w = cfg.kernel((eval_points[:, None] - curve.grid[None, :]) / cfg.bandwidth)
+    w = epanechnikov((eval_points[:, None] - curve.grid[None, :]) / h)
     wsum = w.sum(axis=1)
     if (wsum <= 0.0).any():
         bad = eval_points[int(np.argmax(wsum <= 0.0))]
-        raise EmptyWindow(float(bad), suggested_min_bandwidth(curve.grid, eval_points))
+        raise EmptyWindow(float(bad), min_bandwidth(curve.grid, eval_points))
     # normalize first so a single-point window returns its value exactly
     return (w / wsum[:, None]) @ curve.values
 
 
-def dense_local_poly_chunk(grid, values, cfg, chunk, loo=False):
-    """Weighted LS fit of degree cfg.degree centered at each point of chunk.
+def dense_local_poly_chunk(grid, values, h, degree, deriv_order, chunk, loo=False):
+    """Weighted LS fit of ``degree`` with bandwidth h centered at each point of chunk.
 
     Returns the deriv_order coefficient scaled back to the time axis, or nan
     where the window is underdetermined.  With ``loo`` the weight of a grid
     point coinciding exactly with the eval point is zeroed (leave-one-out).
     """
-    d = cfg.degree
-    u = (grid[None, :] - chunk[:, None]) / cfg.bandwidth
-    w = cfg.kernel(u)
+    d = degree
+    u = (grid[None, :] - chunk[:, None]) / h
+    w = epanechnikov(u)
     if loo:
         w = np.where(grid[None, :] == chunk[:, None], 0.0, w)
     npts = (w > 0.0).sum(axis=1)
@@ -143,16 +176,15 @@ def dense_local_poly_chunk(grid, values, cfg, chunk, loo=False):
                 except np.linalg.LinAlgError:
                     ok[i] = False
     # factorial(deriv_order) is 1 for orders 0 and 1; undo the bandwidth scaling
-    k = cfg.deriv_order
-    result = coef[:, k] / cfg.bandwidth**k
+    result = coef[:, deriv_order] / h**deriv_order
     result[~ok] = np.nan
     return result
 
 
-def dense_local_poly(curve, cfg, eval_points) -> np.ndarray:
+def dense_local_poly(curve, h, degree, deriv_order, eval_points) -> np.ndarray:
     """Local polynomial value or slope; SingularFit at the first bad point."""
     eval_points = np.asarray(eval_points, dtype=float)
-    res = dense_local_poly_chunk(curve.grid, curve.values, cfg, eval_points)
+    res = dense_local_poly_chunk(curve.grid, curve.values, h, degree, deriv_order, eval_points)
     if np.isnan(res).any():
         raise SingularFit(float(eval_points[int(np.argmax(np.isnan(res)))]))
     return res
@@ -160,16 +192,15 @@ def dense_local_poly(curve, cfg, eval_points) -> np.ndarray:
 
 def dense_loocv_predictions(curve, degree, h):
     """Leave-one-out predictions at the grid points, or None when skipped."""
-    cfg = SmootherConfig(bandwidth=h, degree=degree, deriv_order=0)
     if degree == 0:
         u = (curve.grid[None, :] - curve.grid[:, None]) / h
-        w = cfg.kernel(u)
+        w = epanechnikov(u)
         np.fill_diagonal(w, 0.0)
         wsum = w.sum(axis=1)
         if (wsum <= 0.0).any():
             return None
         return (w @ curve.values) / wsum
-    preds = dense_local_poly_chunk(curve.grid, curve.values, cfg, curve.grid, loo=True)
+    preds = dense_local_poly_chunk(curve.grid, curve.values, h, degree, 0, curve.grid, loo=True)
     return None if np.isnan(preds).any() else preds
 
 
@@ -191,7 +222,7 @@ def dense_loocv_bandwidth(curve, degree, candidates) -> float:
     return best_h
 
 
-def _fit_chunk(g, y, e, h, width, degrees, deriv_order, loo, kernel):
+def _fit_chunk(g, y, e, h, width, degrees, deriv_order, loo):
     """Fits from windows g, y padded to one width; the first ``width`` points count.
 
     ``e``, ``h`` and ``width`` broadcast to the shape of the fits, g.shape[:-1].
@@ -200,7 +231,7 @@ def _fit_chunk(g, y, e, h, width, degrees, deriv_order, loo, kernel):
     """
     u = g - e[..., None]
     u /= h[..., None]
-    w = kernel(u)
+    w = epanechnikov(u)
     w *= np.arange(g.shape[-1]) < width[..., None]  # drop the clipped padding
     if loo:
         w[g == e[..., None]] = 0.0
@@ -259,8 +290,7 @@ def _solve_moments(s, t, npts, degree, deriv_order, h):
     return fit
 
 
-def per_curve_windowed_fits(grid, values, bandwidths, eval_points, degrees, deriv_order=0,
-                            loo=False, kernel=EPANECHNIKOV):
+def per_curve_windowed_fits(grid, values, bandwidths, eval_points, degrees, deriv_order=0, loo=False):
     """Local polynomial fits of one curve over the kernel's compact-support windows.
 
     Returns an array of shape (len(degrees), len(bandwidths), len(eval_points))
@@ -281,26 +311,21 @@ def per_curve_windowed_fits(grid, values, bandwidths, eval_points, degrees, deri
         np.minimum(idx, grid.size - 1, out=idx)
         out[:, :, cols] = _fit_chunk(
             grid[idx], values[idx], e[cols], h, width[:, cols],
-            degrees, deriv_order, loo, kernel,
+            degrees, deriv_order, loo,
         )
     return out
 
 
-def per_curve_windowed_fit(grid, values, bandwidths, eval_points, degree, deriv_order=0,
-                           loo=False, kernel=EPANECHNIKOV):
+def per_curve_windowed_fit(grid, values, bandwidths, eval_points, degree, deriv_order=0, loo=False):
     """per_curve_windowed_fits for one degree: shape (len(bandwidths), len(eval_points))."""
-    return per_curve_windowed_fits(
-        grid, values, bandwidths, eval_points, [degree], deriv_order, loo, kernel
-    )[0]
+    return per_curve_windowed_fits(grid, values, bandwidths, eval_points, [degree], deriv_order, loo)[0]
 
 
-def per_curve_local_poly(curve, cfg, eval_points) -> np.ndarray:
-    """local_poly from the per-curve windowed pass."""
+def per_curve_local_poly(curve, h, degree, deriv_order, eval_points) -> np.ndarray:
+    """One curve's local polynomial fit (deriv 0) or slope (deriv 1) from the
+    per-curve windowed pass; SingularFit at the first underdetermined window."""
     eval_points = np.asarray(eval_points, dtype=float)
-    out = per_curve_windowed_fit(
-        curve.grid, curve.values, [cfg.bandwidth], eval_points,
-        cfg.degree, cfg.deriv_order, kernel=cfg.kernel,
-    )[0]
+    out = per_curve_windowed_fit(curve.grid, curve.values, [h], eval_points, degree, deriv_order)[0]
     singular = np.isnan(out)
     if singular.any():
         raise SingularFit(float(eval_points[int(np.argmax(singular))]))
@@ -308,7 +333,9 @@ def per_curve_local_poly(curve, cfg, eval_points) -> np.ndarray:
 
 
 def per_curve_loocv_bandwidths(curve, degrees, candidates) -> list:
-    """loocv_bandwidths from the per-curve windowed pass."""
+    """One curve's leave-one-out bandwidth for each of ``degrees`` from the
+    per-curve windowed pass: the candidate of least squared prediction error,
+    skipping those with an underdetermined window; ties go to the smaller."""
     candidates = sorted(float(h) for h in candidates)
     preds = per_curve_windowed_fits(curve.grid, curve.values, candidates, curve.grid, degrees, loo=True)
     errs = np.sum((preds - curve.values) ** 2, axis=-1)
@@ -349,7 +376,7 @@ def pairwise_warp_oracle(cdfs, i: int, grid) -> WarpMap:
     # beyond the largest mean level the warp stays at the last location, the
     # same convention the template CDF induces in the mean-quantile warp
     v = target.jump_locations[np.minimum(idx, gbar.size - 1)]
-    return boundary_extend(grid, v, float(target.jump_locations[-1]))
+    return per_curve_boundary_extend(grid, v, float(target.jump_locations[-1]))
 
 
 def mean_quantile_oracle(qs) -> QuantileFn:
@@ -455,7 +482,8 @@ def per_curve_truth_bundle(cfg, warp_cfg, n, seed, stream_offset=0) -> TruthBund
 
 
 def per_curve_boundary_extend(sample_t, sample_v, last_grid_point=None) -> WarpMap:
-    """boundary_extend of one warp, step by step."""
+    """One warp's raw samples as a WarpMap on [0,1], step by step: pinned at
+    its last grid point below 1 and continued linearly to (1,1)."""
     t = np.asarray(sample_t, dtype=float)
     v = np.asarray(sample_v, dtype=float).copy()
     if t.shape != v.shape or t.ndim != 1 or t.size == 0:
@@ -505,28 +533,26 @@ def per_curve_estimate_warps(cdfs, grid=None):
     warps, inverse_warps = [], []
     for cdf, q in zip(cdfs, quantiles):
         t_r = float(cdf.jump_locations[-1])
-        v = compose_quantile_cdf(q, template_cdf, grid)
+        v = q(template_cdf(grid))
         warps.append(per_curve_boundary_extend(grid, v, t_r))
-        v_inv = compose_quantile_cdf(template_quantile, cdf, grid)
+        v_inv = template_quantile(cdf(grid))
         inverse_warps.append(per_curve_boundary_extend(grid, v_inv, t_r))
     return template_cdf, template_quantile, warps, inverse_warps
 
 
-def per_curve_nadaraya_watson(curve, cfg, eval_points) -> np.ndarray:
+def per_curve_nadaraya_watson(curve, h, eval_points) -> np.ndarray:
     """Windowed Nadaraya-Watson fit of one curve, from the per-curve windowed pass."""
     eval_points = np.asarray(eval_points, dtype=float)
-    out = per_curve_windowed_fit(
-        curve.grid, curve.values, [cfg.bandwidth], eval_points, 0, kernel=cfg.kernel
-    )[0]
+    out = per_curve_windowed_fit(curve.grid, curve.values, [h], eval_points, 0)[0]
     empty = np.isnan(out)
     if empty.any():
         bad = eval_points[int(np.argmax(empty))]
-        raise EmptyWindow(float(bad), suggested_min_bandwidth(curve.grid, eval_points))
+        raise EmptyWindow(float(bad), min_bandwidth(curve.grid, eval_points))
     return out
 
 
 def per_curve_smooth_warp(sample_t, sample_v, n_knots, n_out=1024):
-    """monotone_smooth_warp of one warp."""
+    """One warp smoothed through ``n_knots`` equispaced knots by a monotone cubic."""
     if n_knots < 2:
         raise ValueError("need at least 2 knots")
     knots = np.linspace(0.0, 1.0, n_knots)
@@ -560,8 +586,7 @@ def _per_curve_noiseless(curves, options, bandwidth_rule, regime):
     bandwidths = [bandwidth_rule(c, e) for c, e in zip(curves, eval_points)]
     registered = []
     for curve, e, h in zip(curves, eval_points, bandwidths):
-        cfg = SmootherConfig(bandwidth=h, degree=0, deriv_order=0)
-        registered.append(DiscreteCurve(output_grid, per_curve_nadaraya_watson(curve, cfg, e)))
+        registered.append(DiscreteCurve(output_grid, per_curve_nadaraya_watson(curve, h, e)))
     meta = {
         "bandwidths": [float(h) for h in bandwidths],
         "smooth_warps": bool(options.smooth_warps),
@@ -595,14 +620,14 @@ def per_curve_register_discrete(sample, options=None) -> RegistrationResult:
     if options.bandwidth is not None:
         rule = lambda c, e: float(options.bandwidth)
     else:
-        rule = lambda c, e: min(max(1.1 * c.max_gap, suggested_min_bandwidth(c.grid, e)), 1.0)
+        rule = lambda c, e: min(max(1.1 * c.max_gap, min_bandwidth(c.grid, e)), 1.0)
     return _per_curve_noiseless(sample, options, rule, "discrete")
 
 
 def per_curve_register_complete(sample, output_grid=None) -> RegistrationResult:
     """register_complete one curve at a time."""
     options = RegisterOptions(smooth_warps=False, output_grid=output_grid)
-    rule = lambda c, e: min(max(0.505 * c.max_gap, suggested_min_bandwidth(c.grid, e)), 1.0)
+    rule = lambda c, e: min(max(0.505 * c.max_gap, min_bandwidth(c.grid, e)), 1.0)
     return _per_curve_noiseless(sample, options, rule, "complete")
 
 
@@ -619,27 +644,25 @@ def per_curve_register_noisy(sample, opts=None) -> RegistrationResult:
     prepared = []
     for i, curve in enumerate(curves):
         if opts.auto:
-            h1, h2 = per_curve_loocv_bandwidths(curve, (2, 1), default_loocv_candidates(curve))
+            h1, h2 = per_curve_loocv_bandwidths(curve, (2, 1), loocv_ladder(curve.max_gap))
         else:
             h1, h2 = float(opts.h1), float(opts.h2)
-        cfg1 = SmootherConfig(bandwidth=h1, degree=2, deriv_order=1)
-        deriv = np.abs(per_curve_local_poly(curve, cfg1, deriv_grid))
+        deriv = np.abs(per_curve_local_poly(curve, h1, 2, 1, deriv_grid))
         cell = (deriv[:-1] + deriv[1:]) / 2.0 * np.diff(deriv_grid)
         total = float(np.sum(cell))
         if total <= 1e-12 * max(float(np.abs(curve.values).max()), 1.0):
             raise ZeroVariation(
                 "estimated derivative integrates to (numerically) zero", curve_id=i
             )
-        prepared.append((h1, h2, StepCdf.from_jumps(deriv_grid[1:], cell)))
+        prepared.append((h1, h2, step_cdf_from_jumps(deriv_grid[1:], cell)))
     template_cdf, template_q, warps, inverse_warps = per_curve_estimate_warps(
         [p[2] for p in prepared], deriv_grid
     )
     output_grid = _per_curve_output_grid(curves, opts.output_grid)
     registered = []
     for curve, warp, (_, h2, _) in zip(curves, warps, prepared):
-        cfg2 = SmootherConfig(bandwidth=h2, degree=1, deriv_order=0)
         registered.append(
-            DiscreteCurve(output_grid, per_curve_local_poly(curve, cfg2, warp(output_grid)))
+            DiscreteCurve(output_grid, per_curve_local_poly(curve, h2, 1, 0, warp(output_grid)))
         )
     meta = {
         "h1": [float(p[0]) for p in prepared],
@@ -683,7 +706,7 @@ def per_curve_z_statistic(curves, mean_mode="auto", info=None) -> np.ndarray:
     grid = curves[0].grid
     for c in curves[1:]:
         if not np.array_equal(c.grid, grid):
-            raise GridMismatch("z_statistic needs a common grid")
+            raise GridMismatch("curves are not on a common grid")
 
     derivs = [np.gradient(c.values, grid) for c in curves]
     denoms = np.array([_trapz(np.abs(d), grid) for d in derivs])

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from varireg.diagnostics import evaluate_against_truth, rate_check
+from varireg.errors import SingularFit
 from varireg.fpca import (
     covariance_matrix,
     cross_sectional_mean,
@@ -27,6 +28,8 @@ from varireg.fpca import (
 )
 from varireg.registration import (
     NoisyOptions,
+    WarpMap,
+    _smooth,
     estimate_warps_discrete,
     register_complete,
     register_discrete,
@@ -39,7 +42,7 @@ from varireg.simulate import (
     make_truth_bundle,
     substream,
 )
-from varireg.smoothing import SmootherConfig, local_poly, monotone_smooth_warp
+from varireg.smoothing import _row_fits
 from varireg.variation import (
     DiscreteCurve,
     discrete_variation_cdf,
@@ -285,6 +288,21 @@ def test_acceptance_6_counterexample_oracle():
     assert worst <= 1e-8
 
 
+def local_poly(curve, h, degree, eval_points):
+    """Curve's local polynomial fit at ``eval_points`` from _row_fits; SingularFit
+    at the first underdetermined window."""
+    out = _row_fits(curve.grid[None], curve.values[None], [[h]], eval_points[None], [degree])[0, 0, 0]
+    if np.isnan(out).any():
+        raise SingularFit(float(eval_points[np.argmax(np.isnan(out))]))
+    return out
+
+
+def monotone_smooth_warp(sample_t, sample_v, n_knots):
+    """One warp smoothed as the discrete pipeline smooths every warp (_smooth)."""
+    warp = _smooth([WarpMap(sample_t, sample_v)], n_knots)[0]
+    return warp.sample_t, warp.sample_v
+
+
 def test_acceptance_7_property_suites():
     failures = []
 
@@ -360,8 +378,7 @@ def test_acceptance_7_property_suites():
         degree = int(rng.integers(1, 3))
         coef = rng.standard_normal(degree + 1)
         curve = DiscreteCurve(grid, np.polyval(coef, grid))
-        cfg = SmootherConfig(bandwidth=0.09, degree=degree, deriv_order=0)
-        out = local_poly(curve, cfg, pts)
+        out = local_poly(curve, 0.09, degree, pts)
         scale = max(np.abs(curve.values).max(), 1.0)
         if np.abs(out - np.polyval(coef, pts)).max() > 1e-13 * 100 * scale:
             failures.append(f"localpoly #{i}")

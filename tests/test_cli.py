@@ -1,4 +1,5 @@
 import json
+import shutil
 import tracemalloc
 from pathlib import Path
 
@@ -199,6 +200,26 @@ def test_diagnose_warps_on_their_own_grids(tmp_path):
         float(np.abs(w - np.interp(t, *truth[cid][:2])).max()) for cid, (t, w, _) in kept.items()
     ]
     assert report["warp_sup_errors"] == want
+
+
+@pytest.mark.parametrize("damage", ["empty", "short_row"])
+@pytest.mark.parametrize("name", ["mean.csv", "warps.csv", "template.csv", "truth_warps.csv"])
+def test_diagnose_truncated_file_exit2(tmp_path, capsys, cli_inputs, name, damage):
+    # an empty file, or a row with one field, names the file and the line
+    sim, out = tmp_path / "sim", tmp_path / "out"
+    shutil.copytree(cli_inputs["obs"].parent, sim)
+    shutil.copytree(cli_inputs["result"], out)
+    path = (sim if name.startswith("truth_") else out) / name
+    if damage == "empty":
+        path.write_text("")
+    else:
+        lines = path.read_text().splitlines()
+        lines[3] = lines[3].split(",")[0]  # line 4 keeps its first field alone
+        path.write_text("\n".join(lines) + "\n")
+    assert run("diagnose", out, "--truth", sim, "--out", tmp_path / "dia") == 2
+    err = capsys.readouterr().err
+    assert name in err and ("line 1:" if damage == "empty" else "line 4:") in err
+    assert not (tmp_path / "dia").exists()
 
 
 def _write_own_grid_warps(path, warps):
@@ -570,6 +591,7 @@ BAD_SIMULATE_SETTINGS = {
        ("n", "r", "noise", "seed", "rank", "warp_mixture_size", "beta", "c", "r_scale")},
     "n_null": {"n": None},
     "beta_list": {"beta": [1.5]},
+    "out_list": {"out": [1]},
 }
 
 # register and diagnose settings of the wrong type, numbers and booleans alike
@@ -583,16 +605,22 @@ BAD_REGISTER_SETTINGS = {
     "noisy_h1_list": {"regime": "noisy", "h1": [0.2]},
     "noisy_auto_bandwidth_no": {"regime": "noisy", "auto_bandwidth": "no"},
     "smooth_warps_false_string": {"smooth_warps": "false"},
+    "input_number": {"input": 5},
+    "out_number": {"out": 7},
 }
 BAD_DIAGNOSE_SETTINGS = {
     "rate_reps_null": {"rate_reps": None},
     "seed_list": {"seed": [1]},
+    "truth_number": {"truth": 3},
 }
 BAD_SETTINGS = [
     ("simulate", BAD_SIMULATE_SETTINGS, {"model": "breakdown", "c": 1.0, "r_scale": 0.1, "seed": 1}),
     ("register", BAD_REGISTER_SETTINGS, {}),
     ("diagnose", BAD_DIAGNOSE_SETTINGS, {"rate_ns": "5", "seed": 1}),
 ]
+# an --out flag or a positional input overrides its config key, so these cases go without
+SETS_OUT = {f"{command}_config_{name}" for command, settings, _ in BAD_SETTINGS
+            for name, bad in settings.items() if "out" in bad}
 
 
 FLAG_CASES = [
@@ -603,6 +631,8 @@ FLAG_CASES = [
     ("rate_model_unknown",
      ["diagnose", "{result}", "--rate-model", "nosuch", "--rate-ns", "10", "--seed", "1"], {}, 2),
     ("rate_ns_negative", ["diagnose", "{result}", "--rate-ns", "-5", "--seed", "1"], {}, 2),
+    ("rate_model_not_rank_one",
+     ["diagnose", "{result}", "--rate-ns", "5,10", "--seed", "1", "--rate-model", "rank2"], {}, 2),
     ("threads_env_not_int", ["register", "{obs}"], {"VARIREG_THREADS": "abc"}, 2),
     ("per_curve_grids", ["register", "{long}"], {}, 0),
     ("tied_levels", ["register", "{tied}", "--smooth-warps"], {}, 0),
@@ -615,8 +645,9 @@ FLAG_CASES = [
     ],
     *[
         (f"register_config_{name}",
-         ["register", "{obs}", "--config", f"{{register_config_{name}}}"], {}, 2)
-        for name in BAD_REGISTER_SETTINGS
+         ["register", *([] if "input" in bad else ["{obs}"]), "--config", f"{{register_config_{name}}}"],
+         {}, 2)
+        for name, bad in BAD_REGISTER_SETTINGS.items()
     ],
     *[
         (f"diagnose_config_{name}",
@@ -630,17 +661,16 @@ FLAG_CASES = [
 ]
 
 
-@pytest.mark.parametrize(
-    "argv, env, expected", [case[1:] for case in FLAG_CASES], ids=[case[0] for case in FLAG_CASES]
-)
+@pytest.mark.parametrize("name, argv, env, expected", FLAG_CASES, ids=[case[0] for case in FLAG_CASES])
 def test_flag_combinations_exit_with_documented_codes(
-    argv, env, expected, cli_inputs, tmp_path, monkeypatch
+    name, argv, env, expected, cli_inputs, tmp_path, monkeypatch
 ):
     for key, value in env.items():
         monkeypatch.setenv(key, value)
-    out = tmp_path / "out"
-    code = main([a.format(**cli_inputs) for a in argv] + ["--out", str(out)])
+    monkeypatch.chdir(tmp_path)  # where a relative output directory would go
+    out = [] if name in SETS_OUT else ["--out", str(tmp_path / "out")]
+    code = main([a.format(**cli_inputs) for a in argv] + out)
     assert code in (0, 2, 3, 4)
     assert code == expected
     if code != 0:
-        assert not out.exists()  # a failed run writes nothing
+        assert not any(tmp_path.iterdir())  # a failed run writes nothing

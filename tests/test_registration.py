@@ -17,7 +17,6 @@ from varireg.registration import (
     WarpMap,
     _extend_rows,
     _interp_rows,
-    boundary_extend,
     estimate_warps_discrete,
     register_complete,
     register_discrete,
@@ -29,12 +28,12 @@ from varireg.simulate import (
     make_truth_bundle,
     substream,
 )
-from varireg.smoothing import suggested_min_bandwidth
 from varireg.variation import DiscreteCurve, discrete_variation_cdf
 
 from conftest import random_step_cdf
 from oracles import (
     SineWarp,
+    min_bandwidth,
     pairwise_warp_oracle,
     per_curve_estimate_warps,
     per_curve_register_complete,
@@ -61,7 +60,13 @@ def fisher_pair(r, xi=(1.3, 0.8)):
     return grid, warps, curves
 
 
-# --- boundary_extend -----------------------------------------------------------
+# --- boundary extension ------------------------------------------------------
+
+def boundary_extend(sample_t, sample_v, last_grid_point):
+    """One warp's raw samples as a WarpMap on [0,1], through _extend_rows."""
+    t = np.asarray(sample_t, dtype=float)
+    return _extend_rows(t, np.asarray(sample_v, dtype=float)[None], np.array([last_grid_point]))[0]
+
 
 def test_boundary_noop_when_grid_reaches_one():
     t = np.linspace(0.0, 1.0, 11)
@@ -752,7 +757,7 @@ def test_default_bandwidth_widens_for_a_grid_short_of_the_others(side):
     e = res.warps[3](res.output_grid)
     reach = 1.1 * curves[3].max_gap
     assert e.max() > 0.9 + reach if side == "end" else e.min() < 0.1 - reach
-    assert h[3] == suggested_min_bandwidth(curves[3].grid, e) > 1.1 * curves[3].max_gap
+    assert h[3] == min_bandwidth(curves[3].grid, e) > 1.1 * curves[3].max_gap
     assert all(np.isfinite(c.values).all() for c in res.registered)
     # a fixed bandwidth is used as given
     with pytest.raises(EmptyWindow):
@@ -768,6 +773,6 @@ def test_register_complete_widens_for_a_grid_short_of_the_others(side):
     h = res.metadata["bandwidths"]
     assert h[:3] == [min(0.505 * c.max_gap, 1.0) for c in curves[:3]]
     e = res.warps[3](res.output_grid)
-    assert h[3] == suggested_min_bandwidth(curves[3].grid, e) > 0.505 * curves[3].max_gap
+    assert h[3] == min_bandwidth(curves[3].grid, e) > 0.505 * curves[3].max_gap
     assert all(np.isfinite(c.values).all() for c in res.registered)
     _assert_same_result(res, per_curve_register_complete(curves))

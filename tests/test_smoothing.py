@@ -6,22 +6,16 @@ from hypothesis import given, strategies as st
 
 from varireg import smoothing
 from varireg.errors import AllCandidatesSingular, EmptyWindow, SingularFit
+from varireg.registration import WarpMap, _smooth
 from varireg.simulate import LatentModelConfig, WarpLawConfig, make_truth_bundle
 from varireg.smoothing import (
     _BLOCK_BUDGET,
-    EPANECHNIKOV,
-    KernelSpec,
-    SmootherConfig,
     _loo_errors,
     _loocv_ladders,
     _loocv_rows,
     _row_fits,
-    default_loocv_candidates,
-    local_poly,
-    loocv_bandwidth,
-    loocv_bandwidths,
-    monotone_smooth_warp,
-    nadaraya_watson,
+    epanechnikov,
+    nadaraya_watson_rows,
 )
 from varireg.variation import DiscreteCurve
 
@@ -32,30 +26,63 @@ from oracles import (
     dense_loocv_bandwidth,
     dense_loocv_predictions,
     dense_nadaraya_watson,
+    loocv_ladder,
     per_curve_loocv_bandwidths,
     per_curve_windowed_fit,
     per_curve_windowed_fits,
 )
 
 
+# --- one curve through the row code the pipelines run --------------------------
+
+def nadaraya_watson(curve, h, eval_points):
+    """Curve's Nadaraya-Watson fit at ``eval_points`` from nadaraya_watson_rows."""
+    e = np.asarray(eval_points, dtype=float)
+    fit = nadaraya_watson_rows(curve.grid[None], curve.values[None], [h], e.reshape(1, -1))
+    return fit.reshape(e.shape)
+
+
+def local_poly(curve, h, degree, deriv_order, eval_points):
+    """Curve's local polynomial fit (deriv 0) or slope (deriv 1) from _row_fits;
+    SingularFit at the first underdetermined window."""
+    e = np.asarray(eval_points, dtype=float)
+    out = _row_fits(curve.grid[None], curve.values[None], [[h]], e.reshape(1, -1), [degree], deriv_order)
+    singular = np.isnan(out)
+    if singular.any():
+        raise SingularFit(float(e.flat[np.argmax(singular)]))
+    return out.reshape(e.shape)
+
+
+def loocv_bandwidths(curve, degrees, candidates):
+    """Curve's leave-one-out bandwidth for each of ``degrees``, from _loocv_rows."""
+    rows = np.array([sorted(candidates)], dtype=float)
+    chosen, failed = _loocv_rows(curve.grid[None], curve.values[None], rows, degrees)
+    if failed[0]:
+        raise AllCandidatesSingular("every candidate bandwidth left a singular window")
+    return chosen[:, 0].tolist()
+
+
+def default_ladder(curve):
+    """The distinct candidates of curve's default leave-one-out ladder (_loocv_ladders)."""
+    return np.unique(_loocv_ladders(np.array([curve.max_gap]))[0])
+
+
 def test_kernel_shape():
     u = np.linspace(-1.5, 1.5, 10001)
-    k = EPANECHNIKOV(u)
+    k = epanechnikov(u)
     assert (k >= 0).all()
-    np.testing.assert_allclose(k, EPANECHNIKOV(-u))
+    np.testing.assert_allclose(k, epanechnikov(-u))
     assert (k[np.abs(u) >= 1.0] == 0).all()
     # composite trapezoid on a quadratic carries error (b-a)h^2|f''|/12 ~ 1e-8
     support = np.linspace(-1.0, 1.0, 10_000)
-    integral = np.trapezoid(EPANECHNIKOV(support), support)
+    integral = np.trapezoid(epanechnikov(support), support)
     assert integral == pytest.approx(1.0, abs=2e-8)
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        SmootherConfig(bandwidth=0.0)
-    with pytest.raises(ValueError):
-        SmootherConfig(bandwidth=0.1, degree=1, deriv_order=1)
-    SmootherConfig(bandwidth=0.1, degree=2, deriv_order=1)
+def test_bandwidth_outside_unit_interval_raises():
+    curve = DiscreteCurve(np.linspace(0.0, 1.0, 11), np.linspace(0.0, 1.0, 11))
+    with pytest.raises(ValueError, match="bandwidth"):
+        local_poly(curve, 0.0, 1, 0, [0.5])
 
 
 # --- Nadaraya-Watson --------------------------------------------------------
@@ -63,8 +90,7 @@ def test_config_validation():
 def test_nw_constant():
     grid = np.linspace(0.0, 1.0, 21)
     curve = DiscreteCurve(grid, np.full(21, 3.25))
-    cfg = SmootherConfig(bandwidth=0.13)
-    out = nadaraya_watson(curve, cfg, np.linspace(0.0, 1.0, 55))
+    out = nadaraya_watson(curve, 0.13, np.linspace(0.0, 1.0, 55))
     np.testing.assert_allclose(out, 3.25, rtol=1e-14)
 
 
@@ -72,8 +98,7 @@ def test_nw_single_point_window():
     grid = np.linspace(0.0, 1.0, 11)
     values = np.sin(3 * grid) + grid
     curve = DiscreteCurve(grid, values)
-    cfg = SmootherConfig(bandwidth=0.04)  # below half the gap of 0.1
-    out = nadaraya_watson(curve, cfg, grid)
+    out = nadaraya_watson(curve, 0.04, grid)  # below half the gap of 0.1
     np.testing.assert_array_equal(out, values)
 
 
@@ -81,13 +106,12 @@ def test_nw_symmetric_window_mean():
     grid = np.array([0.0, 0.4, 0.5, 0.6, 1.0])
     values = np.array([9.0, 2.0, 5.0, 4.0, -3.0])
     curve = DiscreteCurve(grid, values)
-    cfg = SmootherConfig(bandwidth=0.15)
-    out = nadaraya_watson(curve, cfg, np.array([0.5]))
+    out = nadaraya_watson(curve, 0.15, np.array([0.5]))
     # symmetric neighbors at +-0.1 get equal weight; the center dominates but
     # the weighted mean of {2,5,4} with symmetric off-center weights is
     # 5*w0 + (2+4)*w1 over w0+2*w1
-    w0 = EPANECHNIKOV(np.array([0.0]))[0]
-    w1 = EPANECHNIKOV(np.array([0.1 / 0.15]))[0]
+    w0 = epanechnikov(np.array([0.0]))[0]
+    w1 = epanechnikov(np.array([0.1 / 0.15]))[0]
     expected = (5.0 * w0 + (2.0 + 4.0) * w1) / (w0 + 2 * w1)
     assert out[0] == pytest.approx(expected, rel=1e-13)
 
@@ -95,27 +119,24 @@ def test_nw_symmetric_window_mean():
 def test_nw_empty_window_error():
     grid = np.linspace(0.0, 1.0, 5)
     curve = DiscreteCurve(grid, grid)
-    cfg = SmootherConfig(bandwidth=0.05)
     with pytest.raises(EmptyWindow) as err:
-        nadaraya_watson(curve, cfg, np.array([0.125]))
+        nadaraya_watson(curve, 0.05, np.array([0.125]))
     assert err.value.suggested_bandwidth > 0.05
 
 
 def test_nw_convex_combination(rng):
     for _ in range(20):
         curve = random_curve(rng)
-        cfg = SmootherConfig(bandwidth=max(2 * curve.max_gap, 0.05))
-        out = nadaraya_watson(curve, cfg, np.linspace(0.0, 1.0, 67))
+        out = nadaraya_watson(curve, max(2 * curve.max_gap, 0.05), np.linspace(0.0, 1.0, 67))
         assert out.min() >= curve.values.min() - 1e-12
         assert out.max() <= curve.values.max() + 1e-12
 
 
 def test_nw_translation_equivariance(rng):
     curve = random_curve(rng)
-    cfg = SmootherConfig(bandwidth=0.2)
     pts = np.linspace(0.0, 1.0, 31)
-    base = nadaraya_watson(curve, cfg, pts)
-    shifted = nadaraya_watson(DiscreteCurve(curve.grid, curve.values + 7.5), cfg, pts)
+    base = nadaraya_watson(curve, 0.2, pts)
+    shifted = nadaraya_watson(DiscreteCurve(curve.grid, curve.values + 7.5), 0.2, pts)
     np.testing.assert_allclose(shifted, base + 7.5, rtol=0, atol=1e-12)
 
 
@@ -125,9 +146,8 @@ def test_local_linear_reproduces_line():
     grid = np.linspace(0.0, 1.0, 41)
     values = 2.5 * grid - 0.7
     curve = DiscreteCurve(grid, values)
-    cfg = SmootherConfig(bandwidth=0.11, degree=1, deriv_order=0)
     pts = np.linspace(0.0, 1.0, 101)  # includes both boundaries
-    out = local_poly(curve, cfg, pts)
+    out = local_poly(curve, 0.11, 1, 0, pts)
     np.testing.assert_allclose(out, 2.5 * pts - 0.7, atol=1e-12)
 
 
@@ -136,17 +156,15 @@ def test_local_quadratic_derivative_exact():
     q = lambda t: 1.2 * t**2 - 0.4 * t + 0.3
     dq = lambda t: 2.4 * t - 0.4
     curve = DiscreteCurve(grid, q(grid))
-    cfg = SmootherConfig(bandwidth=0.09, degree=2, deriv_order=1)
     pts = np.linspace(0.0, 1.0, 67)
-    out = local_poly(curve, cfg, pts)
+    out = local_poly(curve, 0.09, 2, 1, pts)
     np.testing.assert_allclose(out, dq(pts), atol=1e-10)
 
 
 def test_local_poly_constant_derivative_zero():
     grid = np.linspace(0.0, 1.0, 25)
     curve = DiscreteCurve(grid, np.full(25, 4.0))
-    cfg = SmootherConfig(bandwidth=0.2, degree=2, deriv_order=1)
-    out = local_poly(curve, cfg, np.linspace(0.0, 1.0, 11))
+    out = local_poly(curve, 0.2, 2, 1, np.linspace(0.0, 1.0, 11))
     np.testing.assert_allclose(out, 0.0, atol=1e-11)
 
 
@@ -157,19 +175,17 @@ def test_local_poly_polynomial_reproduction(seed, degree):
     grid = np.linspace(0.0, 1.0, 61)
     values = np.polyval(coef, grid)
     curve = DiscreteCurve(grid, values)
-    cfg = SmootherConfig(bandwidth=0.08, degree=degree, deriv_order=0)
     pts = np.linspace(0.0, 1.0, 41)
-    out = local_poly(curve, cfg, pts)
+    out = local_poly(curve, 0.08, degree, 0, pts)
     scale = max(np.abs(values).max(), 1.0)
     np.testing.assert_allclose(out, np.polyval(coef, pts), atol=1e-13 * 100 * scale)
 
 
 def test_local_poly_deriv_translation_invariant(rng):
     curve = random_curve(rng, r=40)
-    cfg = SmootherConfig(bandwidth=0.2, degree=2, deriv_order=1)
     pts = np.linspace(0.0, 1.0, 21)
-    base = local_poly(curve, cfg, pts)
-    shifted = local_poly(DiscreteCurve(curve.grid, curve.values + 11.0), cfg, pts)
+    base = local_poly(curve, 0.2, 2, 1, pts)
+    shifted = local_poly(DiscreteCurve(curve.grid, curve.values + 11.0), 0.2, 2, 1, pts)
     np.testing.assert_allclose(shifted, base, atol=1e-9)
 
 
@@ -178,14 +194,14 @@ def test_local_poly_deriv_translation_invariant(rng):
 def test_loocv_single_candidate():
     grid = np.linspace(0.0, 1.0, 31)
     curve = DiscreteCurve(grid, np.sin(2 * np.pi * grid))
-    assert loocv_bandwidth(curve, 1, [0.2]) == 0.2
+    assert loocv_bandwidths(curve, [1], [0.2]) == [0.2]
 
 
 def test_loocv_noiseless_prefers_small():
     grid = np.linspace(0.0, 1.0, 101)
     curve = DiscreteCurve(grid, np.sin(2 * np.pi * grid))
     candidates = [0.05, 0.1, 0.2, 0.4]
-    assert loocv_bandwidth(curve, 1, candidates) == 0.05
+    assert loocv_bandwidths(curve, [1], candidates) == [0.05]
 
 
 def test_loocv_noise_increases_bandwidth():
@@ -193,9 +209,9 @@ def test_loocv_noise_increases_bandwidth():
     smooth = np.sin(2 * np.pi * grid)
     rng = np.random.default_rng(7)
     noisy = rng.standard_normal(grid.size)
-    candidates = list(default_loocv_candidates(DiscreteCurve(grid, smooth)))
-    h_smooth = loocv_bandwidth(DiscreteCurve(grid, smooth), 1, candidates)
-    h_noisy = loocv_bandwidth(DiscreteCurve(grid, noisy), 1, candidates)
+    candidates = list(default_ladder(DiscreteCurve(grid, smooth)))
+    h_smooth = loocv_bandwidths(DiscreteCurve(grid, smooth), [1], candidates)[0]
+    h_noisy = loocv_bandwidths(DiscreteCurve(grid, noisy), [1], candidates)[0]
     assert h_noisy > h_smooth
 
 
@@ -205,7 +221,7 @@ def test_default_loocv_candidates_stay_off_the_gap_lattice():
     for r in range(4, 2002):
         grid = np.linspace(0.0, 1.0, r)
         curve = DiscreteCurve(grid, grid)
-        for h in default_loocv_candidates(curve):
+        for h in default_ladder(curve):
             k = int(round(h / curve.max_gap))
             for j in range(max(k - 1, 1), min(k + 2, r)):
                 u = (grid[j:] - grid[:-j]) / h
@@ -217,7 +233,7 @@ def test_loocv_tie_prefers_smaller():
     # so both predict the neighbour's value exactly and their errors tie
     grid = np.array([0.0, 0.05, 0.5, 0.55, 0.95, 1.0])
     curve = DiscreteCurve(grid, np.array([1.0, -2.0, 0.5, 3.0, -1.0, 2.0]))
-    assert loocv_bandwidth(curve, 0, [0.2, 0.1]) == 0.1
+    assert loocv_bandwidths(curve, [0], [0.2, 0.1]) == [0.1]
     assert dense_loocv_bandwidth(curve, 0, [0.2, 0.1]) == 0.1
 
 
@@ -225,7 +241,7 @@ def test_loocv_all_singular():
     grid = np.linspace(0.0, 1.0, 11)
     curve = DiscreteCurve(grid, grid)
     with pytest.raises(AllCandidatesSingular):
-        loocv_bandwidth(curve, 2, [0.01])  # window holds self only
+        loocv_bandwidths(curve, [2], [0.01])  # window holds self only
 
 
 # --- windowed kernel against the dense oracle ---------------------------------
@@ -248,7 +264,7 @@ def _assert_fits_agree(new, old, grid, h, eval_points, degree, deriv_order, loo,
     not depends on summation order.  Returns whether every window was checked.
     """
     u = (grid[None, :] - eval_points[:, None]) / h
-    w = EPANECHNIKOV(u)
+    w = epanechnikov(u)
     if loo:
         w = np.where(grid[None, :] == eval_points[:, None], 0.0, w)
     moments = [np.sum(w * u**p, axis=1) for p in range(2 * degree + 1)]
@@ -268,9 +284,9 @@ def _assert_fits_agree(new, old, grid, h, eval_points, degree, deriv_order, loo,
     return bool((under | posed).all())
 
 
-def _raised(fn, curve, cfg, eval_points):
+def _raised(fn, *args):
     try:
-        fn(curve, cfg, eval_points)
+        fn(*args)
     except EmptyWindow as exc:
         return "EmptyWindow", exc.eval_point, exc.suggested_bandwidth
     except SingularFit as exc:
@@ -294,17 +310,17 @@ def test_windowed_fit_matches_dense_oracle(seed, r, degree_deriv, loo, gaps):
     # gaps < 0.5 puts h below half of every grid gap; 1e6 caps h at 1.0
     h = min(gaps * np.diff(grid).min(), 1.0)
     pts = np.concatenate((rng.random(15), grid, grid - h, grid + h))
-    cfg = SmootherConfig(bandwidth=h, degree=degree, deriv_order=deriv)
 
     new = per_curve_windowed_fit(grid, values, [h], pts, degree, deriv, loo)[0]
-    old = dense_local_poly_chunk(grid, values, cfg, pts, loo)
+    old = dense_local_poly_chunk(grid, values, h, degree, deriv, pts, loo)
     checked = _assert_fits_agree(new, old, grid, h, pts, degree, deriv, loo, np.abs(values).max())
 
     public, dense = (
         (nadaraya_watson, dense_nadaraya_watson) if degree == 0 else (local_poly, dense_local_poly)
     )
+    args = (curve, h, pts) if degree == 0 else (curve, h, degree, deriv, pts)
     if checked:
-        assert _raised(public, curve, cfg, pts) == _raised(dense, curve, cfg, pts)
+        assert _raised(public, *args) == _raised(dense, *args)
 
 
 @given(
@@ -323,7 +339,7 @@ def test_loocv_matches_dense_oracle(seed, r, degree, gaps):
     preds = per_curve_windowed_fit(grid, values, candidates, grid, degree, loo=True)
     checked = True
     for h, row in zip(candidates, preds):
-        old = dense_local_poly_chunk(grid, values, SmootherConfig(h, degree), grid, loo=True)
+        old = dense_local_poly_chunk(grid, values, h, degree, 0, grid, loo=True)
         ok = _assert_fits_agree(row, old, grid, h, grid, degree, 0, True, np.abs(values).max())
         if ok:  # the same candidates are skipped
             assert np.isnan(row).any() == (dense_loocv_predictions(curve, degree, h) is None)
@@ -334,9 +350,9 @@ def test_loocv_matches_dense_oracle(seed, r, degree, gaps):
         expected = dense_loocv_bandwidth(curve, degree, candidates)
     except AllCandidatesSingular:
         with pytest.raises(AllCandidatesSingular):
-            loocv_bandwidth(curve, degree, candidates)
+            loocv_bandwidths(curve, [degree], candidates)
         return
-    assert loocv_bandwidth(curve, degree, candidates) == expected
+    assert loocv_bandwidths(curve, [degree], candidates) == [expected]
 
 
 @given(
@@ -359,7 +375,7 @@ def test_shared_pass_gives_each_degree_its_own_bits(seed, r, degrees, loo, gaps)
     if loo:
         curve = DiscreteCurve(grid, values)
         try:
-            expected = [loocv_bandwidth(curve, d, bandwidths) for d in degrees]
+            expected = [loocv_bandwidths(curve, [d], bandwidths)[0] for d in degrees]
         except AllCandidatesSingular:
             with pytest.raises(AllCandidatesSingular):
                 loocv_bandwidths(curve, degrees, bandwidths)
@@ -375,10 +391,10 @@ def test_loocv_matches_dense_oracle_on_noisy_model1(noise, seed):
         LatentModelConfig("model1", grid_size=101, noise_halfwidth=noise), WarpLawConfig(), 100, seed
     )
     for curve in bundle.observed:
-        candidates = default_loocv_candidates(curve)
+        candidates = default_ladder(curve)
         expected = [dense_loocv_bandwidth(curve, d, candidates) for d in (0, 1, 2)]
         for degree in (0, 1, 2):
-            assert loocv_bandwidth(curve, degree, candidates) == expected[degree]
+            assert loocv_bandwidths(curve, [degree], candidates) == [expected[degree]]
         assert loocv_bandwidths(curve, (2, 1, 0), candidates) == expected[::-1]
 
 
@@ -473,8 +489,8 @@ def test_loo_pass_builds_each_window_geometry_once_per_row_block(monkeypatch):
     # and moments: the kernel weighs no more window points for 32 curves than
     # for 4
     weighed = []
-    kernel = KernelSpec.__call__
-    monkeypatch.setattr(KernelSpec, "__call__", lambda self, u: weighed.append(np.size(u)) or kernel(self, u))
+    kernel = smoothing.epanechnikov
+    monkeypatch.setattr(smoothing, "epanechnikov", lambda u: weighed.append(np.size(u)) or kernel(u))
     grid = np.linspace(0.0, 1.0, 41)
     rng = np.random.default_rng(3)
     counts = []
@@ -539,13 +555,19 @@ def test_loocv_ladders_are_the_default_ladders():
     assert ladders.shape == (len(curves), 12)
     collapsed = 0
     for ladder, curve in zip(ladders, curves):
-        want = default_loocv_candidates(curve)
+        want = loocv_ladder(curve.max_gap)
         collapsed += want.size == 1
         assert ladder.tobytes() == np.broadcast_to(want, 12).tobytes()
     assert collapsed > 0
 
 
 # --- monotone warp smoothing --------------------------------------------------
+
+def monotone_smooth_warp(sample_t, sample_v, n_knots):
+    """One warp smoothed as the discrete pipeline smooths every warp (_smooth)."""
+    warp = _smooth([WarpMap(sample_t, sample_v)], n_knots)[0]
+    return warp.sample_t, warp.sample_v
+
 
 def test_monotone_smooth_identity():
     t = np.linspace(0.0, 1.0, 101)

@@ -10,7 +10,6 @@ from varireg.variation import (
     DiscreteCurve,
     QuantileFn,
     StepCdf,
-    compose_quantile_cdf,
     discrete_variation_cdf,
     generalized_inverse,
     mean_quantile,
@@ -368,7 +367,7 @@ def test_wasserstein_zero_iff_equal_quantiles(rng):
     assert wasserstein2(f, g) > 0.0
 
 
-# --- compose_quantile_cdf ---------------------------------------------------
+# --- composition Q(F(t)) ----------------------------------------------------
 
 def test_compose_identity_like():
     r = 201
@@ -376,7 +375,7 @@ def test_compose_identity_like():
     cdf = discrete_variation_cdf(DiscreteCurve(grid, grid)).cdf
     q = generalized_inverse(cdf)
     pts = np.linspace(0.0, 1.0, 101)
-    out = compose_quantile_cdf(q, cdf, pts)
+    out = q(cdf(pts))
     assert np.abs(out - pts).max() <= 1.0 / (r - 1) + 1e-12
     assert (np.diff(out) >= 0).all()
 
@@ -386,7 +385,7 @@ def test_compose_galois_bound(rng):
         cdf = random_step_cdf(rng)
         q = generalized_inverse(cdf)
         pts = np.linspace(0.0, 1.0, 157)
-        out = compose_quantile_cdf(q, cdf, pts)
+        out = q(cdf(pts))
         gaps = np.diff(np.concatenate(([0.0], cdf.jump_locations, [1.0])))
         assert (out <= pts + 1e-15).all()  # G^-(G(u)) <= u
         assert np.abs(out - pts).max() <= gaps.max() + 1e-12
@@ -396,7 +395,7 @@ def test_compose_case_analysis():
     cdf = StepCdf([0.5], [1.0])
     q = QuantileFn([0.0, 1.0], [0.0, 0.3])
     pts = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
-    out = compose_quantile_cdf(q, cdf, pts)
+    out = q(cdf(pts))
     np.testing.assert_array_equal(out, [0.0, 0.0, 0.3, 0.3, 0.3])
 
 
