@@ -18,5 +18,5 @@ def resolve_threads(threads=None) -> int:
         threads = os.environ.get(DEFAULT_THREADS_ENV, "1")
     try:
         return max(1, int(threads))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"thread count must be an integer, got {threads!r}") from None

@@ -4,6 +4,10 @@ Configuration comes from an optional flat JSON file (--config) with every
 key overridable by a same-named flag; flags win.  All outputs are
 deterministic given the configuration and seed, byte for byte.  ``--threads``
 and ``VARIREG_THREADS`` are accepted for compatibility and have no effect.
+
+The commands raise on any error; ``main`` alone maps each exception to its
+message and exit code (2 parse or invalid setting, 3 zero variation, 4
+smoothing window), and a failed run writes nothing.
 """
 
 from __future__ import annotations
@@ -22,11 +26,12 @@ from .errors import (
     AllCandidatesSingular,
     EmptySample,
     EmptyWindow,
+    GridMismatch,
     NotRankOne,
     SingularFit,
     ZeroVariation,
 )
-from .fpca import row_eigenpairs, row_scores
+from .fpca import _common_grid, row_eigenpairs, row_scores
 from .registration import (
     NoisyOptions,
     RegisterOptions,
@@ -44,7 +49,7 @@ from .simulate import (
     invert_warps,
     make_truth_bundle,
 )
-from .variation import DiscreteCurve, wasserstein2
+from .variation import wasserstein2
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -106,11 +111,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _merge_config(args) -> dict:
     cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            loaded = json.load(fh)
+            try:
+                loaded = json.load(fh)
+            except ValueError as exc:
+                raise ValueError(f"cannot read {args.config}: {exc}") from None
         if not isinstance(loaded, dict):
-            raise dataio.InputFormatError("config must be a flat JSON object")
+            raise ValueError(f"{args.config} must hold a flat JSON object")
         cfg.update(loaded)
     for key, value in vars(args).items():
         if key in ("command", "config"):
@@ -130,7 +138,7 @@ def _number(cfg, key, kind, default=None):
         return None
     try:
         return kind(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{key} must be a number, got {value!r}") from None
 
 
@@ -143,9 +151,12 @@ def _boolean(cfg, key, default):
 
 
 def _path(cfg, key, default=None):
-    """``cfg[key]`` for a path setting; ValueError naming the key if it is not a string."""
+    """``cfg[key]`` for a path setting; ValueError naming the key if it is not a string.
+
+    An absent key takes ``default``; None is returned only where that is None.
+    """
     value = cfg.get(key, default)
-    if value is not None and not isinstance(value, str):
+    if (value is not None or default is not None) and not isinstance(value, str):
         raise ValueError(f"{key} must be a path, got {value!r}")
     return value
 
@@ -154,32 +165,25 @@ def _json_float_list(arr):
     return [float(x) for x in np.asarray(arr).ravel()] if arr is not None else None
 
 
-def cmd_register(args) -> int:
+def cmd_register(args) -> None:
     cfg = _merge_config(args)
-    try:
-        path, out_dir = _path(cfg, "input"), Path(_path(cfg, "out", "."))
-        if not path:
-            raise ValueError("no input file given")
-        ids, curves, rescale = dataio.read_curves_csv(path)
-    except (OSError, ValueError, dataio.InputFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    if not curves:
-        print("error: no curves in input", file=sys.stderr)
-        return EXIT_PARSE
+    path, out_dir = _path(cfg, "input"), Path(_path(cfg, "out", "."))
+    if not path:
+        raise ValueError("no input file given")
+    ids, curves, rescale = dataio.read_curves_csv(path)
 
     regime = cfg.get("regime", "discrete")
+    resolve_threads(cfg.get("threads"))  # validated only; the pipelines run serially
+    n_eigen = _number(cfg, "eigen", int, 3)
+    if n_eigen < 1:
+        raise ValueError(f"--eigen must be at least 1, got {n_eigen}")
+    grid_override = None
+    size = _number(cfg, "output_grid_size", int)
+    if size is not None:
+        if size < 3:
+            raise ValueError(f"--output-grid-size must be at least 3, got {size}")
+        grid_override = np.linspace(0.0, 1.0, size)
     try:
-        resolve_threads(cfg.get("threads"))  # validated only; the pipelines run serially
-        n_eigen = _number(cfg, "eigen", int, 3)
-        if n_eigen < 1:
-            raise ValueError(f"--eigen must be at least 1, got {n_eigen}")
-        grid_override = None
-        size = _number(cfg, "output_grid_size", int)
-        if size is not None:
-            if size < 3:
-                raise ValueError(f"--output-grid-size must be at least 3, got {size}")
-            grid_override = np.linspace(0.0, 1.0, size)
         if regime == "noisy":
             h1, h2 = _number(cfg, "h1", float), _number(cfg, "h2", float)
             opts = NoisyOptions(
@@ -200,25 +204,10 @@ def cmd_register(args) -> int:
             )
             result = register_discrete(curves, opts)
         else:
-            print(f"error: unknown regime {regime!r}", file=sys.stderr)
-            return EXIT_PARSE
-    except ZeroVariation as exc:
+            raise ValueError(f"unknown regime {regime!r}")
+    except ZeroVariation as exc:  # the library counts curves; the user knows their ids
         cid = ids[exc.curve_id] if exc.curve_id is not None else "?"
-        print(f"error: curve {cid!r} has zero variation; cannot register", file=sys.stderr)
-        return EXIT_ZERO_VARIATION
-    except EmptyWindow as exc:
-        print(
-            f"error: empty smoothing window at t={exc.eval_point:g}; "
-            f"use bandwidth > {exc.suggested_bandwidth:.6g}",
-            file=sys.stderr,
-        )
-        return EXIT_WINDOW
-    except (SingularFit, AllCandidatesSingular) as exc:
-        print(f"error: {exc}; increase the bandwidth", file=sys.stderr)
-        return EXIT_WINDOW
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        raise ZeroVariation(f"curve {cid!r} has zero variation; cannot register") from None
 
     grid = result.output_grid
     at = np.clip(grid, 0.0, 1.0)
@@ -255,44 +244,37 @@ def cmd_register(args) -> int:
         "time_rescale": None
         if rescale is None
         else {"offset": rescale[0], "scale": rescale[1]},
-        "flags": {k: v for k, v in result.metadata.items()},
+        "flags": dict(result.metadata),
     }
     dataio.write_report_json(out_dir / "report.json", report)
-    return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> None:
     cfg = _merge_config(args)
     model = cfg.get("model")
     if model not in MODEL_NAMES:
-        print(f"error: unknown model {model!r}; choose from {MODEL_NAMES}", file=sys.stderr)
-        return EXIT_PARSE
+        raise ValueError(f"unknown model {model!r}; choose from {MODEL_NAMES}")
     if cfg.get("seed") is None:
-        print("error: --seed is required for simulate", file=sys.stderr)
-        return EXIT_PARSE
+        raise ValueError("--seed is required for simulate")
 
-    try:
-        out_dir = Path(_path(cfg, "out", "."))
-        seed = _number(cfg, "seed", int)
-        n = _number(cfg, "n", int, 50)
-        r = _number(cfg, "r", int, 101)
-        noise = _number(cfg, "noise", float, 0.0)
-        model_cfg = LatentModelConfig(
-            name=model,
-            grid_size=r,
-            noise_halfwidth=noise,
-            c=_number(cfg, "c", float),
-            r_scale=_number(cfg, "r_scale", float),
-            rank=_number(cfg, "rank", int, 2),
-        )
-        warp_cfg = WarpLawConfig(
-            J=_number(cfg, "warp_mixture_size", int, 2),
-            beta=_number(cfg, "beta", float, 1.01),
-        )
-        bundle = make_truth_bundle(model_cfg, warp_cfg, n, seed)
-    except (ValueError, EmptySample) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    out_dir = Path(_path(cfg, "out", "."))
+    seed = _number(cfg, "seed", int)
+    n = _number(cfg, "n", int, 50)
+    r = _number(cfg, "r", int, 101)
+    noise = _number(cfg, "noise", float, 0.0)
+    model_cfg = LatentModelConfig(
+        name=model,
+        grid_size=r,
+        noise_halfwidth=noise,
+        c=_number(cfg, "c", float),
+        r_scale=_number(cfg, "r_scale", float),
+        rank=_number(cfg, "rank", int, 2),
+    )
+    warp_cfg = WarpLawConfig(
+        J=_number(cfg, "warp_mixture_size", int, 2),
+        beta=_number(cfg, "beta", float, 1.01),
+    )
+    bundle = make_truth_bundle(model_cfg, warp_cfg, n, seed)
 
     ids = [f"curve_{i + 1}" for i in range(n)]
     dataio.write_wide_csv(
@@ -318,50 +300,31 @@ def cmd_simulate(args) -> int:
         "r": r,
         "noise_halfwidth": noise,
         "seed": seed,
-        "rank": 1 if model_cfg.is_rank_one else (model_cfg.rank if model == "breakdown" else int(model[-1])),
+        "rank": len(model_cfg.basis()),
         "c": model_cfg.c,
         "r_scale": model_cfg.r_scale,
         "warp_mixture_size": warp_cfg.J,
         "beta": warp_cfg.beta,
     }
     dataio.write_report_json(out_dir / "truth_meta.json", meta)
-    return EXIT_OK
 
 
-def _read_registered(result_dir):
-    path = Path(result_dir) / "registered.csv"
-    ids, curves, _ = dataio.read_curves_csv(path)
-    grid = curves[0].grid
-    for c in curves[1:]:
-        if not np.array_equal(c.grid, grid):
-            raise dataio.InputFormatError("registered curves are not on a common grid")
-    return ids, curves
-
-
-def cmd_diagnose(args) -> int:
+def cmd_diagnose(args) -> None:
     cfg = _merge_config(args)
-    try:
-        result_dir, truth_dir = _path(cfg, "result"), _path(cfg, "truth")
-        if not result_dir:
-            raise ValueError("no result directory given")
-        out_dir = Path(_path(cfg, "out", result_dir))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    result_dir, truth_dir = _path(cfg, "result"), _path(cfg, "truth")
+    if not result_dir:
+        raise ValueError("no result directory given")
+    out_dir = Path(_path(cfg, "out", result_dir))
     result_dir = Path(result_dir)
 
-    try:
-        ids, registered = _read_registered(result_dir)
-        template = dataio.read_template_csv(result_dir / "template.csv")
-        warp_samples = dataio.read_warps_csv(result_dir / "warps.csv")
-        mean = DiscreteCurve(*dataio.read_mean_csv(result_dir / "mean.csv"))
-        if not np.array_equal(mean.grid, registered[0].grid):
-            raise dataio.InputFormatError("mean.csv and registered.csv grids differ")
-    except (OSError, dataio.InputFormatError, ValueError) as exc:
-        print(f"error: cannot read result files: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    ids, registered, _ = dataio.read_curves_csv(result_dir / "registered.csv")
+    grid = _common_grid(registered)
+    template = dataio.read_template_csv(result_dir / "template.csv")
+    warp_samples = dataio.read_warps_csv(result_dir / "warps.csv")
+    mean = dataio.read_mean_csv(result_dir / "mean.csv")
+    if not np.array_equal(mean.grid, grid):
+        raise dataio.InputFormatError("mean.csv and registered.csv grids differ")
 
-    grid = registered[0].grid
     values = np.stack([c.values for c in registered])
     n = len(registered)
     report = {"n_curves": n}
@@ -381,23 +344,17 @@ def cmd_diagnose(args) -> int:
     warp_errs = rel_errs = None
     if truth_dir:
         truth_dir = Path(truth_dir)
-        try:
-            truth_ids, truth_latent, _ = dataio.read_curves_csv(truth_dir / "truth_latent.csv")
-            truth_warps = dataio.read_warps_csv(truth_dir / "truth_warps.csv")
-            fphi_path = truth_dir / "truth_fphi.csv"
-            f_phi = dataio.read_template_csv(fphi_path) if fphi_path.exists() else None
-        except (OSError, dataio.InputFormatError, ValueError) as exc:
-            print(f"error: cannot read truth files: {exc}", file=sys.stderr)
-            return EXIT_PARSE
+        truth_ids, truth_latent, _ = dataio.read_curves_csv(truth_dir / "truth_latent.csv")
+        truth_warps = dataio.read_warps_csv(truth_dir / "truth_warps.csv")
+        fphi_path = truth_dir / "truth_fphi.csv"
+        f_phi = dataio.read_template_csv(fphi_path) if fphi_path.exists() else None
         latent_by_id = dict(zip(truth_ids, truth_latent))
         if latent_by_id.keys() != set(ids):
-            print("error: truth and result curve ids differ", file=sys.stderr)
-            return EXIT_PARSE
+            raise ValueError("truth and result curve ids differ")
         for name, samples in (("warps.csv", warp_samples), ("truth_warps.csv", truth_warps)):
             missing = next((cid for cid in ids if cid not in samples), None)
             if missing is not None:
-                print(f"error: {name} has no rows for curve {missing!r}", file=sys.stderr)
-                return EXIT_PARSE
+                raise ValueError(f"{name} has no rows for curve {missing!r}")
 
         def warp_block(rows):
             # estimated warps on the grid of warps.csv, truth warps interpolated onto it
@@ -421,20 +378,15 @@ def cmd_diagnose(args) -> int:
 
     if cfg.get("rate_ns"):
         if cfg.get("seed") is None:
-            print("error: --seed is required for the rate check", file=sys.stderr)
-            return EXIT_PARSE
-        try:
-            ns = [int(x) for x in str(cfg["rate_ns"]).split(",") if x]
-            rate = rate_check(
-                LatentModelConfig(name=cfg.get("rate_model", "model1")),
-                WarpLawConfig(),
-                ns,
-                _number(cfg, "rate_reps", int, 50),
-                _number(cfg, "seed", int),
-            )
-        except (ValueError, NotRankOne) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
+            raise ValueError("--seed is required for the rate check")
+        ns = [int(x) for x in str(cfg["rate_ns"]).split(",") if x]
+        rate = rate_check(
+            LatentModelConfig(name=cfg.get("rate_model", "model1")),
+            WarpLawConfig(),
+            ns,
+            _number(cfg, "rate_reps", int, 50),
+            _number(cfg, "seed", int),
+        )
         report["rate_check"] = {
             "ns": rate.ns,
             "grid_sizes": rate.grid_sizes,
@@ -446,35 +398,30 @@ def cmd_diagnose(args) -> int:
 
     out_dir.mkdir(parents=True, exist_ok=True)
     dataio.write_report_json(out_dir / "report.json", report)
-    rows = []
-    for i, cid in enumerate(ids):
-        rows.append(
-            [
-                cid,
-                dataio.fmt(z[i]) if z is not None else "",
-                dataio.fmt(warp_errs[i]) if warp_errs is not None else "",
-                dataio.fmt(rel_errs[i]) if rel_errs is not None else "",
-            ]
-        )
-    dataio.write_rows(
-        out_dir / "metrics.csv",
-        ["curve_id", "z_stat", "warp_sup_error", "curve_rel_l2_error"],
-        rows,
-    )
-    return EXIT_OK
+    columns = [[dataio.fmt(x) for x in v] if v is not None else [""] * n for v in (z, warp_errs, rel_errs)]
+    header = ["curve_id", "z_stat", "warp_sup_error", "curve_rel_l2_error"]
+    dataio.write_rows(out_dir / "metrics.csv", header, zip(ids, *columns))
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "register":
-        return cmd_register(args)
-    if args.command == "simulate":
-        return cmd_simulate(args)
-    if args.command == "diagnose":
-        return cmd_diagnose(args)
-    parser.error(f"unknown command {args.command!r}")
-    return EXIT_PARSE
+    args = _build_parser().parse_args(argv)
+    try:
+        # the commands are looked up at call time, so a rebound cmd_* is the one that runs
+        {"register": cmd_register, "simulate": cmd_simulate, "diagnose": cmd_diagnose}[args.command](args)
+        return EXIT_OK
+    except ZeroVariation as exc:
+        code, message = EXIT_ZERO_VARIATION, str(exc)
+    except EmptyWindow as exc:
+        code, message = EXIT_WINDOW, (
+            f"empty smoothing window at t={exc.eval_point:g}; "
+            f"use bandwidth > {exc.suggested_bandwidth:.6g}"
+        )
+    except (SingularFit, AllCandidatesSingular) as exc:
+        code, message = EXIT_WINDOW, f"{exc}; increase the bandwidth"
+    except (OSError, ValueError, dataio.InputFormatError, EmptySample, NotRankOne, GridMismatch) as exc:
+        code, message = EXIT_PARSE, str(exc)
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ identical bytes.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from itertools import repeat
 from pathlib import Path
@@ -20,11 +21,24 @@ from .variation import DiscreteCurve, StepCdf
 
 
 class InputFormatError(Exception):
-    """Malformed input file; carries a 1-based line number when known."""
+    """Malformed input file; the message names the 1-based line when known."""
 
     def __init__(self, message, line=None):
         super().__init__(message if line is None else f"line {line}: {message}")
-        self.line = line
+
+
+def _names_its_file(read):
+    """``read(path)``, raising InputFormatError "cannot read <file name>: ..." for
+    any content that is not what it expects, a curve or CDF that fails validation included."""
+
+    @functools.wraps(read)
+    def named(path):
+        try:
+            return read(path)
+        except (InputFormatError, ValueError) as exc:
+            raise InputFormatError(f"cannot read {Path(path).name}: {exc}") from exc
+
+    return named
 
 
 def fmt(x: float) -> str:
@@ -43,6 +57,7 @@ def _parse_float(text, line):
         raise InputFormatError(f"not a number: {text!r}", line) from None
 
 
+@_names_its_file
 def read_curves_csv(path):
     """Read curves from wide or long CSV.
 
@@ -183,23 +198,22 @@ def _read_table(path, header):
     Raises InputFormatError, with the line number, for an empty file, a
     header other than ``header``, or a row with another number of fields.
     """
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         first = next(reader, None)
         if first is None:
-            raise InputFormatError(f"{path.name} is empty", 1)
+            raise InputFormatError("empty file", 1)
         if [h.strip() for h in first] != header:
-            raise InputFormatError(f"bad {path.name} header", 1)
+            raise InputFormatError(f"header is not {','.join(header)!r}", 1)
         for line, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(header):
-                message = f"expected {len(header)} fields in {path.name}, got {len(row)}"
-                raise InputFormatError(message, line)
+                raise InputFormatError(f"expected {len(header)} fields, got {len(row)}", line)
             yield line, row
 
 
+@_names_its_file
 def read_warps_csv(path):
     data = {}
     for line, row in _read_table(path, ["curve_id", "t", "warp_value", "inverse_warp_value"]):
@@ -217,12 +231,13 @@ def write_mean_csv(path, mean_curve):
     write_rows(path, ["t", "value"], zip(_fmts(mean_curve.grid), _fmts(mean_curve.values)))
 
 
-def read_mean_csv(path):
+@_names_its_file
+def read_mean_csv(path) -> DiscreteCurve:
     grid, vals = [], []
     for line, row in _read_table(path, ["t", "value"]):
         grid.append(_parse_float(row[0], line))
         vals.append(_parse_float(row[1], line))
-    return np.array(grid), np.array(vals)
+    return DiscreteCurve(np.array(grid), np.array(vals))
 
 
 def write_eigen_csv(path, grid, eigenfunctions):
@@ -240,6 +255,7 @@ def write_template_csv(path, cdf):
     write_rows(path, ["jump_location", "cum_value"], rows)
 
 
+@_names_its_file
 def read_template_csv(path):
     locs, cums = [], []
     for line, row in _read_table(path, ["jump_location", "cum_value"]):

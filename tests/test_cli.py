@@ -1,16 +1,21 @@
+import argparse
 import json
+import math
+import os
 import shutil
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import per_curve_inverse, per_curve_scores, per_curve_truth_bundle
-from varireg.cli import main
+from varireg.cli import _build_parser, main
 from varireg.dataio import fmt, read_curves_csv, read_warps_csv, write_warps_csv, write_wide_csv
 from varireg.fpca import trapezoid_weights
-from varireg.simulate import LatentModelConfig, WarpLawConfig
+from varireg.simulate import MODEL_NAMES, LatentModelConfig, WarpLawConfig
 
 
 def run(*argv):
@@ -202,10 +207,11 @@ def test_diagnose_warps_on_their_own_grids(tmp_path):
     assert report["warp_sup_errors"] == want
 
 
-@pytest.mark.parametrize("damage", ["empty", "short_row"])
+@pytest.mark.parametrize("damage", ["empty", "short_row", "not_a_number"])
 @pytest.mark.parametrize("name", ["mean.csv", "warps.csv", "template.csv", "truth_warps.csv"])
 def test_diagnose_truncated_file_exit2(tmp_path, capsys, cli_inputs, name, damage):
-    # an empty file, or a row with one field, names the file and the line
+    # an empty file, a row with one field, or a cell that is not a number
+    # names the file and the line
     sim, out = tmp_path / "sim", tmp_path / "out"
     shutil.copytree(cli_inputs["obs"].parent, sim)
     shutil.copytree(cli_inputs["result"], out)
@@ -214,11 +220,16 @@ def test_diagnose_truncated_file_exit2(tmp_path, capsys, cli_inputs, name, damag
         path.write_text("")
     else:
         lines = path.read_text().splitlines()
-        lines[3] = lines[3].split(",")[0]  # line 4 keeps its first field alone
+        if damage == "short_row":
+            lines[3] = lines[3].split(",")[0]  # line 4 keeps its first field alone
+        else:
+            lines[3] += "x"  # line 4 ends in a number with an x after it
         path.write_text("\n".join(lines) + "\n")
     assert run("diagnose", out, "--truth", sim, "--out", tmp_path / "dia") == 2
     err = capsys.readouterr().err
-    assert name in err and ("line 1:" if damage == "empty" else "line 4:") in err
+    assert f"cannot read {name}: " + ("line 1:" if damage == "empty" else "line 4:") in err
+    if damage == "not_a_number":
+        assert "not a number" in err
     assert not (tmp_path / "dia").exists()
 
 
@@ -573,15 +584,18 @@ def cli_inputs(tmp_path_factory):
     tied_csv = base / "tied.csv"  # equal curves and flat stretches: tied variation levels
     phi = np.exp(np.cos(2 * np.pi * grid - np.pi))
     write_wide(tied_csv, grid, [phi, phi, np.minimum(phi, 2.0), np.round(phi, 1)])
-    configs = {}
+    configs = {"config_missing": base / "missing.json"}
+    for name, text in (("not_json", "{bad"), ("not_object", "[1]")):
+        configs[f"config_{name}"] = base / f"{name}.json"
+        configs[f"config_{name}"].write_text(text, encoding="utf-8")
     for command, settings, fixed in BAD_SETTINGS:
         for name, bad in settings.items():
             path = base / f"{command}_{name}.json"
             path.write_text(json.dumps({**fixed, **bad}), encoding="utf-8")
             configs[f"{command}_config_{name}"] = path
     return {
-        "obs": sim / "observed.csv", "result": result, "long": long_csv, "flat": flat_csv,
-        "tied": tied_csv, **configs,
+        "obs": sim / "observed.csv", "result": result, "sim": sim, "long": long_csv,
+        "flat": flat_csv, "tied": tied_csv, **configs,
     }
 
 
@@ -590,8 +604,10 @@ BAD_SIMULATE_SETTINGS = {
     **{f"{key}_abc": {key: "abc"} for key in
        ("n", "r", "noise", "seed", "rank", "warp_mixture_size", "beta", "c", "r_scale")},
     "n_null": {"n": None},
+    "n_inf": {"n": math.inf},
     "beta_list": {"beta": [1.5]},
     "out_list": {"out": [1]},
+    "out_null": {"out": None},
 }
 
 # register and diagnose settings of the wrong type, numbers and booleans alike
@@ -607,11 +623,15 @@ BAD_REGISTER_SETTINGS = {
     "smooth_warps_false_string": {"smooth_warps": "false"},
     "input_number": {"input": 5},
     "out_number": {"out": 7},
+    "out_null": {"out": None},
+    "eigen_inf": {"eigen": math.inf},
+    "threads_inf": {"threads": math.inf},
 }
 BAD_DIAGNOSE_SETTINGS = {
     "rate_reps_null": {"rate_reps": None},
     "seed_list": {"seed": [1]},
     "truth_number": {"truth": 3},
+    "out_null": {"out": None},
 }
 BAD_SETTINGS = [
     ("simulate", BAD_SIMULATE_SETTINGS, {"model": "breakdown", "c": 1.0, "r_scale": 0.1, "seed": 1}),
@@ -658,6 +678,12 @@ FLAG_CASES = [
         (f"output_grid_{size}", ["register", "{obs}", "--output-grid-size", str(size)], {}, 0)
         for size in (1024, 1025, 2048, 2049)  # either side of OUTPUT_GRID_CAP and of 2048 points
     ],
+    # a --config file that does not exist, is not JSON, or holds no JSON object
+    *[
+        (f"{command}_{config}", [command, *positional, "--config", f"{{{config}}}"], {}, 2)
+        for command, positional in (("register", ["{obs}"]), ("simulate", []), ("diagnose", ["{result}"]))
+        for config in ("config_missing", "config_not_json", "config_not_object")
+    ],
 ]
 
 
@@ -674,3 +700,121 @@ def test_flag_combinations_exit_with_documented_codes(
     assert code == expected
     if code != 0:
         assert not any(tmp_path.iterdir())  # a failed run writes nothing
+
+
+def _config_keys(command):
+    """The settings of ``command``: the destinations of its flags and positionals."""
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [a.dest for a in sub.choices[command]._actions if a.dest not in ("help", "config")]
+
+
+def _json_values(bound):
+    """Every JSON type, numbers within ``bound`` or not finite.
+
+    Text holds no path separator and no digit but 0: a drawn path stays in
+    the run's directory or its parent (".."), and no drawn string is a large size.
+    """
+    scalars = st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-bound, bound),
+        st.floats(-bound, bound) | st.sampled_from([math.nan, math.inf, -math.inf]),
+        st.text("0.-aefin", max_size=8),
+    )
+    return scalars | st.lists(scalars, max_size=3) | st.dictionaries(st.text("ab", max_size=2), scalars, max_size=2)
+
+
+# settings that run the pipeline on the tiny fixtures; "{...}" names a fixture path
+_VALID_SETTINGS = {
+    "input": st.sampled_from(["{obs}", "{long}", "{tied}", "{flat}"]),
+    "regime": st.sampled_from(["complete", "discrete", "noisy"]),
+    "bandwidth": st.floats(0.02, 1.0),
+    "h1": st.floats(0.05, 1.0),
+    "h2": st.floats(0.05, 1.0),
+    "auto_bandwidth": st.booleans(),
+    "smooth_warps": st.booleans(),
+    "knots": st.integers(2, 20),
+    "eigen": st.integers(1, 8),
+    "output_grid_size": st.integers(3, 200),
+    "seed": st.integers(0, 1000),
+    "out": st.sampled_from(["o", "o/p"]),
+    "threads": st.integers(1, 8),
+    "model": st.sampled_from(MODEL_NAMES),
+    "n": st.integers(1, 6),
+    "r": st.integers(3, 41),
+    "noise": st.floats(0.0, 0.5),
+    "c": st.floats(-3.0, 3.0),
+    "r_scale": st.floats(0.01, 2.0),
+    "rank": st.sampled_from([2, 3]),
+    "warp_mixture_size": st.integers(2, 4),
+    "beta": st.floats(1.01, 3.0),
+    "result": st.just("{result}"),
+    "truth": st.just("{sim}"),
+    "rate_ns": st.sampled_from(["5", "5,6"]),
+    "rate_reps": st.integers(1, 3),
+    "rate_model": st.sampled_from(["model1", "model2"]),
+}
+# settings whose size multiplies the run time: simulate's n * r * warp_mixture_size
+# (n = r = 1000 is thousands of times the fixtures' work) and the rate check's
+# rate_reps samples per size
+_SIZE_SETTINGS = {"n", "r", "warp_mixture_size", "rate_ns", "rate_reps"}
+
+
+@st.composite
+def _configs(draw, command):
+    """A --config object for ``command``: valid settings, then up to two of its
+    keys set to arbitrary JSON (ints bounded, so no run allocates gigabytes)."""
+    keys = _config_keys(command)
+    required = ("model", "seed") if command == "simulate" else ()
+    cfg = draw(st.fixed_dictionaries(
+        {k: _VALID_SETTINGS[k] for k in required},
+        optional={k: _VALID_SETTINGS[k] for k in keys if k not in required},
+    ))
+    for key in draw(st.lists(st.sampled_from(keys), max_size=2, unique=True)):
+        cfg[key] = draw(_json_values(50 if key in _SIZE_SETTINGS else 1000))
+    return cfg
+
+
+def _check_config_run(command, cfg, cli_inputs):
+    """``varireg <command> --config`` with ``cfg`` ends in a documented exit code;
+    a failed run writes nothing."""
+    cfg = {k: v.format(**cli_inputs) if isinstance(v, str) and v.startswith("{") else v
+           for k, v in cfg.items()}
+    positional = {"register": ("input", "obs"), "diagnose": ("result", "result")}.get(command)
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp)
+        config, cwd = base / "config.json", base / "cwd"
+        config.write_text(json.dumps(cfg), encoding="utf-8")
+        cwd.mkdir()
+        argv = [command, "--config", str(config)]
+        if positional and positional[0] not in cfg:
+            argv.append(str(cli_inputs[positional[1]]))
+        if "out" not in cfg:
+            argv += ["--out", "out"]
+        before = os.getcwd()
+        os.chdir(cwd)  # where a relative output directory goes
+        try:
+            code = main(argv)
+        finally:
+            os.chdir(before)
+        assert code in (0, 2, 3, 4), cfg
+        if code != 0:
+            assert sorted(base.iterdir()) == [config, cwd] and not any(cwd.iterdir()), cfg
+
+
+COMMANDS = ["register", "simulate", "diagnose"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_config_values_exit_with_documented_codes(command, data, cli_inputs):
+    _check_config_run(command, data.draw(_configs(command)), cli_inputs)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("command", COMMANDS)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_config_values_exit_with_documented_codes_many_examples(command, data, cli_inputs):
+    _check_config_run(command, data.draw(_configs(command)), cli_inputs)
