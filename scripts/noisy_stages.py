@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Where the time of one noisy-regime registration goes.
+"""Where the time of one noisy-regime registration and its diagnosis goes.
 
 Simulates a seeded model1 sample, runs ``varireg register --regime noisy``
-on it once under cProfile, and prints one JSON line: the cumulative seconds
-of the whole command, of the leave-one-out pass (``_loo_errors``), of every
-windowed kernel fit (``_row_fits``, the leave-one-out fits included), of
-the warp maps (``_warp_maps``), and of each ``dataio.write_*`` call.
-Profiling adds overhead, so the figures are shares, not wall times.
+on it and then ``varireg diagnose --truth`` on the result, once each under
+cProfile, and prints one JSON line: the cumulative seconds of each command,
+of the leave-one-out pass (``_loo_errors``), of every windowed kernel fit
+(``_row_fits``, the leave-one-out fits included), of the warp maps
+(``_warp_maps``), and of each ``dataio.write_*`` and ``dataio.read_*``
+call.  Profiling adds overhead, so the figures are shares, not wall times.
 
     python scripts/noisy_stages.py --n 100 --r 101 --noise 0.1 --seed 3
 """
@@ -21,7 +22,7 @@ from pathlib import Path
 from varireg import cli
 
 STAGES = {
-    "cli.py": ["cmd_register"],
+    "cli.py": ["cmd_register", "cmd_diagnose"],
     "smoothing.py": ["_loo_errors", "_row_fits"],
     "registration.py": ["_warp_maps"],
 }
@@ -42,17 +43,18 @@ def main():
         if code:
             raise SystemExit(code)
         profile = cProfile.Profile()
-        code = profile.runcall(cli.main, ["register", str(sim / "observed.csv"), "--regime", "noisy",
-                                          "--out", str(out)])
-        if code:
-            raise SystemExit(code)
+        for argv in (["register", str(sim / "observed.csv"), "--regime", "noisy", "--out", str(out)],
+                     ["diagnose", str(out), "--truth", str(sim), "--out", str(out / "diagnose")]):
+            code = profile.runcall(cli.main, argv)
+            if code:
+                raise SystemExit(code)
 
     seconds = {}
     for (path, _, name), (_, _, _, cumulative, _) in pstats.Stats(profile).stats.items():
         if "varireg" not in Path(path).parts:
             continue
         module = Path(path).name
-        if name in STAGES.get(module, []) or (module == "dataio.py" and name.startswith("write_")
+        if name in STAGES.get(module, []) or (module == "dataio.py" and name.startswith(("write_", "read_"))
                                               and name != "write_rows"):
             seconds[f"{module[:-3]}.{name}"] = round(cumulative, 4)
     print(json.dumps({"n": args.n, "r": args.r, "noise": args.noise, "seed": args.seed,

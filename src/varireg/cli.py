@@ -100,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     dia.add_argument("result", nargs="?", help="directory written by `register`")
     dia.add_argument("--config", help="flat JSON config; flags override it")
     dia.add_argument("--truth", help="directory written by `simulate`")
-    dia.add_argument("--out", help="output directory (default: result dir)")
+    dia.add_argument("--out", help="output directory (default: <result>/diagnose)")
     dia.add_argument("--rate-ns", help="comma-separated sample sizes for the rate check")
     dia.add_argument("--rate-reps", type=int)
     dia.add_argument("--rate-model", help="model for the rate check (rank-1)")
@@ -314,8 +314,8 @@ def cmd_diagnose(args) -> None:
     result_dir, truth_dir = _path(cfg, "result"), _path(cfg, "truth")
     if not result_dir:
         raise ValueError("no result directory given")
-    out_dir = Path(_path(cfg, "out", result_dir))
     result_dir = Path(result_dir)
+    out_dir = Path(_path(cfg, "out", str(result_dir / "diagnose")))
 
     ids, registered, _ = dataio.read_curves_csv(result_dir / "registered.csv")
     grid = _common_grid(registered)
@@ -398,9 +398,10 @@ def cmd_diagnose(args) -> None:
 
     out_dir.mkdir(parents=True, exist_ok=True)
     dataio.write_report_json(out_dir / "report.json", report)
-    columns = [[dataio.fmt(x) for x in v] if v is not None else [""] * n for v in (z, warp_errs, rel_errs)]
+    columns = (z, warp_errs, rel_errs)
     header = ["curve_id", "z_stat", "warp_sup_error", "curve_rel_l2_error"]
-    dataio.write_rows(out_dir / "metrics.csv", header, zip(ids, *columns))
+    rows = ((cid, [None if v is None else v[i:i + 1] for v in columns]) for i, cid in enumerate(ids))
+    dataio.write_rows(out_dir / "metrics.csv", header, rows)
 
 
 def main(argv=None) -> int:

@@ -5,19 +5,39 @@ shared grid) or long CSV (curve_id,t,value) for per-curve grids.  All
 floats are written with 17 significant digits so a write/read round trip is
 lossless, and rows are emitted in a fixed order so identical runs produce
 identical bytes.
+
+Tables move between numpy arrays and text a block at a time, and a file is
+streamed, never held whole as one string.  ``write_rows`` formats a few
+thousand rows with one ``%`` over a repeated row pattern and quotes each
+curve id once through ``csv.writer``.  A reader parses the numeric columns
+in one ``np.loadtxt`` call on the file.  One streaming pass over the text
+checks for what numpy and csv would read differently and, where the table
+has a curve_id column, finds each id's runs of rows; ``np.lexsort`` orders
+a curve's rows.  A file the bulk parse cannot vouch for -- a quoted cell, a
+row with another number of fields, text such as ``1_0`` that ``float``
+takes and numpy does not -- or whose curves fail a check is read again by
+the row loop, which alone reports errors, with their line numbers.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import io
+import itertools
 import json
-from itertools import repeat
+import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from .variation import DiscreteCurve, StepCdf
+
+_BLOCK_ROWS = 4096  # rows formatted by one % on writing
+_REFUSED = '"\x1c\x1d\x1e\x1f'  # characters that keep a file from the bulk readers
+_RUN = re.compile(r"^([^,\n]*),.*\n(?:\1,.*\n)*", re.M)  # lines that start with one id
+_CHUNK = 1 << 16  # characters read at a time; a line this long goes to the row loop
 
 
 class InputFormatError(Exception):
@@ -41,20 +61,184 @@ def _names_its_file(read):
     return named
 
 
-def fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _fmts(values) -> list:
-    """fmt(x) for every entry x of ``values``, without a Python call per entry."""
-    return ["%.17g" % x for x in np.asarray(values, dtype=float).tolist()]
-
-
 def _parse_float(text, line):
     try:
         return float(text)
     except ValueError:
         raise InputFormatError(f"not a number: {text!r}", line) from None
+
+
+# ---- reading -----------------------------------------------------------------
+#
+# A table is read as (runs, values, lines): ``runs`` lists each run of
+# consecutive rows with one curve id as [id, row count] (empty where the
+# table has no id column), ``values`` holds the numeric columns of the rows
+# in file order, and ``lines`` their line numbers, None from the bulk parse.
+
+
+def _header(path):
+    """The stripped cells of the first record of ``path``; None if there is none or
+    csv cannot read it.  (A record over several lines leaves a double quote
+    below the first line, where ``_body`` refuses it.)"""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            first = next(csv.reader(fh), None)
+        except (csv.Error, ValueError):
+            return None
+    return None if first is None else [h.strip() for h in first]
+
+
+def _body(path, ids):
+    """(comma count, runs) of the lines of ``path`` below its first, in one streaming pass.
+
+    ``runs`` lists, if ``ids``, each run of consecutive lines that start with
+    one id (the text before the first comma) as [id, line count].  Lines
+    without a comma, blank ones included, are in no run.  None if the lines
+    hold a double quote, so that csv and np.loadtxt may split them
+    differently; a character in \\x1c-\\x1f, which np.loadtxt strips around
+    a number and float() refuses; or ``_CHUNK`` characters read without a
+    line break, as every line over twice that is, where csv may refuse a
+    field over its limit of 131072 characters.
+    """
+    commas, runs, carry = 0, [], ""
+
+    def take(text):
+        for m in _RUN.finditer(text):
+            size = text.count("\n", m.start(), m.end())
+            if runs and runs[-1][0] == m[1]:
+                runs[-1][1] += size
+            else:
+                runs.append([m[1], size])
+
+    # universal newlines, as np.loadtxt reads the file
+    with open(path, encoding="utf-8") as fh:
+        try:
+            fh.readline()
+            for chunk in iter(functools.partial(fh.read, _CHUNK), ""):
+                if any(c in chunk for c in _REFUSED) or len(chunk) == _CHUNK and "\n" not in chunk:
+                    return None
+                commas += chunk.count(",")
+                if ids:
+                    text = carry + chunk
+                    cut = text.rfind("\n") + 1
+                    take(text[:cut])
+                    carry = text[cut:]
+        except ValueError:  # not UTF-8
+            return None
+    if carry:
+        take(carry + "\n")
+    return commas, runs
+
+
+def _bulk(path, width, ids):
+    """The table of the CSV file ``path``, of rows of ``width`` fields, the first
+    an id if ``ids``, parsed in bulk: its numbers in one np.loadtxt call.
+
+    None, which leaves the file to the row loop, unless that call and
+    ``_body`` vouch for every row; where they do, each number is the one
+    float() reads from its cell.
+    """
+    body = _body(path, ids)
+    if body is None:
+        return None
+    commas, runs = body
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # numpy warns of a table with no rows
+        try:
+            values = np.loadtxt(path, delimiter=",", comments=None, skiprows=1,
+                                usecols=range(ids, width), ndmin=2, encoding="utf-8")
+        except ValueError:
+            return None
+    # np.loadtxt gives every row at least ``width`` fields, the comma count at most
+    if not len(values) or commas != (width - 1) * len(values):
+        return None
+    if ids and sum(size for _, size in runs) != len(values):
+        return None
+    return runs, values, None
+
+
+def _by_row(rows, width, ids):
+    """The table of the (line, fields) ``rows``: the row loop, which raises
+    InputFormatError, with the line, for a row of other than ``width`` fields
+    or a cell that is not a number."""
+    cids, values, lines = [], [], []
+    for line, row in rows:
+        if len(row) != width:
+            raise InputFormatError(f"expected {width} fields, got {len(row)}", line)
+        cids += row[:ids]
+        values.append([_parse_float(cell, line) for cell in row[ids:]])
+        lines.append(line)
+    runs = [[cid, len(list(group))] for cid, group in itertools.groupby(cids)]
+    return runs, np.array(values, dtype=float).reshape(len(values), width - ids), lines
+
+
+def _table(path, header, ids=0):
+    """The table of the CSV file ``path`` with ``header``: in bulk, or by the row
+    loop, which also raises InputFormatError for an empty file or another header."""
+    found = _bulk(path, len(header), ids) if _header(path) == header else None
+    return found or _by_row(_read_table(path, header), len(header), ids)
+
+
+def _read_table(path, header):
+    """Yield the data rows of the CSV file ``path`` as (line number, fields).
+
+    Raises InputFormatError, with the line number, for an empty file or a
+    header other than ``header``.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first is None:
+            raise InputFormatError("empty file", 1)
+        if [h.strip() for h in first] != header:
+            raise InputFormatError(f"header is not {','.join(header)!r}", 1)
+        for line, row in enumerate(reader, start=2):
+            if row:
+                yield line, row
+
+
+def _groups(runs, strip=False):
+    """{curve id: [(start, stop) of each of its runs of rows]}, ids ``strip``ped if
+    asked, in order of first appearance."""
+    groups, start = {}, 0
+    for cid, size in runs:
+        groups.setdefault(cid.strip() if strip else cid, []).append((start, start + size))
+        start += size
+    return groups
+
+
+def _rows_of(table, spans):
+    """The rows of ``table`` in ``spans``: a view for one span, else a copy."""
+    return table[slice(*spans[0])] if len(spans) == 1 else np.concatenate([table[a:b] for a, b in spans])
+
+
+@_names_its_file
+def read_warps_csv(path):
+    """{curve id: (t, warp, inverse warp)}, each curve's rows sorted as tuples."""
+    runs, values, _ = _table(path, ["curve_id", "t", "warp_value", "inverse_warp_value"], ids=1)
+    out = {}
+    for cid, spans in _groups(runs).items():
+        rows = _rows_of(values, spans)
+        if not (np.diff(rows[:, 0]) > 0).all():  # out of order: sort a copy
+            if np.isnan(rows).any():  # sorted() places NaN where it meets it; lexsort cannot
+                rows = np.array(sorted(map(tuple, rows.tolist())))
+            else:
+                rows = rows[np.lexsort(rows.T[::-1])]
+        out[cid] = (rows[:, 0], rows[:, 1], rows[:, 2])
+    return out
+
+
+@_names_its_file
+def read_mean_csv(path) -> DiscreteCurve:
+    return DiscreteCurve(*_table(path, ["t", "value"])[1].T.copy())
+
+
+@_names_its_file
+def read_template_csv(path):
+    return StepCdf(*_table(path, ["jump_location", "cum_value"])[1].T.copy())
+
+
+# ---- curves ------------------------------------------------------------------
 
 
 @_names_its_file
@@ -65,6 +249,32 @@ def read_curves_csv(path):
     (offset, scale) recording an affine map applied to bring times into
     [0,1].
     """
+    return _curves_in_bulk(path) or _curves_by_row(path)
+
+
+def _is_long(header):
+    return len(header) >= 3 and [h.lower() for h in header[:3]] == ["curve_id", "t", "value"]
+
+
+def _curves_in_bulk(path):
+    """read_curves_csv's result, parsed in bulk; None where the row loop must read the file."""
+    header = _header(path)
+    if not header:
+        return None
+    long = _is_long(header)
+    if long:
+        found = _bulk(path, 3, ids=1)
+    elif header[0].lower() == "t" and len(header) >= 2 and len(set(header)) == len(header):
+        found = _bulk(path, len(header), ids=0)
+    else:
+        return None
+    try:
+        return found and (_long_curves(*found) if long else _wide_curves(header[1:], *found))
+    except InputFormatError:
+        return None  # the row loop reports it, with its line
+
+
+def _curves_by_row(path):
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -77,20 +287,23 @@ def read_curves_csv(path):
             raise InputFormatError("missing header", 1)
         rows = [(idx, row) for idx, row in enumerate(reader, start=2) if row and any(row)]
 
-    if len(header) >= 3 and [h.lower() for h in header[:3]] == ["curve_id", "t", "value"]:
-        return _curves_from_long(rows)
+    if _is_long(header):
+        return _long_curves(*_by_row(rows, 3, ids=1))
     if header[0].lower() == "t" and len(header) >= 2:
-        return _curves_from_wide(header, rows)
+        ids = header[1:]
+        if len(set(ids)) != len(ids):
+            raise InputFormatError("duplicate curve columns", 1)
+        return _wide_curves(ids, *_by_row(rows, len(header), ids=0))
     raise InputFormatError(
         "header must be 'curve_id,t,value' (long) or 't,<curve>,...' (wide)", 1
     )
 
 
 def _rescale_times(all_t):
+    """None, or the (offset, scale) taking the times ``all_t``, in file order, onto [0, 1]."""
     if not all_t:
         raise InputFormatError("no data rows")
-    lo = min(t for t, _ in all_t)
-    hi = max(t for t, _ in all_t)
+    lo, hi = min(all_t), max(all_t)
     if 0.0 <= lo and hi <= 1.0:
         return None
     if hi == lo:
@@ -98,170 +311,127 @@ def _rescale_times(all_t):
     return (lo, hi - lo)
 
 
-def _curves_from_wide(header, rows):
-    ids = header[1:]
-    if len(set(ids)) != len(ids):
-        raise InputFormatError("duplicate curve columns", 1)
-    t = []
-    cols = [[] for _ in ids]
-    for line, row in rows:
-        if len(row) != len(header):
-            raise InputFormatError(f"expected {len(header)} fields, got {len(row)}", line)
-        t.append((_parse_float(row[0], line), line))
-        for j, cell in enumerate(row[1:]):
-            cols[j].append(_parse_float(cell, line))
-    rescale = _rescale_times(t)
-    grid = np.array([x for x, _ in t])
+def _wide_curves(ids, _runs, values, lines):
+    """Curves from a wide table: the times, then a column per curve."""
+    rescale = _rescale_times(values[:, 0].tolist())
+    grid = values[:, 0].copy()
     if rescale is not None:
         grid = (grid - rescale[0]) / rescale[1]
     order = np.argsort(grid)
     grid = grid[order]
     if not (np.diff(grid) > 0).all():
         dup_pos = int(np.argmin(np.diff(grid) > 0))
-        raise InputFormatError("duplicate time point", t[order[dup_pos + 1]][1])
+        raise InputFormatError("duplicate time point", lines and lines[order[dup_pos + 1]])
     curves = []
     for j in range(len(ids)):
-        vals = np.array(cols[j])[order]
         try:
-            curves.append(DiscreteCurve(grid, vals))
+            curves.append(DiscreteCurve(grid, values[order, j + 1]))
         except ValueError as exc:
             raise InputFormatError(f"curve {ids[j]!r}: {exc}") from None
     return ids, curves, rescale
 
 
-def _curves_from_long(rows):
-    by_id = {}
-    all_t = []
-    for line, row in rows:
-        if len(row) != 3:
-            raise InputFormatError(f"expected 3 fields, got {len(row)}", line)
-        cid = row[0].strip()
-        t = _parse_float(row[1], line)
-        v = _parse_float(row[2], line)
-        by_id.setdefault(cid, []).append((t, v, line))
-        all_t.append((t, line))
-    rescale = _rescale_times(all_t)
-    ids = list(by_id.keys())  # first-appearance order
+def _long_curves(runs, values, lines):
+    """Curves from a long table: (t, value) rows grouped by id, ids stripped."""
+    rescale = _rescale_times(values[:, 0].tolist())
+    groups = _groups(runs, strip=True)
     curves = []
-    for cid in ids:
-        pts = by_id[cid]
-        t = np.array([p[0] for p in pts])
-        v = np.array([p[1] for p in pts])
+    for cid, spans in groups.items():
+        t, v = _rows_of(values, spans).T
         if rescale is not None:
             t = (t - rescale[0]) / rescale[1]
         order = np.argsort(t)
         t, v = t[order], v[order]
         if (np.diff(t) <= 0).any():
             dup_pos = int(np.argmin(np.diff(t) > 0))
-            raise InputFormatError(
-                f"curve {cid!r}: duplicate time point", pts[order[dup_pos + 1]][2]
-            )
+            line = lines and np.concatenate([lines[a:b] for a, b in spans])[order[dup_pos + 1]]
+            raise InputFormatError(f"curve {cid!r}: duplicate time point", line)
         try:
             curves.append(DiscreteCurve(t, v))
         except ValueError as exc:
             raise InputFormatError(f"curve {cid!r}: {exc}") from None
-    return ids, curves, rescale
+    return list(groups), curves, rescale
+
+
+# ---- writing -----------------------------------------------------------------
 
 
 def write_rows(path, header, rows):
+    """Write the CSV file ``path``: the cells of ``header``, then ``rows`` as blocks.
+
+    A block is (lead, columns).  ``columns`` have equal lengths; each is a
+    float array, its cells written "%.17g", a list of cells written as they
+    are, or None for a column of empty cells.  ``lead`` is None or a cell
+    that starts every row of the block.  A block with no column but None is
+    one row.  Header and lead cells are quoted as ``csv.writer`` quotes them.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    quoted = io.StringIO()
+    quote = csv.writer(quoted, lineterminator="\n")
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        for lead, columns in rows:
+            cells = ["" if c is None else "%s" if isinstance(c, list) else "%.17g" for c in columns]
+            if lead is not None:
+                quoted.seek(0)
+                quoted.truncate()
+                quote.writerow((lead, ""))  # the lead as it is quoted inside a row
+                cells.insert(0, quoted.getvalue()[:-2].replace("%", "%%"))
+            row = ",".join(cells) + "\n"
+            columns = [c if isinstance(c, list) else np.asarray(c, dtype=float) for c in columns if c is not None]
+            for start in range(0, len(columns[0]) if columns else 1, _BLOCK_ROWS):
+                parts = [c[start:start + _BLOCK_ROWS] for c in columns]
+                block = np.empty((len(parts[0]) if parts else 1, len(parts)), dtype=object)
+                for j, part in enumerate(parts):
+                    block[:, j] = part
+                fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+
+
+def _fmts(values) -> list:
+    """The "%.17g" cell of every entry of ``values``, for write_rows to repeat."""
+    values = np.asarray(values, dtype=float).tolist()
+    return (("%.17g," * len(values)) % tuple(values)).split(",")[:-1]
 
 
 def write_wide_csv(path, ids, grid, value_columns):
-    write_rows(path, ["t"] + list(ids), zip(_fmts(grid), *map(_fmts, value_columns)))
+    write_rows(path, ["t"] + list(ids), [(None, [grid, *value_columns])])
 
 
 def write_long_csv(path, ids, curves):
-    rows = []
-    for cid, curve in zip(ids, curves):
-        rows += zip(repeat(cid), _fmts(curve.grid), _fmts(curve.values))
-    write_rows(path, ["curve_id", "t", "value"], rows)
+    def blocks():
+        grid = None
+        for cid, curve in zip(ids, curves):
+            if curve.grid is not grid:  # curves on one grid share its formatted cells
+                grid, t = curve.grid, _fmts(curve.grid)
+            yield cid, [t, curve.values]
+
+    write_rows(path, ["curve_id", "t", "value"], blocks())
 
 
 def write_warps_csv(path, ids, warp_values, inverse_warp_values, grid):
     """One row per curve and grid point; the value arrays are sampled on ``grid``."""
     t = _fmts(grid)
-    rows = []
-    for cid, wv, iv in zip(ids, warp_values, inverse_warp_values):
-        rows += zip(repeat(cid), t, _fmts(wv), _fmts(iv))
-    write_rows(path, ["curve_id", "t", "warp_value", "inverse_warp_value"], rows)
-
-
-def _read_table(path, header):
-    """Yield the data rows of the CSV file ``path`` as (line number, fields).
-
-    Raises InputFormatError, with the line number, for an empty file, a
-    header other than ``header``, or a row with another number of fields.
-    """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        first = next(reader, None)
-        if first is None:
-            raise InputFormatError("empty file", 1)
-        if [h.strip() for h in first] != header:
-            raise InputFormatError(f"header is not {','.join(header)!r}", 1)
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise InputFormatError(f"expected {len(header)} fields, got {len(row)}", line)
-            yield line, row
-
-
-@_names_its_file
-def read_warps_csv(path):
-    data = {}
-    for line, row in _read_table(path, ["curve_id", "t", "warp_value", "inverse_warp_value"]):
-        data.setdefault(row[0], []).append(
-            (_parse_float(row[1], line), _parse_float(row[2], line), _parse_float(row[3], line))
-        )
-    out = {}
-    for cid, pts in data.items():
-        arr = np.array(sorted(pts))
-        out[cid] = (arr[:, 0], arr[:, 1], arr[:, 2])
-    return out
+    blocks = ((cid, [t, wv, iv]) for cid, wv, iv in zip(ids, warp_values, inverse_warp_values))
+    write_rows(path, ["curve_id", "t", "warp_value", "inverse_warp_value"], blocks)
 
 
 def write_mean_csv(path, mean_curve):
-    write_rows(path, ["t", "value"], zip(_fmts(mean_curve.grid), _fmts(mean_curve.values)))
-
-
-@_names_its_file
-def read_mean_csv(path) -> DiscreteCurve:
-    grid, vals = [], []
-    for line, row in _read_table(path, ["t", "value"]):
-        grid.append(_parse_float(row[0], line))
-        vals.append(_parse_float(row[1], line))
-    return DiscreteCurve(np.array(grid), np.array(vals))
+    write_rows(path, ["t", "value"], [(None, [mean_curve.grid, mean_curve.values])])
 
 
 def write_eigen_csv(path, grid, eigenfunctions):
     header = ["t"] + [f"phi_{j + 1}" for j in range(eigenfunctions.shape[0])]
-    write_rows(path, header, zip(_fmts(grid), *map(_fmts, eigenfunctions)))
+    write_rows(path, header, [(None, [grid, *eigenfunctions])])
 
 
 def write_scores_csv(path, ids, score_matrix):
     header = ["curve_id"] + [f"score_{j + 1}" for j in range(score_matrix.shape[1])]
-    write_rows(path, header, zip(ids, *map(_fmts, score_matrix.T)))
+    write_rows(path, header, ((cid, scores[:, None]) for cid, scores in zip(ids, score_matrix)))
 
 
 def write_template_csv(path, cdf):
-    rows = zip(_fmts(cdf.jump_locations), _fmts(cdf.cum_values))
-    write_rows(path, ["jump_location", "cum_value"], rows)
-
-
-@_names_its_file
-def read_template_csv(path):
-    locs, cums = [], []
-    for line, row in _read_table(path, ["jump_location", "cum_value"]):
-        locs.append(_parse_float(row[0], line))
-        cums.append(_parse_float(row[1], line))
-    return StepCdf(np.array(locs), np.array(cums))
+    write_rows(path, ["jump_location", "cum_value"], [(None, [cdf.jump_locations, cdf.cum_values])])
 
 
 def write_report_json(path, report: dict):

@@ -35,10 +35,15 @@
 * The per-curve rate check: each replicate's template from every curve's
   own variation CDF and quantile, averaged by ``mean_quantile``.  The
   library builds it with the registration pipelines' batched template.
+* The per-cell CSV writers and readers: every float formatted by its own
+  ``"%.17g"`` and parsed by its own ``float()``, every row through a
+  ``csv`` row, and each curve's warp rows sorted as Python tuples.  The
+  library formats and parses a block of rows at a time.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -46,7 +51,10 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from dataclasses import replace
+from itertools import repeat
+from pathlib import Path
 
+from varireg.dataio import InputFormatError, _names_its_file
 from varireg.diagnostics import Z_CLAMP_TOL, RateCheckResult, RegistrationReport, rate_grid_size
 from varireg.errors import (
     AllCandidatesSingular,
@@ -849,3 +857,226 @@ def per_curve_rate_check(model_cfg, warp_cfg, ns, reps, seed, dense_r=10000) -> 
         return RateCheckResult(ns, grid_sizes, means, ses, slope=None, flag="at_discretization_floor")
     slope = float(np.polyfit(np.log(np.asarray(ns, dtype=float)), np.log(means), 1)[0])
     return RateCheckResult(ns, grid_sizes, means, ses, slope=slope)
+
+
+def per_cell_fmt(x: float) -> str:
+    return format(float(x), ".17g")
+
+
+def _per_cell_fmts(values) -> list:
+    """per_cell_fmt(x) for every entry x of ``values``, without a Python call per entry."""
+    return ["%.17g" % x for x in np.asarray(values, dtype=float).tolist()]
+
+
+def _per_cell_parse_float(text, line):
+    try:
+        return float(text)
+    except ValueError:
+        raise InputFormatError(f"not a number: {text!r}", line) from None
+
+
+@_names_its_file
+def per_cell_read_curves_csv(path):
+    """Read curves from wide or long CSV.
+
+    Returns (curve_ids, curves, rescale) where rescale is None or
+    (offset, scale) recording an affine map applied to bring times into
+    [0,1].
+    """
+    path = Path(path)
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise InputFormatError("empty file", 1) from None
+        header = [h.strip() for h in header]
+        if not header:
+            raise InputFormatError("missing header", 1)
+        rows = [(idx, row) for idx, row in enumerate(reader, start=2) if row and any(row)]
+
+    if len(header) >= 3 and [h.lower() for h in header[:3]] == ["curve_id", "t", "value"]:
+        return _per_cell_curves_from_long(rows)
+    if header[0].lower() == "t" and len(header) >= 2:
+        return _per_cell_curves_from_wide(header, rows)
+    raise InputFormatError(
+        "header must be 'curve_id,t,value' (long) or 't,<curve>,...' (wide)", 1
+    )
+
+
+def _per_cell_rescale_times(all_t):
+    if not all_t:
+        raise InputFormatError("no data rows")
+    lo = min(t for t, _ in all_t)
+    hi = max(t for t, _ in all_t)
+    if 0.0 <= lo and hi <= 1.0:
+        return None
+    if hi == lo:
+        raise InputFormatError("cannot rescale a single time point")
+    return (lo, hi - lo)
+
+
+def _per_cell_curves_from_wide(header, rows):
+    ids = header[1:]
+    if len(set(ids)) != len(ids):
+        raise InputFormatError("duplicate curve columns", 1)
+    t = []
+    cols = [[] for _ in ids]
+    for line, row in rows:
+        if len(row) != len(header):
+            raise InputFormatError(f"expected {len(header)} fields, got {len(row)}", line)
+        t.append((_per_cell_parse_float(row[0], line), line))
+        for j, cell in enumerate(row[1:]):
+            cols[j].append(_per_cell_parse_float(cell, line))
+    rescale = _per_cell_rescale_times(t)
+    grid = np.array([x for x, _ in t])
+    if rescale is not None:
+        grid = (grid - rescale[0]) / rescale[1]
+    order = np.argsort(grid)
+    grid = grid[order]
+    if not (np.diff(grid) > 0).all():
+        dup_pos = int(np.argmin(np.diff(grid) > 0))
+        raise InputFormatError("duplicate time point", t[order[dup_pos + 1]][1])
+    curves = []
+    for j in range(len(ids)):
+        vals = np.array(cols[j])[order]
+        try:
+            curves.append(DiscreteCurve(grid, vals))
+        except ValueError as exc:
+            raise InputFormatError(f"curve {ids[j]!r}: {exc}") from None
+    return ids, curves, rescale
+
+
+def _per_cell_curves_from_long(rows):
+    by_id = {}
+    all_t = []
+    for line, row in rows:
+        if len(row) != 3:
+            raise InputFormatError(f"expected 3 fields, got {len(row)}", line)
+        cid = row[0].strip()
+        t = _per_cell_parse_float(row[1], line)
+        v = _per_cell_parse_float(row[2], line)
+        by_id.setdefault(cid, []).append((t, v, line))
+        all_t.append((t, line))
+    rescale = _per_cell_rescale_times(all_t)
+    ids = list(by_id.keys())  # first-appearance order
+    curves = []
+    for cid in ids:
+        pts = by_id[cid]
+        t = np.array([p[0] for p in pts])
+        v = np.array([p[1] for p in pts])
+        if rescale is not None:
+            t = (t - rescale[0]) / rescale[1]
+        order = np.argsort(t)
+        t, v = t[order], v[order]
+        if (np.diff(t) <= 0).any():
+            dup_pos = int(np.argmin(np.diff(t) > 0))
+            raise InputFormatError(
+                f"curve {cid!r}: duplicate time point", pts[order[dup_pos + 1]][2]
+            )
+        try:
+            curves.append(DiscreteCurve(t, v))
+        except ValueError as exc:
+            raise InputFormatError(f"curve {cid!r}: {exc}") from None
+    return ids, curves, rescale
+
+
+def per_cell_write_rows(path, header, rows):
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def per_cell_write_wide_csv(path, ids, grid, value_columns):
+    per_cell_write_rows(path, ["t"] + list(ids), zip(_per_cell_fmts(grid), *map(_per_cell_fmts, value_columns)))
+
+
+def per_cell_write_long_csv(path, ids, curves):
+    rows = []
+    for cid, curve in zip(ids, curves):
+        rows += zip(repeat(cid), _per_cell_fmts(curve.grid), _per_cell_fmts(curve.values))
+    per_cell_write_rows(path, ["curve_id", "t", "value"], rows)
+
+
+def per_cell_write_warps_csv(path, ids, warp_values, inverse_warp_values, grid):
+    """One row per curve and grid point; the value arrays are sampled on ``grid``."""
+    t = _per_cell_fmts(grid)
+    rows = []
+    for cid, wv, iv in zip(ids, warp_values, inverse_warp_values):
+        rows += zip(repeat(cid), t, _per_cell_fmts(wv), _per_cell_fmts(iv))
+    per_cell_write_rows(path, ["curve_id", "t", "warp_value", "inverse_warp_value"], rows)
+
+
+def _per_cell_read_table(path, header):
+    """Yield the data rows of the CSV file ``path`` as (line number, fields).
+
+    Raises InputFormatError, with the line number, for an empty file, a
+    header other than ``header``, or a row with another number of fields.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first is None:
+            raise InputFormatError("empty file", 1)
+        if [h.strip() for h in first] != header:
+            raise InputFormatError(f"header is not {','.join(header)!r}", 1)
+        for line, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise InputFormatError(f"expected {len(header)} fields, got {len(row)}", line)
+            yield line, row
+
+
+@_names_its_file
+def per_cell_read_warps_csv(path):
+    data = {}
+    for line, row in _per_cell_read_table(path, ["curve_id", "t", "warp_value", "inverse_warp_value"]):
+        data.setdefault(row[0], []).append(
+            (_per_cell_parse_float(row[1], line), _per_cell_parse_float(row[2], line), _per_cell_parse_float(row[3], line))
+        )
+    out = {}
+    for cid, pts in data.items():
+        arr = np.array(sorted(pts))
+        out[cid] = (arr[:, 0], arr[:, 1], arr[:, 2])
+    return out
+
+
+def per_cell_write_mean_csv(path, mean_curve):
+    per_cell_write_rows(path, ["t", "value"], zip(_per_cell_fmts(mean_curve.grid), _per_cell_fmts(mean_curve.values)))
+
+
+@_names_its_file
+def per_cell_read_mean_csv(path) -> DiscreteCurve:
+    grid, vals = [], []
+    for line, row in _per_cell_read_table(path, ["t", "value"]):
+        grid.append(_per_cell_parse_float(row[0], line))
+        vals.append(_per_cell_parse_float(row[1], line))
+    return DiscreteCurve(np.array(grid), np.array(vals))
+
+
+def per_cell_write_eigen_csv(path, grid, eigenfunctions):
+    header = ["t"] + [f"phi_{j + 1}" for j in range(eigenfunctions.shape[0])]
+    per_cell_write_rows(path, header, zip(_per_cell_fmts(grid), *map(_per_cell_fmts, eigenfunctions)))
+
+
+def per_cell_write_scores_csv(path, ids, score_matrix):
+    header = ["curve_id"] + [f"score_{j + 1}" for j in range(score_matrix.shape[1])]
+    per_cell_write_rows(path, header, zip(ids, *map(_per_cell_fmts, score_matrix.T)))
+
+
+def per_cell_write_template_csv(path, cdf):
+    rows = zip(_per_cell_fmts(cdf.jump_locations), _per_cell_fmts(cdf.cum_values))
+    per_cell_write_rows(path, ["jump_location", "cum_value"], rows)
+
+
+@_names_its_file
+def per_cell_read_template_csv(path):
+    locs, cums = [], []
+    for line, row in _per_cell_read_table(path, ["jump_location", "cum_value"]):
+        locs.append(_per_cell_parse_float(row[0], line))
+        cums.append(_per_cell_parse_float(row[1], line))
+    return StepCdf(np.array(locs), np.array(cums))

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import per_curve_inverse, per_curve_scores, per_curve_truth_bundle
+from oracles import per_cell_fmt as fmt, per_curve_inverse, per_curve_scores, per_curve_truth_bundle
 from varireg.cli import _build_parser, main
-from varireg.dataio import fmt, read_curves_csv, read_warps_csv, write_warps_csv, write_wide_csv
+from varireg.dataio import read_curves_csv, read_warps_csv, write_warps_csv, write_wide_csv
 from varireg.fpca import trapezoid_weights
 from varireg.simulate import MODEL_NAMES, LatentModelConfig, WarpLawConfig
 
@@ -446,6 +446,16 @@ def test_diagnose_without_truth(tmp_path):
     assert report["z_stats"] is not None
     assert report["explained_ratios"] is not None
     assert "warp_sup_errors" not in report
+
+
+def test_diagnose_without_out_keeps_the_register_report(tmp_path):
+    sim, out = tmp_path / "sim", tmp_path / "run"
+    assert run("simulate", "--model", "model1", "--n", "6", "--r", "41", "--seed", "8", "--out", sim) == 0
+    assert run("register", sim / "observed.csv", "--out", out) == 0
+    before = read_all_bytes(out)
+    assert run("diagnose", out) == 0
+    assert read_all_bytes(out) == before
+    assert sorted(p.name for p in (out / "diagnose").iterdir()) == ["metrics.csv", "report.json"]
 
 
 def test_diagnose_rate_check_field(tmp_path):
