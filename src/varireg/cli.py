@@ -21,7 +21,7 @@ import numpy as np
 
 from . import dataio
 from ._parallel import resolve_threads
-from .diagnostics import rate_check, truth_errors, z_statistic
+from .diagnostics import rate_check, registration_report
 from .errors import (
     AllCandidatesSingular,
     EmptySample,
@@ -49,7 +49,6 @@ from .simulate import (
     invert_warps,
     make_truth_bundle,
 )
-from .variation import wasserstein2
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -325,28 +324,11 @@ def cmd_diagnose(args) -> None:
     if not np.array_equal(mean.grid, grid):
         raise dataio.InputFormatError("mean.csv and registered.csv grids differ")
 
-    values = np.stack([c.values for c in registered])
-    n = len(registered)
-    report = {"n_curves": n}
-    zinfo = {}
-    z = None
-    ratios = None
-    if n >= 2:
-        try:
-            z = z_statistic(registered, info=zinfo)
-        except ZeroVariation:
-            z = None
-        ratios = row_eigenpairs(values, grid, 3).explained_ratios
-    report["z_stats"] = _json_float_list(z)
-    report["z_branch"] = zinfo.get("branch")
-    report["explained_ratios"] = _json_float_list(ratios)
-
-    warp_errs = rel_errs = None
-    if truth_dir:
-        truth_dir = Path(truth_dir)
-        truth_ids, truth_latent, _ = dataio.read_curves_csv(truth_dir / "truth_latent.csv")
-        truth_warps = dataio.read_warps_csv(truth_dir / "truth_warps.csv")
-        fphi_path = truth_dir / "truth_fphi.csv"
+    def truth():
+        truth_path = Path(truth_dir)
+        truth_ids, truth_latent, _ = dataio.read_curves_csv(truth_path / "truth_latent.csv")
+        truth_warps = dataio.read_warps_csv(truth_path / "truth_warps.csv")
+        fphi_path = truth_path / "truth_fphi.csv"
         f_phi = dataio.read_template_csv(fphi_path) if fphi_path.exists() else None
         latent_by_id = dict(zip(truth_ids, truth_latent))
         if latent_by_id.keys() != set(ids):
@@ -368,13 +350,22 @@ def cmd_diagnose(args) -> None:
         width = max(warp_samples[cid][0].size for cid in ids)
         truth_latent = [latent_by_id[cid] for cid in ids]  # in the result's curve order
         latent = _interp_rows(grid, *_stack([c.grid for c in truth_latent], [c.values for c in truth_latent]))
-        warp_errs, rel_errs, mean_sup = truth_errors(warp_block, width, values, latent, mean)
-        report["warp_sup_errors"] = _json_float_list(warp_errs)
-        report["curve_rel_L2_errors"] = _json_float_list(rel_errs)
-        report["median_curve_rel_L2_error"] = float(np.median(rel_errs))
-        report["mean_sup_error"] = mean_sup
-        if f_phi is not None:
-            report["dW2_template_to_target"] = float(wasserstein2(template, f_phi) ** 2)
+        return warp_block, width, latent, f_phi
+
+    rep = registration_report(registered, mean, template, truth if truth_dir else None)
+    report = {
+        "n_curves": len(registered),
+        "z_stats": _json_float_list(rep.z_stats),
+        "explained_ratios": _json_float_list(rep.explained_ratios),
+        **rep.flags,
+    }
+    if truth_dir:
+        report["warp_sup_errors"] = _json_float_list(rep.warp_sup_errors)
+        report["curve_rel_L2_errors"] = _json_float_list(rep.curve_rel_L2_errors)
+        report["median_curve_rel_L2_error"] = float(np.median(rep.curve_rel_L2_errors))
+        report["mean_sup_error"] = rep.mean_sup_error
+        if rep.dW2_template_to_target is not None:
+            report["dW2_template_to_target"] = float(rep.dW2_template_to_target)
 
     if cfg.get("rate_ns"):
         if cfg.get("seed") is None:
@@ -398,7 +389,7 @@ def cmd_diagnose(args) -> None:
 
     out_dir.mkdir(parents=True, exist_ok=True)
     dataio.write_report_json(out_dir / "report.json", report)
-    columns = (z, warp_errs, rel_errs)
+    columns = (rep.z_stats, rep.warp_sup_errors, rep.curve_rel_L2_errors)
     header = ["curve_id", "z_stat", "warp_sup_error", "curve_rel_l2_error"]
     rows = ((cid, [None if v is None else v[i:i + 1] for v in columns]) for i, cid in enumerate(ids))
     dataio.write_rows(out_dir / "metrics.csv", header, rows)

@@ -9,14 +9,17 @@ identical bytes.
 Tables move between numpy arrays and text a block at a time, and a file is
 streamed, never held whole as one string.  ``write_rows`` formats a few
 thousand rows with one ``%`` over a repeated row pattern and quotes each
-curve id once through ``csv.writer``.  A reader parses the numeric columns
-in one ``np.loadtxt`` call on the file.  One streaming pass over the text
-checks for what numpy and csv would read differently and, where the table
-has a curve_id column, finds each id's runs of rows; ``np.lexsort`` orders
-a curve's rows.  A file the bulk parse cannot vouch for -- a quoted cell, a
-row with another number of fields, text such as ``1_0`` that ``float``
-takes and numpy does not -- or whose curves fail a check is read again by
-the row loop, which alone reports errors, with their line numbers.
+curve id once through ``csv.writer``.  Every reader goes through one front
+end, ``_read(path, layout)``, where the layout gives from the header the
+row width, the id column, the build step and which records count.  It
+parses the numeric columns in one ``np.loadtxt`` call on the file.  One
+streaming pass over the text checks for what numpy and csv would read
+differently and, where the table has a curve_id column, finds each id's
+runs of rows; ``np.lexsort`` orders a curve's rows.  A file the bulk parse
+cannot vouch for -- a quoted cell, a row with another number of fields,
+text such as ``1_0`` that ``float`` takes and numpy does not -- or whose
+curves fail a check is read again by the one row loop, which alone reports
+errors, with their line numbers, a record csv cannot read included.
 """
 
 from __future__ import annotations
@@ -157,44 +160,68 @@ def _bulk(path, width, ids):
     return runs, values, None
 
 
-def _by_row(rows, width, ids):
-    """The table of the (line, fields) ``rows``: the row loop, which raises
-    InputFormatError, with the line, for a row of other than ``width`` fields
-    or a cell that is not a number."""
-    cids, values, lines = [], [], []
-    for line, row in rows:
-        if len(row) != width:
-            raise InputFormatError(f"expected {width} fields, got {len(row)}", line)
-        cids += row[:ids]
-        values.append([_parse_float(cell, line) for cell in row[ids:]])
-        lines.append(line)
-    runs = [[cid, len(list(group))] for cid, group in itertools.groupby(cids)]
-    return runs, np.array(values, dtype=float).reshape(len(values), width - ids), lines
+def _read(path, layout):
+    """The table of the CSV file ``path``, built by its layout: the one front end
+    of the readers.
 
-
-def _table(path, header, ids=0):
-    """The table of the CSV file ``path`` with ``header``: in bulk, or by the row
-    loop, which also raises InputFormatError for an empty file or another header."""
-    found = _bulk(path, len(header), ids) if _header(path) == header else None
-    return found or _by_row(_read_table(path, header), len(header), ids)
-
-
-def _read_table(path, header):
-    """Yield the data rows of the CSV file ``path`` as (line number, fields).
-
-    Raises InputFormatError, with the line number, for an empty file or a
-    header other than ``header``.
+    ``layout(header)`` gives, for the stripped cells of the header, the row
+    width, the number of leading id columns, the ``build(runs, values,
+    lines)`` step and the rule ``keep(row)`` for rows that count, or raises
+    InputFormatError.  The file is parsed in bulk where ``_bulk`` vouches for
+    it and the build accepts it; else the row loop reads it.
     """
+    header = _header(path)
+    if header is not None:
+        try:
+            width, ids, build, _ = layout(header)
+            found = _bulk(path, width, ids)
+            if found:
+                return build(*found)
+        except InputFormatError:
+            pass  # the row loop reports it, with its line
+    return _by_row(path, layout)
+
+
+def _by_row(path, layout):
+    """``_read``'s result from a csv reader over ``path``: the row loop, the one
+    source of errors with a line number.
+
+    Raises InputFormatError for an empty file, for a header ``layout``
+    refuses, for a kept row of another width or with a cell that is not a
+    number, and for a record that csv cannot read.
+    """
+    cids, values, lines = [], [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        first = next(reader, None)
-        if first is None:
-            raise InputFormatError("empty file", 1)
-        if [h.strip() for h in first] != header:
-            raise InputFormatError(f"header is not {','.join(header)!r}", 1)
-        for line, row in enumerate(reader, start=2):
-            if row:
-                yield line, row
+        try:
+            first = next(reader, None)
+            if first is None:
+                raise InputFormatError("empty file", 1)
+            width, ids, build, keep = layout([h.strip() for h in first])
+            for line, row in enumerate(reader, start=2):
+                if not keep(row):
+                    continue
+                if len(row) != width:
+                    raise InputFormatError(f"expected {width} fields, got {len(row)}", line)
+                cids += row[:ids]
+                values.append([_parse_float(cell, line) for cell in row[ids:]])
+                lines.append(line)
+        except csv.Error as exc:  # such as a field over csv's size limit
+            raise InputFormatError(str(exc), reader.line_num) from None
+    runs = [[cid, len(list(group))] for cid, group in itertools.groupby(cids)]
+    return build(runs, np.array(values, dtype=float).reshape(len(values), width - ids), lines)
+
+
+def _headed(*names, ids=0):
+    """The layout of a table headed ``names``, its first ``ids`` columns a curve id:
+    its build gives (runs, values, lines) as they are, and it skips empty records."""
+
+    def layout(header):
+        if header != list(names):
+            raise InputFormatError(f"header is not {','.join(names)!r}", 1)
+        return len(names), ids, lambda *table: table, bool
+
+    return layout
 
 
 def _groups(runs, strip=False):
@@ -215,7 +242,7 @@ def _rows_of(table, spans):
 @_names_its_file
 def read_warps_csv(path):
     """{curve id: (t, warp, inverse warp)}, each curve's rows sorted as tuples."""
-    runs, values, _ = _table(path, ["curve_id", "t", "warp_value", "inverse_warp_value"], ids=1)
+    runs, values, _ = _read(path, _headed("curve_id", "t", "warp_value", "inverse_warp_value", ids=1))
     out = {}
     for cid, spans in _groups(runs).items():
         rows = _rows_of(values, spans)
@@ -230,12 +257,12 @@ def read_warps_csv(path):
 
 @_names_its_file
 def read_mean_csv(path) -> DiscreteCurve:
-    return DiscreteCurve(*_table(path, ["t", "value"])[1].T.copy())
+    return DiscreteCurve(*_read(path, _headed("t", "value"))[1].T.copy())
 
 
 @_names_its_file
 def read_template_csv(path):
-    return StepCdf(*_table(path, ["jump_location", "cum_value"])[1].T.copy())
+    return StepCdf(*_read(path, _headed("jump_location", "cum_value"))[1].T.copy())
 
 
 # ---- curves ------------------------------------------------------------------
@@ -249,51 +276,20 @@ def read_curves_csv(path):
     (offset, scale) recording an affine map applied to bring times into
     [0,1].
     """
-    return _curves_in_bulk(path) or _curves_by_row(path)
+    return _read(path, _curves)
 
 
-def _is_long(header):
-    return len(header) >= 3 and [h.lower() for h in header[:3]] == ["curve_id", "t", "value"]
-
-
-def _curves_in_bulk(path):
-    """read_curves_csv's result, parsed in bulk; None where the row loop must read the file."""
-    header = _header(path)
+def _curves(header):
+    """The layout of a curves file: long or wide by its header, skipping records
+    whose cells are all empty."""
     if not header:
-        return None
-    long = _is_long(header)
-    if long:
-        found = _bulk(path, 3, ids=1)
-    elif header[0].lower() == "t" and len(header) >= 2 and len(set(header)) == len(header):
-        found = _bulk(path, len(header), ids=0)
-    else:
-        return None
-    try:
-        return found and (_long_curves(*found) if long else _wide_curves(header[1:], *found))
-    except InputFormatError:
-        return None  # the row loop reports it, with its line
-
-
-def _curves_by_row(path):
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputFormatError("empty file", 1) from None
-        header = [h.strip() for h in header]
-        if not header:
-            raise InputFormatError("missing header", 1)
-        rows = [(idx, row) for idx, row in enumerate(reader, start=2) if row and any(row)]
-
-    if _is_long(header):
-        return _long_curves(*_by_row(rows, 3, ids=1))
+        raise InputFormatError("missing header", 1)
+    if len(header) >= 3 and [h.lower() for h in header[:3]] == ["curve_id", "t", "value"]:
+        return 3, 1, _long_curves, any
     if header[0].lower() == "t" and len(header) >= 2:
-        ids = header[1:]
-        if len(set(ids)) != len(ids):
+        if len(set(header[1:])) != len(header) - 1:
             raise InputFormatError("duplicate curve columns", 1)
-        return _wide_curves(ids, *_by_row(rows, len(header), ids=0))
+        return len(header), 0, functools.partial(_wide_curves, header[1:]), any
     raise InputFormatError(
         "header must be 'curve_id,t,value' (long) or 't,<curve>,...' (wide)", 1
     )

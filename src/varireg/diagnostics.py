@@ -136,51 +136,61 @@ def truth_errors(warp_block, width, registered, latent, mean) -> tuple:
     return warp_errs, num / np.maximum(denom, 1e-300), float(np.abs(mean.values - true_mean.values).max())
 
 
+def registration_report(registered, mean, template, truth=None) -> RegistrationReport:
+    """The quality metrics of a registration: its ``registered`` curves, their
+    ``mean``, on the same grid, and its ``template`` CDF.
+
+    For two curves or more: the explained ratios of the three leading
+    components, and the z-statistic, None for constant curves, with its
+    branch and whether a clamp fired in ``flags``.  ``truth()``, if given,
+    is called once those are done, so no truth array exists while the
+    eigenproblem is solved, which keeps the peak memory of a wide sample
+    down.  It returns (warp_block, width, latent, f_phi): the truth
+    arguments of ``truth_errors``, which gives the truth errors, and the
+    true variation CDF, or None where the model has none, against which
+    the template's squared 2-Wasserstein distance is taken.
+    """
+    values = np.stack([c.values for c in registered])
+    report, info = RegistrationReport(), {}
+    if len(registered) >= 2:
+        report.explained_ratios = row_eigenpairs(values, mean.grid, 3).explained_ratios
+        try:
+            report.z_stats = z_statistic(registered, info=info)
+        except ZeroVariation:
+            pass
+    report.flags = {"z_branch": info.get("branch"), "z_clamped_any": bool(np.any(info.get("clamped", False)))}
+    if truth is not None:
+        warp_block, width, latent, f_phi = truth()
+        if f_phi is not None:
+            report.dW2_template_to_target = wasserstein2(template, f_phi) ** 2
+        report.warp_sup_errors, report.curve_rel_L2_errors, report.mean_sup_error = truth_errors(
+            warp_block, width, values, latent, mean
+        )
+    return report
+
+
 def evaluate_against_truth(result: RegistrationResult, truth: TruthBundle) -> RegistrationReport:
-    """Fill a report by comparing a registration run to its ground truth.
+    """``registration_report`` of a registration run against its ground truth.
 
     Truth curves are resampled to the result's output grid by linear
     interpolation; warp errors are taken in sup norm over a dense grid
-    against the exact truth warps.  The eigenproblem is solved before any
-    truth array exists, which keeps the peak memory of a wide sample down.
+    against the exact truth warps.
     """
     if result.n != truth.n:
         raise GridMismatch("result and truth have different sample sizes")
     out_grid = result.output_grid
-    registered = np.stack([c.values for c in result.registered])
-    ratios = None
-    if result.n >= 2:
-        ratios = row_eigenpairs(registered, out_grid, 3).explained_ratios
 
-    info = {}
-    try:
-        z = z_statistic(result.registered, info=info) if result.n >= 2 else None
-    except ZeroVariation:
-        z = None
-    flags = {"z_branch": info.get("branch"), "z_clamped_any": bool(np.any(info.get("clamped", False)))}
+    def truth_rows():
+        dense = np.unique(np.concatenate((np.linspace(0.0, 1.0, 2049), out_grid)))
+        at = np.clip(dense, 0.0, 1.0)
 
-    dw2 = None
-    if truth.f_phi is not None:
-        dw2 = wasserstein2(result.template_cdf, truth.f_phi) ** 2
+        def warp_block(rows):
+            return _evaluate(result.warps[rows], at), truth.warp_rows(rows, dense)
 
-    dense = np.unique(np.concatenate((np.linspace(0.0, 1.0, 2049), out_grid)))
-    at = np.clip(dense, 0.0, 1.0)
+        latent = _interp_rows(out_grid, truth.grid[None], np.stack([c.values for c in truth.latent]))
+        return warp_block, dense.size, latent, truth.f_phi
 
-    def warp_block(rows):
-        return _evaluate(result.warps[rows], at), truth.warp_rows(rows, dense)
-
-    latent = _interp_rows(out_grid, truth.grid[None], np.stack([c.values for c in truth.latent]))
-    warp_errs, rel_errs, mean_sup = truth_errors(warp_block, dense.size, registered, latent, result.mean)
-
-    return RegistrationReport(
-        explained_ratios=ratios,
-        z_stats=z,
-        dW2_template_to_target=dw2,
-        warp_sup_errors=warp_errs,
-        curve_rel_L2_errors=rel_errs,
-        mean_sup_error=mean_sup,
-        flags=flags,
-    )
+    return registration_report(result.registered, result.mean, result.template_cdf, truth_rows)
 
 
 @dataclass

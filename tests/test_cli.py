@@ -111,6 +111,20 @@ def test_register_parse_error_line_number(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+LONG_CELL = "0." + "0" * 140000 + "5"  # over csv's field limit of 131072 characters
+
+
+@pytest.mark.parametrize("text", [f"t,c1\n0.0,1.0\n{LONG_CELL},3.0\n1.0,2.0\n",
+                                  f"curve_id,t,value\na,0.0,1.0\na,{LONG_CELL},3.0\na,1.0,2.0\n"],
+                         ids=["wide", "long"])
+def test_register_cell_over_csv_field_limit_exit2(tmp_path, capsys, text):
+    src = tmp_path / "in.csv"
+    src.write_text(text, encoding="utf-8")
+    assert run("register", src, "--out", tmp_path / "out") == 2
+    assert "error: cannot read in.csv: line 3: field larger than field limit (131072)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_register_bandwidth_too_small_exit4(tmp_path, capsys):
     # the observation grid leaves [0, 0.2) uncovered, so registered curves
     # need evaluation beyond any window this bandwidth can reach
@@ -207,11 +221,11 @@ def test_diagnose_warps_on_their_own_grids(tmp_path):
     assert report["warp_sup_errors"] == want
 
 
-@pytest.mark.parametrize("damage", ["empty", "short_row", "not_a_number"])
+@pytest.mark.parametrize("damage", ["empty", "short_row", "not_a_number", "over_long_cell"])
 @pytest.mark.parametrize("name", ["mean.csv", "warps.csv", "template.csv", "truth_warps.csv"])
 def test_diagnose_truncated_file_exit2(tmp_path, capsys, cli_inputs, name, damage):
-    # an empty file, a row with one field, or a cell that is not a number
-    # names the file and the line
+    # an empty file, a row with one field, a cell that is not a number or a
+    # cell over csv's field limit names the file and the line
     sim, out = tmp_path / "sim", tmp_path / "out"
     shutil.copytree(cli_inputs["obs"].parent, sim)
     shutil.copytree(cli_inputs["result"], out)
@@ -222,6 +236,8 @@ def test_diagnose_truncated_file_exit2(tmp_path, capsys, cli_inputs, name, damag
         lines = path.read_text().splitlines()
         if damage == "short_row":
             lines[3] = lines[3].split(",")[0]  # line 4 keeps its first field alone
+        elif damage == "over_long_cell":
+            lines[3] = lines[3].rsplit(",", 1)[0] + "," + LONG_CELL
         else:
             lines[3] += "x"  # line 4 ends in a number with an x after it
         path.write_text("\n".join(lines) + "\n")
@@ -230,6 +246,8 @@ def test_diagnose_truncated_file_exit2(tmp_path, capsys, cli_inputs, name, damag
     assert f"cannot read {name}: " + ("line 1:" if damage == "empty" else "line 4:") in err
     if damage == "not_a_number":
         assert "not a number" in err
+    if damage == "over_long_cell":
+        assert "line 4: field larger than field limit (131072)" in err
     assert not (tmp_path / "dia").exists()
 
 
@@ -565,15 +583,23 @@ def test_truth_metrics_cli_matches_library_bitwise(tmp_path):
     from varireg.registration import register_discrete
     from varireg.simulate import LatentModelConfig, WarpLawConfig, make_truth_bundle
 
-    sim, out, dia = tmp_path / "sim", tmp_path / "out", tmp_path / "dia"
-    assert run("simulate", "--model", "model1", "--n", "8", "--r", "51", "--seed", "5", "--out", sim) == 0
-    assert run("register", sim / "observed.csv", "--out", out) == 0
-    assert run("diagnose", out, "--truth", sim, "--out", dia) == 0
-    report = json.loads((dia / "report.json").read_text())
-    bundle = make_truth_bundle(LatentModelConfig("model1", grid_size=51), WarpLawConfig(), 8, 5)
-    lib = evaluate_against_truth(register_discrete(bundle.observed), bundle)
-    assert report["curve_rel_L2_errors"] == lib.curve_rel_L2_errors.tolist()
-    assert report["mean_sup_error"] == lib.mean_sup_error
+    def bits(x):
+        return None if x is None else np.asarray(x, dtype=float).tobytes()
+
+    for model in ("model1", "rank2"):  # rank2 has no true variation CDF
+        sim, out, dia = tmp_path / model / "sim", tmp_path / model / "out", tmp_path / model / "dia"
+        assert run("simulate", "--model", model, "--n", "8", "--r", "51", "--seed", "5", "--out", sim) == 0
+        assert run("register", sim / "observed.csv", "--out", out) == 0
+        assert run("diagnose", out, "--truth", sim, "--out", dia) == 0
+        report = json.loads((dia / "report.json").read_text())
+        bundle = make_truth_bundle(LatentModelConfig(model, grid_size=51), WarpLawConfig(), 8, 5)
+        lib = evaluate_against_truth(register_discrete(bundle.observed), bundle)
+        assert (bundle.f_phi is None) == (model == "rank2")
+        for key in ("explained_ratios", "z_stats", "curve_rel_L2_errors", "mean_sup_error",
+                    "dW2_template_to_target"):
+            assert bits(report.get(key)) == bits(getattr(lib, key)), (model, key)
+        assert report["z_branch"] == lib.flags["z_branch"] is not None
+        assert report["z_clamped_any"] is lib.flags["z_clamped_any"]
 
 
 @pytest.fixture(scope="module")
@@ -828,3 +854,75 @@ def test_config_values_exit_with_documented_codes(command, data, cli_inputs):
 @given(data=st.data())
 def test_config_values_exit_with_documented_codes_many_examples(command, data, cli_inputs):
     _check_config_run(command, data.draw(_configs(command)), cli_inputs)
+
+
+# a curves file as `register` may meet it: at most 8 curves and 60 points, wide
+# or long, valid or with one awkward trait
+AWKWARD = ["none", "header_only", "repeated_time", "reversed_times", "unscaled_times", "nan_cell",
+           "inf_cell", "empty_cell", "over_long_cell", "constant_curve", "short_grid", "one_curve"]
+CELLS = {"nan_cell": "nan", "inf_cell": "-inf", "empty_cell": "", "over_long_cell": LONG_CELL}
+
+
+@st.composite
+def _curves_csv(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    awkward = draw(st.sampled_from(AWKWARD))
+    n = 1 if awkward == "one_curve" else draw(st.integers(2, 8))
+    r = 0 if awkward == "header_only" else draw(st.integers(1, 4) if awkward == "short_grid" else st.integers(10, 60))
+    grid = np.linspace(0.0, 1.0, r) if draw(st.booleans()) else np.sort(rng.random(r))
+    if awkward == "unscaled_times":
+        grid = -3.0 + 43.0 * grid
+    ids = [f"c{j}" for j in range(n)]
+    values = [np.exp(np.cos(2 * np.pi * grid - np.pi)) * (1 + rng.random()) if draw(st.booleans())
+              else rng.standard_normal(r).cumsum() for _ in ids]
+    if awkward == "constant_curve":
+        values[draw(st.integers(0, n - 1))][:] = 2.0
+    if draw(st.booleans()):  # wide: one shared grid
+        header = ["t"] + ids
+        rows = [[fmt(t)] + [fmt(v[i]) for v in values] for i, t in enumerate(grid)]
+    else:  # long: each curve on at least half of the grid
+        header = ["curve_id", "t", "value"]
+        rows = []
+        for cid, v in zip(ids, values):
+            keep = np.sort(rng.choice(r, size=draw(st.integers((r + 1) // 2, r)), replace=False))
+            rows += [[cid, fmt(a), fmt(b)] for a, b in zip(grid[keep], v[keep])]
+    if rows and awkward == "repeated_time":
+        i = draw(st.integers(0, len(rows) - 1))
+        rows.append([*rows[i][:-1], fmt(rng.random())])
+    if rows and awkward in CELLS:
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(len(row) - 2 if header[0] == "curve_id" else 0, len(row) - 1))] = CELLS[awkward]
+    if awkward == "reversed_times":
+        rows.reverse()
+    return "\n".join(",".join(row) for row in [header] + rows) + "\n"
+
+
+def _check_register_run(text, regime):
+    """``varireg register`` on the curves file ``text`` ends in a documented exit
+    code without a traceback, writes nothing if it fails, and the same bytes twice."""
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp)
+        src = base / "in.csv"
+        src.write_text(text, encoding="utf-8")
+        codes = [main(["register", str(src), "--regime", regime, "--out", str(base / out)]) for out in ("a", "b")]
+        assert codes[0] in (0, 2, 3, 4) and codes[0] == codes[1]
+        if codes[0]:
+            assert sorted(base.iterdir()) == [src]
+        else:
+            assert read_all_bytes(base / "a") == read_all_bytes(base / "b")
+
+
+REGIMES = st.sampled_from(["discrete", "complete", "noisy"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_curves_csv(), REGIMES)
+def test_register_drawn_curves_exit_with_documented_codes(text, regime):
+    _check_register_run(text, regime)
+
+
+@pytest.mark.slow
+@settings(max_examples=1000, deadline=None)
+@given(_curves_csv(), REGIMES)
+def test_register_drawn_curves_exit_with_documented_codes_many_examples(text, regime):
+    _check_register_run(text, regime)

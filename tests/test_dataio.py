@@ -113,11 +113,15 @@ def outcome(read, path):
         return ("raised", type(exc), str(exc))
 
 
-def assert_reads_alike(name, text, read, oracle):
+def read_outcome(name, text, read):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / name
         path.write_text(text, encoding="utf-8", newline="")
-        assert outcome(read, path) == outcome(oracle, path)
+        return outcome(read, path)
+
+
+def assert_reads_alike(name, text, read, oracle):
+    assert read_outcome(name, text, read) == read_outcome(name, text, oracle)
 
 
 num = oracles.per_cell_fmt
@@ -237,11 +241,20 @@ NAMED_TABLES = {
 }
 
 
+# where the reader parts from the per-cell one on purpose: there csv's own error escaped
+NAMED_ERRORS = {
+    "warps_cell_over_csv_field_limit": "cannot read warps.csv: line 3: field larger than field limit (131072)",
+}
+
+
 @pytest.mark.parametrize("case", sorted(NAMED_TABLES))
 def test_named_tables_read_as_per_cell(case):
     name, text = NAMED_TABLES[case]
     read, oracle = VALID[name][:2]
-    assert_reads_alike(name, text, read, oracle)
+    if case in NAMED_ERRORS:
+        assert read_outcome(name, text, read) == ("raised", dataio.InputFormatError, NAMED_ERRORS[case])
+    else:
+        assert_reads_alike(name, text, read, oracle)
 
 
 def _curves_as_rows(ids, grid, values):
