@@ -5,9 +5,12 @@ Simulates a seeded model1 sample, runs ``varireg register --regime noisy``
 on it and then ``varireg diagnose --truth`` on the result, once each under
 cProfile, and prints one JSON line: the cumulative seconds of each command,
 of the leave-one-out pass (``_loo_errors``), of every windowed kernel fit
-(``_row_fits``, the leave-one-out fits included), of the warp maps
+(``_row_fits``, the leave-one-out fits included) and of its two halves:
+the window geometry shared by the curves (``_window_geometry``) and each
+curve's sums and fits (``_curve_fits``); of the warp maps
 (``_warp_maps``), of the diagnostics' ``registration_report``, and of each
-``dataio.write_*`` and ``dataio.read_*`` call.  Profiling adds overhead, so the figures are shares, not wall times.
+``dataio.write_*`` and ``dataio.read_*`` call.  Profiling adds overhead,
+so the figures are shares, not wall times.
 
     python scripts/noisy_stages.py --n 100 --r 101 --noise 0.1 --seed 3
 """
@@ -24,7 +27,7 @@ from varireg import cli
 STAGES = {
     "cli.py": ["cmd_register", "cmd_diagnose"],
     "diagnostics.py": ["registration_report"],
-    "smoothing.py": ["_loo_errors", "_row_fits"],
+    "smoothing.py": ["_loo_errors", "_row_fits", "_window_geometry", "_curve_fits"],
     "registration.py": ["_warp_maps"],
 }
 

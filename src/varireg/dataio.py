@@ -295,11 +295,13 @@ def _curves(header):
     )
 
 
-def _rescale_times(all_t):
-    """None, or the (offset, scale) taking the times ``all_t``, in file order, onto [0, 1]."""
-    if not all_t:
+def _rescale_times(t, lines):
+    """None, or the (offset, scale) taking the times ``t``, the rows of ``lines``, onto [0, 1]."""
+    if not t.size:
         raise InputFormatError("no data rows")
-    lo, hi = min(all_t), max(all_t)
+    if not np.isfinite(t).all():
+        raise InputFormatError("time must be finite", lines and lines[int(np.argmin(np.isfinite(t)))])
+    lo, hi = min(t.tolist()), max(t.tolist())
     if 0.0 <= lo and hi <= 1.0:
         return None
     if hi == lo:
@@ -309,7 +311,7 @@ def _rescale_times(all_t):
 
 def _wide_curves(ids, _runs, values, lines):
     """Curves from a wide table: the times, then a column per curve."""
-    rescale = _rescale_times(values[:, 0].tolist())
+    rescale = _rescale_times(values[:, 0], lines)
     grid = values[:, 0].copy()
     if rescale is not None:
         grid = (grid - rescale[0]) / rescale[1]
@@ -329,7 +331,7 @@ def _wide_curves(ids, _runs, values, lines):
 
 def _long_curves(runs, values, lines):
     """Curves from a long table: (t, value) rows grouped by id, ids stripped."""
-    rescale = _rescale_times(values[:, 0].tolist())
+    rescale = _rescale_times(values[:, 0], lines)
     groups = _groups(runs, strip=True)
     curves = []
     for cid, spans in groups.items():

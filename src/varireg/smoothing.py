@@ -8,10 +8,12 @@ matrix.  On it sit the Nadaraya-Watson fits of the registered curves
 (``nadaraya_watson_rows``), the leave-one-out bandwidth choice
 (``_loocv_rows``) and its default candidate ladders; next to it, the
 monotone smoothing of warp maps (``monotone_through_knots``).  A fit's
-window, kernel weights, moments and moment matrix are computed once per
-distinct (grid, bandwidth, evaluation point) row: once for all the curves
-that share a grid, a row of evaluation points and a row of bandwidths,
-otherwise once per curve.  Each curve gets the bits it would get alone.
+window, kernel weights, moments and row of the inverse moment matrix are
+computed once per distinct (grid, bandwidth, evaluation point) row: once
+for all the curves that share a grid, a row of evaluation points and a
+row of bandwidths, otherwise once per curve.  Every solve is elementwise
+arithmetic on its own window, with no BLAS or LAPACK call, so each curve
+gets the bits it would get alone, at any thread count.
 """
 
 from __future__ import annotations
@@ -61,20 +63,22 @@ def _row_fits(grids, values, bandwidths, eval_points, degrees, deriv_order=0, lo
     each of curve i's evaluation points, the deriv_order coefficient
     (scaled back to the time axis) of the weighted least-squares fit of
     degree degrees[d] with bandwidth bandwidths[i, k] (Fan & Gijbels 1996,
-    ch. 3); nan marks a window with fewer than degree + 1 positively
-    weighted points.  Degree 0 is the Nadaraya-Watson
-    average, with the weights normalized before the dot product so a
-    single-point window returns its value exactly.  With ``loo`` a grid
-    point coinciding with the evaluation point gets weight 0.
+    ch. 3), for deriv_order 0 or 1; nan marks a window with fewer than
+    degree + 1 positively weighted points or a singular moment matrix S.
+    Degree 0 is the Nadaraya-Watson average, with the weights normalized
+    before the dot product so a single-point window returns its value
+    exactly.  With ``loo`` a grid point coinciding with the evaluation point
+    gets weight 0.
 
     A fit has two halves.  Its window, kernel weights w, products w u^p,
-    moments s_p, moment matrix S and determined-window mask depend on the
-    grid, the bandwidth and the evaluation point alone; the gather of y,
-    the sums t_p = sum (w u^p) y and the solve depend on the curve.  With
-    one shared grid and one shared row of evaluation points, the first half
-    is computed once per distinct bandwidth row and reused by every curve
-    that has that row (the leave-one-out pass, the derivative pass);
-    otherwise once per curve.
+    moments s_p, the row of S^-1 it needs and determined-window mask depend
+    on the grid, the bandwidth and the evaluation point alone
+    (``_window_geometry``); the gather of y, the sums t_p = sum (w u^p) y
+    and their dot product with that row depend on the curve
+    (``_curve_fits``).  With one shared grid and one shared row of
+    evaluation points, the first half is computed once per distinct
+    bandwidth row and reused by every curve that has that row (the
+    leave-one-out pass, the derivative pass); otherwise once per curve.
 
     Each fit has the same bits whatever the other curves, their order and
     the other degrees: sums over a window associate by its padded length,
@@ -83,7 +87,7 @@ def _row_fits(grids, values, bandwidths, eval_points, degrees, deriv_order=0, lo
     each such chunk is padded to its widest window over the K bandwidths.
     Cells of one padded width run together in blocks of at most
     _BLOCK_BUDGET window points, curves x cells where curves share them, and
-    every S gets its own LAPACK solve.
+    every S is solved on its own, elementwise.
     """
     h = np.asarray(bandwidths, dtype=float)
     if not ((h > 0.0) & (h <= 1.0)).all():
@@ -121,10 +125,9 @@ def _row_fits(grids, values, bandwidths, eval_points, degrees, deriv_order=0, lo
                 g, j = np.divmod(part[start:start + per_block], m)
                 idx = lo[g, :, j][..., None] + np.arange(p)
                 np.minimum(idx, size[g][:, None, None] - 1, out=idx)
-                hg = h[g]
                 geometry = _window_geometry(
                     grids.ravel()[idx + g[:, None, None] * L if grids.shape[0] > 1 else idx],
-                    e[g, j][:, None], hg, width[g, :, j], degrees, loo,
+                    e[g, j][:, None], h[g], width[g, :, j], degrees, deriv_order, loo,
                 )
                 curves = members[g[0]] if shared else g
                 per_fit = max(_BLOCK_BUDGET // (g.size * K * p), 1) if shared else g.size
@@ -132,18 +135,20 @@ def _row_fits(grids, values, bandwidths, eval_points, degrees, deriv_order=0, lo
                     i = curves[first:first + per_fit]
                     # flat gathers are faster than [row, idx]
                     y = values.ravel()[idx + i[..., None, None] * L]
-                    fits = _curve_fits(geometry, y, degrees, deriv_order, hg)
+                    fits = _curve_fits(geometry, y, degrees)
                     out[:, i, :, j] = np.stack(fits, axis=-2)
     return out
 
 
-def _window_geometry(g, e, h, width, degrees, loo):
+def _window_geometry(g, e, h, width, degrees, deriv_order, loo):
     """The half of the fits in windows g, padded to one width, that no curve enters.
 
     The first ``width`` points of a window count; ``e``, ``h`` and ``width``
     broadcast to g.shape[:-1].  Returns the products w u^p (p <= the top
-    degree; none for degree 0 alone) and, per degree, the weights or moment
-    matrices of its fits with the mask of the windows that determine them.
+    degree; none for degree 0 alone) and, per degree, its fits' normalized
+    weights (degree 0) or row deriv_order of S^-1 / h^deriv_order (degree
+    >= 1), each with the mask of the windows that determine them: degree + 1
+    positively weighted points and a nonsingular S.
     """
     u = g - e[..., None]
     u /= h[..., None]
@@ -174,17 +179,42 @@ def _window_geometry(g, e, h, width, degrees, loo):
             with np.errstate(invalid="ignore", divide="ignore"):
                 fit[0] = w / s[0][..., None], s[0] > 0.0
         else:
-            S = np.empty(npts.shape + (degree + 1, degree + 1))
-            for p in range(degree + 1):
-                for q in range(degree + 1):
-                    S[..., p, q] = s[p + q]
-            ok = npts >= degree + 1
-            S[~ok] = np.eye(degree + 1)  # solved without a mask; the fit is dropped
-            fit[degree] = S, ok
+            row, ok = _inverse_row(s, degree, deriv_order)
+            ok &= npts > degree
+            # factorial(deriv_order) is 1 for orders 0 and 1; undo the bandwidth scaling.
+            # nan in an undetermined window keeps its inf - inf out of the sums
+            fit[degree] = [np.where(ok, x / h**deriv_order, np.nan) for x in row], ok
     return wu, fit
 
 
-def _curve_fits(geometry, y, degrees, deriv_order, h):
+def _inverse_row(s, degree, deriv_order):
+    """Row deriv_order of S^-1 for the moment matrices S[p, q] = s[p + q] of
+    degree 1 or 2, and the mask of the windows where S is not singular.
+
+    Gaussian elimination on e_deriv_order, elementwise over the windows and
+    without pivoting: S = sum w v v^T with v = (1, u, .., u^degree) is
+    positive semidefinite, so elimination needs no row exchange to be
+    backward stable, and a zero pivot marks a singular S.  (The cofactor
+    form of S^-1 is not: on ill-conditioned windows it misses a pivoted LU
+    solve by several times 100 eps cond(S).)
+    """
+    n = degree + 1
+    # [S | e_deriv_order] made upper triangular, then solved upwards in its last column
+    a = [[s[p + q] for q in range(n)] + [float(p == deriv_order)] for p in range(n)]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for k in range(n):
+            for i in range(k + 1, n):
+                m = a[i][k] / a[k][k]
+                for j in range(k + 1, n + 1):
+                    a[i][j] = a[i][j] - m * a[k][j]
+        for k in reversed(range(n)):
+            for j in range(k + 1, n):
+                a[k][n] = a[k][n] - a[k][j] * a[j][n]
+            a[k][n] = a[k][n] / a[k][k]
+    return [row[n] for row in a], np.logical_and.reduce([row[k] != 0.0 for k, row in enumerate(a)])
+
+
+def _curve_fits(geometry, y, degrees):
     """Fits of each degree from window values y and the geometry of their windows.
 
     ``y`` has the windows' shape, with any leading axes of curves sharing
@@ -194,34 +224,14 @@ def _curve_fits(geometry, y, degrees, deriv_order, h):
     t = [np.sum(wp * y, axis=-1) for wp in wu]  # t_p = sum (w u^p) y
     fits = []
     for degree in degrees:
-        a, ok = fit[degree]  # the normalized weights (degree 0) or S
+        a, ok = fit[degree]  # the normalized weights (degree 0), or a row of S^-1
         if degree == 0:
             out = np.sum(a * y, axis=-1)
         else:
-            out = _solve_moments(a, ok, t[:degree + 1], deriv_order, h)
+            out = sum(x * tp for x, tp in zip(a, t))
         np.copyto(out, np.nan, where=~ok)
         fits.append(out)
     return fits
-
-
-def _solve_moments(S, ok, t, deriv_order, h):
-    """deriv_order coefficients of the fits with moment matrices S and sums t.
-
-    One LAPACK solve per matrix and curve.  A singular S among the ``ok``
-    windows leaves ``ok``, for every curve that shares it.
-    """
-    b = np.stack(t, axis=-1)[..., None]
-    try:
-        coef = np.linalg.solve(S, b)[..., 0]
-    except np.linalg.LinAlgError:
-        coef = np.full(b.shape[:-1], np.nan)
-        for c, k in zip(*np.nonzero(ok)):
-            try:
-                coef[..., c, k, :] = np.linalg.solve(S[c, k], b[..., c, k, :, :])[..., 0]
-            except np.linalg.LinAlgError:
-                ok[c, k] = False
-    # factorial(deriv_order) is 1 for orders 0 and 1; undo the bandwidth scaling
-    return coef[..., deriv_order] / h**deriv_order
 
 
 def nadaraya_watson_rows(grids, values, bandwidths, eval_points):

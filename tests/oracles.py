@@ -234,8 +234,8 @@ def _fit_chunk(g, y, e, h, width, degrees, deriv_order, loo):
     """Fits from windows g, y padded to one width; the first ``width`` points count.
 
     ``e``, ``h`` and ``width`` broadcast to the shape of the fits, g.shape[:-1].
-    Every window's weights and moments are built with its curve's sums, one
-    window at a time in the stacked solve.
+    Every window's weights and moments are built with its curve's sums, and
+    each fit is solved on its own in closed form.
     """
     u = g - e[..., None]
     u /= h[..., None]
@@ -275,25 +275,37 @@ def _fit_chunk(g, y, e, h, width, degrees, deriv_order, loo):
 
 
 def _solve_moments(s, t, npts, degree, deriv_order, h):
-    """Fit of one degree >= 1 from the window moments; nan where underdetermined."""
-    S = np.empty(npts.shape + (degree + 1, degree + 1))
-    for p in range(degree + 1):
-        for q in range(degree + 1):
-            S[..., p, q] = s[p + q]
-    b = np.stack(t[: degree + 1], axis=-1)
+    """Fit of one degree >= 1 from the window moments; nan where underdetermined.
+
+    Each window on its own: row deriv_order of S^-1, for the moment matrix
+    S[p, q] = s[p + q], by Gaussian elimination without pivoting on
+    e_deriv_order, dotted with t.  A window needs degree + 1 positively
+    weighted points and nonzero pivots.
+    """
+    e = [float(p == deriv_order) for p in range(degree + 1)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m1 = s[1] / s[0]
+        p1 = s[2] - m1 * s[1]  # the second pivot
+        if degree == 1:
+            x1 = (e[1] - m1 * e[0]) / p1
+            x = [(e[0] - s[1] * x1) / s[0], x1]
+            pivots = [s[0], p1]
+        else:
+            m2 = s[2] / s[0]
+            a12, a21, a22 = s[3] - m1 * s[2], s[3] - m2 * s[1], s[4] - m2 * s[2]
+            m = a21 / p1
+            p2 = a22 - m * a12  # the third pivot
+            z1 = e[1] - m1 * e[0]
+            x2 = ((e[2] - m2 * e[0]) - m * z1) / p2
+            x1 = (z1 - a12 * x2) / p1
+            x = [((e[0] - s[1] * x1) - s[2] * x2) / s[0], x1, x2]
+            pivots = [s[0], p1, p2]
     ok = npts >= degree + 1
-    coef = np.full(b.shape, np.nan)
-    if ok.any():
-        try:
-            coef[ok] = np.linalg.solve(S[ok], b[ok][..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            for i in zip(*np.nonzero(ok)):
-                try:
-                    coef[i] = np.linalg.solve(S[i], b[i])
-                except np.linalg.LinAlgError:
-                    ok[i] = False
+    for pivot in pivots:
+        ok &= pivot != 0.0
     # factorial(deriv_order) is 1 for orders 0 and 1; undo the bandwidth scaling
-    fit = coef[..., deriv_order] / h**deriv_order
+    x = [np.where(ok, xp / h**deriv_order, np.nan) for xp in x]
+    fit = sum(x[p] * t[p] for p in range(degree + 1))
     fit[~ok] = np.nan
     return fit
 
@@ -907,6 +919,9 @@ def per_cell_read_curves_csv(path):
 def _per_cell_rescale_times(all_t):
     if not all_t:
         raise InputFormatError("no data rows")
+    for t, line in all_t:
+        if not math.isfinite(t):
+            raise InputFormatError("time must be finite", line)
     lo = min(t for t, _ in all_t)
     hi = max(t for t, _ in all_t)
     if 0.0 <= lo and hi <= 1.0:

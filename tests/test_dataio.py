@@ -12,6 +12,7 @@ import math
 import struct
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -307,6 +308,26 @@ def test_warps_row_with_five_fields_exits_2(tmp_path, capsys):
     capsys.readouterr()
     assert main(["diagnose", str(run), "--out", str(tmp_path / "dia")]) == 2
     assert "cannot read warps.csv: line 6: expected 4 fields, got 5" in capsys.readouterr().err
+
+
+NON_FINITE_TIMES = {
+    "wide_nan_first": ("t,a,b\nnan,1,2\n2,3,4\n3,5,6\n4,1,1\n", 2),
+    "wide_inf_later": ("t,a,b\n0,1,2\n0.5,3,4\ninf,5,6\n2,1,1\n", 4),
+    "long_minus_inf_first": ("curve_id,t,value\na,-inf,1\na,0.5,2\na,1,3\nb,0,1\nb,0.5,2\nb,1,3\n", 2),
+    "long_nan_later": ("curve_id,t,value\na,0,1\na,0.5,2\na,2,3\nb,0,1\nb,nan,2\nb,1,1\nb,2,1\n", 6),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_TIMES))
+def test_non_finite_time_exits_2_on_its_own_line(case, tmp_path, capsys):
+    # not as a duplicate time point on another row's line, and without a warning
+    text, line = NON_FINITE_TIMES[case]
+    (tmp_path / "curves.csv").write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["register", str(tmp_path / "curves.csv"), "--out", str(tmp_path / "run")]) == 2
+    assert f"cannot read curves.csv: line {line}: time must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 # ---- writers -----------------------------------------------------------------

@@ -627,7 +627,7 @@ print(h.hexdigest())
 
 
 def test_register_noisy_same_bytes_at_one_and_two_blas_threads():
-    # the stacked moment solves go through LAPACK
+    # the noisy kernel makes no BLAS or LAPACK call; its FPCA does
     src = str(Path(__file__).resolve().parents[1] / "src")
     digests = []
     for threads in ("1", "2"):

@@ -2,7 +2,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from varireg import smoothing
 from varireg.errors import AllCandidatesSingular, EmptyWindow, SingularFit
@@ -301,6 +301,11 @@ def _raised(fn, *args):
     st.booleans(),
     st.one_of(st.floats(0.05, 0.49), st.floats(0.5, 8.0), st.just(1e6)),
 )
+# at h = 1 the window centred at 1.92 holds points at u = -0.98 .. -0.92 and
+# the edge point at |u| just below 1, weight 1.7e-16: S is near singular
+# (cond 1.9e8) but compared.  The cofactor form of S^-1 misses the bound there
+# by 4.5x; elimination, like LU, meets it.
+@example(seed=629871888, r=40, degree_deriv=(2, 1), loo=False, gaps=1e6).via("near-singular edge window")
 def test_windowed_fit_matches_dense_oracle(seed, r, degree_deriv, loo, gaps):
     degree, deriv = degree_deriv
     rng = np.random.default_rng(seed)
@@ -383,10 +388,13 @@ def test_shared_pass_gives_each_degree_its_own_bits(seed, r, degrees, loo, gaps)
         assert loocv_bandwidths(curve, degrees, bandwidths) == expected
 
 
-@pytest.mark.parametrize("noise, seed", [(0.1, 3), (0.4, 5)])
+@pytest.mark.parametrize("noise, seed", [
+    pytest.param(noise, seed, marks=() if (noise, seed) in [(0.1, 3), (0.4, 5)] else pytest.mark.slow)
+    for noise in (0.1, 0.4) for seed in range(10)
+])
 def test_loocv_matches_dense_oracle_on_noisy_model1(noise, seed):
-    # the library and the dense reference pick the same bandwidths from the
-    # default ladder, fit for fit
+    # the library and the dense LU reference pick the same bandwidths from
+    # the default ladder, fit for fit
     bundle = make_truth_bundle(
         LatentModelConfig("model1", grid_size=101, noise_halfwidth=noise), WarpLawConfig(), 100, seed
     )
@@ -467,8 +475,8 @@ def test_row_kernel_matches_per_curve_pass(sample, K, degrees_deriv, loo, shared
 
 def test_row_kernel_drops_a_singular_shared_window():
     # a duplicated grid point: at t = 0.5 with h below a grid gap the window
-    # holds two points at u = 0 and S is singular; the stacked solve raises,
-    # and each window is then solved alone, for every curve that shares it
+    # holds two points at u = 0 and S is singular: elimination meets a zero
+    # pivot, and the window is dropped for every curve that shares it
     grid = np.sort(np.append(np.linspace(0.0, 1.0, 21), 0.5))
     rng = np.random.default_rng(6)
     values = rng.standard_normal((5, grid.size)).cumsum(axis=1)
