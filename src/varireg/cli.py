@@ -68,15 +68,12 @@ def _build_parser() -> argparse.ArgumentParser:
     reg.add_argument("--config", help="flat JSON config; flags override it")
     reg.add_argument("--regime", choices=["complete", "discrete", "noisy"])
     reg.add_argument("--bandwidth", type=float, help="NW bandwidth (discrete regime)")
-    reg.add_argument("--h1", type=float, help="derivative bandwidth (noisy regime)")
-    reg.add_argument("--h2", type=float, help="curve bandwidth (noisy regime)")
-    reg.add_argument("--auto-bandwidth", action="store_const", const=True, default=None,
-                     help="choose h1/h2 by leave-one-out CV")
+    reg.add_argument("--h1", type=float, help="derivative bandwidth (noisy regime; with --h2)")
+    reg.add_argument("--h2", type=float, help="curve bandwidth (noisy regime; with --h1)")
     reg.add_argument("--smooth-warps", action="store_const", const=True, default=None)
     reg.add_argument("--knots", type=int, help="knots for warp smoothing")
     reg.add_argument("--eigen", type=int, help="number of eigenpairs to report")
     reg.add_argument("--output-grid-size", type=int)
-    reg.add_argument("--seed", type=int)
     reg.add_argument("--out", help="output directory")
     reg.add_argument("--threads", type=int)
 
@@ -185,13 +182,7 @@ def cmd_register(args) -> None:
     try:
         if regime == "noisy":
             h1, h2 = _number(cfg, "h1", float), _number(cfg, "h2", float)
-            opts = NoisyOptions(
-                h1=h1,
-                h2=h2,
-                auto=_boolean(cfg, "auto_bandwidth", h1 is None or h2 is None),
-                output_grid=grid_override,
-            )
-            result = register_noisy(curves, opts)
+            result = register_noisy(curves, NoisyOptions(h1=h1, h2=h2, output_grid=grid_override))
         elif regime == "complete":
             result = register_complete(curves, output_grid=grid_override)
         elif regime == "discrete":
@@ -319,12 +310,12 @@ def cmd_diagnose(args) -> None:
     ids, registered, _ = dataio.read_curves_csv(result_dir / "registered.csv")
     grid = _common_grid(registered)
     template = dataio.read_template_csv(result_dir / "template.csv")
-    warp_samples = dataio.read_warps_csv(result_dir / "warps.csv")
     mean = dataio.read_mean_csv(result_dir / "mean.csv")
     if not np.array_equal(mean.grid, grid):
         raise dataio.InputFormatError("mean.csv and registered.csv grids differ")
 
     def truth():
+        warp_samples = dataio.read_warps_csv(result_dir / "warps.csv")  # only the truth errors use it
         truth_path = Path(truth_dir)
         truth_ids, truth_latent, _ = dataio.read_curves_csv(truth_path / "truth_latent.csv")
         truth_warps = dataio.read_warps_csv(truth_path / "truth_warps.csv")

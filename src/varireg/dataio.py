@@ -246,7 +246,7 @@ def read_warps_csv(path):
     out = {}
     for cid, spans in _groups(runs).items():
         rows = _rows_of(values, spans)
-        if not (np.diff(rows[:, 0]) > 0).all():  # out of order: sort a copy
+        if not (rows[1:, 0] > rows[:-1, 0]).all():  # out of order: sort a copy (np.diff may overflow)
             if np.isnan(rows).any():  # sorted() places NaN where it meets it; lexsort cannot
                 rows = np.array(sorted(map(tuple, rows.tolist())))
             else:
@@ -306,6 +306,8 @@ def _rescale_times(t, lines):
         return None
     if hi == lo:
         raise InputFormatError("cannot rescale a single time point")
+    if hi - lo == np.inf:
+        raise InputFormatError("time span overflows a float; cannot rescale onto [0,1]")
     return (lo, hi - lo)
 
 

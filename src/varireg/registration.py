@@ -126,16 +126,15 @@ class RegisterOptions:
 class NoisyOptions:
     """Options for the measurement-error pipeline."""
 
-    h1: float = None              # derivative step (local quadratic)
-    h2: float = None              # curve step (local linear)
-    auto: bool = True             # choose h1, h2 by leave-one-out CV
+    h1: float = None              # derivative step (local quadratic); None with h2: leave-one-out
+    h2: float = None              # curve step (local linear); None with h1: leave-one-out
     deriv_grid_size: int = 512
     output_grid: np.ndarray = None
     threads: int = 1              # accepted; no effect (runs serially)
 
     def __post_init__(self):
-        if not self.auto and (self.h1 is None or self.h2 is None):
-            raise ValueError("h1 and h2 are required when auto is off")
+        if (self.h1 is None) != (self.h2 is None):
+            raise ValueError("give both h1 and h2, or neither to choose them by leave-one-out")
         if self.h1 is not None and not self.h1 > 0:
             raise ValueError("h1 must be positive")
         if self.h2 is not None and not self.h2 > 0:
@@ -196,18 +195,6 @@ def _cut_warp(t, v, t_r) -> WarpMap:
     return WarpMap(t, v)
 
 
-def _warp_maps(cum, locs, grid):
-    """The template, warps and inverse warps of curves with cumulative jumps ``cum``.
-
-    ``cum`` and ``locs`` are as for _template, which normalizes ``cum`` in
-    place.  Returns (template_cdf, template_quantile, warps, inverse_warps,
-    each curve's last jump location).
-    """
-    template_cdf, template_q, warp, inverse, last = _estimate_warps(cum, locs, grid)
-    warps = _extend_rows(grid, warp, last)
-    return template_cdf, template_q, warps, _extend_rows(grid, inverse, last), last
-
-
 def _template(cum, locs):
     """The mean-quantile template of curves with cumulative jumps ``cum``.
 
@@ -229,12 +216,13 @@ def _template(cum, locs):
     return template_q, keep, index
 
 
-def _estimate_warps(cum, locs, grid):
-    """The template, and every curve's warp and inverse warp sampled at ``grid``.
+def _warp_maps(cum, locs, grid):
+    """The template, warps and inverse warps of curves with cumulative jumps ``cum``.
 
-    ``cum`` and ``locs`` are as for _template.  Returns (template_cdf,
-    template_quantile, warp samples, inverse-warp samples, each curve's last
-    jump location), the samples as (n, grid.size) arrays.
+    ``cum`` and ``locs`` are as for _template, which normalizes ``cum`` in
+    place.  Every warp and inverse warp is sampled at ``grid``, then
+    extended to all of [0,1] (_extend_rows).  Returns (template_cdf,
+    template_quantile, warps, inverse_warps, each curve's last jump location).
     """
     template_q, keep, index = _template(cum, locs)
     template_cdf = quantile_to_cdf(template_q)
@@ -252,7 +240,7 @@ def _estimate_warps(cum, locs, grid):
     np.maximum.accumulate(at, axis=1, out=at)
     inverse = template_q.values[at[rows, searchsorted_rows(locs, grid, "right")]]
     last = all_locs[rows[:, 0], m - 1 - np.argmax(keep[:, ::-1], axis=1)]
-    return template_cdf, template_q, warp, inverse, last
+    return template_cdf, template_q, _extend_rows(grid, warp, last), _extend_rows(grid, inverse, last), last
 
 
 def estimate_warps_discrete(cdfs, grid=None):
@@ -349,7 +337,7 @@ def _smooth(warps, n_knots) -> list:
     return [unchecked(WarpMap, sample_t=t, sample_v=row) for row in v]
 
 
-def _register_noiseless(curves, options, bandwidth_rule, regime):
+def _register_noiseless(curves, options, gap_factor, regime):
     curves = list(curves)
     if not curves:
         raise EmptySample("no curves to register")
@@ -362,9 +350,16 @@ def _register_noiseless(curves, options, bandwidth_rule, regime):
     if options.smooth_warps:
         warps = _smooth(warps, options.n_knots)
     output_grid = _default_output_grid(points, options.output_grid)
-    gaps = _max_gaps(grids, len(curves))
     eval_points = _evaluate(warps, np.clip(output_grid, 0.0, 1.0))
-    bandwidths = bandwidth_rule(gaps, grids, eval_points)
+    if options.bandwidth is not None:
+        bandwidths = np.full(len(curves), float(options.bandwidth))
+    else:
+        # gap_factor x each curve's largest grid gap, widened where that leaves a
+        # window empty.  Between a curve's first and last grid points its windows
+        # always hold a point: at 1.1 gaps (discrete) its neighbours, at 0.505
+        # (complete) its single nearest point.
+        h = np.minimum(gap_factor * _max_gaps(grids, len(curves)), 1.0)
+        bandwidths = _widen_short(h, grids, eval_points)
     fits = nadaraya_watson_rows(grids, values, bandwidths, eval_points)
     meta = {
         "bandwidths": [float(h) for h in bandwidths],
@@ -395,21 +390,7 @@ def _default_output_grid(points, override):
 
 def register_discrete(sample, options: RegisterOptions = None) -> RegistrationResult:
     """Register noiseless, discretely observed curves (per-curve grids allowed)."""
-    options = options or RegisterOptions()
-    if options.bandwidth is not None:
-        rule = lambda gaps, grids, e: np.full(gaps.size, float(options.bandwidth))
-    else:
-        rule = _default_bandwidths
-    return _register_noiseless(sample, options, rule, "discrete")
-
-
-def _default_bandwidths(gaps, grids, eval_points):
-    """1.1 x each curve's largest grid gap, widened where that leaves a window empty.
-
-    Between its first and last grid point a curve's windows always hold a
-    point at 1.1 gaps.
-    """
-    return _widen_short(np.minimum(1.1 * gaps, 1.0), grids, eval_points)
+    return _register_noiseless(sample, options or RegisterOptions(), 1.1, "discrete")
 
 
 def _widen_short(h, grids, eval_points):
@@ -434,22 +415,19 @@ def register_complete(sample, output_grid=None, threads: int = 1) -> Registratio
     register_discrete.  Intended for dense grids (r >= 500 recommended).
     ``threads`` is accepted and has no effect.
     """
-    options = RegisterOptions(
-        smooth_warps=False, output_grid=output_grid, threads=threads
-    )
-    rule = lambda gaps, grids, e: _widen_short(np.minimum(0.505 * gaps, 1.0), grids, e)
-    return _register_noiseless(sample, options, rule, "complete")
+    options = RegisterOptions(output_grid=output_grid, threads=threads)
+    return _register_noiseless(sample, options, 0.505, "complete")
 
 
 def register_noisy(sample, opts: NoisyOptions = None) -> RegistrationResult:
     """Register discretely observed curves contaminated by measurement error.
 
     Over the rows of the sample at once, one per curve: leave-one-out picks
-    each curve's h1 and h2 from its default ladder (with ``auto``); a local
-    quadratic fit estimates the derivative on a uniform grid; the normalized
-    cumulative absolute derivative (trapezoid rule) replaces the raw
-    increment CDF; warps follow as in the discrete pipeline; a local linear
-    fit evaluates the registered curve.  The lowest-index failing curve
+    each curve's h1 and h2 from its default ladder where ``opts`` gives
+    neither; a local quadratic fit estimates the derivative on a uniform
+    grid; the normalized cumulative absolute derivative (trapezoid rule)
+    replaces the raw increment CDF; warps follow as in the discrete
+    pipeline; a local linear fit evaluates the registered curve.  The lowest-index failing curve
     raises what it raises alone: AllCandidatesSingular, SingularFit or
     ZeroVariation, in that order.
     """
@@ -462,7 +440,7 @@ def register_noisy(sample, opts: NoisyOptions = None) -> RegistrationResult:
         raise ValueError("noisy pipeline needs at least 10 points per curve")
     n = len(curves)
     deriv_grid = np.linspace(0.0, 1.0, opts.deriv_grid_size)
-    if opts.auto:
+    if opts.h1 is None:
         # both degrees from one pass over the leave-one-out windows
         ladders = _loocv_ladders(_max_gaps(grids, n))
         (h1, h2), failed = _loocv_rows(grids, values, ladders, (2, 1))
@@ -495,7 +473,7 @@ def register_noisy(sample, opts: NoisyOptions = None) -> RegistrationResult:
     meta = {
         "h1": h1.tolist(),
         "h2": h2.tolist(),
-        "auto_bandwidth": bool(opts.auto),
+        "auto_bandwidth": opts.h1 is None,
         "deriv_grid_size": int(opts.deriv_grid_size),
         "boundary_knots_appended": False,
     }

@@ -74,9 +74,6 @@ class IdentityWarp(AnalyticWarp):
     def __call__(self, t):
         return np.asarray(t, dtype=float)
 
-    def inverse(self, t):
-        return np.asarray(t, dtype=float)
-
 
 class SineMixtureWarp(AnalyticWarp):
     """Convex mixture of the maps t - sin(pi*k*t) / (|k|*pi*beta).
@@ -96,11 +93,7 @@ class SineMixtureWarp(AnalyticWarp):
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        out = t.astype(float).copy()
-        for k, w in zip(self.ks, self.weights):
-            if k != 0:
-                out = out - w * np.sin(np.pi * k * t) / (abs(k) * np.pi * self.beta)
-        out = np.clip(out, 0.0, 1.0)
+        out = _stacked_sine_mixtures([self])(t.ravel())[0].reshape(t.shape)
         return out if out.ndim else float(out)
 
 
@@ -160,10 +153,10 @@ def _stacked_sine_mixtures(warps):
     """Forward map of SineMixtureWarp rows on a (rows, m) array, or on m points shared by all.
 
     Frequencies and weights are stacked into (rows, J) arrays, padded with
-    k = 0 and w = 0.  Each term is w*sin((pi*k)*t)/((|k|*pi)*beta), as in
-    ``SineMixtureWarp.__call__``, subtracted in component order; with the
-    denominator's |k| raised to 1, a zero frequency subtracts an exact 0.0.
-    On shared points each distinct frequency's sine is taken once.
+    k = 0 and w = 0.  Each term is w*sin((pi*k)*t)/((|k|*pi)*beta),
+    subtracted from t in component order; with the denominator's |k| raised
+    to 1, a zero frequency subtracts an exact 0.0.  On shared points each
+    distinct frequency's sine is taken once.
     """
     J = max(w.ks.size for w in warps)
     ks = np.zeros((len(warps), J))
@@ -213,14 +206,11 @@ def _row_by_row(warps):
 class WarpLawConfig:
     """Random sine-mixture warp law with Poisson-signed frequencies."""
 
-    family: str = "sine_mixture"
     J: int = 2
     beta: float = 1.01
     poisson_rate: float = 3.0
 
     def __post_init__(self):
-        if self.family != "sine_mixture":
-            raise ValueError(f"unknown warp family {self.family!r}")
         if self.J < 2:
             raise ValueError("mixture size J must be at least 2")
         if not self.beta > 1.0:
@@ -240,25 +230,31 @@ def sample_warp(cfg: WarpLawConfig, rng) -> SineMixtureWarp:
     return SineMixtureWarp(ks, weights, cfg.beta)
 
 
-_RANK_BASES = {
-    "rank1_model1": [lambda t: np.exp(np.cos(2 * np.pi * t - np.pi))],
-    "rank1_model2": [lambda t: (1.0 - (t - 0.25) ** 2) * np.cos(3 * np.pi * t)],
+_SINES = (  # orthonormal on [0,1]
+    lambda t: _SQRT2 * np.sin(np.pi * t),
+    lambda t: _SQRT2 * np.cos(2 * np.pi * t),
+    lambda t: _SQRT2 * np.cos(4 * np.pi * t),
+)
+_RANK3 = list(zip(_SINES, [
+    lambda rng: _normal(rng, 1.5, 1.0),
+    lambda rng: _normal(rng, -0.5, math.sqrt(0.15)),
+    lambda rng: _normal(rng, 0.5, 0.15),
+]))
+# each model's (basis function, coefficient draw) pairs, in stream order
+_MODELS = {
+    "model1": lambda cfg: [(lambda t: np.exp(np.cos(2 * np.pi * t - np.pi)), lambda rng: _normal(rng, 1.5, 1.0))],
+    "model2": lambda cfg: [
+        (lambda t: (1.0 - (t - 0.25) ** 2) * np.cos(3 * np.pi * t), lambda rng: 1.0 + _beta22(rng))
+    ],
+    "rank2": lambda cfg: _RANK3[:2],
+    "rank3": lambda cfg: _RANK3,
+    "breakdown": lambda cfg: list(zip(_SINES, [
+        lambda rng: _normal(rng, 3.0 * cfg.c, 1.0),
+        lambda rng: _normal(rng, -cfg.c, math.sqrt(cfg.r_scale)),
+        lambda rng: _normal(rng, cfg.c, cfg.r_scale),
+    ]))[: cfg.rank],
 }
-
-
-def _phi1(t):
-    return _SQRT2 * np.sin(np.pi * t)
-
-
-def _phi2(t):
-    return _SQRT2 * np.cos(2 * np.pi * t)
-
-
-def _phi3(t):
-    return _SQRT2 * np.cos(4 * np.pi * t)
-
-
-MODEL_NAMES = ("model1", "model2", "rank2", "rank3", "breakdown")
+MODEL_NAMES = tuple(_MODELS)
 
 
 @dataclass(frozen=True)
@@ -290,17 +286,7 @@ class LatentModelConfig:
         return self.name in ("model1", "model2")
 
     def basis(self):
-        if self.name == "model1":
-            return list(_RANK_BASES["rank1_model1"])
-        if self.name == "model2":
-            return list(_RANK_BASES["rank1_model2"])
-        if self.name == "rank2":
-            return [_phi1, _phi2]
-        if self.name == "rank3":
-            return [_phi1, _phi2, _phi3]
-        if self.rank == 2:
-            return [_phi1, _phi2]
-        return [_phi1, _phi2, _phi3]
+        return [phi for phi, _ in _MODELS[self.name](self)]
 
 
 class LatentDraw:
@@ -320,24 +306,8 @@ class LatentDraw:
 
 def sample_latent(cfg: LatentModelConfig, rng) -> LatentDraw:
     """Draw one latent curve from the configured family."""
-    if cfg.name == "model1":
-        coef = [_normal(rng, 1.5, 1.0)]
-    elif cfg.name == "model2":
-        coef = [1.0 + _beta22(rng)]
-    elif cfg.name == "rank2":
-        coef = [_normal(rng, 1.5, 1.0), _normal(rng, -0.5, math.sqrt(0.15))]
-    elif cfg.name == "rank3":
-        coef = [
-            _normal(rng, 1.5, 1.0),
-            _normal(rng, -0.5, math.sqrt(0.15)),
-            _normal(rng, 0.5, 0.15),
-        ]
-    else:
-        c, r = cfg.c, cfg.r_scale
-        coef = [_normal(rng, 3.0 * c, 1.0), _normal(rng, -c, math.sqrt(r))]
-        if cfg.rank == 3:
-            coef.append(_normal(rng, c, r))
-    return LatentDraw(coef, cfg.basis())
+    model = _MODELS[cfg.name](cfg)
+    return LatentDraw([draw(rng) for _, draw in model], [phi for phi, _ in model])
 
 
 def observe(latent, warp: AnalyticWarp, grid, noise_halfwidth: float, rng) -> DiscreteCurve:

@@ -101,7 +101,7 @@ class DiscreteCurve:
             raise ValueError("grid must have at least 3 points")
         if grid.size != values.size:
             raise ValueError("grid and values must have equal length")
-        if not (np.diff(grid) > 0).all():
+        if not (grid[1:] > grid[:-1]).all():  # np.diff may overflow
             raise ValueError("grid must be strictly increasing")
         if grid[0] < 0.0 or grid[-1] > 1.0:
             raise ValueError("grid must lie in [0,1]")

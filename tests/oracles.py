@@ -78,6 +78,7 @@ from varireg.simulate import (
     _BISECT_ITERS,
     AnalyticWarp,
     IdentityWarp,
+    SineMixtureWarp,
     TruthBundle,
     make_truth_bundle,
     sample_latent,
@@ -451,8 +452,23 @@ class SineWarp(AnalyticWarp):
         return np.clip(out, 0.0, 1.0)
 
 
+def per_warp_forward(warp, t):
+    """One warp at ``t``: a SineMixtureWarp by its formula, subtracting one
+    component w*sin(pi*k*t)/(|k|*pi*beta) at a time and skipping k = 0; any
+    other warp by its own ``__call__``."""
+    if not isinstance(warp, SineMixtureWarp):
+        return warp(t)
+    t = np.asarray(t, dtype=float)
+    out = t.copy()
+    for k, w in zip(warp.ks, warp.weights):
+        if k != 0:
+            out = out - w * np.sin(np.pi * k * t) / (abs(k) * np.pi * warp.beta)
+    out = np.clip(out, 0.0, 1.0)
+    return out if out.ndim else float(out)
+
+
 def per_curve_inverse(warp, t):
-    """One warp's inverse at ``t``: bisection on its own ``__call__``."""
+    """One warp's inverse at ``t``: bisection on ``per_warp_forward``."""
     t = np.asarray(t, dtype=float)
     if isinstance(warp, IdentityWarp):
         return t
@@ -460,7 +476,7 @@ def per_curve_inverse(warp, t):
     hi = np.ones_like(t)
     for _ in range(_BISECT_ITERS):
         mid = (lo + hi) / 2.0
-        above = warp(mid) >= t
+        above = per_warp_forward(warp, mid) >= t
         hi = np.where(above, mid, hi)
         lo = np.where(above, lo, mid)
     out = (lo + hi) / 2.0
@@ -663,7 +679,7 @@ def per_curve_register_noisy(sample, opts=None) -> RegistrationResult:
     deriv_grid = np.linspace(0.0, 1.0, opts.deriv_grid_size)
     prepared = []
     for i, curve in enumerate(curves):
-        if opts.auto:
+        if opts.h1 is None:
             h1, h2 = per_curve_loocv_bandwidths(curve, (2, 1), loocv_ladder(curve.max_gap))
         else:
             h1, h2 = float(opts.h1), float(opts.h2)
@@ -687,7 +703,7 @@ def per_curve_register_noisy(sample, opts=None) -> RegistrationResult:
     meta = {
         "h1": [float(p[0]) for p in prepared],
         "h2": [float(p[1]) for p in prepared],
-        "auto_bandwidth": bool(opts.auto),
+        "auto_bandwidth": opts.h1 is None,
         "deriv_grid_size": int(opts.deriv_grid_size),
         "boundary_knots_appended": False,
         "output_grid_size": int(output_grid.size),
@@ -928,6 +944,8 @@ def _per_cell_rescale_times(all_t):
         return None
     if hi == lo:
         raise InputFormatError("cannot rescale a single time point")
+    if hi - lo == math.inf:
+        raise InputFormatError("time span overflows a float; cannot rescale onto [0,1]")
     return (lo, hi - lo)
 
 

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -249,6 +251,18 @@ def test_diagnose_truncated_file_exit2(tmp_path, capsys, cli_inputs, name, damag
     if damage == "over_long_cell":
         assert "line 4: field larger than field limit (131072)" in err
     assert not (tmp_path / "dia").exists()
+
+
+@pytest.mark.parametrize("damage", ["empty", "not_a_number"])
+def test_diagnose_without_truth_does_not_read_warps_file(tmp_path, cli_inputs, damage):
+    # only the truth errors use warps.csv
+    out, dia = tmp_path / "out", tmp_path / "dia"
+    shutil.copytree(cli_inputs["result"], out)
+    lines = (out / "warps.csv").read_text().splitlines()
+    lines[3] += "x"
+    (out / "warps.csv").write_text("" if damage == "empty" else "\n".join(lines) + "\n")
+    assert run("diagnose", out, "--out", dia) == 0
+    assert "warp_sup_errors" not in json.loads((dia / "report.json").read_text())
 
 
 def _write_own_grid_warps(path, warps):
@@ -561,6 +575,31 @@ def test_register_noisy_regime_cli(tmp_path):
     assert len(report["flags"]["h1"]) == 12
 
 
+def test_register_noisy_given_bandwidths_cli(tmp_path, cli_inputs):
+    out = tmp_path / "out"
+    assert run("register", cli_inputs["obs"], "--regime", "noisy", "--h1", "0.3", "--h2", "0.2", "--out", out) == 0
+    flags = json.loads((out / "report.json").read_text())["flags"]
+    assert flags["h1"] == [0.3] * 6 and flags["h2"] == [0.2] * 6 and flags["auto_bandwidth"] is False
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--regime", "noisy", "--h1", "0.3"], "give both h1 and h2"),
+    (["--regime", "noisy", "--h2", "0.3"], "give both h1 and h2"),
+    (["--regime", "noisy", "--auto-bandwidth"], "unrecognized arguments: --auto-bandwidth"),
+    (["--seed", "3"], "unrecognized arguments: --seed"),
+], ids=["h1_alone", "h2_alone", "auto_bandwidth", "seed"])
+def test_register_one_bandwidth_or_retired_flag_exit2(flags, message, cli_inputs, tmp_path, capsys):
+    # leave-one-out runs where neither noisy bandwidth is given; register draws nothing at random
+    out = tmp_path / "out"
+    try:
+        code = main(["register", str(cli_inputs["obs"]), *flags, "--out", str(out)])
+    except SystemExit as exc:  # argparse refuses a flag the command does not take
+        code = exc.code
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_full_round_trip_deterministic_across_threads(tmp_path):
     outs = []
     for tag, threads in (("t1", "1"), ("t8", "8")):
@@ -646,7 +685,8 @@ BAD_SIMULATE_SETTINGS = {
     "out_null": {"out": None},
 }
 
-# register and diagnose settings of the wrong type, numbers and booleans alike
+# register and diagnose settings of the wrong type, numbers and booleans alike,
+# and one noisy bandwidth without the other
 BAD_REGISTER_SETTINGS = {
     "eigen_null": {"eigen": None},
     "eigen_list": {"eigen": [2]},
@@ -655,7 +695,7 @@ BAD_REGISTER_SETTINGS = {
     "output_grid_size_list": {"output_grid_size": [101]},
     "noisy_h1_abc": {"regime": "noisy", "h1": "abc"},
     "noisy_h1_list": {"regime": "noisy", "h1": [0.2]},
-    "noisy_auto_bandwidth_no": {"regime": "noisy", "auto_bandwidth": "no"},
+    "noisy_h1_alone": {"regime": "noisy", "h1": 0.3},
     "smooth_warps_false_string": {"smooth_warps": "false"},
     "input_number": {"input": 5},
     "out_number": {"out": 7},
@@ -738,10 +778,15 @@ def test_flag_combinations_exit_with_documented_codes(
         assert not any(tmp_path.iterdir())  # a failed run writes nothing
 
 
+def _flag_actions(command):
+    """The parser actions of ``command`` but --help and --config."""
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [a for a in sub.choices[command]._actions if a.dest not in ("help", "config")]
+
+
 def _config_keys(command):
     """The settings of ``command``: the destinations of its flags and positionals."""
-    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return [a.dest for a in sub.choices[command]._actions if a.dest not in ("help", "config")]
+    return [a.dest for a in _flag_actions(command)]
 
 
 def _json_values(bound):
@@ -767,7 +812,6 @@ _VALID_SETTINGS = {
     "bandwidth": st.floats(0.02, 1.0),
     "h1": st.floats(0.05, 1.0),
     "h2": st.floats(0.05, 1.0),
-    "auto_bandwidth": st.booleans(),
     "smooth_warps": st.booleans(),
     "knots": st.integers(2, 20),
     "eigen": st.integers(1, 8),
@@ -854,6 +898,71 @@ def test_config_values_exit_with_documented_codes(command, data, cli_inputs):
 @given(data=st.data())
 def test_config_values_exit_with_documented_codes_many_examples(command, data, cli_inputs):
     _check_config_run(command, data.draw(_configs(command)), cli_inputs)
+
+
+# a junk flag value: no digit but 0, so never a large size, and no path separator
+_JUNK = st.text("0.-aefin", max_size=6)
+
+
+@st.composite
+def _flag_argv(draw, command):
+    """argv for ``command`` drawn from its parser actions: each flag or positional
+    given or not, with a valid value, and now and then one of them with junk.
+    ``diagnose`` always gets an --out, which would otherwise be inside the shared result."""
+    actions = _flag_actions(command)
+    junk = draw(st.none() | st.sampled_from([a.dest for a in actions if a.nargs != 0]))
+    argv = [command]
+    for action in actions:
+        if not draw(st.integers(0, 3)) and not (command == "diagnose" and action.dest == "out"):
+            continue
+        if action.nargs == 0:  # a switch such as --smooth-warps
+            argv.append(action.option_strings[0])
+            continue
+        value = draw(_JUNK if action.dest == junk else _VALID_SETTINGS[action.dest])
+        argv += [*action.option_strings[:1], str(value)]
+    return argv
+
+
+def _check_flag_run(argv, cli_inputs):
+    """``varireg`` with ``argv`` twice, each in a fresh directory: a documented exit
+    code, no traceback, nothing written on failure, the same bytes on success."""
+    argv = [a.format(**cli_inputs) if a.startswith("{") else a for a in argv]
+    outcomes = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for run_dir in (Path(tmp) / "a", Path(tmp) / "b"):
+            cwd = run_dir / "cwd"  # an --out of ".." writes into run_dir
+            cwd.mkdir(parents=True)
+            err, before = io.StringIO(), os.getcwd()
+            os.chdir(cwd)
+            try:
+                with contextlib.redirect_stderr(err):
+                    code = main(argv)
+            except SystemExit as exc:  # argparse's usage error
+                code = exc.code
+            finally:
+                os.chdir(before)
+            assert code in (0, 2, 3, 4), argv
+            assert "Traceback" not in err.getvalue(), argv
+            written = {str(p.relative_to(run_dir)): p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
+            if code != 0:
+                assert not written and not any(cwd.iterdir()), argv
+            outcomes.append((code, written))
+    assert outcomes[0] == outcomes[1], argv
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_drawn_flags_exit_with_documented_codes(command, data, cli_inputs):
+    _check_flag_run(data.draw(_flag_argv(command)), cli_inputs)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("command", COMMANDS)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_drawn_flags_exit_with_documented_codes_many_examples(command, data, cli_inputs):
+    _check_flag_run(data.draw(_flag_argv(command)), cli_inputs)
 
 
 # a curves file as `register` may meet it: at most 8 curves and 60 points, wide

@@ -110,6 +110,8 @@ def bits(x):
 def outcome(read, path):
     try:
         return bits(read(path))
+    except Warning:  # a warning raised as an error fails the test, on either side
+        raise
     except Exception as exc:  # the exception itself is the outcome compared
         return ("raised", type(exc), str(exc))
 
@@ -186,6 +188,7 @@ def wide_text(draw):
     return draw(csv_text(["t"] + ids, rows))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # times whose differences overflow
 @given(warps_text())
 def test_read_warps_matches_per_cell_reader(text):
     assert_reads_alike("warps.csv", text, dataio.read_warps_csv, oracles.per_cell_read_warps_csv)
@@ -196,6 +199,7 @@ def test_read_template_matches_per_cell_reader(text):
     assert_reads_alike("template.csv", text, dataio.read_template_csv, oracles.per_cell_read_template_csv)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # times whose differences overflow
 @given(two_column_text(["t", "value"], valid=False))
 def test_read_mean_matches_per_cell_reader(text):
     assert_reads_alike("mean.csv", text, dataio.read_mean_csv, oracles.per_cell_read_mean_csv)
@@ -239,6 +243,9 @@ NAMED_TABLES = {
     "long_spaced_ids": ("long.csv", "curve_id,t,value\na,0,1\n a ,0.5,2\na,1,3\n"),
     "wide_quoted_header": ("wide.csv", 't,"a,b","c\nd"\n0,1,2\n0.5,3,4\n1,5,6\n'),
     "wide_header_over_two_lines": ("wide.csv", 't,"a\n",b\n0,1,2\n0.5,3,4\n1,5,6\n'),
+    "warps_time_span_overflow": ("warps.csv", "curve_id,t,warp_value,inverse_warp_value\n"
+                                 "a,-1e308,0,0\na,1e308,1,1\nb,1e308,0,0\nb,-1e308,1,1\n"),
+    "mean_time_span_overflow": ("mean.csv", "t,value\n-1e308,1\n1e308,2\n1.5e308,3\n"),
 }
 
 
@@ -248,6 +255,7 @@ NAMED_ERRORS = {
 }
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("case", sorted(NAMED_TABLES))
 def test_named_tables_read_as_per_cell(case):
     name, text = NAMED_TABLES[case]
@@ -306,7 +314,8 @@ def test_warps_row_with_five_fields_exits_2(tmp_path, capsys):
     lines[5] += ",0"
     (run / "warps.csv").write_text("\n".join(lines) + "\n")
     capsys.readouterr()
-    assert main(["diagnose", str(run), "--out", str(tmp_path / "dia")]) == 2
+    # diagnose reads warps.csv for the truth errors alone
+    assert main(["diagnose", str(run), "--truth", str(sim), "--out", str(tmp_path / "dia")]) == 2
     assert "cannot read warps.csv: line 6: expected 4 fields, got 5" in capsys.readouterr().err
 
 
@@ -327,6 +336,24 @@ def test_non_finite_time_exits_2_on_its_own_line(case, tmp_path, capsys):
         warnings.simplefilter("error")
         assert main(["register", str(tmp_path / "curves.csv"), "--out", str(tmp_path / "run")]) == 2
     assert f"cannot read curves.csv: line {line}: time must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+TIME_SPAN_OVERFLOWS = {
+    "wide": "t,a\n-1e308,1\n0,2\n1e308,3\n5,1\n",
+    "long": "curve_id,t,value\na,-1e308,1\na,0,2\na,1,3\nb,0,1\nb,0.5,2\nb,1e308,3\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(TIME_SPAN_OVERFLOWS))
+def test_time_span_overflow_exits_2_with_its_own_message(case, tmp_path, capsys):
+    # finite times whose span is past the largest float: not a duplicate time point, no warning
+    (tmp_path / "curves.csv").write_text(TIME_SPAN_OVERFLOWS[case])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["register", str(tmp_path / "curves.csv"), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "cannot read curves.csv: time span overflows a float; cannot rescale onto [0,1]" in err
     assert not (tmp_path / "run").exists()
 
 

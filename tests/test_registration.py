@@ -374,12 +374,23 @@ def test_noisy_constant_curve_degenerate():
     rng = np.random.default_rng(0)
     values = 3.0 + 1e-13 * rng.standard_normal(grid.size)
     with pytest.raises(ZeroVariation):
-        register_noisy([DiscreteCurve(grid, values)], NoisyOptions(h1=0.1, h2=0.1, auto=False))
+        register_noisy([DiscreteCurve(grid, values)], NoisyOptions(h1=0.1, h2=0.1))
 
 
 def test_noisy_options_validation():
-    with pytest.raises(ValueError):
-        NoisyOptions(auto=False, h1=0.1)  # h2 missing
+    # leave-one-out chooses both bandwidths or neither
+    for given in ({"h1": 0.1}, {"h2": 0.1}):
+        with pytest.raises(ValueError, match="both h1 and h2"):
+            NoisyOptions(**given)
+
+
+def test_noisy_given_bandwidths_are_used():
+    bundle = make_truth_bundle(LatentModelConfig("model1", noise_halfwidth=0.1), WarpLawConfig(), 4, seed=2)
+    result = register_noisy(bundle.observed, NoisyOptions(h1=0.3, h2=0.2))
+    assert result.metadata["h1"] == [0.3] * 4 and result.metadata["h2"] == [0.2] * 4
+    assert result.metadata["auto_bandwidth"] is False
+    loo = register_noisy(bundle.observed).metadata
+    assert loo["auto_bandwidth"] is True and loo["h1"] != [0.3] * 4
 
 
 # --- pairwise oracle ---------------------------------------------------------------------
@@ -539,14 +550,16 @@ def test_register_complete_matches_per_curve_oracle(curves, size):
     st.floats(0.0, 0.3),
     st.booleans(),
 )
-def test_register_noisy_matches_per_curve_oracle(curves, h1, h2, deriv_size, noise, auto):
-    # with auto, h1 and h2 come from each curve's leave-one-out ladder
+def test_register_noisy_matches_per_curve_oracle(curves, h1, h2, deriv_size, noise, loo):
+    # with loo, neither bandwidth is given: h1 and h2 come from each curve's leave-one-out ladder
     rng = np.random.default_rng(len(curves))
     curves = [
         DiscreteCurve(c.grid, c.values + noise * rng.standard_normal(c.grid.size))
         for c in curves
     ]
-    opts = NoisyOptions(h1=h1, h2=h2, auto=auto, deriv_grid_size=deriv_size)
+    if loo:
+        h1 = h2 = None
+    opts = NoisyOptions(h1=h1, h2=h2, deriv_grid_size=deriv_size)
     _assert_matches_oracle(register_noisy, per_curve_register_noisy, curves, opts)
 
 

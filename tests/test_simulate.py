@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from oracles import per_curve_inverse, per_curve_truth_bundle
+from oracles import per_curve_inverse, per_curve_truth_bundle, per_warp_forward
 from varireg import simulate
 from varireg.errors import EmptySample, NotRankOne
 from varireg.simulate import (
@@ -104,8 +104,9 @@ points = st.one_of(
 )
 @example([SineMixtureWarp([1, -1, 2], [0.2, 0.3, 0.5], 1.01)], 1.0, 1)
 def test_invert_warps_matches_per_curve_bisection(warp_list, t, block_cells):
-    """Every row of the batched inverse has the bits of its warp bisected
-    alone, whatever the mix of warps and however the rows fall into blocks;
+    """Every row of the batched inverse has the bits of bisecting its warp's
+    formula alone (``per_curve_inverse`` on ``per_warp_forward``), whatever
+    the mix of warps and however the rows fall into blocks;
     ``AnalyticWarp.inverse`` is the one-row case."""
     with mock.patch.object(simulate, "_BLOCK_CELLS", block_cells):
         got = invert_warps(warp_list, t)
@@ -125,15 +126,20 @@ def test_invert_warps_matches_per_curve_bisection(warp_list, t, block_cells):
     7,
 )
 def test_evaluate_warps_matches_per_warp_calls(warp_list, t, block_cells):
-    """Every row of the batched forward map has the bits of its warp called
-    alone, in any blocks; ``TruthBundle.warp_values`` is the one-row case."""
+    """Every row of the batched forward map has the bits of its warp's formula
+    taken alone (``per_warp_forward``: one sine component at a time), in any
+    blocks; the warp's own ``__call__`` and ``TruthBundle.warp_values`` are
+    one-row cases."""
     with mock.patch.object(simulate, "_BLOCK_CELLS", block_cells):
         got = evaluate_warps(warp_list, t)
         bundle = TruthBundle(np.linspace(0.0, 1.0, 3), [], [], warp_list, np.zeros((0, 1)))
         assert got.shape == (len(warp_list), np.size(t))
         for i, (row, warp) in enumerate(zip(got, warp_list)):
-            ref = np.asarray(warp(t), dtype=float)
+            ref = np.asarray(per_warp_forward(warp, t), dtype=float)
             assert row.tobytes() == ref.ravel().tobytes()
+            called = warp(t)
+            assert np.shape(called) == np.shape(ref)
+            assert np.asarray(called).tobytes() == ref.tobytes()
             one = bundle.warp_values(i, t)
             assert np.shape(one) == np.shape(ref)
             assert one.tobytes() == ref.tobytes()
