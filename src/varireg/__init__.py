@@ -61,7 +61,6 @@ from .variation import (
     VariationSummary,
     discrete_variation_cdf,
     generalized_inverse,
-    mean_quantile,
     quantile_to_cdf,
     wasserstein2,
 )

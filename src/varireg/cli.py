@@ -1,7 +1,8 @@
 """Command-line interface: simulate, register, diagnose.
 
 Configuration comes from an optional flat JSON file (--config) with every
-key overridable by a same-named flag; flags win.  All outputs are
+key overridable by a same-named flag; flags win.  A key that is no
+flag or positional of the subcommand is refused.  All outputs are
 deterministic given the configuration and seed, byte for byte.  ``--threads``
 and ``VARIREG_THREADS`` are accepted for compatibility and have no effect.
 
@@ -36,8 +37,6 @@ from .registration import (
     NoisyOptions,
     RegisterOptions,
     _evaluate,
-    _interp_rows,
-    _stack,
     register_complete,
     register_discrete,
     register_noisy,
@@ -115,6 +114,10 @@ def _merge_config(args) -> dict:
                 raise ValueError(f"cannot read {args.config}: {exc}") from None
         if not isinstance(loaded, dict):
             raise ValueError(f"{args.config} must hold a flat JSON object")
+        # the settings are the subcommand's flags and positionals, by destination
+        unknown = sorted(k for k in loaded if k in ("command", "config") or k not in vars(args))
+        if unknown:
+            raise ValueError(f"{args.config}: {args.command} takes no setting {', '.join(map(repr, unknown))}")
         cfg.update(loaded)
     for key, value in vars(args).items():
         if key in ("command", "config"):
@@ -200,12 +203,11 @@ def cmd_register(args) -> None:
         raise ZeroVariation(f"curve {cid!r} has zero variation; cannot register") from None
 
     grid = result.output_grid
-    at = np.clip(grid, 0.0, 1.0)
     dataio.write_warps_csv(
         out_dir / "warps.csv",
         ids,
-        _evaluate(result.warps, at),
-        _evaluate(result.inverse_warps, at),
+        _evaluate(result.warps, grid),
+        _evaluate(result.inverse_warps, grid),
         grid,
     )
     dataio.write_long_csv(out_dir / "registered.csv", ids, result.registered)
@@ -330,17 +332,15 @@ def cmd_diagnose(args) -> None:
                 raise ValueError(f"{name} has no rows for curve {missing!r}")
 
         def warp_block(rows):
-            # estimated warps on the grid of warps.csv, truth warps interpolated onto it
-            t_est, w_est = _stack(*zip(*(warp_samples[cid][:2] for cid in ids[rows])))
-            t_true, w_true = _stack(*zip(*(truth_warps[cid][:2] for cid in ids[rows])))
-            # a row padded past its own grid repeats its last point and value
-            last = np.where(t_est < np.inf, t_est, -np.inf).max(axis=1, keepdims=True)
-            x = np.minimum(t_est, last)
-            return w_est, _interp_rows(x if x.shape[0] > 1 else x[0], t_true, w_true)
+            # each curve's estimated warp at its own points of warps.csv, its truth warp interpolated there
+            block = ids[rows]
+            return (
+                [warp_samples[cid][1] for cid in block],
+                [np.interp(warp_samples[cid][0], *truth_warps[cid][:2]) for cid in block],
+            )
 
         width = max(warp_samples[cid][0].size for cid in ids)
-        truth_latent = [latent_by_id[cid] for cid in ids]  # in the result's curve order
-        latent = _interp_rows(grid, *_stack([c.grid for c in truth_latent], [c.values for c in truth_latent]))
+        latent = np.stack([np.interp(grid, latent_by_id[cid].grid, latent_by_id[cid].values) for cid in ids])
         return warp_block, width, latent, f_phi
 
     rep = registration_report(registered, mean, template, truth if truth_dir else None)

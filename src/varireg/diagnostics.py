@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import GridMismatch, ZeroVariation
 from .fpca import _common_grid, row_eigenpairs, row_scores, sorted_row_mean, trapezoid_weights
-from .registration import RegistrationResult, _evaluate, _interp_rows, _template
+from .registration import RegistrationResult, _evaluate, _template
 from .simulate import (
     _BLOCK_CELLS,
     LatentModelConfig,
@@ -112,8 +112,9 @@ def truth_errors(warp_block, width, registered, latent, mean) -> tuple:
     """Errors of a registration against its ground truth.
 
     ``warp_block(rows)`` returns the (estimated, true) warp samples of the
-    curves in the slice ``rows``, one row per curve, at most ``width``
-    points each, on points the caller chooses.  It is called for
+    curves in the slice ``rows``, each as rows (a 2-d array or a list), one
+    per curve, at most ``width`` points each, on points the caller chooses
+    for each curve.  It is called for
     consecutive blocks of about _BLOCK_CELLS samples, so no (curves x warp
     grid) array exists at once.  ``registered`` and ``latent`` hold one row
     of values per curve on the grid of the estimated ``mean``.  Returns the
@@ -121,11 +122,11 @@ def truth_errors(warp_block, width, registered, latent, mean) -> tuple:
     trapezoid weights, and the sup error of ``mean`` against the
     sorted-sum mean of ``latent``.
     """
-    n = latent.shape[0]
     step = max(1, _BLOCK_CELLS // max(width, 1))
-    warp_errs = np.concatenate([
-        np.abs(np.subtract(*warp_block(slice(start, start + step)))).max(axis=1)
-        for start in range(0, n, step)
+    warp_errs = np.array([
+        np.abs(est - true).max()
+        for start in range(0, latent.shape[0], step)
+        for est, true in zip(*warp_block(slice(start, start + step)))
     ])
     # rows summed along a contiguous axis have the bits of each curve alone
     registered, latent = np.ascontiguousarray(registered), np.ascontiguousarray(latent)
@@ -182,12 +183,11 @@ def evaluate_against_truth(result: RegistrationResult, truth: TruthBundle) -> Re
 
     def truth_rows():
         dense = np.unique(np.concatenate((np.linspace(0.0, 1.0, 2049), out_grid)))
-        at = np.clip(dense, 0.0, 1.0)
 
         def warp_block(rows):
-            return _evaluate(result.warps[rows], at), truth.warp_rows(rows, dense)
+            return _evaluate(result.warps[rows], dense), truth.warp_rows(rows, dense)
 
-        latent = _interp_rows(out_grid, truth.grid[None], np.stack([c.values for c in truth.latent]))
+        latent = np.stack([np.interp(out_grid, c.grid, c.values) for c in truth.latent])
         return warp_block, dense.size, latent, truth.f_phi
 
     return registration_report(result.registered, result.mean, result.template_cdf, truth_rows)

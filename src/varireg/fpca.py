@@ -4,12 +4,16 @@ The eigenproblem is solved under trapezoid quadrature weights on the
 analysis grid, so eigenfunctions are orthonormal in the quadrature inner
 product and the eigenvalue sum equals the weighted trace of the covariance.
 A sample with fewer curves than grid points is decomposed by a thin SVD of
-its centred rows, so no (grid x grid) array is formed.
+its centred rows, so no (grid x grid) array is formed.  The covariance
+product, ``eigh`` and the SVD run with numpy's OpenBLAS in one thread, so
+their bits do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +66,29 @@ def covariance_matrix(curves) -> np.ndarray:
     return _row_covariance(np.stack([c.values for c in curves]))
 
 
+@contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's OpenBLAS in one thread, then restore its count.
+
+    matmul, eigh and svd change bits with the thread count.  The thread
+    calls are looked up through numpy's core extension, which links the
+    OpenBLAS; a build that exports neither leaves threading alone.
+    """
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get, set_threads = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    except (AttributeError, OSError):
+        get = set_threads = lambda *count: None
+    before = get()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
+
+
 def _centered_rows(rows) -> np.ndarray:
     """Rows in a canonical (input-order independent) order, minus their sorted-sum mean."""
     if rows.shape[0] < 2:
@@ -73,7 +100,8 @@ def _centered_rows(rows) -> np.ndarray:
 def _row_covariance(rows) -> np.ndarray:
     """covariance_matrix of the curves whose values are the rows of ``rows``."""
     centered = _centered_rows(rows)
-    cov = centered.T @ centered / centered.shape[0]
+    with _one_blas_thread():
+        cov = centered.T @ centered / centered.shape[0]
     return (cov + cov.T) / 2.0
 
 
@@ -120,7 +148,8 @@ def leading_eigenpairs(kernel: np.ndarray, grid, m: int) -> EigenDecomposition:
     sqw = np.sqrt(w)
     sym = sqw[:, None] * kernel * sqw[None, :]
     sym = (sym + sym.T) / 2.0
-    evals, evecs = np.linalg.eigh(sym)
+    with _one_blas_thread():
+        evals, evecs = np.linalg.eigh(sym)
     return _decomposition(grid, w, sqw, evals[::-1], evecs[:, ::-1].T, min(m, grid.size))
 
 
@@ -147,7 +176,8 @@ def row_eigenpairs(rows, grid, m: int) -> EigenDecomposition:
         return leading_eigenpairs(_row_covariance(rows), grid, m)
     w = trapezoid_weights(grid)
     sqw = np.sqrt(w)
-    _, s, vt = np.linalg.svd(_centered_rows(rows) * (sqw / math.sqrt(n)), full_matrices=False)
+    with _one_blas_thread():
+        _, s, vt = np.linalg.svd(_centered_rows(rows) * (sqw / math.sqrt(n)), full_matrices=False)
     return _decomposition(grid, w, sqw, s * s, vt, min(m, n))
 
 

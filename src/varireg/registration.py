@@ -68,7 +68,8 @@ def _check_warp_samples(t, v):
 class WarpMap:
     """Monotone map of [0,1] with fixed endpoints, stored as samples.
 
-    Evaluation interpolates linearly between samples.
+    Evaluation interpolates linearly between samples; a point past either
+    end of [0,1] takes that end's value.
     """
 
     sample_t: np.ndarray
@@ -85,7 +86,7 @@ class WarpMap:
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
-        out = np.interp(np.clip(t_arr, 0.0, 1.0), self.sample_t, self.sample_v)
+        out = np.interp(t_arr, self.sample_t, self.sample_v)
         return out if t_arr.ndim else float(out)
 
 
@@ -289,36 +290,9 @@ def _max_gaps(grids, n):
 
 
 def _evaluate(warps, x) -> np.ndarray:
-    """Every warp at sorted points ``x`` in [0,1]: one row per warp."""
-    return _interp_rows(x, *_stack([w.sample_t for w in warps], [w.sample_v for w in warps]))
-
-
-def _interp_rows(x, t, v) -> np.ndarray:
-    """np.interp(x, t[i], v[i]) for every row i, with its bits.
-
-    ``t`` has one row shared by all or one per row, padded with +inf; x is
-    sorted, one row shared by all or one per row, and every row's samples
-    are finite.  Each row's slopes are taken per interval, as np.interp
-    takes them; with one shared row of steps the gathers are plain column
-    takes.
-    """
-    size = np.count_nonzero(t < np.inf, axis=1)[:, None]
-    j = np.atleast_2d(searchsorted_rows(t, x, "right") - 1)  # the step t[j] <= x < t[j + 1]
-    lo = np.clip(j, 0, size - 2)
-
-    def gather(a):
-        return np.take(a, lo[0], axis=1) if lo.shape[0] == 1 else np.take_along_axis(a, lo, axis=1)
-
-    with np.errstate(invalid="ignore"):  # intervals in the +inf padding are never gathered
-        slopes = np.diff(v, axis=1) / np.diff(t, axis=1)
-    t0, v0 = np.take_along_axis(t, lo, axis=1), gather(v)
-    out = gather(slopes)
-    out *= x - t0
-    out += v0
-    np.copyto(out, v0, where=x == t0)
-    np.copyto(out, v[:, :1], where=j < 0)
-    np.copyto(out, np.take_along_axis(v, size - 1, axis=1), where=j >= size - 1)
-    return out
+    """Every warp at points ``x``: one row per warp, a point past either end
+    of [0,1] taken at that end."""
+    return np.stack([np.interp(x, w.sample_t, w.sample_v) for w in warps])
 
 
 def _smooth(warps, n_knots) -> list:
@@ -350,7 +324,7 @@ def _register_noiseless(curves, options, gap_factor, regime):
     if options.smooth_warps:
         warps = _smooth(warps, options.n_knots)
     output_grid = _default_output_grid(points, options.output_grid)
-    eval_points = _evaluate(warps, np.clip(output_grid, 0.0, 1.0))
+    eval_points = _evaluate(warps, output_grid)
     if options.bandwidth is not None:
         bandwidths = np.full(len(curves), float(options.bandwidth))
     else:
@@ -465,7 +439,7 @@ def register_noisy(sample, opts: NoisyOptions = None) -> RegistrationResult:
         np.cumsum(cell, axis=1, out=cell), deriv_grid[None, 1:], deriv_grid
     )
     output_grid = _default_output_grid(grids[grids < np.inf], opts.output_grid)
-    eval_points = _evaluate(warps, np.clip(output_grid, 0.0, 1.0))
+    eval_points = _evaluate(warps, output_grid)
     fits = _row_fits(grids, values, h2[:, None], eval_points, [1])[0, :, 0]
     singular = np.isnan(fits)
     if singular.any():  # first curve, first window

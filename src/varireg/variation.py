@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySample, ZeroVariation
+from .errors import ZeroVariation
 
-# Bits per integer digit in mean_quantile's exact sums.
+# Bits per integer digit in mean_quantile_flat's exact sums.
 _DIGIT_BITS = 31
 
 # Relative threshold below which a curve's total variation counts as zero.
@@ -50,30 +50,22 @@ def closed_grid(points, cap=None) -> np.ndarray:
 
 
 def searchsorted_rows(a, v, side="left") -> np.ndarray:
-    """np.searchsorted(a[i], v[i], side) for every row i, in one pass.
+    """np.searchsorted(a[i], v[i], side) for every row i of the float arrays ``a`` and ``v``.
 
     ``a`` holds sorted rows: one row shared by every row of ``v``, or one row
     each, a short row padded with +inf.  ``v`` holds a row of queries per row
     of ``a``, or one sorted row of queries shared by all of them.
     """
-    a = np.asarray(a, dtype=float)
-    v = np.asarray(v, dtype=float)
     if a.shape[0] == 1:
         return np.searchsorted(a[0], v, side)
-    rows = np.arange(a.shape[0])[:, None]
     if v.ndim == 1:
         # a[i, l] counts toward every query from the first one it does not
         # exceed (side "right") or precede (side "left") on: sum a histogram
         first = np.searchsorted(v, a, "left" if side == "right" else "right")
-        first += rows * (v.size + 1)
+        first += np.arange(a.shape[0])[:, None] * (v.size + 1)
         hits = np.bincount(first.ravel(), minlength=a.shape[0] * (v.size + 1))
         return np.cumsum(hits.reshape(a.shape[0], -1)[:, :-1], axis=1)
-    # complex numbers compare by real part first: the keys order by (row, value)
-    keys = np.empty(a.shape, dtype=complex)
-    keys.real, keys.imag = rows, a
-    queries = np.empty(v.shape, dtype=complex)
-    queries.real, queries.imag = rows, v
-    return np.searchsorted(keys.ravel(), queries, side) - rows * a.shape[1]
+    return np.stack([np.searchsorted(row, q, side) for row, q in zip(a, v)])
 
 
 def unchecked(cls, **fields):
@@ -259,39 +251,22 @@ def generalized_inverse(cdf: StepCdf) -> QuantileFn:
     return QuantileFn(bp, vals)
 
 
-def mean_quantile(qs) -> QuantileFn:
-    """Pointwise arithmetic mean of quantile functions, exact per step.
-
-    The result steps on the union of every input's breakpoints.  The sum over
-    inputs is exact: a sweep adds each input's changes, in base-2**31 integer
-    digits, at the points where they happen.  The mean is a fixed function of
-    that sum, so it is bit-identical under permutation of ``qs`` and within
-    one ulp of the exact mean.  Time is O(N log N) and memory O(N) in the
-    number N of breakpoints of all inputs together.
-    """
-    qs = list(qs)
-    if not qs:
-        raise EmptySample("mean_quantile needs at least one quantile function")
-    sizes = [q.breakpoints.size - 1 for q in qs]
-    points, index = np.unique(
-        np.concatenate([[0.0]] + [q.breakpoints[1:] for q in qs]), return_inverse=True
-    )
-    return mean_quantile_flat(
-        points,
-        index[1:],
-        np.concatenate([q.values[1:] for q in qs]),
-        np.cumsum([0] + sizes[:-1]),
-    )
-
-
 def mean_quantile_flat(points, index, locations, firsts) -> QuantileFn:
-    """mean_quantile of step quantiles given as flat arrays.
+    """Pointwise arithmetic mean of step quantile functions, exact per step,
+    given as flat arrays.
 
     Input k owns entries firsts[k] up to firsts[k + 1].  Entry j has level
     points[index[j]] and location locations[j]: the input takes that
     location on the levels above the previous entry's, up to its own (above
     0 for the input's first entry).  ``points`` are sorted, unique, and run
     from 0 to 1, which every input's last level must reach.
+
+    The result steps on ``points``.  The sum over inputs is exact: a sweep
+    adds each input's changes, in base-2**31 integer digits, at the points
+    where they happen.  The mean is a fixed function of that sum, so it is
+    bit-identical under permutation of the inputs and within one ulp of the
+    exact mean.  Time is O(N log N) and memory O(N) in the number N of
+    entries.
     """
     n = len(firsts)
     # an input takes entry j's location from the point after its previous

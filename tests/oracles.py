@@ -19,6 +19,9 @@
 * The dense mean-quantile table: every input evaluated at every point of
   the breakpoint union, each row sorted and summed in float.  O(points x n)
   memory; the library sums exactly over breakpoint events instead.
+* ``mean_quantile``, the exact mean of a list of quantile functions: their
+  breakpoints laid out flat for the library's ``mean_quantile_flat``, which
+  the pipelines call with every curve's levels at once.
 * The per-step loop that inverts a quantile function into a step CDF.
 * ``SineWarp``, a one-frequency analytic warp for hand-built test samples.
 * The per-curve simulator: each warp inverted by its own 52-step bisection
@@ -94,7 +97,7 @@ from varireg.variation import (
     closed_grid,
     discrete_variation_cdf,
     generalized_inverse,
-    mean_quantile,
+    mean_quantile_flat,
     quantile_to_cdf,
     wasserstein2,
 )
@@ -398,6 +401,26 @@ def pairwise_warp_oracle(cdfs, i: int, grid) -> WarpMap:
     # same convention the template CDF induces in the mean-quantile warp
     v = target.jump_locations[np.minimum(idx, gbar.size - 1)]
     return per_curve_boundary_extend(grid, v, float(target.jump_locations[-1]))
+
+
+def mean_quantile(qs) -> QuantileFn:
+    """Pointwise mean of quantile functions, exact per step (mean_quantile_flat).
+
+    The result steps on the union of every input's breakpoints.
+    """
+    qs = list(qs)
+    if not qs:
+        raise EmptySample("mean_quantile needs at least one quantile function")
+    sizes = [q.breakpoints.size - 1 for q in qs]
+    points, index = np.unique(
+        np.concatenate([[0.0]] + [q.breakpoints[1:] for q in qs]), return_inverse=True
+    )
+    return mean_quantile_flat(
+        points,
+        index[1:],
+        np.concatenate([q.values[1:] for q in qs]),
+        np.cumsum([0] + sizes[:-1]),
+    )
 
 
 def mean_quantile_oracle(qs) -> QuantileFn:

@@ -683,10 +683,12 @@ BAD_SIMULATE_SETTINGS = {
     "beta_list": {"beta": [1.5]},
     "out_list": {"out": [1]},
     "out_null": {"out": None},
+    "misspelt_noise": {"nosie": 0.1},
 }
 
 # register and diagnose settings of the wrong type, numbers and booleans alike,
-# and one noisy bandwidth without the other
+# one noisy bandwidth without the other, and keys that name no setting: retired
+# ones and a misspelt one
 BAD_REGISTER_SETTINGS = {
     "eigen_null": {"eigen": None},
     "eigen_list": {"eigen": [2]},
@@ -702,12 +704,16 @@ BAD_REGISTER_SETTINGS = {
     "out_null": {"out": None},
     "eigen_inf": {"eigen": math.inf},
     "threads_inf": {"threads": math.inf},
+    "noisy_auto_bandwidth_no": {"regime": "noisy", "auto_bandwidth": "no"},
+    "seed": {"seed": 3},
+    "misspelt_bandwidth": {"bandwith": 0.1},
 }
 BAD_DIAGNOSE_SETTINGS = {
     "rate_reps_null": {"rate_reps": None},
     "seed_list": {"seed": [1]},
     "truth_number": {"truth": 3},
     "out_null": {"out": None},
+    "misspelt_rate_reps": {"rate_rep": 2},
 }
 BAD_SETTINGS = [
     ("simulate", BAD_SIMULATE_SETTINGS, {"model": "breakdown", "c": 1.0, "r_scale": 0.1, "seed": 1}),
@@ -886,6 +892,18 @@ COMMANDS = ["register", "simulate", "diagnose"]
 
 
 @pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("key", ["auto_bandwidth", "bandwith", "output-grid-size", "command", "config"])
+def test_unknown_config_key_exits_2_and_is_named(command, key, cli_inputs, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: 1}), encoding="utf-8")
+    positional = {"register": [str(cli_inputs["obs"])], "diagnose": [str(cli_inputs["result"])]}.get(command, [])
+    code = main([command, *positional, "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert repr(key) in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [config]  # nothing written
+
+
+@pytest.mark.parametrize("command", COMMANDS)
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_config_values_exit_with_documented_codes(command, data, cli_inputs):
@@ -1006,9 +1024,21 @@ def _curves_csv(draw):
     return "\n".join(",".join(row) for row in [header] + rows) + "\n"
 
 
-def _check_register_run(text, regime):
+def _rows_by_id(path):
+    """The header of a result file with a curve id column, and each id's lines."""
+    header, *lines = path.read_text(encoding="utf-8").splitlines()
+    rows = {}
+    for line in lines:
+        rows.setdefault(line.split(",", 1)[0], []).append(line)
+    return header, rows
+
+
+def _check_register_run(text, regime, order):
     """``varireg register`` on the curves file ``text`` ends in a documented exit
-    code without a traceback, writes nothing if it fails, and the same bytes twice."""
+    code without a traceback, writes nothing if it fails, and the same bytes twice.
+    A wide file that registers is registered once more with its curve columns in
+    ``order`` (a permutation of range(8), cut to the curves at hand): each curve
+    keeps its rows, and the files of the whole sample keep their bytes."""
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp)
         src = base / "in.csv"
@@ -1017,21 +1047,36 @@ def _check_register_run(text, regime):
         assert codes[0] in (0, 2, 3, 4) and codes[0] == codes[1]
         if codes[0]:
             assert sorted(base.iterdir()) == [src]
-        else:
-            assert read_all_bytes(base / "a") == read_all_bytes(base / "b")
+            return
+        assert read_all_bytes(base / "a") == read_all_bytes(base / "b")
+        if not text.startswith("t,"):
+            return
+        lines = [line.split(",") for line in text.splitlines()]
+        columns = [0] + [1 + j for j in order if j < len(lines[0]) - 1]
+        src.write_text("".join(",".join(line[c] for c in columns) + "\n" for line in lines), encoding="utf-8")
+        assert main(["register", str(src), "--regime", regime, "--out", str(base / "p")]) == 0
+        one, other = read_all_bytes(base / "a"), read_all_bytes(base / "p")
+        assert one.keys() == other.keys()
+        for name in one.keys() - {"report.json"}:
+            if name in ("warps.csv", "registered.csv", "scores.csv"):
+                assert _rows_by_id(base / "a" / name) == _rows_by_id(base / "p" / name), name
+            else:
+                assert one[name] == other[name], name
 
 
 REGIMES = st.sampled_from(["discrete", "complete", "noisy"])
+# the order of a wide file's curve columns in its second run
+ORDERS = st.permutations(range(8))
 
 
 @settings(max_examples=60, deadline=None)
-@given(_curves_csv(), REGIMES)
-def test_register_drawn_curves_exit_with_documented_codes(text, regime):
-    _check_register_run(text, regime)
+@given(_curves_csv(), REGIMES, ORDERS)
+def test_register_drawn_curves_exit_with_documented_codes(text, regime, order):
+    _check_register_run(text, regime, order)
 
 
 @pytest.mark.slow
 @settings(max_examples=1000, deadline=None)
-@given(_curves_csv(), REGIMES)
-def test_register_drawn_curves_exit_with_documented_codes_many_examples(text, regime):
-    _check_register_run(text, regime)
+@given(_curves_csv(), REGIMES, ORDERS)
+def test_register_drawn_curves_exit_with_documented_codes_many_examples(text, regime, order):
+    _check_register_run(text, regime, order)

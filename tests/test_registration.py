@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from varireg.cli import main
 from varireg.errors import EmptySample, EmptyWindow, NonMonotoneInput, VariregError, ZeroVariation
 from varireg.fpca import cross_sectional_mean
 from varireg.registration import (
@@ -16,7 +17,6 @@ from varireg.registration import (
     RegisterOptions,
     WarpMap,
     _extend_rows,
-    _interp_rows,
     estimate_warps_discrete,
     register_complete,
     register_discrete,
@@ -639,18 +639,35 @@ print(h.hexdigest())
 """
 
 
+def _at_blas_threads(threads, argv):
+    """``python argv`` with varireg's ``src`` on the path and OpenBLAS at ``threads`` threads."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_register_noisy_same_bytes_at_one_and_two_blas_threads():
     # the noisy kernel makes no BLAS or LAPACK call; its FPCA does
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    digests = []
-    for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-c", _NOISY_DIGEST], env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        digests.append(proc.stdout)
+    digests = [_at_blas_threads(threads, ["-c", _NOISY_DIGEST]) for threads in ("1", "2")]
     assert digests[0] == digests[1] and len(digests[0].strip()) == 64
+
+
+@pytest.mark.parametrize("n, r", [(200, 1001), (1000, 201)], ids=["200x1001", "1000x201"])
+def test_register_discrete_same_fpca_bytes_at_one_and_two_blas_threads(n, r, tmp_path):
+    # the SVD (n < r) and the eigh (n >= r) paths, at sizes where LAPACK and
+    # matmul change bits with the OpenBLAS thread count unless it is pinned
+    sim = tmp_path / "sim"
+    argv = ["simulate", "--model", "model1", "--n", str(n), "--r", str(r), "--seed", "7", "--out", str(sim)]
+    assert main(argv) == 0
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        _at_blas_threads(threads, ["-m", "varireg", "register", str(sim / "observed.csv"), "--out", str(out)])
+        outputs.append([(out / name).read_bytes() for name in ("eigen.csv", "scores.csv")])
+    assert outputs[0] == outputs[1]
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.sampled_from([None, 2, 33]))
@@ -668,31 +685,6 @@ def test_estimate_warps_matches_per_curve_oracle(seed, n, grid_size):
     for g, w in zip(got[2] + got[3], want[2] + want[3]):
         _same_bits(g.sample_t, w.sample_t)
         _same_bits(g.sample_v, w.sample_v)
-
-
-@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.booleans(), st.booleans())
-def test_interp_rows_has_the_bits_of_np_interp(seed, n, shared, per_row_x):
-    rng = np.random.default_rng(seed)
-
-    def samples():
-        t = np.unique(rng.random(int(rng.integers(2, 12))) * rng.choice([1.0, 1e-3]))
-        return t if t.size >= 2 else np.array([0.0, 1.0])
-
-    ts = [samples()] * n if shared else [samples() for _ in range(n)]
-    vs = [np.sort(rng.random(t.size)) for t in ts]
-    width = max(t.size for t in ts)
-    t_rows = np.full((n, width), np.inf)
-    v_rows = np.empty((n, width))
-    for i, (t, v) in enumerate(zip(ts, vs)):
-        t_rows[i, :t.size], v_rows[i, :t.size], v_rows[i, t.size:] = t, v, v[-1]
-    # queries between, at and beyond every row's samples; with per_row_x
-    # each row has its own, as many as the others
-    x = np.sort(np.concatenate([rng.random(20), *ts, [-1.0, 2.0]]))
-    if per_row_x:
-        x = np.sort(np.where(rng.random((n, x.size)) < 0.5, x, rng.random((n, x.size))), axis=1)
-    got = _interp_rows(x, t_rows[:1] if shared else t_rows, v_rows)
-    for i, (t, v) in enumerate(zip(ts, vs)):
-        assert got[i].tobytes() == np.interp(x[i] if per_row_x else x, t, v).tobytes()
 
 
 def _walk(grid, seed):

@@ -12,13 +12,13 @@ from varireg.variation import (
     StepCdf,
     discrete_variation_cdf,
     generalized_inverse,
-    mean_quantile,
     quantile_to_cdf,
+    searchsorted_rows,
     wasserstein2,
 )
 
 from conftest import random_step_cdf
-from oracles import mean_quantile_oracle, quantile_to_cdf_oracle
+from oracles import mean_quantile, mean_quantile_oracle, quantile_to_cdf_oracle
 
 
 # --- independent oracles -------------------------------------------------
@@ -156,6 +156,34 @@ def test_galois_laws(seed):
     u = np.linspace(0.0, 1.0, 41)
     assert (np.asarray(cdf(q(t))) >= t - 0.0).all()
     assert (np.asarray(q(cdf(u))) <= u + 0.0).all()
+
+
+# --- searchsorted_rows ------------------------------------------------------
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["one_shared_row", "shared_sorted_queries", "per_row_queries"]),
+    st.sampled_from(["left", "right"]),
+)
+def test_searchsorted_rows_is_np_searchsorted_row_by_row(seed, layout, side):
+    rng = np.random.default_rng(seed)
+    levels = np.linspace(0.0, 1.0, 9)  # few values, so queries tie with the rows' entries
+    n = 1 if layout == "one_shared_row" else int(rng.integers(2, 7))
+    sizes = rng.integers(1, 10, n)
+    a = np.full((n, sizes.max() + rng.integers(0, 3)), np.inf)  # short rows padded with +inf
+    for i, size in enumerate(sizes):
+        a[i, :size] = np.sort(rng.choice(levels, size))
+    queries = np.concatenate((levels, [-1.0, 2.0, np.inf]))
+    m = int(rng.integers(1, 15))
+    if layout == "one_shared_row":  # any number of query rows against the one row
+        v = rng.choice(queries, (int(rng.integers(1, 4)), m))
+        np.testing.assert_array_equal(searchsorted_rows(a, v, side), np.searchsorted(a[0], v, side))
+        return
+    v = np.sort(rng.choice(queries, m)) if layout == "shared_sorted_queries" else rng.choice(queries, (n, m))
+    got = searchsorted_rows(a, v, side)
+    assert got.shape == (n, m)
+    for i in range(n):
+        np.testing.assert_array_equal(got[i], np.searchsorted(a[i], v if v.ndim == 1 else v[i], side))
 
 
 # --- mean_quantile ----------------------------------------------------------
