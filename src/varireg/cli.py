@@ -1,8 +1,11 @@
 """Command-line interface: simulate, register, diagnose.
 
-Configuration comes from an optional flat JSON file (--config) with every
-key overridable by a same-named flag; flags win.  A key that is no
-flag or positional of the subcommand is refused.  All outputs are
+The parser alone knows each setting's type, default and choices.  An
+optional flat JSON file (--config) gives settings by the destinations of
+the subcommand's flags and positionals; each value goes through its flag's
+type and choices, and the checked values become the subparser's defaults,
+so a flag given as well wins.  A key that is no setting of the subcommand,
+or a value its flag would not take, is refused.  All outputs are
 deterministic given the configuration and seed, byte for byte.  ``--threads``
 and ``VARIREG_THREADS`` are accepted for compatibility and have no effect.
 
@@ -65,30 +68,30 @@ def _build_parser() -> argparse.ArgumentParser:
     reg = sub.add_parser("register", help="register curves from a CSV file")
     reg.add_argument("input", nargs="?", help="input CSV (wide or long)")
     reg.add_argument("--config", help="flat JSON config; flags override it")
-    reg.add_argument("--regime", choices=["complete", "discrete", "noisy"])
+    reg.add_argument("--regime", choices=["complete", "discrete", "noisy"], default="discrete")
     reg.add_argument("--bandwidth", type=float, help="NW bandwidth (discrete regime)")
     reg.add_argument("--h1", type=float, help="derivative bandwidth (noisy regime; with --h2)")
     reg.add_argument("--h2", type=float, help="curve bandwidth (noisy regime; with --h1)")
-    reg.add_argument("--smooth-warps", action="store_const", const=True, default=None)
-    reg.add_argument("--knots", type=int, help="knots for warp smoothing")
-    reg.add_argument("--eigen", type=int, help="number of eigenpairs to report")
+    reg.add_argument("--smooth-warps", action="store_true")
+    reg.add_argument("--knots", type=int, default=11, help="knots for warp smoothing")
+    reg.add_argument("--eigen", type=int, default=3, help="number of eigenpairs to report")
     reg.add_argument("--output-grid-size", type=int)
-    reg.add_argument("--out", help="output directory")
+    reg.add_argument("--out", default=".", help="output directory")
     reg.add_argument("--threads", type=int)
 
     sim = sub.add_parser("simulate", help="draw a synthetic warped sample")
     sim.add_argument("--config", help="flat JSON config; flags override it")
     sim.add_argument("--model", help="|".join(MODEL_NAMES))
-    sim.add_argument("--n", type=int, help="sample size")
-    sim.add_argument("--r", type=int, help="grid size")
-    sim.add_argument("--noise", type=float, help="uniform noise half-width")
+    sim.add_argument("--n", type=int, default=50, help="sample size")
+    sim.add_argument("--r", type=int, default=101, help="grid size")
+    sim.add_argument("--noise", type=float, default=0.0, help="uniform noise half-width")
     sim.add_argument("--c", type=float, help="breakdown location parameter")
     sim.add_argument("--r-scale", type=float, help="breakdown variance parameter")
-    sim.add_argument("--rank", type=int, help="breakdown rank (2 or 3)")
-    sim.add_argument("--warp-mixture-size", type=int, help="components per warp")
-    sim.add_argument("--beta", type=float, help="warp steepness bound parameter")
+    sim.add_argument("--rank", type=int, default=2, help="breakdown rank (2 or 3)")
+    sim.add_argument("--warp-mixture-size", type=int, default=2, help="components per warp")
+    sim.add_argument("--beta", type=float, default=1.01, help="warp steepness bound parameter")
     sim.add_argument("--seed", type=int)
-    sim.add_argument("--out", help="output directory")
+    sim.add_argument("--out", default=".", help="output directory")
     sim.add_argument("--threads", type=int)
 
     dia = sub.add_parser("diagnose", help="diagnostics for a registration run")
@@ -97,67 +100,52 @@ def _build_parser() -> argparse.ArgumentParser:
     dia.add_argument("--truth", help="directory written by `simulate`")
     dia.add_argument("--out", help="output directory (default: <result>/diagnose)")
     dia.add_argument("--rate-ns", help="comma-separated sample sizes for the rate check")
-    dia.add_argument("--rate-reps", type=int)
-    dia.add_argument("--rate-model", help="model for the rate check (rank-1)")
+    dia.add_argument("--rate-reps", type=int, default=50)
+    dia.add_argument("--rate-model", default="model1", help="model for the rate check (rank-1)")
     dia.add_argument("--seed", type=int)
     dia.add_argument("--threads", type=int)
     return parser
 
 
-def _merge_config(args) -> dict:
-    cfg = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            try:
-                loaded = json.load(fh)
-            except ValueError as exc:
-                raise ValueError(f"cannot read {args.config}: {exc}") from None
-        if not isinstance(loaded, dict):
-            raise ValueError(f"{args.config} must hold a flat JSON object")
-        # the settings are the subcommand's flags and positionals, by destination
-        unknown = sorted(k for k in loaded if k in ("command", "config") or k not in vars(args))
-        if unknown:
-            raise ValueError(f"{args.config}: {args.command} takes no setting {', '.join(map(repr, unknown))}")
-        cfg.update(loaded)
-    for key, value in vars(args).items():
-        if key in ("command", "config"):
-            continue
-        if value is not None:
-            cfg[key.replace("-", "_")] = value
-    return cfg
+def _apply_config(parser, args) -> None:
+    """Make the settings of the --config file ``args.config`` the defaults of
+    ``args.command``'s subparser, each as its flag would take it.
 
-
-def _number(cfg, key, kind, default=None):
-    """``kind(cfg[key])`` for a numeric setting; ValueError naming the key if it is not one.
-
-    An absent key takes ``default``; None is returned only where that is None.
+    A number setting takes the text of a JSON number or string through its
+    flag's type, and null only where the flag has no default; an on/off
+    setting takes a JSON boolean; any other setting takes a string, one of
+    the flag's choices where it has them.  ValueError names every key that
+    is no setting of the subcommand, or the key and value of a refused one.
     """
-    value = cfg.get(key, default)
-    if value is None and default is None:
-        return None
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{key} must be a number, got {value!r}") from None
+    command = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices[args.command]
+    with open(args.config, encoding="utf-8") as fh:
+        try:
+            loaded = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"cannot read {args.config}: {exc}") from None
+    if not isinstance(loaded, dict):
+        raise ValueError(f"{args.config} must hold a flat JSON object")
+    # the settings are the subcommand's flags and positionals, by destination
+    actions = {a.dest: a for a in command._actions if a.dest not in ("help", "config")}
+    unknown = sorted(k for k in loaded if k not in actions)
+    if unknown:
+        raise ValueError(f"{args.config}: {args.command} takes no setting {', '.join(map(repr, unknown))}")
+    command.set_defaults(**{key: _setting(actions[key], value, args.config) for key, value in loaded.items()})
 
 
-def _boolean(cfg, key, default):
-    """``cfg[key]`` for an on/off setting; ValueError naming the key if it is not a JSON boolean."""
-    value = cfg.get(key, default)
-    if not isinstance(value, bool):
-        raise ValueError(f"{key} must be true or false, got {value!r}")
-    return value
-
-
-def _path(cfg, key, default=None):
-    """``cfg[key]`` for a path setting; ValueError naming the key if it is not a string.
-
-    An absent key takes ``default``; None is returned only where that is None.
-    """
-    value = cfg.get(key, default)
-    if (value is not None or default is not None) and not isinstance(value, str):
-        raise ValueError(f"{key} must be a path, got {value!r}")
-    return value
+def _setting(action, value, path):
+    if action.nargs == 0:  # an on/off switch
+        ok = isinstance(value, bool)
+    elif action.type is None:
+        ok = isinstance(value, str) and (action.choices is None or value in action.choices)
+    else:  # a number: the flag's type of the value's text, which no list, object or boolean has
+        try:
+            return None if value is None and action.default is None else action.type(str(value))
+        except ValueError:
+            ok = False
+    if ok:
+        return value
+    raise ValueError(f"{path}: {action.dest} cannot be {value!r}")
 
 
 def _json_float_list(arr):
@@ -165,39 +153,32 @@ def _json_float_list(arr):
 
 
 def cmd_register(args) -> None:
-    cfg = _merge_config(args)
-    path, out_dir = _path(cfg, "input"), Path(_path(cfg, "out", "."))
-    if not path:
+    if not args.input:
         raise ValueError("no input file given")
-    ids, curves, rescale = dataio.read_curves_csv(path)
+    out_dir = Path(args.out)
+    ids, curves, rescale = dataio.read_curves_csv(args.input)
 
-    regime = cfg.get("regime", "discrete")
-    resolve_threads(cfg.get("threads"))  # validated only; the pipelines run serially
-    n_eigen = _number(cfg, "eigen", int, 3)
-    if n_eigen < 1:
-        raise ValueError(f"--eigen must be at least 1, got {n_eigen}")
+    resolve_threads(args.threads)  # validated only; the pipelines run serially
+    if args.eigen < 1:
+        raise ValueError(f"--eigen must be at least 1, got {args.eigen}")
     grid_override = None
-    size = _number(cfg, "output_grid_size", int)
-    if size is not None:
-        if size < 3:
-            raise ValueError(f"--output-grid-size must be at least 3, got {size}")
-        grid_override = np.linspace(0.0, 1.0, size)
+    if args.output_grid_size is not None:
+        if args.output_grid_size < 3:
+            raise ValueError(f"--output-grid-size must be at least 3, got {args.output_grid_size}")
+        grid_override = np.linspace(0.0, 1.0, args.output_grid_size)
     try:
-        if regime == "noisy":
-            h1, h2 = _number(cfg, "h1", float), _number(cfg, "h2", float)
-            result = register_noisy(curves, NoisyOptions(h1=h1, h2=h2, output_grid=grid_override))
-        elif regime == "complete":
+        if args.regime == "noisy":
+            result = register_noisy(curves, NoisyOptions(h1=args.h1, h2=args.h2, output_grid=grid_override))
+        elif args.regime == "complete":
             result = register_complete(curves, output_grid=grid_override)
-        elif regime == "discrete":
+        else:
             opts = RegisterOptions(
-                bandwidth=_number(cfg, "bandwidth", float),
-                smooth_warps=_boolean(cfg, "smooth_warps", False),
-                n_knots=_number(cfg, "knots", int, 11),
+                bandwidth=args.bandwidth,
+                smooth_warps=args.smooth_warps,
+                n_knots=args.knots,
                 output_grid=grid_override,
             )
             result = register_discrete(curves, opts)
-        else:
-            raise ValueError(f"unknown regime {regime!r}")
     except ZeroVariation as exc:  # the library counts curves; the user knows their ids
         cid = ids[exc.curve_id] if exc.curve_id is not None else "?"
         raise ZeroVariation(f"curve {cid!r} has zero variation; cannot register") from None
@@ -218,7 +199,7 @@ def cmd_register(args) -> None:
     if len(curves) >= 2:
         # at most min(--eigen, n, r) pairs: past the sample size they are null directions
         values = np.stack([c.values for c in result.registered])
-        eig = row_eigenpairs(values, grid, n_eigen)
+        eig = row_eigenpairs(values, grid, args.eigen)
         dataio.write_eigen_csv(out_dir / "eigen.csv", grid, eig.eigenfunctions)
         score_mat = np.column_stack([row_scores(values, phi, grid) for phi in eig.eigenfunctions])
         dataio.write_scores_csv(out_dir / "scores.csv", ids, score_mat)
@@ -231,7 +212,7 @@ def cmd_register(args) -> None:
         "grid_sizes": [int(c.grid.size) for c in curves],
         "per_curve_grids": any(not np.array_equal(c.grid, curves[0].grid) for c in curves[1:]),
         "output_grid_size": int(grid.size),
-        "n_eigen": n_eigen,
+        "n_eigen": args.eigen,
         "explained_ratios": _json_float_list(ratios),
         "time_rescale": None
         if rescale is None
@@ -242,33 +223,21 @@ def cmd_register(args) -> None:
 
 
 def cmd_simulate(args) -> None:
-    cfg = _merge_config(args)
-    model = cfg.get("model")
-    if model not in MODEL_NAMES:
-        raise ValueError(f"unknown model {model!r}; choose from {MODEL_NAMES}")
-    if cfg.get("seed") is None:
-        raise ValueError("--seed is required for simulate")
-
-    out_dir = Path(_path(cfg, "out", "."))
-    seed = _number(cfg, "seed", int)
-    n = _number(cfg, "n", int, 50)
-    r = _number(cfg, "r", int, 101)
-    noise = _number(cfg, "noise", float, 0.0)
     model_cfg = LatentModelConfig(
-        name=model,
-        grid_size=r,
-        noise_halfwidth=noise,
-        c=_number(cfg, "c", float),
-        r_scale=_number(cfg, "r_scale", float),
-        rank=_number(cfg, "rank", int, 2),
+        name=args.model,
+        grid_size=args.r,
+        noise_halfwidth=args.noise,
+        c=args.c,
+        r_scale=args.r_scale,
+        rank=args.rank,
     )
-    warp_cfg = WarpLawConfig(
-        J=_number(cfg, "warp_mixture_size", int, 2),
-        beta=_number(cfg, "beta", float, 1.01),
-    )
-    bundle = make_truth_bundle(model_cfg, warp_cfg, n, seed)
+    if args.seed is None:
+        raise ValueError("--seed is required for simulate")
+    out_dir = Path(args.out)
+    warp_cfg = WarpLawConfig(J=args.warp_mixture_size, beta=args.beta)
+    bundle = make_truth_bundle(model_cfg, warp_cfg, args.n, args.seed)
 
-    ids = [f"curve_{i + 1}" for i in range(n)]
+    ids = [f"curve_{i + 1}" for i in range(args.n)]
     dataio.write_wide_csv(
         out_dir / "observed.csv", ids, bundle.grid, [c.values for c in bundle.observed]
     )
@@ -287,11 +256,11 @@ def cmd_simulate(args) -> None:
         dataio.write_template_csv(out_dir / "truth_fphi.csv", bundle.f_phi)
 
     meta = {
-        "model": model,
-        "n": n,
-        "r": r,
-        "noise_halfwidth": noise,
-        "seed": seed,
+        "model": args.model,
+        "n": args.n,
+        "r": args.r,
+        "noise_halfwidth": args.noise,
+        "seed": args.seed,
         "rank": len(model_cfg.basis()),
         "c": model_cfg.c,
         "r_scale": model_cfg.r_scale,
@@ -302,12 +271,10 @@ def cmd_simulate(args) -> None:
 
 
 def cmd_diagnose(args) -> None:
-    cfg = _merge_config(args)
-    result_dir, truth_dir = _path(cfg, "result"), _path(cfg, "truth")
-    if not result_dir:
+    if not args.result:
         raise ValueError("no result directory given")
-    result_dir = Path(result_dir)
-    out_dir = Path(_path(cfg, "out", str(result_dir / "diagnose")))
+    result_dir, truth_dir = Path(args.result), args.truth
+    out_dir = result_dir / "diagnose" if args.out is None else Path(args.out)
 
     ids, registered, _ = dataio.read_curves_csv(result_dir / "registered.csv")
     grid = _common_grid(registered)
@@ -358,17 +325,12 @@ def cmd_diagnose(args) -> None:
         if rep.dW2_template_to_target is not None:
             report["dW2_template_to_target"] = float(rep.dW2_template_to_target)
 
-    if cfg.get("rate_ns"):
-        if cfg.get("seed") is None:
+    if args.rate_ns:
+        if args.seed is None:
             raise ValueError("--seed is required for the rate check")
-        ns = [int(x) for x in str(cfg["rate_ns"]).split(",") if x]
-        rate = rate_check(
-            LatentModelConfig(name=cfg.get("rate_model", "model1")),
-            WarpLawConfig(),
-            ns,
-            _number(cfg, "rate_reps", int, 50),
-            _number(cfg, "seed", int),
-        )
+        ns = [int(x) for x in args.rate_ns.split(",") if x]
+        model = LatentModelConfig(name=args.rate_model)
+        rate = rate_check(model, WarpLawConfig(), ns, args.rate_reps, args.seed)
         report["rate_check"] = {
             "ns": rate.ns,
             "grid_sizes": rate.grid_sizes,
@@ -387,8 +349,12 @@ def cmd_diagnose(args) -> None:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     try:
+        if args.config:  # the flags are parsed again over the file's settings, so they win
+            _apply_config(parser, args)
+            args = parser.parse_args(argv)
         # the commands are looked up at call time, so a rebound cmd_* is the one that runs
         {"register": cmd_register, "simulate": cmd_simulate, "diagnose": cmd_diagnose}[args.command](args)
         return EXIT_OK

@@ -212,14 +212,21 @@ def _by_row(path, layout):
     return build(runs, np.array(values, dtype=float).reshape(len(values), width - ids), lines)
 
 
-def _headed(*names, ids=0):
+def _headed(*names, ids=0, finite=False):
     """The layout of a table headed ``names``, its first ``ids`` columns a curve id:
-    its build gives (runs, values, lines) as they are, and it skips empty records."""
+    its build gives (runs, values, lines) as they are, refusing the first cell
+    that is not a finite number if ``finite``, and it skips empty records."""
 
     def layout(header):
         if header != list(names):
             raise InputFormatError(f"header is not {','.join(names)!r}", 1)
-        return len(names), ids, lambda *table: table, bool
+        return len(names), ids, build, bool
+
+    def build(runs, values, lines):
+        bad = np.argwhere(~np.isfinite(values)) if finite else []
+        if len(bad):  # from the bulk parse, without lines, this sends the file to the row loop
+            raise InputFormatError(f"{names[ids + bad[0][1]]} must be finite", lines and lines[bad[0][0]])
+        return runs, values, lines
 
     return layout
 
@@ -241,16 +248,14 @@ def _rows_of(table, spans):
 
 @_names_its_file
 def read_warps_csv(path):
-    """{curve id: (t, warp, inverse warp)}, each curve's rows sorted as tuples."""
-    runs, values, _ = _read(path, _headed("curve_id", "t", "warp_value", "inverse_warp_value", ids=1))
+    """{curve id: (t, warp, inverse warp)}, each curve's rows sorted as tuples;
+    a cell that is not a finite number is refused with its line."""
+    runs, values, _ = _read(path, _headed("curve_id", "t", "warp_value", "inverse_warp_value", ids=1, finite=True))
     out = {}
     for cid, spans in _groups(runs).items():
         rows = _rows_of(values, spans)
         if not (rows[1:, 0] > rows[:-1, 0]).all():  # out of order: sort a copy (np.diff may overflow)
-            if np.isnan(rows).any():  # sorted() places NaN where it meets it; lexsort cannot
-                rows = np.array(sorted(map(tuple, rows.tolist())))
-            else:
-                rows = rows[np.lexsort(rows.T[::-1])]
+            rows = rows[np.lexsort(rows.T[::-1])]
         out[cid] = (rows[:, 0], rows[:, 1], rows[:, 2])
     return out
 

@@ -134,11 +134,11 @@ class StepCdf:
         cums = _as_float_array(self.cum_values)
         if locs.size == 0 or locs.size != cums.size:
             raise ValueError("need equally many jump locations and levels")
-        if not (np.diff(locs) > 0).all():
+        if not (locs[1:] > locs[:-1]).all():  # np.diff may overflow
             raise ValueError("jump locations must be strictly increasing")
         if locs[0] <= 0.0 or locs[-1] > 1.0:
             raise ValueError("jump locations must lie in (0,1]")
-        if not (np.diff(cums) > 0).all() or cums[0] <= 0.0:
+        if not (cums[1:] > cums[:-1]).all() or cums[0] <= 0.0:
             raise ValueError("cumulative levels must be strictly increasing from > 0")
         if cums[-1] != 1.0:
             raise ValueError("last cumulative level must equal 1.0")
@@ -169,11 +169,11 @@ class QuantileFn:
         vals = _as_float_array(self.values)
         if bp.size < 2 or bp.size != vals.size:
             raise ValueError("need matching breakpoints and values, at least 2")
-        if not (np.diff(bp) > 0).all():
+        if not (bp[1:] > bp[:-1]).all():  # np.diff may overflow
             raise ValueError("breakpoints must be strictly increasing")
         if bp[0] != 0.0 or bp[-1] != 1.0:
             raise ValueError("breakpoints must start at 0 and end at 1")
-        if not (np.diff(vals) >= 0).all():
+        if not (vals[1:] >= vals[:-1]).all():
             raise ValueError("values must be nondecreasing")
         if vals[0] != 0.0:
             raise ValueError("value at 0 must be 0")

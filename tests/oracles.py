@@ -1089,11 +1089,15 @@ def _per_cell_read_table(path, header):
 
 @_names_its_file
 def per_cell_read_warps_csv(path):
+    header = ["curve_id", "t", "warp_value", "inverse_warp_value"]
+    parsed = [(line, row[0], [_per_cell_parse_float(cell, line) for cell in row[1:]])
+              for line, row in _per_cell_read_table(path, header)]
     data = {}
-    for line, row in _per_cell_read_table(path, ["curve_id", "t", "warp_value", "inverse_warp_value"]):
-        data.setdefault(row[0], []).append(
-            (_per_cell_parse_float(row[1], line), _per_cell_parse_float(row[2], line), _per_cell_parse_float(row[3], line))
-        )
+    for line, cid, cells in parsed:  # every cell a number first, then every cell finite
+        for name, x in zip(header[1:], cells):
+            if not math.isfinite(x):
+                raise InputFormatError(f"{name} must be finite", line)
+        data.setdefault(cid, []).append(tuple(cells))
     out = {}
     for cid, pts in data.items():
         arr = np.array(sorted(pts))

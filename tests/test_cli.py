@@ -674,7 +674,8 @@ def cli_inputs(tmp_path_factory):
     }
 
 
-# simulate settings in a --config file that are not numbers: exit 2, no traceback
+# simulate settings in a --config file that its flags would refuse, such as text or a
+# fraction for an int, and a misspelt key: exit 2, no traceback
 BAD_SIMULATE_SETTINGS = {
     **{f"{key}_abc": {key: "abc"} for key in
        ("n", "r", "noise", "seed", "rank", "warp_mixture_size", "beta", "c", "r_scale")},
@@ -684,11 +685,14 @@ BAD_SIMULATE_SETTINGS = {
     "out_list": {"out": [1]},
     "out_null": {"out": None},
     "misspelt_noise": {"nosie": 0.1},
+    "n_fraction": {"n": 2.5},
+    "threads_abc": {"threads": "abc"},
 }
 
-# register and diagnose settings of the wrong type, numbers and booleans alike,
-# one noisy bandwidth without the other, and keys that name no setting: retired
-# ones and a misspelt one
+# register and diagnose settings of the wrong type, numbers and booleans alike
+# (a boolean or any float for an int, a number or null for a path or the rate
+# check's sizes), one noisy bandwidth without the other, and keys that name no
+# setting: retired ones and a misspelt one
 BAD_REGISTER_SETTINGS = {
     "eigen_null": {"eigen": None},
     "eigen_list": {"eigen": [2]},
@@ -707,6 +711,11 @@ BAD_REGISTER_SETTINGS = {
     "noisy_auto_bandwidth_no": {"regime": "noisy", "auto_bandwidth": "no"},
     "seed": {"seed": 3},
     "misspelt_bandwidth": {"bandwith": 0.1},
+    "eigen_true": {"eigen": True},
+    "eigen_fraction": {"eigen": 2.9},
+    "eigen_whole_float": {"eigen": 2.0},
+    "knots_fraction": {"knots": 3.9, "smooth_warps": True},
+    "threads_fraction": {"threads": 2.5},
 }
 BAD_DIAGNOSE_SETTINGS = {
     "rate_reps_null": {"rate_reps": None},
@@ -714,6 +723,9 @@ BAD_DIAGNOSE_SETTINGS = {
     "truth_number": {"truth": 3},
     "out_null": {"out": None},
     "misspelt_rate_reps": {"rate_rep": 2},
+    "threads_abc": {"threads": "abc"},
+    "rate_ns_number": {"rate_ns": 5},
+    "truth_null": {"truth": None},
 }
 BAD_SETTINGS = [
     ("simulate", BAD_SIMULATE_SETTINGS, {"model": "breakdown", "c": 1.0, "r_scale": 0.1, "seed": 1}),
@@ -941,30 +953,34 @@ def _flag_argv(draw, command):
     return argv
 
 
+def _run_in(run_dir, argv):
+    """(exit code, {path under ``run_dir``: bytes}) of ``varireg`` with ``argv``, run
+    from ``run_dir``/cwd: a documented exit code, no traceback, nothing written on failure."""
+    cwd = run_dir / "cwd"  # an --out of ".." writes into run_dir
+    cwd.mkdir(parents=True)
+    err, before = io.StringIO(), os.getcwd()
+    os.chdir(cwd)
+    try:
+        with contextlib.redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:  # argparse's usage error
+        code = exc.code
+    finally:
+        os.chdir(before)
+    assert code in (0, 2, 3, 4), argv
+    assert "Traceback" not in err.getvalue(), argv
+    written = {str(p.relative_to(run_dir)): p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
+    if code != 0:
+        assert not written and not any(cwd.iterdir()), argv
+    return code, written
+
+
 def _check_flag_run(argv, cli_inputs):
-    """``varireg`` with ``argv`` twice, each in a fresh directory: a documented exit
-    code, no traceback, nothing written on failure, the same bytes on success."""
+    """``varireg`` with ``argv`` twice, each in a fresh directory: the same outcome,
+    bytes included."""
     argv = [a.format(**cli_inputs) if a.startswith("{") else a for a in argv]
-    outcomes = []
     with tempfile.TemporaryDirectory() as tmp:
-        for run_dir in (Path(tmp) / "a", Path(tmp) / "b"):
-            cwd = run_dir / "cwd"  # an --out of ".." writes into run_dir
-            cwd.mkdir(parents=True)
-            err, before = io.StringIO(), os.getcwd()
-            os.chdir(cwd)
-            try:
-                with contextlib.redirect_stderr(err):
-                    code = main(argv)
-            except SystemExit as exc:  # argparse's usage error
-                code = exc.code
-            finally:
-                os.chdir(before)
-            assert code in (0, 2, 3, 4), argv
-            assert "Traceback" not in err.getvalue(), argv
-            written = {str(p.relative_to(run_dir)): p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
-            if code != 0:
-                assert not written and not any(cwd.iterdir()), argv
-            outcomes.append((code, written))
+        outcomes = [_run_in(Path(tmp) / run_dir, argv) for run_dir in ("a", "b")]
     assert outcomes[0] == outcomes[1], argv
 
 
@@ -981,6 +997,114 @@ def test_drawn_flags_exit_with_documented_codes(command, data, cli_inputs):
 @given(data=st.data())
 def test_drawn_flags_exit_with_documented_codes_many_examples(command, data, cli_inputs):
     _check_flag_run(data.draw(_flag_argv(command)), cli_inputs)
+
+
+# the settings a flags run and a --config run of each subcommand always give:
+# its input, an --out (diagnose's default is inside the shared result), and
+# simulate's model and seed, without which it does nothing
+_ALWAYS = {"register": {"input", "out"}, "simulate": {"model", "seed", "out"}, "diagnose": {"result", "out"}}
+
+
+@st.composite
+def _valid_settings(draw, command):
+    """Valid settings of ``command``, each of its flags and positionals given or not."""
+    return {a.dest: draw(_VALID_SETTINGS[a.dest]) for a in _flag_actions(command)
+            if a.dest in _ALWAYS[command] or draw(st.booleans())}
+
+
+def _check_flags_match_config(command, chosen, cli_inputs):
+    """``varireg <command>`` given ``chosen`` as flags and as a --config file: the
+    same exit code, and the same bytes in the same places."""
+    chosen = {k: v.format(**cli_inputs) if isinstance(v, str) and v.startswith("{") else v
+              for k, v in chosen.items()}
+    argv = [command]
+    for action in _flag_actions(command):
+        value = chosen.get(action.dest)
+        if action.nargs == 0:  # a switch: given for true
+            argv += action.option_strings[:1] if value else []
+        elif action.dest in chosen:  # --c=-1e-05: argparse reads "--c -1e-05" as two flags
+            argv.append(f"{action.option_strings[0]}={value}" if action.option_strings else str(value))
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(chosen), encoding="utf-8")
+        by_flags = _run_in(Path(tmp) / "flags", argv)
+        by_config = _run_in(Path(tmp) / "config", [command, "--config", str(config)])
+    assert by_flags == by_config, chosen
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_flags_and_config_give_the_same_run(command, data, cli_inputs):
+    _check_flags_match_config(command, data.draw(_valid_settings(command)), cli_inputs)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("command", COMMANDS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_flags_and_config_give_the_same_run_many_examples(command, data, cli_inputs):
+    _check_flags_match_config(command, data.draw(_valid_settings(command)), cli_inputs)
+
+
+# how a file of a valid `register` result may be damaged before `diagnose` reads it
+RESULT_DAMAGES = ["truncate", "drop_row", "junk_cell", "permute_rows", "header"]
+_JUNK_CELLS = st.sampled_from(["", "nan", "inf", "-inf", "1e999", "x", '"1"', "0,0"]) | _JUNK
+
+
+@st.composite
+def _damaged(draw, text):
+    """``text``, a CSV file of a result, with one drawn damage."""
+    header, *rows = text.splitlines(keepends=True)
+    damage = draw(st.sampled_from(RESULT_DAMAGES))
+    if damage == "truncate":
+        return text[:draw(st.integers(0, len(text) - 1))]
+    if damage == "drop_row":
+        rows.pop(draw(st.integers(0, len(rows) - 1)))
+    elif damage == "junk_cell":
+        i = draw(st.integers(0, len(rows) - 1))
+        cells = rows[i].rstrip("\n").split(",")
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(_JUNK_CELLS)
+        rows[i] = ",".join(cells) + "\n"
+    elif damage == "permute_rows":
+        rows = [rows[i] for i in np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(len(rows))]
+    else:
+        cells = header.rstrip("\n").split(",")
+        header = ",".join(draw(st.sampled_from([cells[::-1], cells[:-1], cells + ["x"], ["x", *cells[1:]]]))) + "\n"
+    return header + "".join(rows)
+
+
+def _check_damaged_result(data, cli_inputs):
+    """``varireg diagnose``, with ``--truth`` or not, on a copy of a valid result with
+    one file damaged, twice: a documented exit code without a traceback, nothing
+    written on failure, and the same bytes both times."""
+    name = data.draw(st.sampled_from(sorted(p.name for p in cli_inputs["result"].glob("*.csv"))))
+    truth = ["--truth", str(cli_inputs["sim"])] if data.draw(st.booleans()) else []
+    with tempfile.TemporaryDirectory() as tmp:
+        result = Path(tmp) / "result"
+        result.mkdir()
+        for p in cli_inputs["result"].iterdir():
+            if p.is_file():
+                (result / p.name).write_bytes(p.read_bytes())
+        (result / name).write_text(data.draw(_damaged((result / name).read_text(encoding="utf-8"))), encoding="utf-8")
+        before = sorted(result.rglob("*")), read_all_bytes(result)
+        outcomes = [_run_in(Path(tmp) / run_dir, ["diagnose", str(result), *truth, "--out", ".."])
+                    for run_dir in ("a", "b")]
+        assert (sorted(result.rglob("*")), read_all_bytes(result)) == before  # the result is only read
+    assert outcomes[0] == outcomes[1], (name, truth)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_diagnose_damaged_result_exits_with_documented_codes(data, cli_inputs):
+    _check_damaged_result(data, cli_inputs)
+
+
+@pytest.mark.slow
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_diagnose_damaged_result_exits_with_documented_codes_many_examples(data, cli_inputs):
+    _check_damaged_result(data, cli_inputs)
 
 
 # a curves file as `register` may meet it: at most 8 curves and 60 points, wide

@@ -194,6 +194,7 @@ def test_read_warps_matches_per_cell_reader(text):
     assert_reads_alike("warps.csv", text, dataio.read_warps_csv, oracles.per_cell_read_warps_csv)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # jump locations whose differences overflow
 @given(two_column_text(["jump_location", "cum_value"], valid=True))
 def test_read_template_matches_per_cell_reader(text):
     assert_reads_alike("template.csv", text, dataio.read_template_csv, oracles.per_cell_read_template_csv)
@@ -246,6 +247,7 @@ NAMED_TABLES = {
     "warps_time_span_overflow": ("warps.csv", "curve_id,t,warp_value,inverse_warp_value\n"
                                  "a,-1e308,0,0\na,1e308,1,1\nb,1e308,0,0\nb,-1e308,1,1\n"),
     "mean_time_span_overflow": ("mean.csv", "t,value\n-1e308,1\n1e308,2\n1.5e308,3\n"),
+    "template_span_overflow": ("template.csv", "jump_location,cum_value\n-1e308,0.5\n1e308,1\n"),
 }
 
 
@@ -317,6 +319,22 @@ def test_warps_row_with_five_fields_exits_2(tmp_path, capsys):
     # diagnose reads warps.csv for the truth errors alone
     assert main(["diagnose", str(run), "--truth", str(sim), "--out", str(tmp_path / "dia")]) == 2
     assert "cannot read warps.csv: line 6: expected 4 fields, got 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("column, cell", [(1, "nan"), (3, "-inf")], ids=["nan_time", "minus_inf_inverse"])
+def test_warps_non_finite_cell_exits_2_on_its_own_line(column, cell, tmp_path, capsys):
+    sim, run, dia = tmp_path / "sim", tmp_path / "run", tmp_path / "dia"
+    assert main(["simulate", "--model", "model1", "--n", "5", "--r", "21", "--seed", "1", "--out", str(sim)]) == 0
+    assert main(["register", str(sim / "observed.csv"), "--out", str(run)]) == 0
+    lines = (run / "warps.csv").read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[column] = cell
+    lines[5] = ",".join(cells)
+    (run / "warps.csv").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["diagnose", str(run), "--truth", str(sim), "--out", str(dia)]) == 2
+    assert f"cannot read warps.csv: line 6: {WARPS_HEADER[column]} must be finite" in capsys.readouterr().err
+    assert not dia.exists()
 
 
 NON_FINITE_TIMES = {

@@ -35,3 +35,16 @@ def test_script_runs(script, args):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_benchmark_selftest_passes():
+    # the benchmark drives `register --threads`, RegisterOptions(threads=) and the
+    # varireg._parallel import: a change to a name it pins fails here
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "selftest.py")],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "selftest ok" in proc.stdout
