@@ -1,6 +1,12 @@
 """Misspecification statistics, quality metrics against ground truth, and
 the Monte Carlo rate-check harness.
 
+The misspecification statistic of a curve is the total variation distance
+between its local variation density, its normalized |derivative|, and that
+of a reference: the sample mean, or the leading eigenfunction when the mean
+is flat.  It is 0 on a rank-one sample, where registration is identifiable,
+and at most 2.
+
 Derivatives here use finite differences, never the smoothing module, so the
 diagnostics stay independent of the pipeline under test.
 """
@@ -25,8 +31,6 @@ from .simulate import (
 )
 from .variation import cumulative_variation, generalized_inverse, wasserstein2
 
-Z_CLAMP_TOL = 1e-9
-
 
 @dataclass
 class RegistrationReport:
@@ -42,15 +46,20 @@ class RegistrationReport:
 
 
 def z_statistic(curves, mean_mode: str = "auto", info: dict = None) -> np.ndarray:
-    """Per-curve departure from the rank-1 registerable regime, in [0,2].
+    """Per-curve departure from the rank-1 registerable regime, in [0, 2].
 
-    With a non-flat mean: Z_i = 2 * int|X_i' - mean'| / int|X_i'|.  With a
-    (numerically) flat mean, or when forced, the two leading empirical
-    components stand in for the population decomposition:
-    Z_i = 2*eta*int|Y_i2 phi2'| / int|Y_i1 phi1' + eta Y_i2 phi2'| with
-    eta the square root of the eigenvalue ratio.  Every curve is one row of
-    a (curves x points) array; each integral is a sum along its row, so a
-    curve gets the same bits in any sample order.
+    Z_i is the total variation distance between curve i's local variation
+    density and a reference one: Z_i = int | |D_i|/int|D_i| - |R'|/int|R'| |.
+    With a non-flat mean (branch ``mean_deriv``), D_i = X_i' and R is the
+    sorted-sum mean.  With a (numerically) flat mean, or when forced
+    (branch ``zero_mean``), D_i is the derivative of curve i's centred
+    projection onto the leading components, at most two, that have a
+    positive eigenvalue, and R = phi1; when phi1 has no positive eigenvalue
+    or phi1' no mass (``zero_mean_degenerate``), every Z_i is 0.  A curve
+    whose D_i has no mass reads 0.  On a rank-one sample X_i = xi_i phi
+    every Z_i is 0.  Every curve is one row of a (curves x points) array;
+    each integral is a sum along its row, so a curve gets the same bits in
+    any sample order.
     """
     if mean_mode not in ("auto", "force_zero_deriv"):
         raise ValueError("mean_mode must be 'auto' or 'force_zero_deriv'")
@@ -61,6 +70,14 @@ def z_statistic(curves, mean_mode: str = "auto", info: dict = None) -> np.ndarra
 
     def integral(rows):
         return np.sum(w * rows, axis=-1)
+
+    def distance(d, r):
+        """int | |d_i|/int|d_i| - |r|/int|r| | for each row d_i of d; 0 where d_i has no mass."""
+        d, r = np.abs(d), np.abs(r)
+        mass = integral(d)
+        tv = integral(np.abs(d / np.where(mass > 0.0, mass, 1.0)[:, None] - r / integral(r)))
+        # a TV distance lies in [0, 2]; the minimum only absorbs rounding past 2
+        return np.where(mass > 0.0, np.minimum(tv, 2.0), 0.0)
 
     derivs = np.gradient(x, grid, axis=1)
     denoms = integral(np.abs(derivs))
@@ -73,39 +90,21 @@ def z_statistic(curves, mean_mode: str = "auto", info: dict = None) -> np.ndarra
 
     mu = sorted_row_mean(grid, x).values if len(curves) >= 2 else x[0]
     mu_deriv = np.gradient(mu, grid)
-    use_zero_mean = mean_mode == "force_zero_deriv" or integral(np.abs(mu_deriv)) < 1e-8 * scale
-
-    if not use_zero_mean:
-        raw = 2.0 * integral(np.abs(derivs - mu_deriv)) / denoms
-        branch = "mean_deriv"
+    if mean_mode == "auto" and integral(np.abs(mu_deriv)) >= 1e-8 * scale:
+        z, branch = distance(derivs, mu_deriv), "mean_deriv"
     else:
         eig = row_eigenpairs(x, grid, 2)
-        gamma = np.sqrt(eig.eigenvalues)
-        if gamma[0] <= 0.0:
-            raw = np.zeros(len(curves))
-            branch = "zero_mean_degenerate"
+        phi = eig.eigenfunctions[eig.eigenvalues > 0.0]
+        dphi = np.gradient(phi, grid, axis=1)
+        if phi.shape[0] == 0 or integral(np.abs(dphi[0])) == 0.0:
+            z, branch = np.zeros(len(curves)), "zero_mean_degenerate"
         else:
-            two = eig.eigenvalues.size > 1
             centered = x - mu
-            s1 = row_scores(centered, eig.eigenfunctions[0], grid)
-            s2 = row_scores(centered, eig.eigenfunctions[1], grid) if two else np.zeros(len(curves))
-            eta = float(gamma[1] / gamma[0]) if gamma.size > 1 and gamma[1] > 0 else 0.0
-            y1 = s1 / gamma[0]
-            y2 = s2 / gamma[1] if eta > 0 else np.zeros_like(s2)
-            d1 = np.gradient(eig.eigenfunctions[0], grid)
-            d2 = np.gradient(eig.eigenfunctions[1], grid) if two else np.zeros_like(grid)
-            num = 2.0 * eta * np.abs(y2) * integral(np.abs(d2))
-            den = integral(np.abs(y1[:, None] * d1 + eta * y2[:, None] * d2))
-            raw = np.where(num == 0.0, 0.0, num / np.maximum(den, 1e-300))
-            branch = "zero_mean"
-
-    clamped = raw > 2.0 + Z_CLAMP_TOL
-    values = np.clip(raw, 0.0, 2.0)
+            projected = sum(row_scores(centered, f, grid)[:, None] * df for f, df in zip(phi, dphi))
+            z, branch = distance(projected, dphi[0]), "zero_mean"
     if info is not None:
         info["branch"] = branch
-        info["clamped"] = clamped
-        info["raw_max"] = float(raw.max()) if raw.size else 0.0
-    return values
+    return z
 
 
 def truth_errors(warp_block, width, registered, latent, mean) -> tuple:
@@ -143,7 +142,7 @@ def registration_report(registered, mean, template, truth=None) -> RegistrationR
 
     For two curves or more: the explained ratios of the three leading
     components, and the z-statistic, None for constant curves, with its
-    branch and whether a clamp fired in ``flags``.  ``truth()``, if given,
+    branch in ``flags["z_branch"]``.  ``truth()``, if given,
     is called once those are done, so no truth array exists while the
     eigenproblem is solved, which keeps the peak memory of a wide sample
     down.  It returns (warp_block, width, latent, f_phi): the truth
@@ -159,7 +158,7 @@ def registration_report(registered, mean, template, truth=None) -> RegistrationR
             report.z_stats = z_statistic(registered, info=info)
         except ZeroVariation:
             pass
-    report.flags = {"z_branch": info.get("branch"), "z_clamped_any": bool(np.any(info.get("clamped", False)))}
+    report.flags = {"z_branch": info.get("branch")}
     if truth is not None:
         warp_block, width, latent, f_phi = truth()
         if f_phi is not None:

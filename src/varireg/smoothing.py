@@ -29,6 +29,9 @@ _BLOCK_BUDGET = 1 << 15  # window points per block of _row_fits; smaller blocks 
 # _CELL_BUDGET stay in cache and keep the peak memory of a sample down
 _LOO_BLOCK_FITS = 1 << 15  # fits per row block of _loo_errors: enough curves to share
 # each window geometry, with arrays over (rows, bandwidths, points) of one block's size
+_MIN_BANDWIDTH = 2.0 * np.finfo(float).max ** -0.25  # about 1.73e-77.  On [0, 1] |u| <= 1/h,
+# and a degree-2 fit forms u^4 at every padded window point: at max ** -0.25 itself
+# h^-4 rounds past the largest float; at twice that it stays 16 times below it
 
 
 def epanechnikov(u) -> np.ndarray:
@@ -57,18 +60,19 @@ def _row_fits(grids, values, bandwidths, eval_points, degrees, deriv_order=0, lo
 
     ``grids`` holds one sorted grid shared by every curve, or one per curve,
     padded past its last point with +inf; ``values`` (n, L) is padded with
-    any finite value.  ``bandwidths`` (n, K) holds one row per curve, and
-    ``eval_points`` (n, m) one per curve or one shared by all.  Returns an
-    array of shape (len(degrees), n, K, m) whose entry [d, i, k] holds, at
-    each of curve i's evaluation points, the deriv_order coefficient
-    (scaled back to the time axis) of the weighted least-squares fit of
-    degree degrees[d] with bandwidth bandwidths[i, k] (Fan & Gijbels 1996,
-    ch. 3), for deriv_order 0 or 1; nan marks a window with fewer than
-    degree + 1 positively weighted points or a singular moment matrix S.
-    Degree 0 is the Nadaraya-Watson average, with the weights normalized
-    before the dot product so a single-point window returns its value
-    exactly.  With ``loo`` a grid point coinciding with the evaluation point
-    gets weight 0.
+    any finite value.  ``bandwidths`` (n, K) holds one row per curve, each
+    in [_MIN_BANDWIDTH, 1] (ValueError otherwise: every bandwidth of the
+    pipelines passes here), and ``eval_points`` (n, m) one per curve or one
+    shared by all.  Returns an array of shape (len(degrees), n, K, m) whose
+    entry [d, i, k] holds, at each of curve i's evaluation points, the
+    deriv_order coefficient (scaled back to the time axis) of the weighted
+    least-squares fit of degree degrees[d] with bandwidth bandwidths[i, k]
+    (Fan & Gijbels 1996, ch. 3), for deriv_order 0 or 1; nan marks a window
+    with fewer than degree + 1 positively weighted points or a singular
+    moment matrix S.  Degree 0 is the Nadaraya-Watson average, with the
+    weights normalized before the dot product so a single-point window
+    returns its value exactly.  With ``loo`` a grid point coinciding with
+    the evaluation point gets weight 0.
 
     A fit has two halves.  Its window, kernel weights w, products w u^p,
     moments s_p, the row of S^-1 it needs and determined-window mask depend
@@ -90,8 +94,8 @@ def _row_fits(grids, values, bandwidths, eval_points, degrees, deriv_order=0, lo
     every S is solved on its own, elementwise.
     """
     h = np.asarray(bandwidths, dtype=float)
-    if not ((h > 0.0) & (h <= 1.0)).all():
-        raise ValueError("bandwidth must lie in (0, 1]")
+    if not ((h >= _MIN_BANDWIDTH) & (h <= 1.0)).all():
+        raise ValueError(f"bandwidth must lie in [{_MIN_BANDWIDTH:.3g}, 1]")
     n, K = h.shape
     rows, m = np.shape(eval_points)
     shared = rows == 1 and grids.shape[0] == 1

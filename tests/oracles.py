@@ -58,7 +58,7 @@ from itertools import repeat
 from pathlib import Path
 
 from varireg.dataio import InputFormatError, _names_its_file
-from varireg.diagnostics import Z_CLAMP_TOL, RateCheckResult, RegistrationReport, rate_grid_size
+from varireg.diagnostics import RateCheckResult, RegistrationReport, rate_grid_size
 from varireg.errors import (
     AllCandidatesSingular,
     EmptySample,
@@ -776,54 +776,36 @@ def per_curve_z_statistic(curves, mean_mode="auto", info=None) -> np.ndarray:
         if d <= 1e-12 * scale:
             raise ZeroVariation(curve_id=i)
 
+    def tv(d, r):
+        # total variation distance between the densities |d|/int|d| and |r|/int|r|
+        mass = _trapz(np.abs(d), grid)
+        if mass == 0.0:
+            return 0.0
+        return min(_trapz(np.abs(np.abs(d) / mass - np.abs(r) / _trapz(np.abs(r), grid)), grid), 2.0)
+
     mu = cross_sectional_mean(curves) if len(curves) >= 2 else curves[0]
     mu_deriv = np.gradient(mu.values, grid)
-    mu_mass = _trapz(np.abs(mu_deriv), grid)
-    use_zero_mean = mean_mode == "force_zero_deriv" or mu_mass < 1e-8 * scale
-
-    if not use_zero_mean:
-        raw = np.array(
-            [2.0 * _trapz(np.abs(d - mu_deriv), grid) / dn for d, dn in zip(derivs, denoms)]
-        )
+    if mean_mode == "auto" and _trapz(np.abs(mu_deriv), grid) >= 1e-8 * scale:
+        z = np.array([tv(d, mu_deriv) for d in derivs])
         branch = "mean_deriv"
     else:
         eig = row_eigenpairs(np.stack([c.values for c in curves]), grid, 2)
-        gamma = np.sqrt(eig.eigenvalues)
-        if gamma[0] <= 0.0:
-            raw = np.zeros(len(curves))
+        phis = [f for f, lam in zip(eig.eigenfunctions, eig.eigenvalues) if lam > 0.0]
+        dphis = [np.gradient(f, grid) for f in phis]
+        if not phis or _trapz(np.abs(dphis[0]), grid) == 0.0:
+            z = np.zeros(len(curves))
             branch = "zero_mean_degenerate"
         else:
             centered = [DiscreteCurve(grid, c.values - mu.values) for c in curves]
-            s1 = per_curve_scores(centered, eig.eigenfunctions[0], grid)
-            s2 = (
-                per_curve_scores(centered, eig.eigenfunctions[1], grid)
-                if eig.eigenvalues.size > 1
-                else np.zeros(len(curves))
-            )
-            eta = float(gamma[1] / gamma[0]) if gamma.size > 1 and gamma[1] > 0 else 0.0
-            y1 = s1 / gamma[0]
-            y2 = s2 / gamma[1] if eta > 0 else np.zeros_like(s2)
-            d1 = np.gradient(eig.eigenfunctions[0], grid)
-            d2 = (
-                np.gradient(eig.eigenfunctions[1], grid)
-                if eig.eigenvalues.size > 1
-                else np.zeros_like(grid)
-            )
-            mass2 = _trapz(np.abs(d2), grid)
-            raw = np.empty(len(curves))
-            for i in range(len(curves)):
-                num = 2.0 * eta * abs(y2[i]) * mass2
-                den = _trapz(np.abs(y1[i] * d1 + eta * y2[i] * d2), grid)
-                raw[i] = 0.0 if num == 0.0 else num / max(den, 1e-300)
+            s = [per_curve_scores(centered, f, grid) for f in phis]
+            z = np.array([
+                tv(sum(s[k][i] * dphis[k] for k in range(len(phis))), dphis[0])
+                for i in range(len(curves))
+            ])
             branch = "zero_mean"
-
-    clamped = raw > 2.0 + Z_CLAMP_TOL
-    values = np.clip(raw, 0.0, 2.0)
     if info is not None:
         info["branch"] = branch
-        info["clamped"] = clamped
-        info["raw_max"] = float(raw.max()) if raw.size else 0.0
-    return values
+    return z
 
 
 def per_curve_truth_errors(warp_pairs, registered, latent, mean) -> tuple:
@@ -867,7 +849,7 @@ def per_curve_evaluate_against_truth(result, truth) -> RegistrationReport:
         z = per_curve_z_statistic(result.registered, info=info) if result.n >= 2 else None
     except ZeroVariation:
         z = None
-    flags = {"z_branch": info.get("branch"), "z_clamped_any": bool(np.any(info.get("clamped", False)))}
+    flags = {"z_branch": info.get("branch")}
     return RegistrationReport(
         explained_ratios=ratios,
         z_stats=z,

@@ -44,6 +44,8 @@ from varireg.variation import DiscreteCurve, discrete_variation_cdf, generalized
 
 from test_registration import fisher_pair, linear_phi
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 # --- z_statistic ---------------------------------------------------------------
 
@@ -56,7 +58,7 @@ def test_z_rank1_equal_coefficients_zero():
 
 
 def test_z_zero_mean_branch_eta_zero():
-    # two components but the second has zero variance: eta = 0 forces Z = 0
+    # two components but the second has zero variance: every projection is a multiple of phi1, so Z = 0
     grid = np.linspace(0.0, 1.0, 201)
     phi1 = math.sqrt(2) * np.sin(np.pi * grid)
     rng = np.random.default_rng(3)
@@ -107,12 +109,29 @@ def test_z_breakdown_quadrature_oracle():
     def trapz(f):
         return float(np.sum((f[1:] + f[:-1]) / 2.0) * du)
 
+    mu_density = np.abs(mu_deriv) / trapz(np.abs(mu_deriv))
     oracle = np.array(
-        [2.0 * trapz(np.abs(derivs[i] - mu_deriv)) / trapz(np.abs(derivs[i])) for i in range(n)]
+        [trapz(np.abs(np.abs(d) / trapz(np.abs(d)) - mu_density)) for d in derivs]
     )
     z = z_statistic(curves)
-    assert abs(np.median(z) - np.median(oracle)) <= 1e-3
-    np.testing.assert_allclose(z, oracle, atol=5e-3)
+    np.testing.assert_allclose(z, oracle, atol=1e-6)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_z_reads_rank_one_latent_samples_as_zero(seed):
+    # rank-one models: every local variation density is the mean's, so the TV is 0
+    def latent(name, **kw):
+        cfg = LatentModelConfig(name, grid_size=101, **kw)
+        return make_truth_bundle(cfg, WarpLawConfig(), 100, seed).latent
+
+    for name in ("model1", "model2"):
+        curves = latent(name)
+        for mean_mode in ("auto", "force_zero_deriv"):
+            assert z_statistic(curves, mean_mode).max() <= 1e-10, (name, mean_mode)
+    # a small second component departs less from rank one than a large one
+    near = np.median(z_statistic(latent("breakdown", c=2.0, r_scale=0.01)))
+    far = np.median(z_statistic(latent("breakdown", c=0.1, r_scale=0.3)))
+    assert near < far
 
 
 def test_z_range_invariant(rng):
@@ -278,7 +297,7 @@ def test_z_statistic_branches_match_per_curve_oracle(mean_mode, branch):
     grid = np.linspace(0.0, 1.0, 41)
     rng = np.random.default_rng(4)
     rows = [np.cumsum(rng.standard_normal(grid.size)) for _ in range(4)]
-    rows[1] = rows[1] * 1e-3  # a small curve: its raw z exceeds 2 and is clamped
+    rows[1] = rows[1] * 1e-3
     if branch == "zero_mean" and mean_mode == "auto":
         rows = rows[:2] + [-rows[0], -rows[1]]  # the mean is exactly 0
     if branch == "zero_mean_degenerate":

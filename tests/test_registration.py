@@ -41,6 +41,8 @@ from oracles import (
     per_curve_register_noisy,
 )
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 SQRT3 = math.sqrt(3.0)
 

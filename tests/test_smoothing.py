@@ -32,6 +32,8 @@ from oracles import (
     per_curve_windowed_fits,
 )
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 # --- one curve through the row code the pipelines run --------------------------
 
