@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -58,8 +59,21 @@ EXIT_ZERO_VARIATION = 3
 EXIT_WINDOW = 4
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads every negative number as a value, ``-1e-05`` included.
+
+    argparse takes only ``-1`` and ``-1.5`` for negative numbers, so without
+    this ``--c -1e-05`` would read ``-1e-05`` as a flag.  Subparsers are of
+    the same class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="varireg",
         description="Tuning-free registration of warped functional data.",
     )

@@ -57,8 +57,9 @@ def _beta22(rng) -> float:
 class AnalyticWarp:
     """Strictly increasing homeomorphism of [0,1], given in closed form.
 
-    The inverse is computed by bracketed bisection (``invert_warps``),
-    accurate to 1e-12.
+    The inverse is the midpoint of the cell of width 2^-52 that 52 bracketed
+    bisection steps reach (``invert_warps``); a sine mixture skips the steps
+    that a certified dyadic cell already settles.
     """
 
     def __call__(self, t):
@@ -93,31 +94,47 @@ class SineMixtureWarp(AnalyticWarp):
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        out = _stacked_sine_mixtures([self])(t.ravel())[0].reshape(t.shape)
+        out = _SineStack([self])(t.ravel())[0].reshape(t.shape)
         return out if out.ndim else float(out)
 
 
 def invert_warps(warps, t) -> np.ndarray:
     """Inverses of ``warps`` at the points ``t``, as a (len(warps), t.size) array.
 
-    One bracketed bisection runs over every (warp, point) cell at once, in
-    row blocks of about ``_BLOCK_CELLS`` cells (``_forward_blocks``).  Each
-    row gets the bits that bisecting its warp alone would give, and
-    IdentityWarp rows are ``t`` exactly.
+    One bracketed bisection (``_bisect``) runs over every (warp, point) cell
+    at once, in row blocks of about ``_BLOCK_CELLS`` cells
+    (``_forward_blocks``).  A block of SineMixtureWarp rows starts from the
+    cells that its first ``depth`` steps reach, found and certified by
+    ``_SineStack.cells``; other warps bisect from [0, 1].  Each row gets the
+    bits that bisecting its warp alone would give, and IdentityWarp rows are
+    ``t`` exactly.
     """
     t = np.asarray(t, dtype=float).ravel()
     out = np.empty((len(warps), t.size))
     out[:] = t
     for block, forward in _forward_blocks(warps, t.size):
-        lo = np.zeros((len(block), t.size))
-        hi = np.ones_like(lo)
-        for _ in range(_BISECT_ITERS):
-            mid = (lo + hi) / 2.0
-            above = forward(mid) >= t
-            hi = np.where(above, mid, hi)
-            lo = np.where(above, lo, mid)
+        if isinstance(forward, _SineStack):
+            depth, lo, hi = forward.cells(t)
+        else:
+            depth, lo, hi = 0, *_unit_cells((len(block), t.size))
+        lo, hi = _bisect(forward, t, lo, hi, _BISECT_ITERS - depth)
         out[block] = (lo + hi) / 2.0
     return out
+
+
+def _unit_cells(shape):
+    """(lo, hi) of the whole interval (0, 1] for every cell of ``shape``."""
+    return np.zeros(shape), np.ones(shape)
+
+
+def _bisect(forward, t, lo, hi, steps):
+    """``steps`` halvings of each cell (lo, hi], kept where ``forward`` crosses ``t``."""
+    for _ in range(steps):
+        mid = (lo + hi) / 2.0
+        above = forward(mid) >= t
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+    return lo, hi
 
 
 def evaluate_warps(warps, t) -> np.ndarray:
@@ -143,13 +160,13 @@ def _forward_blocks(warps, m):
     sine = [i for i, w in enumerate(warps) if isinstance(w, SineMixtureWarp)]
     other = [i for i, w in enumerate(warps) if not isinstance(w, (SineMixtureWarp, IdentityWarp))]
     step = max(1, _BLOCK_CELLS // max(m, 1))
-    for rows, forward_map in ((sine, _stacked_sine_mixtures), (other, _row_by_row)):
+    for rows, forward_map in ((sine, _SineStack), (other, _row_by_row)):
         for start in range(0, len(rows), step):
             block = rows[start:start + step]
             yield block, forward_map([warps[i] for i in block])
 
 
-def _stacked_sine_mixtures(warps):
+class _SineStack:
     """Forward map of SineMixtureWarp rows on a (rows, m) array, or on m points shared by all.
 
     Frequencies and weights are stacked into (rows, J) arrays, padded with
@@ -157,37 +174,85 @@ def _stacked_sine_mixtures(warps):
     subtracted from t in component order; with the denominator's |k| raised
     to 1, a zero frequency subtracts an exact 0.0.  On shared points each
     distinct frequency's sine is taken once.
-    """
-    J = max(w.ks.size for w in warps)
-    ks = np.zeros((len(warps), J))
-    weights = np.zeros((len(warps), J))
-    for row, w in enumerate(warps):
-        ks[row, : w.ks.size] = w.ks
-        weights[row, : w.ks.size] = w.weights
-    beta = np.array([[w.beta] for w in warps])
-    freq = np.pi * ks
-    denom = np.maximum(np.abs(ks), 1.0) * np.pi * beta
 
-    def forward(t):
-        out = np.empty((len(warps), t.shape[-1]))
+    On [0, 1] the computed map is within E = (J + 4) * 2^-52 of the exact
+    mixture of the stored k, w and beta: each term's argument, np.sin (taken
+    as within 4 ulp), product and quotient add at most 6w * 2^-53, and each
+    subtraction rounds a value of size at most 1.32.  The exact map has slope
+    at least s = 1 - sum(w)/|beta|, so ``depth`` is the largest d with
+    s * 2^-d >= 2E for every row (0 when there is none).
+    """
+
+    def __init__(self, warps):
+        self.warps = warps
+        J = max(w.ks.size for w in warps)
+        ks = np.zeros((len(warps), J))
+        weights = np.zeros((len(warps), J))
+        for row, w in enumerate(warps):
+            ks[row, : w.ks.size] = w.ks
+            weights[row, : w.ks.size] = w.weights
+        beta = np.array([[w.beta] for w in warps])
+        self.freq = np.pi * ks
+        self.weights = weights
+        self.denom = np.maximum(np.abs(ks), 1.0) * np.pi * beta
+        self.tilt = weights * np.sign(ks) / beta  # the slope is 1 - sum_j tilt_j * cos(freq_j * t)
+        self.min_slope = float(np.min(1.0 - weights.sum(axis=1) / np.abs(beta[:, 0])))
+        bound = (J + 4) * 2.0**-52
+        self.depth = max(0, math.frexp(max(self.min_slope, 0.0) / (2.0 * bound))[1] - 1)
+
+    def __call__(self, t):
+        out = np.empty((len(self.warps), t.shape[-1]))
         out[:] = t
         term = np.empty_like(out)
         if t.ndim == 1:
-            distinct, at = np.unique(freq.ravel(), return_inverse=True)
+            distinct, at = np.unique(self.freq.ravel(), return_inverse=True)
             sines = np.sin(distinct[:, None] * t)
-            at = at.reshape(freq.shape)
-        for j in range(J):
+            at = at.reshape(self.freq.shape)
+        for j in range(self.freq.shape[1]):
             if t.ndim == 1:
                 np.take(sines, at[:, j], axis=0, out=term)
             else:
-                np.multiply(freq[:, j : j + 1], t, out=term)
+                np.multiply(self.freq[:, j : j + 1], t, out=term)
                 np.sin(term, out=term)
-            np.multiply(weights[:, j : j + 1], term, out=term)
-            np.divide(term, denom[:, j : j + 1], out=term)
+            np.multiply(self.weights[:, j : j + 1], term, out=term)
+            np.divide(term, self.denom[:, j : j + 1], out=term)
             out -= term
         return np.clip(out, 0.0, 1.0, out=out)
 
-    return forward
+    def cells(self, t):
+        """(depth, lo, hi): the cells (lo, hi] that ``depth`` bisection steps reach at ``t``.
+
+        The estimate (``estimate``) picks the upper-closed dyadic cell of
+        width 2^-depth that holds it.  The cell is the bisection's when its
+        edges pass the bisection's own tests, map(lo) < t unless lo = 0 and
+        map(hi) >= t unless hi = 1: every earlier midpoint lies at least
+        2^-depth beyond an edge, where the map moves by s * 2^-depth >= 2E,
+        so no rounding can turn its test.  A cell that fails takes the
+        first ``depth`` steps from [0, 1] on its own.
+        """
+        if self.depth == 0 or t.size == 0:
+            return 0, *_unit_cells((len(self.warps), t.size))
+        x = self.estimate(t)
+        scale = 2.0**self.depth
+        k = np.clip(np.ceil(x * scale) - 1.0, 0.0, scale - 1.0)
+        lo, hi = k / scale, (k + 1.0) / scale
+        rows, cols = np.nonzero(~(((lo == 0.0) | (self(lo) < t)) & ((hi == 1.0) | (self(hi) >= t))))
+        if rows.size:  # one stacked row per lost cell, so each takes its own first steps
+            at = t[cols, None]
+            lost = _bisect(_SineStack([self.warps[i] for i in rows]), at, *_unit_cells(at.shape), self.depth)
+            lo[rows, cols], hi[rows, cols] = lost[0][:, 0], lost[1][:, 0]
+        return self.depth, lo, hi
+
+    def estimate(self, t):
+        """Inverse estimates at ``t``: per-row np.interp of the map at the
+        sorted points, then three Newton steps, each clipped to [0, 1]."""
+        ts = np.clip(np.sort(t), 0.0, 1.0)
+        x = np.array([np.interp(t, row, ts) for row in self(ts)])
+        for _ in range(3):
+            slope = 1.0 - sum(self.tilt[:, j : j + 1] * np.cos(self.freq[:, j : j + 1] * x)
+                              for j in range(self.freq.shape[1]))
+            x = np.clip(x - (self(x) - t) / np.maximum(slope, self.min_slope), 0.0, 1.0)
+        return x
 
 
 def _row_by_row(warps):
@@ -307,7 +372,10 @@ class LatentDraw:
 def sample_latent(cfg: LatentModelConfig, rng) -> LatentDraw:
     """Draw one latent curve from the configured family."""
     model = _MODELS[cfg.name](cfg)
-    return LatentDraw([draw(rng) for _, draw in model], [phi for phi, _ in model])
+    coefficients = [draw(rng) for _, draw in model]
+    if not np.isfinite(coefficients).all():  # the breakdown draws scale with c and r_scale
+        raise ValueError(f"c={cfg.c!r} and r_scale={cfg.r_scale!r} give a coefficient that is not finite")
+    return LatentDraw(coefficients, [phi for phi, _ in model])
 
 
 def observe(latent, warp: AnalyticWarp, grid, noise_halfwidth: float, rng) -> DiscreteCurve:

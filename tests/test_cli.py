@@ -5,6 +5,8 @@ import json
 import math
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -18,6 +20,8 @@ from varireg.cli import _build_parser, main
 from varireg.dataio import read_curves_csv, read_warps_csv, write_warps_csv, write_wide_csv
 from varireg.fpca import trapezoid_weights
 from varireg.simulate import MODEL_NAMES, LatentModelConfig, WarpLawConfig
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def run(*argv):
@@ -465,6 +469,48 @@ def test_simulate_meta_records_parsed_breakdown_settings(tmp_path):
                "--seed", "3", "--out", plain) == 0
     meta = json.loads((plain / "truth_meta.json").read_text())
     assert meta["c"] is None and meta["r_scale"] is None
+
+
+def test_simulate_overflowing_coefficient_exits_2_without_warning(tmp_path):
+    """A breakdown coefficient that overflows is refused before any curve is
+    formed: exit 2 naming c and r_scale, with no RuntimeWarning (an error
+    here) and nothing written."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "varireg", "simulate", "--model", "breakdown",
+         "--c", "1e308", "--r-scale", "0.1", "--seed", "1", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert "c=1e+308 and r_scale=0.1" in proc.stderr
+    assert not out.exists()
+
+
+_BREAKDOWN = ["simulate", "--model", "breakdown", "--n", "4", "--r", "21", "--seed", "3"]
+
+
+@pytest.mark.parametrize("argv, flag, value, expected", [
+    (_BREAKDOWN + ["--r-scale", "0.1"], "--c", "-1e-05", 0),
+    (_BREAKDOWN + ["--c", "1"], "--r-scale", "-2.5E-3", 2),
+    (["register", "{obs}"], "--bandwidth", "-1e-05", 2),
+], ids=["c", "r_scale", "register_bandwidth"])
+def test_negative_exponent_values_read_as_values(argv, flag, value, expected, cli_inputs, tmp_path, capsys):
+    """``--flag -1e-05`` and ``--flag=-1e-05`` give the same exit code, message
+    and output bytes: the spaced value is not read as a flag."""
+    argv = [a.format(**cli_inputs) for a in argv]
+    outcomes = []
+    for name, given in (("spaced", [flag, value]), ("joined", [f"{flag}={value}"])):
+        out = tmp_path / name
+        try:
+            code = main(argv + given + ["--out", str(out)])
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+        outcomes.append((code, capsys.readouterr().err, read_all_bytes(out) if out.exists() else None))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == expected
 
 
 def test_diagnose_without_truth(tmp_path):
@@ -1025,7 +1071,7 @@ def _check_flags_match_config(command, chosen, cli_inputs):
         value = chosen.get(action.dest)
         if action.nargs == 0:  # a switch: given for true
             argv += action.option_strings[:1] if value else []
-        elif action.dest in chosen:  # --c=-1e-05: argparse reads "--c -1e-05" as two flags
+        elif action.dest in chosen:  # --c=-1e-05; test_negative_exponent_values_read_as_values has "--c -1e-05"
             argv.append(f"{action.option_strings[0]}={value}" if action.option_strings else str(value))
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "config.json"

@@ -103,6 +103,20 @@ points = st.one_of(
     7,
 )
 @example([SineMixtureWarp([1, -1, 2], [0.2, 0.3, 0.5], 1.01)], 1.0, 1)
+# even frequencies fix t = 0.25 and 0.5 exactly, where the estimate is a cell edge
+@example([SineMixtureWarp([2, -4], [0.5, 0.5], 1.01)], np.array([0.0, 0.25, 0.5, 1.0]), 1 << 16)
+# beta so close to 1 that the certified depth is 8, and then 0 (plain bisection)
+@example(
+    [SineMixtureWarp([1, -3], [0.25, 0.75], 1.0 + 2.0**-40), SineMixtureWarp([2, 5], [0.5, 0.5], 1.0 + 2.0**-50)],
+    np.array([0.0, 0.1, 0.5, 0.9, 1.0]),
+    7,
+)
+# unsorted, repeated points
+@example(
+    [SineMixtureWarp([3, -1], [0.6, 0.4], 1.5), SineMixtureWarp([0, 2, -5], [0.2, 0.3, 0.5], 1.01)],
+    np.array([0.7, 0.2, 0.7, 0.0, 0.5, 0.2, 1.0, 0.5, 0.0]),
+    1 << 16,
+)
 def test_invert_warps_matches_per_curve_bisection(warp_list, t, block_cells):
     """Every row of the batched inverse has the bits of bisecting its warp's
     formula alone (``per_curve_inverse`` on ``per_warp_forward``), whatever
@@ -117,6 +131,55 @@ def test_invert_warps_matches_per_curve_bisection(warp_list, t, block_cells):
             one = warp.inverse(t)
             assert np.shape(one) == np.shape(ref)
             assert np.asarray(one).tobytes() == np.asarray(ref).tobytes()
+
+
+def test_sine_stack_depth_follows_beta():
+    """The certified depth is the largest d with (1 - 1/beta) * 2^-d >= 2E,
+    E = (J + 4) * 2^-52, taken at the block's smallest beta."""
+    def depth(*betas):
+        return simulate._SineStack([SineMixtureWarp([1, -2], [0.5, 0.5], b) for b in betas]).depth
+
+    assert (depth(1.5), depth(1.01), depth(1.0001), depth(1.0 + 2.0**-40)) == (46, 41, 35, 8)
+    assert depth(1.5, 1.0001) == depth(1.0001)
+    assert depth(1.0 + 2.0**-50) == depth(1.0 + 2.0**-52) == 0
+    for beta in (1.5, 1.01, 1.0001, 1.0 + 2.0**-40):
+        s, bound = 1.0 - 1.0 / beta, 6 * 2.0**-52
+        assert s * 2.0 ** -depth(beta) >= 2 * bound > s * 2.0 ** -(depth(beta) + 1)
+
+
+def test_invert_warps_certification_refuses_wrong_cells():
+    """Handed the oracle's own inverse as its estimate, every cell is
+    certified and none bisects from [0, 1]; moved by one cell either way or
+    drawn at random, exactly the cells that moved fall back, and every row
+    keeps the bits of ``per_curve_inverse``."""
+    warps = [sample_warp(WarpLawConfig(), substream(5, i)) for i in range(8)]
+    t = np.linspace(0.0, 1.0, 41)
+    ref = np.array([per_curve_inverse(w, t) for w in warps])
+    depth = simulate._SineStack(warps).depth
+    scale = 2.0**depth
+
+    def cell(x):
+        return np.clip(np.ceil(np.clip(x, 0.0, 1.0) * scale) - 1.0, 0.0, scale - 1.0)
+
+    drawn = np.random.default_rng(3).random(ref.shape)
+    for estimate in (ref, ref + 1.0 / scale, ref - 1.0 / scale, drawn):
+        with mock.patch.object(simulate._SineStack, "estimate", lambda self, t: estimate), \
+                mock.patch.object(simulate, "_bisect", wraps=simulate._bisect) as bisect:
+            got = invert_warps(warps, t)
+        assert got.tobytes() == ref.tobytes()
+        lost = [c.args[1].size for c in bisect.call_args_list if c.args[4] == depth]
+        assert sum(lost) == (cell(estimate) != cell(ref)).sum()
+    assert sum(lost) > 0.9 * ref.size
+
+
+def test_make_truth_bundle_tall_shape_matches_per_curve_oracle():
+    """The benchmark's tall shape (n = 1000, r = 201, seed 7): every observed
+    row has the bytes of the per-curve simulator."""
+    cfg = LatentModelConfig("model1", grid_size=201)
+    got = make_truth_bundle(cfg, WarpLawConfig(), 1000, seed=7)
+    ref = per_curve_truth_bundle(cfg, WarpLawConfig(), 1000, seed=7)
+    for a, b in zip(got.observed, ref.observed, strict=True):
+        assert a.values.tobytes() == b.values.tobytes()
 
 
 @given(st.lists(warps(), min_size=1, max_size=6), points, st.sampled_from([1, 7, 1 << 16]))
