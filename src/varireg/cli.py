@@ -63,13 +63,16 @@ class _Parser(argparse.ArgumentParser):
     """An argument parser that reads every negative number as a value, ``-1e-05`` included.
 
     argparse takes only ``-1`` and ``-1.5`` for negative numbers, so without
-    this ``--c -1e-05`` would read ``-1e-05`` as a flag.  Subparsers are of
-    the same class.
+    this ``--c -1e-05`` would read ``-1e-05`` as a flag; ``-inf``,
+    ``-infinity`` and ``-nan`` are read in any case, as float() reads them.
+    Subparsers are of the same class.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[+-]?\d+)?|inf|infinity|nan)$", re.IGNORECASE
+        )
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -89,11 +89,26 @@ def _one_blas_thread():
         set_threads(before)
 
 
+def _lexicographic_order(rows) -> np.ndarray:
+    """np.lexsort(rows.T[::-1]) of finite rows: by the first column, then the
+    next, ..., ties kept in input order.
+
+    A stable sort of the first column, then a lexsort of the rows inside each
+    run of tied first values alone: one sort per column only where ties need it.
+    """
+    order = np.argsort(rows[:, 0], kind="stable")
+    first = rows[order, 0]
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], first[1:] == first[:-1], [False]))))
+    for a, b in zip(edges[::2], edges[1::2] + 1):  # order[a:b] ties in the first column
+        order[a:b] = order[a:b][np.lexsort(rows[order[a:b]].T[::-1])]
+    return order
+
+
 def _centered_rows(rows) -> np.ndarray:
     """Rows in a canonical (input-order independent) order, minus their sorted-sum mean."""
     if rows.shape[0] < 2:
         raise EmptySample("covariance needs at least two curves")
-    rows = rows[np.lexsort(rows.T[::-1])]
+    rows = rows[_lexicographic_order(rows)]
     return rows - np.sort(rows, axis=0).sum(axis=0) / rows.shape[0]
 
 

@@ -345,6 +345,8 @@ class LatentModelConfig:
                 raise ValueError("breakdown model needs c and r_scale")
             if self.rank not in (2, 3):
                 raise ValueError("breakdown rank must be 2 or 3")
+            if not 0.0 <= self.r_scale < math.inf:  # nan fails too
+                raise ValueError(f"r_scale must be finite and nonnegative, got {self.r_scale!r}")
 
     @property
     def is_rank_one(self) -> bool:
@@ -373,8 +375,11 @@ def sample_latent(cfg: LatentModelConfig, rng) -> LatentDraw:
     """Draw one latent curve from the configured family."""
     model = _MODELS[cfg.name](cfg)
     coefficients = [draw(rng) for _, draw in model]
-    if not np.isfinite(coefficients).all():  # the breakdown draws scale with c and r_scale
-        raise ValueError(f"c={cfg.c!r} and r_scale={cfg.r_scale!r} give a coefficient that is not finite")
+    # the breakdown draws scale with c and r_scale.  Its basis is bounded by
+    # sqrt(2) in size, and this sum bounds every partial sum of LatentDraw's,
+    # taken in the same order: where it is finite, no curve overflows
+    if not math.isfinite(sum(abs(xi) * _SQRT2 for xi in coefficients)):
+        raise ValueError(f"c={cfg.c!r} and r_scale={cfg.r_scale!r} give a curve that is not finite")
     return LatentDraw(coefficients, [phi for phi, _ in model])
 
 

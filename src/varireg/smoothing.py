@@ -13,7 +13,10 @@ computed once per distinct (grid, bandwidth, evaluation point) row: once
 for all the curves that share a grid, a row of evaluation points and a
 row of bandwidths, otherwise once per curve.  Every solve is elementwise
 arithmetic on its own window, with no BLAS or LAPACK call, so each curve
-gets the bits it would get alone, at any thread count.
+gets the bits it would get alone, at any thread count.  A block of
+windows padded to _FOLD_WIDTH points or more is laid out by rows; a
+narrower one slot-major, one contiguous vector per window slot, whose sums
+in slot order are the fold numpy makes of so short a row.
 """
 
 from __future__ import annotations
@@ -29,6 +32,9 @@ _BLOCK_BUDGET = 1 << 15  # window points per block of _row_fits; smaller blocks 
 # _CELL_BUDGET stay in cache and keep the peak memory of a sample down
 _LOO_BLOCK_FITS = 1 << 15  # fits per row block of _loo_errors: enough curves to share
 # each window geometry, with arrays over (rows, bandwidths, points) of one block's size
+_FOLD_WIDTH = 8  # numpy sums a row of fewer points as a left-to-right fold, and from 8 up
+# pairwise in 8 lanes: _row_fits lays narrower windows out slot-major, where adding the slots
+# in order is that same fold, and keeps wider ones in rows, whose pairwise sums only rows reproduce
 _MIN_BANDWIDTH = 2.0 * np.finfo(float).max ** -0.25  # about 1.73e-77.  On [0, 1] |u| <= 1/h,
 # and a degree-2 fit forms u^4 at every padded window point: at max ** -0.25 itself
 # h^-4 rounds past the largest float; at twice that it stays 16 times below it
@@ -37,7 +43,10 @@ _MIN_BANDWIDTH = 2.0 * np.finfo(float).max ** -0.25  # about 1.73e-77.  On [0, 1
 def epanechnikov(u) -> np.ndarray:
     """The Epanechnikov kernel 3/4 (1 - u^2) on |u| < 1, zero outside."""
     u = np.asarray(u, dtype=float)
-    return np.where(np.abs(u) < 1.0, 0.75 * (1.0 - u * u), 0.0)
+    w = np.multiply(u, u, out=np.empty(u.shape))
+    np.subtract(1.0, w, out=w)
+    w *= 0.75
+    return np.fmax(w, 0.0, out=w)  # 1 - u^2 <= 0 from |u| = 1 on; fmax takes nan to 0
 
 
 def suggested_min_bandwidths(grids, eval_points) -> np.ndarray:
@@ -89,9 +98,14 @@ def _row_fits(grids, values, bandwidths, eval_points, degrees, deriv_order=0, lo
     and a curve's padding depends on its own windows alone.  Its evaluation
     points are taken _CELL_BUDGET // (K x its widest window) at a time, and
     each such chunk is padded to its widest window over the K bandwidths.
-    Cells of one padded width run together in blocks of at most
-    _BLOCK_BUDGET window points, curves x cells where curves share them, and
-    every S is solved on its own, elementwise.
+    Chunks of one padded width p run together in blocks of at most
+    _BLOCK_BUDGET window points (``_blocks``), and every S is solved on its
+    own, elementwise.  A block with p >= _FOLD_WIDTH is laid out by rows,
+    one window per row, so each sum is numpy's pairwise sum of a row.  A
+    narrower block is laid out slot-major: slot k of every window in the
+    block is one contiguous vector, and each sum is p - 1 vector adds in
+    slot order, the left fold that numpy makes of a row that short, without
+    numpy's cost per row.
     """
     h = np.asarray(bandwidths, dtype=float)
     if not ((h >= _MIN_BANDWIDTH) & (h <= 1.0)).all():
@@ -101,8 +115,8 @@ def _row_fits(grids, values, bandwidths, eval_points, degrees, deriv_order=0, lo
     shared = rows == 1 and grids.shape[0] == 1
     if shared:  # one geometry per distinct bandwidth row, with the curves that have it
         h, of = np.unique(h, axis=0, return_inverse=True)
-        members = [np.flatnonzero(of.ravel() == k)[:, None] for k in range(h.shape[0])]
-    G, L = h.shape[0], values.shape[1]
+        members = [np.flatnonzero(of.ravel() == k) for k in range(h.shape[0])]
+    G = h.shape[0]
     e = np.broadcast_to(np.asarray(eval_points, dtype=float), (G, m))
     size = np.broadcast_to(np.count_nonzero(grids < np.inf, axis=1), G)
     # [lo, lo + width) per (geometry, bandwidth, eval point), widened by one
@@ -112,59 +126,99 @@ def _row_fits(grids, values, bandwidths, eval_points, degrees, deriv_order=0, lo
     edge = (e[:, None, :] + h[:, :, None]).reshape(G, -1)
     width = np.minimum(searchsorted_rows(grids, edge, "left") + 1, size[:, None]).reshape(G, K, m) - lo
     del edge  # the (curves x bandwidths x points) arrays set the peak memory of a large sample
-    widest = width.max(axis=1)
-    step = np.maximum(_CELL_BUDGET // (K * np.maximum(widest.max(axis=1, initial=0), 1)), 1)
-    chunk = (np.arange(m) // step[:, None] + m * np.arange(G)[:, None]).ravel()
-    pad = np.zeros(G * m, dtype=width.dtype)
-    np.maximum.at(pad, chunk, widest.ravel())
-    pad = pad[chunk]
-    del widest, chunk
     out = np.empty((len(degrees), n, K, m))
-    for p in np.unique(pad):
-        cells = np.flatnonzero(pad == p)
-        per_block = max(_BLOCK_BUDGET // (K * p), 1)
-        # a block of shared cells stays in one geometry row, so its curves share it
-        for part in np.split(cells, np.flatnonzero(np.diff(cells // m)) + 1) if shared else [cells]:
-            for start in range(0, part.size, per_block):
-                g, j = np.divmod(part[start:start + per_block], m)
-                idx = lo[g, :, j][..., None] + np.arange(p)
-                np.minimum(idx, size[g][:, None, None] - 1, out=idx)
-                geometry = _window_geometry(
-                    grids.ravel()[idx + g[:, None, None] * L if grids.shape[0] > 1 else idx],
-                    e[g, j][:, None], h[g], width[g, :, j], degrees, deriv_order, loo,
-                )
-                curves = members[g[0]] if shared else g
-                per_fit = max(_BLOCK_BUDGET // (g.size * K * p), 1) if shared else g.size
-                for first in range(0, curves.shape[0], per_fit):
-                    i = curves[first:first + per_fit]
-                    # flat gathers are faster than [row, idx]
-                    y = values.ravel()[idx + i[..., None, None] * L]
-                    fits = _curve_fits(geometry, y, degrees)
-                    out[:, i, :, j] = np.stack(fits, axis=-2)
+    for g, j, p in _blocks(width.max(axis=1), K, shared):
+        axis = -1 if p >= _FOLD_WIDTH else -4  # the window axis: rows, or slots
+        idx = _along(lo[g, :, j], axis) + _slots(p, axis)
+        np.minimum(idx, _along(size[g, None, None] - 1, axis), out=idx)
+        geometry = _window_geometry(
+            _gather(grids, g, idx, axis) if grids.shape[0] > 1 else grids[0][idx],
+            e[g, None, j], h[g, :, None], width[g, :, j], degrees, deriv_order, loo, axis,
+        )
+        # a shared block is one geometry row, and its curves take the place of that row
+        curves = members[g[0]] if shared else g
+        per_fit = max(_BLOCK_BUDGET // idx.size, 1) if shared else curves.size
+        for first in range(0, curves.size, per_fit):
+            i = curves[first:first + per_fit]
+            for d, fit in enumerate(_curve_fits(geometry, _gather(values, i, idx, axis), degrees, axis)):
+                out[d, i, :, j] = fit
     return out
 
 
-def _window_geometry(g, e, h, width, degrees, deriv_order, loo):
+def _along(x, axis):
+    """3-d ``x`` with the window axis of a block put in: last (axis -1, rows)
+    or first (axis -4, slots)."""
+    return x[..., None] if axis == -1 else x[None]
+
+
+def _gather(a, i, idx, axis):
+    """a[i, idx] for rows i of a 2-d array, as one flat gather (faster than [row, idx])."""
+    return a.ravel()[idx + _along(i[:, None, None] * a.shape[1], axis)]
+
+
+def _slots(p, axis):
+    """0, .., p - 1 along the window axis ``axis`` (-1 or -4) of a 4-d block."""
+    return np.arange(p) if axis == -1 else np.arange(p)[:, None, None, None]
+
+
+def _blocks(widest, K, shared):
+    """The cells of _row_fits as blocks (geometry rows, eval points, padded width).
+
+    ``widest`` (G, m) holds each cell's widest window over its K bandwidths.
+    A geometry row's evaluation points are taken _CELL_BUDGET // (K x the
+    row's widest window) at a time, and each such chunk is padded to its
+    widest window.  Rows that are one chunk each run together by padded
+    width, unless ``shared``: then each geometry row runs alone, so a
+    block's curves share it.  A row of several chunks runs alone, by runs
+    of consecutive chunks of one padded width.  Each run is cut into
+    rectangles of rows x evaluation points of at most _BLOCK_BUDGET window
+    points.
+    """
+    if widest.size == 0:
+        return
+    G, m = widest.shape
+    top = widest.max(axis=1)
+    step = np.maximum(_CELL_BUDGET // (K * top), 1)
+    alone = (step < m) | shared
+    runs = [(np.flatnonzero(~alone & (top == p)), 0, m, p) for p in np.unique(top[~alone]).tolist()]
+    for g in np.flatnonzero(alone):
+        chunks = np.arange(0, m, step[g])
+        pads = np.maximum.reduceat(widest[g], chunks)
+        first = np.flatnonzero(np.diff(pads, prepend=-1))  # the first chunk of each run
+        ends = [*chunks[first[1:]], m]
+        runs += [([g], j0, j1, p) for j0, j1, p in zip(chunks[first], ends, pads[first].tolist())]
+    for rows, j0, j1, p in runs:
+        cells = max(_BLOCK_BUDGET // (K * p), 1)
+        per_row = min(cells, j1 - j0)
+        per_block = max(cells // per_row, 1)
+        for a in range(0, len(rows), per_block):
+            for b in range(j0, j1, per_row):
+                yield np.asarray(rows[a:a + per_block]), slice(b, min(b + per_row, j1)), p
+
+
+def _window_geometry(g, e, h, width, degrees, deriv_order, loo, axis):
     """The half of the fits in windows g, padded to one width, that no curve enters.
 
-    The first ``width`` points of a window count; ``e``, ``h`` and ``width``
-    broadcast to g.shape[:-1].  Returns the products w u^p (p <= the top
+    The windows lie along ``axis`` of g, and the first ``width`` points of
+    each count; ``e``, ``h`` and ``width`` broadcast to the shape of the
+    fits, g's without that axis.  Returns the products w u^p (p <= the top
     degree; none for degree 0 alone) and, per degree, its fits' normalized
     weights (degree 0) or row deriv_order of S^-1 / h^deriv_order (degree
     >= 1), each with the mask of the windows that determine them: degree + 1
     positively weighted points and a nonsingular S.
     """
-    u = g - e[..., None]
-    u /= h[..., None]
+    e = _along(e, axis)
+    u = g - e
+    u /= _along(h, axis)
     w = epanechnikov(u)
-    w *= np.arange(g.shape[-1]) < width[..., None]  # drop the clipped padding
+    w *= _slots(g.shape[axis], axis) < _along(width, axis)  # drop the clipped padding
     if loo:
-        w[g == e[..., None]] = 0.0
-    s, wu = [w.sum(axis=-1)], []
+        w[g == e] = 0.0
+    s, wu = [w.sum(axis=axis)], []
     top = max(degrees)
     if top:
         wu.append(w)
-        npts = np.count_nonzero(w > 0.0, axis=-1)
+        npts = np.count_nonzero(w > 0.0, axis=axis)
         # moments s_p = sum w u^p (p <= 2d).  A point at |u| just below 1
         # weighs ~1e-16 and can make S near singular; products formed in the
         # order of the dense reference in tests/oracles.py round like it
@@ -172,7 +226,7 @@ def _window_geometry(g, e, h, width, degrees, deriv_order, loo):
         up = u.copy()
         for p in range(1, 2 * top + 1):
             wup = w * up
-            s.append(wup.sum(axis=-1))
+            s.append(wup.sum(axis=axis))
             if p <= top:
                 wu.append(wup)
             if p < 2 * top:
@@ -181,7 +235,7 @@ def _window_geometry(g, e, h, width, degrees, deriv_order, loo):
     for degree in set(degrees):
         if degree == 0:
             with np.errstate(invalid="ignore", divide="ignore"):
-                fit[0] = w / s[0][..., None], s[0] > 0.0
+                fit[0] = w / _along(s[0], axis), s[0] > 0.0
         else:
             row, ok = _inverse_row(s, degree, deriv_order)
             ok &= npts > degree
@@ -218,19 +272,20 @@ def _inverse_row(s, degree, deriv_order):
     return [row[n] for row in a], np.logical_and.reduce([row[k] != 0.0 for k, row in enumerate(a)])
 
 
-def _curve_fits(geometry, y, degrees):
+def _curve_fits(geometry, y, degrees, axis):
     """Fits of each degree from window values y and the geometry of their windows.
 
-    ``y`` has the windows' shape, with any leading axes of curves sharing
-    them; nan marks an undetermined window.
+    ``y`` holds the windows along ``axis``, as the geometry does, and
+    broadcasts with it: curves that share a geometry row take its place.
+    nan marks an undetermined window.
     """
     wu, fit = geometry
-    t = [np.sum(wp * y, axis=-1) for wp in wu]  # t_p = sum (w u^p) y
+    t = [np.sum(wp * y, axis=axis) for wp in wu]  # t_p = sum (w u^p) y
     fits = []
     for degree in degrees:
         a, ok = fit[degree]  # the normalized weights (degree 0), or a row of S^-1
         if degree == 0:
-            out = np.sum(a * y, axis=-1)
+            out = np.sum(a * y, axis=axis)
         else:
             out = sum(x * tp for x, tp in zip(a, t))
         np.copyto(out, np.nan, where=~ok)

@@ -143,6 +143,12 @@ def step_cdf_from_jumps(locations, sizes) -> StepCdf:
     return StepCdf(locations[keep], levels[keep])
 
 
+def epanechnikov_where(u) -> np.ndarray:
+    """The Epanechnikov kernel 3/4 (1 - u^2) as a select on |u| < 1, zero elsewhere (nan included)."""
+    u = np.asarray(u, dtype=float)
+    return np.where(np.abs(u) < 1.0, 0.75 * (1.0 - u * u), 0.0)
+
+
 def dense_nadaraya_watson(curve, h, eval_points) -> np.ndarray:
     """Kernel-weighted average; EmptyWindow where no grid point is in range."""
     eval_points = np.asarray(eval_points, dtype=float)

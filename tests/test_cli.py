@@ -471,35 +471,65 @@ def test_simulate_meta_records_parsed_breakdown_settings(tmp_path):
     assert meta["c"] is None and meta["r_scale"] is None
 
 
+def _simulate_breakdown_subprocess(c, out):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "varireg", "simulate", "--model", "breakdown",
+         "--c", c, "--r-scale", "0.1", "--seed", "1", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
 def test_simulate_overflowing_coefficient_exits_2_without_warning(tmp_path):
     """A breakdown coefficient that overflows is refused before any curve is
     formed: exit 2 naming c and r_scale, with no RuntimeWarning (an error
     here) and nothing written."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = tmp_path / "out"
-    proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "varireg", "simulate", "--model", "breakdown",
-         "--c", "1e308", "--r-scale", "0.1", "--seed", "1", "--out", str(out)],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    proc = _simulate_breakdown_subprocess("1e308", out)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
     assert "c=1e+308 and r_scale=0.1" in proc.stderr
     assert not out.exists()
 
 
+def test_simulate_finite_coefficient_with_overflowing_curve_exits_2_without_warning(tmp_path):
+    """A finite breakdown coefficient whose curve would overflow (5e307) is
+    refused the same way: exit 2 naming c and r_scale, no RuntimeWarning and
+    nothing written."""
+    out = tmp_path / "out"
+    proc = _simulate_breakdown_subprocess("5e307", out)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert "c=5e+307 and r_scale=0.1" in proc.stderr
+    assert not out.exists()
+
+
 _BREAKDOWN = ["simulate", "--model", "breakdown", "--n", "4", "--r", "21", "--seed", "3"]
+
+
+@pytest.mark.parametrize("r_scale", ["-1", "-0.5e-3", "inf", "nan"])
+def test_simulate_refuses_a_negative_or_non_finite_r_scale(r_scale, tmp_path, capsys):
+    """exit 2 with a message that names r_scale, and nothing written"""
+    out = tmp_path / "out"
+    assert main(_BREAKDOWN + ["--c", "1", f"--r-scale={r_scale}", "--out", str(out)]) == 2
+    assert "r_scale must be finite and nonnegative" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, flag, value, expected", [
     (_BREAKDOWN + ["--r-scale", "0.1"], "--c", "-1e-05", 0),
     (_BREAKDOWN + ["--c", "1"], "--r-scale", "-2.5E-3", 2),
     (["register", "{obs}"], "--bandwidth", "-1e-05", 2),
-], ids=["c", "r_scale", "register_bandwidth"])
+    (_BREAKDOWN + ["--r-scale", "0.1"], "--c", "-inf", 2),
+    (_BREAKDOWN + ["--r-scale", "0.1"], "--c", "-Infinity", 2),
+    (_BREAKDOWN + ["--c", "1"], "--r-scale", "-nan", 2),
+    (["register", "{obs}"], "--bandwidth", "-INF", 2),
+], ids=["c", "r_scale", "register_bandwidth", "c_inf", "c_infinity", "r_scale_nan", "register_bandwidth_inf"])
 def test_negative_exponent_values_read_as_values(argv, flag, value, expected, cli_inputs, tmp_path, capsys):
     """``--flag -1e-05`` and ``--flag=-1e-05`` give the same exit code, message
-    and output bytes: the spaced value is not read as a flag."""
+    and output bytes: the spaced value is not read as a flag.  So do
+    ``-inf``, ``-infinity`` and ``-nan``, in any case."""
     argv = [a.format(**cli_inputs) for a in argv]
     outcomes = []
     for name, given in (("spaced", [flag, value]), ("joined", [f"{flag}={value}"])):
@@ -732,6 +762,8 @@ BAD_SIMULATE_SETTINGS = {
     "misspelt_noise": {"nosie": 0.1},
     "n_fraction": {"n": 2.5},
     "threads_abc": {"threads": "abc"},
+    "r_scale_negative": {"r_scale": -1.0},
+    "r_scale_inf": {"r_scale": math.inf},
 }
 
 # register and diagnose settings of the wrong type, numbers and booleans alike

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from varireg.errors import EmptySample, GridMismatch, NonSymmetric
 from varireg.fpca import (
+    _lexicographic_order,
     covariance_matrix,
     cross_sectional_mean,
     leading_eigenpairs,
@@ -269,6 +270,26 @@ def test_row_eigenpairs_permutation_invariant(sample, random):
     np.testing.assert_array_equal(a.eigenvalues, b.eigenvalues)
     np.testing.assert_array_equal(a.eigenfunctions, b.eigenfunctions)
     np.testing.assert_array_equal(a.explained_ratios, b.explained_ratios)
+
+
+@st.composite
+def tied_rows(draw):
+    """1 to 40 rows of 1 to 6 small integers and signed zeros, some rows repeated whole."""
+    n, r = draw(st.integers(1, 40)), draw(st.integers(1, 6))
+    cells = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.5])
+    rows = np.array(draw(st.lists(st.lists(cells, min_size=r, max_size=r), min_size=n, max_size=n)))
+    copies = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n))
+    for src, dst in copies:
+        rows[dst] = rows[src]
+    return rows
+
+
+@given(tied_rows())
+def test_lexicographic_order_is_lexsort(rows):
+    # the first column sorted alone, then the tied runs lexsorted: the same
+    # permutation as a lexsort over every column (-0.0 ties 0.0; whole ties
+    # stay in input order)
+    assert _lexicographic_order(rows).tolist() == np.lexsort(rows.T[::-1]).tolist()
 
 
 def test_row_eigenpairs_returns_at_most_n_pairs(rng):

@@ -10,6 +10,7 @@ from varireg.registration import WarpMap, _smooth
 from varireg.simulate import LatentModelConfig, WarpLawConfig, make_truth_bundle
 from varireg.smoothing import (
     _BLOCK_BUDGET,
+    _FOLD_WIDTH,
     _loo_errors,
     _loocv_ladders,
     _loocv_rows,
@@ -19,6 +20,7 @@ from varireg.smoothing import (
 )
 from varireg.variation import DiscreteCurve
 
+import oracles
 from conftest import random_curve
 from oracles import (
     dense_local_poly,
@@ -26,6 +28,7 @@ from oracles import (
     dense_loocv_bandwidth,
     dense_loocv_predictions,
     dense_nadaraya_watson,
+    epanechnikov_where,
     loocv_ladder,
     per_curve_loocv_bandwidths,
     per_curve_windowed_fit,
@@ -79,6 +82,46 @@ def test_kernel_shape():
     support = np.linspace(-1.0, 1.0, 10_000)
     integral = np.trapezoid(epanechnikov(support), support)
     assert integral == pytest.approx(1.0, abs=2e-8)
+
+
+def test_kernel_matches_the_select_form_bit_for_bit():
+    # fmax(3/4 (1 - u^2), 0) against np.where(|u| < 1, ...): the same bits at
+    # the support's edge, on either side of it by one ulp, at signed zeros,
+    # subnormals, overflowing squares, infinities and nan (0 in both)
+    tiny = np.finfo(float).smallest_subnormal
+    special = np.array([
+        0.0, 1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), tiny, 1e-310, 1e200, np.inf, np.nan,
+        np.finfo(float).max, 0.5, 1e-8,
+    ])
+    u = np.concatenate((special, -special, np.random.default_rng(13).uniform(-1.5, 1.5, 10**6)))
+    with np.errstate(over="ignore"):  # 1e200^2 overflows in both forms
+        got, want = epanechnikov(u), epanechnikov_where(u)
+    assert got.tobytes() == want.tobytes()
+    assert epanechnikov(0.5).shape == () and epanechnikov(0.5) == 0.5625
+
+
+@pytest.mark.parametrize("p", range(1, _FOLD_WIDTH + 1))
+def test_numpy_sums_a_short_row_as_the_slot_fold(p):
+    # _row_fits lays windows padded to p < _FOLD_WIDTH points out slot-major and
+    # sums them over the slot axis.  That keeps the bits of the row layout
+    # because numpy sums a row that short as a left-to-right fold from +0, and
+    # an outer axis as the same fold over vectors.  From _FOLD_WIDTH points up
+    # a row is summed pairwise, which the fold does not reproduce.
+    rng = np.random.default_rng(p)
+    x = rng.standard_normal((2000, 3, p)) * 10.0 ** rng.integers(-12, 12, (2000, 3, p))
+    x[rng.random(x.shape) < 0.1] = 0.0
+    x[rng.random(x.shape) < 0.1] = -0.0
+    x[:5] = -0.0  # rows of negative zeros alone sum to +0
+    fold = np.zeros(x.shape[:-1])
+    for k in range(p):
+        fold = fold + x[..., k]
+    rows = np.sum(x, axis=-1)
+    slots = np.sum(np.moveaxis(x, -1, 0).copy(), axis=0)
+    if p < _FOLD_WIDTH:
+        assert rows.tobytes() == fold.tobytes()
+        assert slots.tobytes() == fold.tobytes()
+    else:
+        assert rows.tobytes() != fold.tobytes()
 
 
 def test_bandwidth_outside_unit_interval_raises():
@@ -528,6 +571,48 @@ def test_row_kernel_pads_each_chunk_as_the_per_curve_pass(shared):
     for i in range(3):
         want = per_curve_windowed_fits(grids[i], values[i], h[i], e[i], (2, 1))
         assert got[:, i].tobytes() == want.tobytes()
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.integers(1, 3),
+    st.sampled_from([((0,), 0), ((1,), 0), ((2,), 0), ((2, 0, 1), 0), ((1,), 1), ((2,), 1)]),
+    st.booleans(),
+    st.booleans(),
+)
+def test_row_kernel_switches_layout_at_the_fold_width(seed, shared, K, degrees_deriv, loo, shared_e):
+    # one curve's evaluation points in chunks padded on both sides of
+    # _FOLD_WIDTH: grids dense on [0, 0.5] (about 10 points a window) and
+    # sparse on [0.5, 1] (about 3), with a cell budget small enough that a
+    # curve's sorted evaluation points fall into many chunks.  Chunks narrower
+    # than _FOLD_WIDTH are laid out slot-major, the others by rows, and every
+    # fit has the bits of the curve's own pass
+    rng = np.random.default_rng(seed)
+    degrees, deriv = degrees_deriv
+    n = int(rng.integers(1, 5))
+    dense = np.linspace(0.0, 0.5, 51)
+    grids = [np.concatenate((dense[:1], dense[1:40] + rng.uniform(-0.2, 0.2, 39) / 100, dense[40:],
+                             [0.6, 0.72, 0.81, 0.9, 1.0])) for _ in range(1 if shared else n)]
+    grids = grids * n if shared else grids
+    values = [rng.standard_normal(g.size).cumsum() for g in grids]
+    h = rng.uniform(0.04, 0.06, (n, K))
+    e = np.sort(np.concatenate([rng.uniform(0.0, 1.0, (1 if shared_e else n, 30)),
+                                np.stack(grids[:1 if shared_e else n])[:, ::3]], axis=1), axis=1)
+    layouts = []
+    geometry = smoothing._window_geometry
+    def spy(*args):
+        layouts.append((args[-1], args[0].shape[args[-1]]))
+        return geometry(*args)
+    g_rows, v_rows = _padded_rows(grids, values)
+    with patch.object(smoothing, "_CELL_BUDGET", 40 * K), patch.object(oracles, "_CELL_BUDGET", 40 * K), \
+            patch.object(smoothing, "_window_geometry", spy):
+        got = _row_fits(g_rows, v_rows, h, e, degrees, deriv, loo)
+        for i in range(n):
+            want = per_curve_windowed_fits(grids[i], values[i], h[i], e[i % e.shape[0]], degrees, deriv, loo)
+            assert got[:, i].tobytes() == want.tobytes()
+    assert {axis for axis, p in layouts if p < _FOLD_WIDTH} == {-4}
+    assert {axis for axis, p in layouts if p >= _FOLD_WIDTH} == {-1}
 
 
 @given(row_samples(), st.integers(1, 5), st.lists(st.integers(0, 2), min_size=1, max_size=3))
