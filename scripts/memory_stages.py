@@ -1,0 +1,60 @@
+#!/usr/bin/env python3
+"""Peak memory of the stages of one discrete-regime run, under tracemalloc.
+
+Simulates a seeded model1 sample, then calls, each once and in this order,
+``register_discrete`` on it, ``z_statistic`` on the registered curves,
+``evaluate_against_truth`` against the sample's truth, and
+``wasserstein2`` between the template CDF and the true variation CDF.
+Prints one JSON line: for each call, the memory traced on entry and the
+peak over that entry while it ran, in MB (10^6 bytes), and the highest
+peak of the run.  Only what each call allocates counts, so the figures
+repeat to a few kB from run to run on one numpy version.
+
+    python scripts/memory_stages.py --n 1000 --r 201 --seed 7
+"""
+
+import argparse
+import gc
+import json
+import tracemalloc
+
+from varireg.diagnostics import evaluate_against_truth, z_statistic
+from varireg.registration import register_discrete
+from varireg.simulate import LatentModelConfig, WarpLawConfig, make_truth_bundle
+from varireg.variation import wasserstein2
+
+
+def traced(record, name, call, *args):
+    """``call(*args)``, with its entry and peak-over-entry memory in ``record[name]``."""
+    gc.collect()
+    tracemalloc.reset_peak()
+    entry = tracemalloc.get_traced_memory()[0]
+    value = call(*args)
+    peak = tracemalloc.get_traced_memory()[1]
+    record[name] = {"entry_mb": round(entry / 1e6, 3), "spike_mb": round((peak - entry) / 1e6, 3)}
+    return value
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--n", type=int, default=1000)
+    ap.add_argument("--r", type=int, default=201)
+    ap.add_argument("--seed", type=int, default=7)
+    args = ap.parse_args()
+
+    truth = make_truth_bundle(LatentModelConfig("model1", grid_size=args.r), WarpLawConfig(), args.n, args.seed)
+    stages = {}
+    tracemalloc.start()
+    try:
+        result = traced(stages, "register_discrete", register_discrete, truth.observed)
+        traced(stages, "z_statistic", z_statistic, result.registered)
+        traced(stages, "evaluate_against_truth", evaluate_against_truth, result, truth)
+        traced(stages, "wasserstein2", wasserstein2, result.template_cdf, truth.f_phi)
+    finally:
+        tracemalloc.stop()
+    top = max(s["entry_mb"] + s["spike_mb"] for s in stages.values())
+    print(json.dumps({"n": args.n, "r": args.r, "seed": args.seed, "peak_mb": round(top, 3), **stages}))
+
+
+if __name__ == "__main__":
+    main()

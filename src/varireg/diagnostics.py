@@ -26,7 +26,9 @@ from .simulate import (
     LatentModelConfig,
     TruthBundle,
     WarpLawConfig,
+    evaluate_warps,
     make_truth_bundle,
+    sine_table,
     true_variation_cdf,
 )
 from .variation import cumulative_variation, generalized_inverse, wasserstein2
@@ -72,10 +74,13 @@ def z_statistic(curves, mean_mode: str = "auto", info: dict = None) -> np.ndarra
         return np.sum(w * rows, axis=-1)
 
     def distance(d, r):
-        """int | |d_i|/int|d_i| - |r|/int|r| | for each row d_i of d; 0 where d_i has no mass."""
-        d, r = np.abs(d), np.abs(r)
+        """int | |d_i|/int|d_i| - |r|/int|r| | for each row d_i of d, worked out in d;
+        0 where d_i has no mass."""
+        d, r = np.abs(d, out=d), np.abs(r)
         mass = integral(d)
-        tv = integral(np.abs(d / np.where(mass > 0.0, mass, 1.0)[:, None] - r / integral(r)))
+        d /= np.where(mass > 0.0, mass, 1.0)[:, None]
+        d -= r / integral(r)
+        tv = integral(np.abs(d, out=d))
         # a TV distance lies in [0, 2]; the minimum only absorbs rounding past 2
         return np.where(mass > 0.0, np.minimum(tv, 2.0), 0.0)
 
@@ -183,8 +188,10 @@ def evaluate_against_truth(result: RegistrationResult, truth: TruthBundle) -> Re
     def truth_rows():
         dense = np.unique(np.concatenate((np.linspace(0.0, 1.0, 2049), out_grid)))
 
+        table = sine_table(truth.warps, dense)  # the truth warps' sines, for this call alone
+
         def warp_block(rows):
-            return _evaluate(result.warps[rows], dense), truth.warp_rows(rows, dense)
+            return _evaluate(result.warps[rows], dense), evaluate_warps(truth.warps[rows], dense, table)
 
         latent = np.stack([np.interp(out_grid, c.grid, c.values) for c in truth.latent])
         return warp_block, dense.size, latent, truth.f_phi

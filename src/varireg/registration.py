@@ -30,6 +30,7 @@ from .fpca import sorted_row_mean
 from .smoothing import (
     _loocv_ladders,
     _loocv_rows,
+    _reach,
     _row_fits,
     monotone_through_knots,
     nadaraya_watson_rows,
@@ -152,13 +153,13 @@ def _extend_rows(t, v, t_r) -> list:
     grid stops short of 1 the estimated warp is only defined up to that
     point; the map is pinned there and continued linearly to (1,1).  (0,0)
     is always enforced, float overshoots are clamped, and sub-tolerance
-    monotonicity wiggles are flattened; decreasing (or nan) samples raise
-    NonMonotoneInput.  The rows whose grid does not stop short of 1 share
-    one sample_t and are checked together.
+    monotonicity wiggles are flattened, in ``v`` itself; decreasing (or nan)
+    samples raise NonMonotoneInput.  The rows whose grid does not stop
+    short of 1 share one sample_t and are checked together.
     """
     if not (np.diff(v, axis=1) >= -_MONOTONE_SLACK).all():
         raise NonMonotoneInput("warp samples decrease by more than tolerance")
-    v = np.clip(np.maximum.accumulate(v, axis=1), 0.0, 1.0)
+    np.clip(np.maximum.accumulate(v, axis=1, out=v), 0.0, 1.0, out=v)
     cut = t_r < 1.0
     maps = [None] * v.shape[0]
     for i in np.flatnonzero(cut):
@@ -230,17 +231,19 @@ def _warp_maps(cum, locs, grid):
     n, m = cum.shape
     rows = np.arange(n)[:, None]
     all_locs = np.broadcast_to(locs, cum.shape)
-    # warp i is Q_i(F(t)): where curve i first reaches the template level F(t)
-    level = template_cdf(grid)
-    warp = np.where(level > 0.0, all_locs[rows, searchsorted_rows(cum, level)], 0.0)
+    last = all_locs[rows[:, 0], m - 1 - np.argmax(keep[:, ::-1], axis=1)]
     # inverse warp i is Q(F_i(t)): F_i(t) is a level of the template's
     # breakpoints, and its value there is at the level's index, carried over
     # repeated levels
     at = np.zeros((n, m + 1), dtype=index.dtype)
     at[:, 1:][keep] = index
+    del keep, index
     np.maximum.accumulate(at, axis=1, out=at)
     inverse = template_q.values[at[rows, searchsorted_rows(locs, grid, "right")]]
-    last = all_locs[rows[:, 0], m - 1 - np.argmax(keep[:, ::-1], axis=1)]
+    del at
+    # warp i is Q_i(F(t)): where curve i first reaches the template level F(t)
+    level = template_cdf(grid)
+    warp = np.where(level > 0.0, all_locs[rows, searchsorted_rows(cum, level)], 0.0)
     return template_cdf, template_q, _extend_rows(grid, warp, last), _extend_rows(grid, inverse, last), last
 
 
@@ -367,16 +370,20 @@ def register_discrete(sample, options: RegisterOptions = None) -> RegistrationRe
     return _register_noiseless(sample, options or RegisterOptions(), 1.1, "discrete")
 
 
-def _widen_short(h, grids, eval_points):
+def _widen_short(h, grids, eval_points, degree=0):
     """Bandwidths ``h`` with each curve evaluated past either end of its own
     grid (a grid that stops short of the others') widened to at least
-    suggested_min_bandwidths, at most 1.  Every other curve keeps its ``h``.
+    suggested_min_bandwidths of ``degree``, at most 1.  For degree 1 or 2
+    only a curve with a window of fewer than degree + 1 grid points is
+    widened, so every fit that its h determines keeps it.  Every other curve
+    keeps its ``h``.
     """
     last = np.where(grids < np.inf, grids, -np.inf).max(axis=1)
     out = (eval_points.min(axis=1) < grids[:, 0]) | (eval_points.max(axis=1) > last)
     if out.any():
-        own = grids[out] if grids.shape[0] > 1 else grids
-        h[out] = np.minimum(np.maximum(h[out], suggested_min_bandwidths(own, eval_points[out])), 1.0)
+        own, e = grids[out] if grids.shape[0] > 1 else grids, eval_points[out]
+        need = np.minimum(np.maximum(h[out], suggested_min_bandwidths(own, e, degree)), 1.0)
+        h[out] = np.where(_reach(own, e, degree + 1) >= h[out], need, h[out]) if degree else need
     return h
 
 
@@ -418,6 +425,8 @@ def register_noisy(sample, opts: NoisyOptions = None) -> RegistrationResult:
         # both degrees from one pass over the leave-one-out windows
         ladders = _loocv_ladders(_max_gaps(grids, n))
         (h1, h2), failed = _loocv_rows(grids, values, ladders, (2, 1))
+        # a curve evaluated past its own grid may need wider fits than its ladder holds
+        h1 = _widen_short(h1, grids, np.broadcast_to(deriv_grid, (n, deriv_grid.size)), 2)
     else:
         h1, h2 = np.full(n, float(opts.h1)), np.full(n, float(opts.h2))
         failed = np.zeros(n, dtype=bool)
@@ -440,6 +449,7 @@ def register_noisy(sample, opts: NoisyOptions = None) -> RegistrationResult:
     )
     output_grid = _default_output_grid(grids[grids < np.inf], opts.output_grid)
     eval_points = _evaluate(warps, output_grid)
+    h2 = _widen_short(h2, grids, eval_points, 1) if opts.h1 is None else h2
     fits = _row_fits(grids, values, h2[:, None], eval_points, [1])[0, :, 0]
     singular = np.isnan(fits)
     if singular.any():  # first curve, first window

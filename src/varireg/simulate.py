@@ -137,18 +137,32 @@ def _bisect(forward, t, lo, hi, steps):
     return lo, hi
 
 
-def evaluate_warps(warps, t) -> np.ndarray:
+def evaluate_warps(warps, t, table=None) -> np.ndarray:
     """``warps`` at the points ``t``, as a (len(warps), t.size) array.
 
     Runs in the row blocks of ``invert_warps``.  Each row has the bits of
-    its warp called alone, and IdentityWarp rows are ``t`` exactly.
+    its warp called alone, and IdentityWarp rows are ``t`` exactly.  A
+    ``sine_table`` of these warps or more, at ``t``, saves every block
+    taking its sines again.
     """
     t = np.asarray(t, dtype=float).ravel()
     out = np.empty((len(warps), t.size))
     out[:] = t
     for block, forward in _forward_blocks(warps, t.size):
-        out[block] = forward(t)
+        out[block] = forward(t, table)
     return out
+
+
+def sine_table(warps, t):
+    """(frequencies, sines): each distinct frequency of the SineMixtureWarps
+    in ``warps``, and 0, in order, and its sine at every point of ``t``, one row each."""
+    return _sines(np.concatenate([[0.0], *(np.pi * w.ks for w in warps if isinstance(w, SineMixtureWarp))]), t)
+
+
+def _sines(freq, t):
+    """Each distinct value of ``freq``, in order, and its sine at every point of ``t``, one row each."""
+    freq = np.unique(freq)
+    return freq, np.sin(freq[:, None] * np.asarray(t, dtype=float).ravel())
 
 
 def _forward_blocks(warps, m):
@@ -173,7 +187,7 @@ class _SineStack:
     k = 0 and w = 0.  Each term is w*sin((pi*k)*t)/((|k|*pi)*beta),
     subtracted from t in component order; with the denominator's |k| raised
     to 1, a zero frequency subtracts an exact 0.0.  On shared points each
-    distinct frequency's sine is taken once.
+    distinct frequency's sine is taken once, or read from a ``sine_table``.
 
     On [0, 1] the computed map is within E = (J + 4) * 2^-52 of the exact
     mixture of the stored k, w and beta: each term's argument, np.sin (taken
@@ -200,14 +214,13 @@ class _SineStack:
         bound = (J + 4) * 2.0**-52
         self.depth = max(0, math.frexp(max(self.min_slope, 0.0) / (2.0 * bound))[1] - 1)
 
-    def __call__(self, t):
+    def __call__(self, t, table=None):
         out = np.empty((len(self.warps), t.shape[-1]))
         out[:] = t
         term = np.empty_like(out)
         if t.ndim == 1:
-            distinct, at = np.unique(self.freq.ravel(), return_inverse=True)
-            sines = np.sin(distinct[:, None] * t)
-            at = at.reshape(self.freq.shape)
+            freq, sines = table or _sines(self.freq, t)
+            at = np.searchsorted(freq, self.freq)
         for j in range(self.freq.shape[1]):
             if t.ndim == 1:
                 np.take(sines, at[:, j], axis=0, out=term)
@@ -258,7 +271,7 @@ class _SineStack:
 def _row_by_row(warps):
     """Forward map that calls each warp on its own row of points, or on shared points."""
 
-    def forward(t):
+    def forward(t, table=None):
         out = np.empty((len(warps), t.shape[-1]))
         for row, w in enumerate(warps):
             out[row] = w(t if t.ndim == 1 else t[row])

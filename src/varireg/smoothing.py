@@ -49,19 +49,34 @@ def epanechnikov(u) -> np.ndarray:
     return np.fmax(w, 0.0, out=w)  # 1 - u^2 <= 0 from |u| = 1 on; fmax takes nan to 0
 
 
-def suggested_min_bandwidths(grids, eval_points) -> np.ndarray:
-    """Smallest bandwidth for which every window of a curve is nonempty, one
-    per curve, with one row of ``eval_points`` each.
+def suggested_min_bandwidths(grids, eval_points, degree=0) -> np.ndarray:
+    """Smallest bandwidth, one per curve with one row of ``eval_points``
+    each, for which every window holds degree + 1 grid points.
 
-    ``grids`` holds one sorted grid shared by every curve, or one per curve,
-    padded past its last point with +inf.
+    For degree 0 its nearest point lies just inside |u| < 1.  For degree 1
+    or 2 its degree + 1 nearest lie at |u| <= 0.8, where the kernel weighs
+    them at least 0.27: at |u| near 1 their weight would be rounding noise
+    and S near singular.  ``grids`` holds one sorted grid shared by every
+    curve, or one per curve, padded past its last point with +inf.
     """
-    size = np.count_nonzero(grids < np.inf, axis=1)[:, None]
-    rows = np.arange(eval_points.shape[0])[:, None] if grids.shape[0] > 1 else 0
-    idx = searchsorted_rows(grids, eval_points)
-    left = np.abs(eval_points - grids[rows, np.clip(idx - 1, 0, size - 1)])
-    right = np.abs(grids[rows, np.clip(idx, 0, size - 1)] - eval_points)
-    return np.minimum(left, right).max(axis=1) * (1.0 + 1e-9)
+    return _reach(grids, eval_points, degree + 1) * (1.0 + 1e-9 if degree == 0 else 1.25)
+
+
+def _reach(grids, eval_points, k) -> np.ndarray:
+    """Each curve's largest distance from an evaluation point to its k-th
+    nearest grid point (inf for a curve of fewer than k points); grids and
+    ``eval_points`` as for suggested_min_bandwidths.
+
+    A window of half-width h holds k points x with |x - e| < h, as the
+    kernel computes x - e, if and only if h exceeds that distance.
+    """
+    size = np.count_nonzero(grids < np.inf, axis=1)[:, None, None]
+    rows = np.arange(eval_points.shape[0])[:, None, None] if grids.shape[0] > 1 else 0
+    # the k nearest are among the k on either side; inf marks one past an end
+    at = searchsorted_rows(grids, eval_points)[..., None] + np.arange(-k, k)
+    gap = np.abs(eval_points[..., None] - grids[rows, np.clip(at, 0, size - 1)])
+    gap[(at < 0) | (at >= size)] = np.inf
+    return np.sort(gap, axis=-1)[..., k - 1].max(axis=1)
 
 
 def _row_fits(grids, values, bandwidths, eval_points, degrees, deriv_order=0, loo=False):
@@ -106,6 +121,12 @@ def _row_fits(grids, values, bandwidths, eval_points, degrees, deriv_order=0, lo
     block is one contiguous vector, and each sum is p - 1 vector adds in
     slot order, the left fold that numpy makes of a row that short, without
     numpy's cost per row.
+
+    Besides its arguments and the output it holds two int64 arrays over
+    (geometry rows, bandwidths, points), each window's first index and its
+    width, with the window edges e -+ h while they are searched, the widest
+    window of each cell over the bandwidths (a view of the widths when K is
+    1), and one block's arrays at a time.
     """
     h = np.asarray(bandwidths, dtype=float)
     if not ((h >= _MIN_BANDWIDTH) & (h <= 1.0)).all():
@@ -120,14 +141,22 @@ def _row_fits(grids, values, bandwidths, eval_points, degrees, deriv_order=0, lo
     e = np.broadcast_to(np.asarray(eval_points, dtype=float), (G, m))
     size = np.broadcast_to(np.count_nonzero(grids < np.inf, axis=1), G)
     # [lo, lo + width) per (geometry, bandwidth, eval point), widened by one
-    # index on each side so rounding in e +- h never drops a point the kernel weights
-    edge = (e[:, None, :] - h[:, :, None]).reshape(G, -1)
-    lo = np.maximum(searchsorted_rows(grids, edge, "right") - 1, 0).reshape(G, K, m)
-    edge = (e[:, None, :] + h[:, :, None]).reshape(G, -1)
-    width = np.minimum(searchsorted_rows(grids, edge, "left") + 1, size[:, None]).reshape(G, K, m) - lo
-    del edge  # the (curves x bandwidths x points) arrays set the peak memory of a large sample
+    # index on each side so rounding in e +- h never drops a point the kernel weights.
+    # The (curves x bandwidths x points) arrays set the peak memory of a large
+    # sample: each is made once and then changed in place
+    edge = np.subtract(e[:, None, :], h[:, :, None])
+    lo = searchsorted_rows(grids, edge.reshape(G, -1), "right")
+    lo -= 1
+    np.maximum(lo, 0, out=lo)
+    np.add(e[:, None, :], h[:, :, None], out=edge)
+    width = searchsorted_rows(grids, edge.reshape(G, -1), "left")
+    del edge
+    width += 1
+    np.minimum(width, size[:, None], out=width)
+    lo, width = lo.reshape(G, K, m), width.reshape(G, K, m)
+    width -= lo
     out = np.empty((len(degrees), n, K, m))
-    for g, j, p in _blocks(width.max(axis=1), K, shared):
+    for g, j, p in _blocks(width[:, 0] if K == 1 else width.max(axis=1), K, shared):
         axis = -1 if p >= _FOLD_WIDTH else -4  # the window axis: rows, or slots
         idx = _along(lo[g, :, j], axis) + _slots(p, axis)
         np.minimum(idx, _along(size[g, None, None] - 1, axis), out=idx)

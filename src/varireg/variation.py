@@ -20,6 +20,8 @@ from .errors import ZeroVariation
 
 # Bits per integer digit in mean_quantile_flat's exact sums.
 _DIGIT_BITS = 31
+# Levels whose steps wasserstein2 looks up at a time.
+_LOOKUP_BLOCK = 1 << 16
 
 # Relative threshold below which a curve's total variation counts as zero.
 ZERO_VARIATION_RTOL = 1e-12
@@ -266,29 +268,34 @@ def mean_quantile_flat(points, index, locations, firsts) -> QuantileFn:
     where they happen.  The mean is a fixed function of that sum, so it is
     bit-identical under permutation of the inputs and within one ulp of the
     exact mean.  Time is O(N log N) and memory O(N) in the number N of
-    entries.
+    entries.  Besides its inputs the sweep holds the digit sums, one row of
+    int64 per digit over ``points``, and four arrays over the entries: where
+    each change starts, the rest of every location, its current digit and
+    its change; _digit_mean then holds four arrays over ``points``.
     """
     n = len(firsts)
     # an input takes entry j's location from the point after its previous
     # level on; the sums are integers, so the order of the additions is free
     starts = np.empty_like(index)
-    starts[1:] = index[:-1] + 1
+    np.add(index[:-1], 1, out=starts[1:])
     starts[firsts] = 1
     # every location is a multiple of 2**(e - 53), e the exponent of the
     # smallest positive one, so this many base-2**31 digits hold each exactly
     exponent = np.frexp(np.min(locations, initial=1.0, where=locations > 0.0))[1]
     sums = np.zeros((-(-(53 - exponent) // _DIGIT_BITS), points.size), dtype=np.int64)
     rest = locations * 2.0**_DIGIT_BITS
+    digit, change = np.empty_like(rest), np.empty(rest.shape, dtype=np.int64)
     for total in sums:  # one digit of every location at a time
-        digit = np.floor(rest)
-        rest = (rest - digit) * 2.0**_DIGIT_BITS
-        digit = digit.astype(np.int64)
-        change = np.diff(digit, prepend=0)
+        np.subtract(rest, np.floor(rest, out=digit), out=rest)
+        rest *= 2.0**_DIGIT_BITS
+        # whole digits below 2**31 subtract exactly in float
+        np.subtract(digit[1:], digit[:-1], out=change[1:], casting="unsafe")
         change[firsts] = digit[firsts]
         np.add.at(total, starts, change)
+    del starts, rest, digit, change
     vals = _digit_mean(np.cumsum(sums, axis=1, out=sums), n)
-    vals = np.maximum.accumulate(vals)  # guard float wiggles
-    return QuantileFn(points, np.clip(vals, 0.0, 1.0))
+    np.maximum.accumulate(vals, out=vals)  # guard float wiggles
+    return QuantileFn(points, np.clip(vals, 0.0, 1.0, out=vals))
 
 
 def _digit_mean(sums: np.ndarray, n: int) -> np.ndarray:
@@ -296,19 +303,22 @@ def _digit_mean(sums: np.ndarray, n: int) -> np.ndarray:
 
     After the carries, long division by n runs two digits past the sums';
     adding the quotient's digits in float from the least significant up is
-    faithful (within one ulp).
+    faithful (within one ulp).  Each digit sum is overwritten by its
+    quotient digit.  Besides ``sums`` this holds four rows of its size: the
+    remainder, a shifted row, the result and one term of it.
     """
+    rem, shift = np.zeros_like(sums[0]), np.empty_like(sums[0])
     for k in range(sums.shape[0] - 1, 0, -1):
-        sums[k - 1] += sums[k] >> _DIGIT_BITS
+        sums[k - 1] += np.right_shift(sums[k], _DIGIT_BITS, out=shift)
         sums[k] &= 2**_DIGIT_BITS - 1
-    rem, extra, out = 0, [], 0.0
-    for row in sums:  # each digit sum is overwritten by its quotient digit
-        row[:], rem = np.divmod(rem * 2**_DIGIT_BITS + row, n)
-    for _ in range(2):
-        digit, rem = np.divmod(rem * 2**_DIGIT_BITS, n)
-        extra.append(digit)
-    for k, digit in reversed(list(enumerate([*sums, *extra], 1))):
-        out = np.ldexp(digit.astype(float), -_DIGIT_BITS * k) + out
+    for row in sums:
+        np.divmod(np.add(np.multiply(rem, 2**_DIGIT_BITS, out=shift), row, out=shift), n, out=(row, rem))
+    # the two digits past the sums': the first into shift, the second into rem
+    np.divmod(np.multiply(rem, 2**_DIGIT_BITS, out=shift), n, out=(shift, rem))
+    np.floor_divide(np.multiply(rem, 2**_DIGIT_BITS, out=rem), n, out=rem)
+    out, term = np.zeros(rem.shape), np.empty(rem.shape)
+    for k, digit in reversed(list(enumerate([*sums, shift, rem], 1))):
+        out += np.ldexp(digit, -_DIGIT_BITS * k, out=term)
     return out
 
 
@@ -328,11 +338,14 @@ def quantile_to_cdf(q: QuantileFn) -> StepCdf:
     return StepCdf(locs, levels)
 
 
-def as_quantile(obj) -> QuantileFn:
-    if isinstance(obj, QuantileFn):
-        return obj
+def _steps(obj):
+    """(levels, values) of a distribution on [0,1]: its quantile takes
+    values[j] on the levels above levels[j - 1] (above 0 for j = 0) up to
+    levels[j].  Views of a StepCdf's or a QuantileFn's arrays."""
     if isinstance(obj, StepCdf):
-        return generalized_inverse(obj)
+        return obj.cum_values, obj.jump_locations
+    if isinstance(obj, QuantileFn):
+        return obj.breakpoints[1:], obj.values[1:]
     raise TypeError(f"cannot interpret {type(obj).__name__} as a quantile function")
 
 
@@ -341,10 +354,26 @@ def wasserstein2(f, g) -> float:
 
     Arguments may be StepCdf or QuantileFn.  Computes
     sqrt(int_0^1 (F^-(u) - G^-(u))^2 du) exactly: the quantile difference is
-    constant on each step of the merged breakpoint partition.
+    constant on each step of the merged level partition.  Besides the
+    arguments this holds three arrays over the merged levels: the levels,
+    the squared difference and the step widths, and the steps of at most
+    _LOOKUP_BLOCK levels at a time.
     """
-    qf = as_quantile(f)
-    qg = as_quantile(g)
-    points = np.unique(np.concatenate((qf.breakpoints, qg.breakpoints)))
-    d = qf(points[1:]) - qg(points[1:])
-    return float(np.sqrt(np.sum(np.diff(points) * (d * d))))
+    (lf, vf), (lg, vg) = _steps(f), _steps(g)
+    # both level lists end at 1: merge the shorter into the longer
+    longer, shorter = (lf, lg) if lf.size >= lg.size else (lg, lf)
+    at = np.searchsorted(longer, shorter)
+    new = longer[at] != shorter
+    levels = np.insert(longer, at[new], shorter[new])
+    # every level lies in (0, 1], on the step that ends at or above it; the
+    # steps of a block of levels at a time keep the index arrays short
+    d = np.empty_like(levels)
+    for b in range(0, d.size, _LOOKUP_BLOCK):
+        part = levels[b:b + _LOOKUP_BLOCK]
+        np.subtract(vf[np.searchsorted(lf, part)], vg[np.searchsorted(lg, part)], out=d[b:b + _LOOKUP_BLOCK])
+    d *= d
+    width = np.empty_like(levels)
+    width[0] = levels[0]
+    np.subtract(levels[1:], levels[:-1], out=width[1:])
+    d *= width
+    return float(np.sqrt(np.sum(d)))

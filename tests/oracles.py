@@ -22,6 +22,11 @@
 * ``mean_quantile``, the exact mean of a list of quantile functions: their
   breakpoints laid out flat for the library's ``mean_quantile_flat``, which
   the pipelines call with every curve's levels at once.
+* ``digit_mean_divmod``, the long division of exact digit sums by n with
+  one ``np.divmod`` per digit and fresh arrays for every step, and
+  ``wasserstein2_unique``, the 2-Wasserstein distance of two quantile
+  functions evaluated at the ``np.unique`` of their breakpoints.  The
+  library writes every digit and every step into a fixed few buffers.
 * The per-step loop that inverts a quantile function into a step CDF.
 * ``SineWarp``, a one-frequency analytic warp for hand-built test samples.
 * The per-curve simulator: each warp inverted by its own 52-step bisection
@@ -429,6 +434,37 @@ def mean_quantile(qs) -> QuantileFn:
     )
 
 
+def digit_mean_divmod(sums, n) -> np.ndarray:
+    """Exact base-2**31 digit sums (one row per digit) over n, as floats.
+
+    Carries, then long division by n two digits past the sums', with
+    np.divmod; the quotient's digits are added in float from the least
+    significant up.  Overwrites ``sums``.
+    """
+    bits = 31
+    for k in range(sums.shape[0] - 1, 0, -1):
+        sums[k - 1] += sums[k] >> bits
+        sums[k] &= 2**bits - 1
+    rem, extra, out = 0, [], 0.0
+    for row in sums:
+        row[:], rem = np.divmod(rem * 2**bits + row, n)
+    for _ in range(2):
+        digit, rem = np.divmod(rem * 2**bits, n)
+        extra.append(digit)
+    for k, digit in reversed(list(enumerate([*sums, *extra], 1))):
+        out = np.ldexp(digit.astype(float), -bits * k) + out
+    return out
+
+
+def wasserstein2_unique(f, g) -> float:
+    """2-Wasserstein distance of two StepCdf or QuantileFn, each taken as a
+    QuantileFn and evaluated on the np.unique of both breakpoint lists."""
+    qf, qg = (generalized_inverse(x) if isinstance(x, StepCdf) else x for x in (f, g))
+    points = np.unique(np.concatenate((qf.breakpoints, qg.breakpoints)))
+    d = qf(points[1:]) - qg(points[1:])
+    return float(np.sqrt(np.sum(np.diff(points) * (d * d))))
+
+
 def mean_quantile_oracle(qs) -> QuantileFn:
     """Pointwise mean of quantile functions from the dense (points x n) table.
 
@@ -696,6 +732,19 @@ def per_curve_register_complete(sample, output_grid=None) -> RegistrationResult:
     return _per_curve_noiseless(sample, options, rule, "complete")
 
 
+def widened_bandwidth(grid, eval_points, h, degree) -> float:
+    """A curve's leave-one-out bandwidth ``h`` for fits of ``degree`` at
+    ``eval_points``: where some of them lie past an end of ``grid`` and a
+    window holds fewer than degree + 1 grid points within h, 1.25 times the
+    largest distance from a point to its (degree + 1)-th nearest grid
+    point, at most 1."""
+    e = np.asarray(eval_points, dtype=float)
+    if grid[0] <= e.min() and e.max() <= grid[-1]:
+        return h
+    reach = float(np.sort(np.abs(grid[None, :] - e[:, None]), axis=1)[:, degree].max())
+    return min(reach * 1.25, 1.0) if reach >= h else h
+
+
 def per_curve_register_noisy(sample, opts=None) -> RegistrationResult:
     """register_noisy with each curve's derivative CDF, warp and fit on its own."""
     opts = opts or NoisyOptions()
@@ -710,6 +759,7 @@ def per_curve_register_noisy(sample, opts=None) -> RegistrationResult:
     for i, curve in enumerate(curves):
         if opts.h1 is None:
             h1, h2 = per_curve_loocv_bandwidths(curve, (2, 1), loocv_ladder(curve.max_gap))
+            h1 = widened_bandwidth(curve.grid, deriv_grid, h1, 2)
         else:
             h1, h2 = float(opts.h1), float(opts.h2)
         deriv = np.abs(per_curve_local_poly(curve, h1, 2, 1, deriv_grid))
@@ -725,7 +775,10 @@ def per_curve_register_noisy(sample, opts=None) -> RegistrationResult:
     )
     output_grid = _per_curve_output_grid(curves, opts.output_grid)
     registered = []
-    for curve, warp, (_, h2, _) in zip(curves, warps, prepared):
+    for k, (curve, warp, (h1, h2, cdf)) in enumerate(zip(curves, warps, prepared)):
+        if opts.h1 is None:
+            h2 = widened_bandwidth(curve.grid, warp(output_grid), h2, 1)
+            prepared[k] = (h1, h2, cdf)
         registered.append(
             DiscreteCurve(output_grid, per_curve_local_poly(curve, h2, 1, 0, warp(output_grid)))
         )

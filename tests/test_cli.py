@@ -15,11 +15,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import per_cell_fmt as fmt, per_curve_inverse, per_curve_scores, per_curve_truth_bundle
+from oracles import (
+    per_cell_fmt as fmt,
+    per_curve_inverse,
+    per_curve_scores,
+    per_curve_truth_bundle,
+    widened_bandwidth,
+)
 from varireg.cli import _build_parser, main
 from varireg.dataio import read_curves_csv, read_warps_csv, write_warps_csv, write_wide_csv
 from varireg.fpca import trapezoid_weights
-from varireg.simulate import MODEL_NAMES, LatentModelConfig, WarpLawConfig
+from varireg.simulate import MODEL_NAMES, LatentModelConfig, WarpLawConfig, make_truth_bundle
+from varireg.variation import DiscreteCurve
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -172,6 +179,25 @@ def test_register_complete_grid_short_of_the_others_exit0(tmp_path):
     assert run("register", src, "--regime", "complete", "--out", tmp_path / "out") == 0
     h = json.loads((tmp_path / "out" / "report.json").read_text())["flags"]["bandwidths"]
     assert h[3] > h[0] == h[1] == h[2]
+
+
+@pytest.mark.parametrize("regime", ["discrete", "complete", "noisy"])
+def test_register_long_csv_with_a_short_curve_exit0(tmp_path, regime):
+    # 60 model1 curves on random subsets of 40-89 of the 101 grid points, one
+    # cut at t <= 0.93: leave-one-out fits past its end had too few points
+    bundle = make_truth_bundle(LatentModelConfig("model1", grid_size=101), WarpLawConfig(), 100, seed=3)
+    rng = np.random.default_rng(3)
+    curves = []
+    for i, c in enumerate(bundle.observed[:60]):
+        keep = np.sort(rng.choice(c.grid.size, rng.integers(40, 90), replace=False))
+        keep = keep[c.grid[keep] <= 0.93] if i == 5 else keep
+        curves.append(DiscreteCurve(c.grid[keep], c.values[keep]))
+    src = tmp_path / "long.csv"
+    _write_long(src, curves, [f"c{i}" for i in range(60)])
+    assert run("register", src, "--regime", regime, "--out", tmp_path / "out") == 0
+    if regime == "noisy":  # the cut curve's derivative fits reach 3 of its points at t = 1
+        h1 = json.loads((tmp_path / "out" / "report.json").read_text())["flags"]["h1"]
+        assert h1[5] == widened_bandwidth(curves[5].grid, np.linspace(0.0, 1.0, 512), 0.0, 2)
 
 
 def test_diagnose_flat_mean_above_2048_points_exit0(tmp_path):

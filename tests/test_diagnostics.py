@@ -191,23 +191,9 @@ def test_evaluate_fisher_pair_warp_errors():
     grid, warps_true, curves = fisher_pair(r)
     result = register_complete(curves, output_grid=grid)
 
-    class _Bundle:
-        n = 2
-        f_phi = None
-
-        def __init__(self):
-            self.grid = grid
-            self.latent = [
-                DiscreteCurve(grid, x * linear_phi(grid)) for x in (1.3, 0.8)
-            ]
-
-        def warp_values(self, i, t):
-            return warps_true[i](t)
-
-        def warp_rows(self, rows, t):
-            return np.array([warps_true[i](t) for i in range(self.n)[rows]])
-
-    report = evaluate_against_truth(result, _Bundle())
+    latent = [DiscreteCurve(grid, x * linear_phi(grid)) for x in (1.3, 0.8)]
+    truth = TruthBundle(grid, latent, curves, warps_true, np.zeros((2, 1)))
+    report = evaluate_against_truth(result, truth)
     assert report.warp_sup_errors.max() <= 2.0 / r
 
 

@@ -1,3 +1,4 @@
+import gc
 import math
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from varireg.cli import main
-from varireg.errors import EmptySample, EmptyWindow, NonMonotoneInput, VariregError, ZeroVariation
+from varireg.errors import EmptySample, EmptyWindow, NonMonotoneInput, SingularFit, VariregError, ZeroVariation
 from varireg.fpca import cross_sectional_mean
 from varireg.registration import (
     NoisyOptions,
@@ -28,7 +29,7 @@ from varireg.simulate import (
     make_truth_bundle,
     substream,
 )
-from varireg.variation import DiscreteCurve, discrete_variation_cdf
+from varireg.variation import DiscreteCurve, discrete_variation_cdf, wasserstein2
 
 from conftest import random_step_cdf
 from oracles import (
@@ -39,6 +40,7 @@ from oracles import (
     per_curve_register_complete,
     per_curve_register_discrete,
     per_curve_register_noisy,
+    widened_bandwidth,
 )
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -625,6 +627,38 @@ def test_register_noisy_memory_runs_in_row_blocks():
     assert peak < 8e6
 
 
+@pytest.fixture(scope="module")
+def tall():
+    """The tall design, 1000 curves on 201 points, seed 7, and its registration."""
+    truth = make_truth_bundle(LatentModelConfig("model1", grid_size=201), WarpLawConfig(), 1000, seed=7)
+    return truth, register_discrete(truth.observed)
+
+
+def _traced_peak(call, *args):
+    """The tracemalloc peak of ``call(*args)``, in bytes, over what it is given."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_register_discrete_tall_peak(tall):
+    # the template sweep, the warp rows and the kernel edges work in a fixed
+    # few buffers; with fresh arrays at every step the peak was 26.7 MB
+    assert _traced_peak(register_discrete, tall[0].observed) <= 22e6
+
+
+def test_wasserstein2_spike_on_the_tall_template(tall):
+    # 190 191 template levels against 4094 true ones: the merged levels, the
+    # squared differences and the widths, 4.69 MB here, and index arrays of
+    # one block; the unique-and-evaluate form took 10.9 MB
+    truth, result = tall
+    assert _traced_peak(wasserstein2, result.template_cdf, truth.f_phi) <= 1.05 * 4.688e6
+
+
 _NOISY_DIGEST = """
 import hashlib, sys
 from varireg.registration import register_noisy
@@ -769,6 +803,24 @@ def test_default_bandwidth_widens_for_a_grid_short_of_the_others(side):
     # a fixed bandwidth is used as given
     with pytest.raises(EmptyWindow):
         register_discrete(curves, RegisterOptions(bandwidth=1.1 * curves[3].max_gap))
+
+
+@pytest.mark.parametrize("side", ["end", "start"])
+def test_register_noisy_widens_for_a_grid_short_of_the_others(side):
+    # past the short curve's grid its leave-one-out h1 leaves derivative
+    # windows with fewer than 3 points and its h2 output windows with fewer
+    # than 2; only that curve is widened, and each fit as the oracle does
+    curves = short_grid_sample(side)
+    res = register_noisy(curves)
+    h1, h2 = res.metadata["h1"], res.metadata["h2"]
+    assert h1[0] == h1[1] == h1[2] < h1[3] and h2[0] == h2[1] == h2[2] < h2[3]
+    e = res.warps[3](res.output_grid)
+    assert h2[3] == widened_bandwidth(curves[3].grid, e, 0.0, 1) <= 1.0
+    assert all(np.isfinite(c.values).all() for c in res.registered)
+    _assert_same_result(res, per_curve_register_noisy(curves))
+    # fixed bandwidths are used as given
+    with pytest.raises(SingularFit):
+        register_noisy(curves, NoisyOptions(h1=h1[0], h2=h2[0]))
 
 
 @pytest.mark.parametrize("side", ["end", "start"])

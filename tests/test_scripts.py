@@ -20,6 +20,7 @@ SCRIPT_RUNS = [
     pytest.param("run_rate_check.py", ["--ns", "5,10", "--reps", "2"], id="rate_check"),
     pytest.param("code_lines.py", [], id="code_lines"),
     pytest.param("noisy_stages.py", ["--n", "8", "--r", "41"], id="noisy_stages"),
+    pytest.param("memory_stages.py", ["--n", "8", "--r", "41"], id="memory_stages"),
 ]
 
 

@@ -24,6 +24,7 @@ from varireg.simulate import (
     observe,
     sample_latent,
     sample_warp,
+    sine_table,
     substream,
     true_variation_cdf,
 )
@@ -207,6 +208,27 @@ def test_evaluate_warps_matches_per_warp_calls(warp_list, t, block_cells):
             assert np.shape(one) == np.shape(ref)
             assert one.tobytes() == ref.tobytes()
         assert bundle.warp_rows(slice(1, None), t).tobytes() == got[1:].tobytes()
+
+
+@given(st.lists(warps(), min_size=1, max_size=8), points, st.data())
+def test_rows_from_one_sine_table_equal_evaluate_warps(warp_list, t, data):
+    """Rows of any slice of the warps, read from one sine table of all of
+    them, have the bits of evaluate_warps on that slice alone."""
+    table = sine_table(warp_list, t)
+    start = data.draw(st.integers(0, len(warp_list) - 1))
+    rows = slice(start, data.draw(st.integers(start + 1, len(warp_list))))
+    with mock.patch.object(simulate, "_BLOCK_CELLS", data.draw(st.sampled_from([1, 7, 1 << 16]))):
+        got = evaluate_warps(warp_list[rows], t, table)
+        assert got.tobytes() == evaluate_warps(warp_list[rows], t).tobytes()
+
+
+def test_truth_rows_of_a_sample_from_one_sine_table():
+    bundle = make_truth_bundle(LatentModelConfig("model1", grid_size=41), WarpLawConfig(), 60, seed=4)
+    dense = np.linspace(0.0, 1.0, 301)
+    table = sine_table(bundle.warps, dense)
+    assert table[0].size < sum(w.ks.size for w in bundle.warps)  # frequencies repeat across warps
+    for rows in (slice(0, 29), slice(29, 58), slice(58, 60)):
+        assert evaluate_warps(bundle.warps[rows], dense, table).tobytes() == bundle.warp_rows(rows, dense).tobytes()
 
 
 MODEL_PARAMS = {"breakdown": {"c": 1.0, "r_scale": 0.1, "rank": 3}}

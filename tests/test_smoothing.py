@@ -17,7 +17,9 @@ from varireg.smoothing import (
     _row_fits,
     epanechnikov,
     nadaraya_watson_rows,
+    suggested_min_bandwidths,
 )
+from varireg.registration import _stack
 from varireg.variation import DiscreteCurve
 
 import oracles
@@ -695,3 +697,20 @@ def test_monotone_smooth_output_monotone(seed):
     dense = np.interp(np.linspace(0.0, 1.0, 10_000), out_t, out_v)
     assert (np.diff(dense) >= -1e-12).all()
     assert out_v[0] == 0.0 and out_v[-1] == 1.0
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(0, 2))
+def test_suggested_min_bandwidths_reach_the_nearest_points(seed, shared, degree):
+    """Each curve's largest distance from an evaluation point to its
+    (degree + 1)-th nearest grid point, by a full sort, times 1 + 1e-9
+    (degree 0) or 1.25; on one shared grid or on padded per-curve grids,
+    with points past either end of a grid."""
+    rng = np.random.default_rng(seed)
+    sizes = [rng.integers(3, 12) for _ in range(4)]
+    grids = [np.sort(rng.choice(np.linspace(0.0, 1.0, 41), k, replace=False)) for k in sizes]
+    grids = grids[:1] * 4 if shared else grids
+    e = rng.random((4, rng.integers(1, 9)))
+    padded, _ = _stack(grids, [np.zeros(g.size) for g in grids])
+    want = [np.sort(np.abs(g[None, :] - row[:, None]), axis=1)[:, degree].max() for g, row in zip(grids, e)]
+    factor = 1.0 + 1e-9 if degree == 0 else 1.25
+    assert suggested_min_bandwidths(padded, e, degree).tolist() == [w * factor for w in want]

@@ -1,15 +1,18 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from varireg import variation
 from varireg.errors import EmptySample, ZeroVariation
 from varireg.variation import (
     DiscreteCurve,
     QuantileFn,
     StepCdf,
+    _digit_mean,
     discrete_variation_cdf,
     generalized_inverse,
     quantile_to_cdf,
@@ -18,7 +21,13 @@ from varireg.variation import (
 )
 
 from conftest import random_step_cdf
-from oracles import mean_quantile, mean_quantile_oracle, quantile_to_cdf_oracle
+from oracles import (
+    digit_mean_divmod,
+    mean_quantile,
+    mean_quantile_oracle,
+    quantile_to_cdf_oracle,
+    wasserstein2_unique,
+)
 
 
 # --- independent oracles -------------------------------------------------
@@ -393,6 +402,77 @@ def test_wasserstein_zero_iff_equal_quantiles(rng):
     f = random_step_cdf(rng)
     g = StepCdf(f.jump_locations + 1e-4, f.cum_values)
     assert wasserstein2(f, g) > 0.0
+
+
+@st.composite
+def digit_sums(draw):
+    """(sums, n): cumulative base-2**31 digit sums of n inputs, one row per
+    digit, each entry 0, its largest value n * (2**31 - 1) or between: rows
+    at their largest carry through every digit."""
+    n = draw(st.sampled_from([1, 2, 3, 1000, 2**20 + 1]))
+    top = n * (2**31 - 1)
+    entry = st.one_of(st.sampled_from([0, top, 2**31, top - 1]), st.integers(0, top))
+    digits, size = draw(st.integers(1, 3)), draw(st.integers(1, 12))
+    rows = draw(st.lists(st.lists(entry, min_size=size, max_size=size), min_size=digits, max_size=digits))
+    return np.array(rows, dtype=np.int64), n
+
+
+@given(digit_sums())
+@example((np.full((3, 2), 2**31 - 1, dtype=np.int64), 1))
+@example((np.full((3, 4), (2**20 + 1) * (2**31 - 1), dtype=np.int64), 2**20 + 1))
+@example((np.zeros((2, 3), dtype=np.int64), 3))
+# adding the quotient digits from the most significant down rounds these differently
+@example((np.array([[57982366], [138529289]], dtype=np.int64), 2))
+@example((np.array([[13491041775], [1673425039722]], dtype=np.int64), 1000))
+def test_digit_mean_matches_divmod_form(case):
+    """The buffered long division has the bits of one np.divmod per digit."""
+    sums, n = case
+    got, want = sums.copy(), sums.copy()
+    assert _digit_mean(got, n).tobytes() == digit_mean_divmod(want, n).tobytes()
+    assert got.tobytes() == want.tobytes()  # both leave the quotient digits in the sums
+
+
+@st.composite
+def distribution_pairs(draw):
+    """(f, g) as StepCdf or QuantileFn: independent, sharing levels, one a
+    single step, identical, or one level list far shorter than the other."""
+    kind = draw(st.sampled_from(["independent", "shared_levels", "one_step", "identical", "short_long"]))
+    f = draw(quantile_fns())
+    if kind == "short_long":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        bp = np.unique(np.concatenate(([0.0, 1.0], rng.random(draw(st.integers(200, 600))))))
+        vals = np.sort(rng.random(bp.size))
+        vals[0] = 0.0
+        f = QuantileFn(bp, vals)
+    if kind == "shared_levels":
+        vals = np.sort(draw(st.lists(_levels, min_size=f.values.size, max_size=f.values.size)))
+        g = QuantileFn(f.breakpoints, np.concatenate(([0.0], vals[1:])))
+    elif kind in ("one_step", "short_long"):
+        g = QuantileFn([0.0, 1.0], [0.0, draw(_levels)])
+    elif kind == "identical":
+        g = f
+    else:
+        g = draw(quantile_fns())
+    # a quantile with no flat stretch and value 0 at 0 alone is also a step CDF
+    as_cdf = [q if q.values[1] == 0.0 or (np.diff(q.values[1:]) == 0).any() or not draw(st.booleans())
+              else quantile_to_cdf(q) for q in (f, g)]
+    return tuple(as_cdf)
+
+
+@given(distribution_pairs(), st.sampled_from([1, 3, 1 << 16]))
+def test_wasserstein_matches_unique_form(pair, block):
+    """Merging the level lists by insertion and reading each step directly,
+    a block of levels at a time, has the bits of evaluating both quantiles
+    on the np.unique of their breakpoints, in either argument order."""
+    f, g = pair
+    with mock.patch.object(variation, "_LOOKUP_BLOCK", block):
+        for x, y in ((f, g), (g, f), (f, f)):
+            assert wasserstein2(x, y) == wasserstein2_unique(x, y)
+
+
+def test_wasserstein_refuses_other_types():
+    with pytest.raises(TypeError):
+        wasserstein2(StepCdf([1.0], [1.0]), np.array([0.5]))
 
 
 # --- composition Q(F(t)) ----------------------------------------------------
