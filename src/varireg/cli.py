@@ -323,9 +323,12 @@ def cmd_diagnose(args) -> None:
                 [np.interp(warp_samples[cid][0], *truth_warps[cid][:2]) for cid in block],
             )
 
-        width = max(warp_samples[cid][0].size for cid in ids)
-        latent = np.stack([np.interp(grid, latent_by_id[cid].grid, latent_by_id[cid].values) for cid in ids])
-        return warp_block, width, latent, f_phi
+        def arrays():
+            width = max(warp_samples[cid][0].size for cid in ids)
+            latent = np.stack([np.interp(grid, latent_by_id[cid].grid, latent_by_id[cid].values) for cid in ids])
+            return warp_block, width, latent
+
+        return f_phi, arrays
 
     rep = registration_report(registered, mean, template, truth if truth_dir else None)
     report = {

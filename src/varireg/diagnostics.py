@@ -67,25 +67,46 @@ def z_statistic(curves, mean_mode: str = "auto", info: dict = None) -> np.ndarra
         raise ValueError("mean_mode must be 'auto' or 'force_zero_deriv'")
     curves = list(curves)
     grid = _common_grid(curves)
-    x = np.stack([c.values for c in curves])
+    return _row_z(np.stack([c.values for c in curves]), grid, mean_mode, info)
+
+
+def _row_z(x, grid, mean_mode="auto", info=None) -> np.ndarray:
+    """z_statistic of the curves whose values are the rows of ``x``, on ``grid``.
+
+    The derivatives are taken in blocks of about _BLOCK_CELLS values, each
+    block's masses and, when the mean could decide the branch, its distances
+    in the same pass, so no derivative array of the whole sample exists.
+    np.gradient along a row is elementwise, so a block has the bits of the
+    whole array.  Besides ``x`` this holds the sorted copy that the mean
+    is summed from, and then one block's arrays at a time.
+    """
     w = trapezoid_weights(grid)
+    step = max(1, _BLOCK_CELLS // grid.size)
+    blocks = [slice(a, a + step) for a in range(0, x.shape[0], step)]
 
     def integral(rows):
         return np.sum(w * rows, axis=-1)
 
-    def distance(d, r):
-        """int | |d_i|/int|d_i| - |r|/int|r| | for each row d_i of d, worked out in d;
+    def distance(d, mass, ref):
+        """int | |d_i|/mass_i - ref | for each row |d_i| of d, worked out in d;
         0 where d_i has no mass."""
-        d, r = np.abs(d, out=d), np.abs(r)
-        mass = integral(d)
         d /= np.where(mass > 0.0, mass, 1.0)[:, None]
-        d -= r / integral(r)
+        d -= ref
         tv = integral(np.abs(d, out=d))
         # a TV distance lies in [0, 2]; the minimum only absorbs rounding past 2
         return np.where(mass > 0.0, np.minimum(tv, 2.0), 0.0)
 
-    derivs = np.gradient(x, grid, axis=1)
-    denoms = integral(np.abs(derivs))
+    mu = sorted_row_mean(grid, x).values if x.shape[0] >= 2 else x[0]
+    mu_deriv = np.abs(np.gradient(mu, grid))
+    mu_mass = integral(mu_deriv)
+    # the mean's density, if it has mass and may be the reference
+    ref = mu_deriv / mu_mass if mean_mode == "auto" and mu_mass > 0.0 else None
+    denoms, z = np.empty(x.shape[0]), np.empty(x.shape[0])
+    for b in blocks:
+        d = np.abs(np.gradient(x[b], grid, axis=1))
+        denoms[b] = integral(d)
+        if ref is not None:
+            z[b] = distance(d, denoms[b], ref)
     scale = float(denoms.max())
     if scale <= 0.0:
         raise ZeroVariation("all curves are (numerically) constant")
@@ -93,20 +114,21 @@ def z_statistic(curves, mean_mode: str = "auto", info: dict = None) -> np.ndarra
     if flat.any():
         raise ZeroVariation(curve_id=int(np.argmax(flat)))
 
-    mu = sorted_row_mean(grid, x).values if len(curves) >= 2 else x[0]
-    mu_deriv = np.gradient(mu, grid)
-    if mean_mode == "auto" and integral(np.abs(mu_deriv)) >= 1e-8 * scale:
-        z, branch = distance(derivs, mu_deriv), "mean_deriv"
+    if ref is not None and mu_mass >= 1e-8 * scale:
+        branch = "mean_deriv"
     else:
         eig = row_eigenpairs(x, grid, 2)
         phi = eig.eigenfunctions[eig.eigenvalues > 0.0]
         dphi = np.gradient(phi, grid, axis=1)
         if phi.shape[0] == 0 or integral(np.abs(dphi[0])) == 0.0:
-            z, branch = np.zeros(len(curves)), "zero_mean_degenerate"
+            z, branch = np.zeros(x.shape[0]), "zero_mean_degenerate"
         else:
-            centered = x - mu
-            projected = sum(row_scores(centered, f, grid)[:, None] * df for f, df in zip(phi, dphi))
-            z, branch = distance(projected, dphi[0]), "zero_mean"
+            ref = np.abs(dphi[0]) / integral(np.abs(dphi[0]))
+            for b in blocks:
+                centered = x[b] - mu
+                d = np.abs(sum(row_scores(centered, f, grid)[:, None] * df for f, df in zip(phi, dphi)))
+                z[b] = distance(d, integral(d), ref)
+            branch = "zero_mean"
     if info is not None:
         info["branch"] = branch
     return z
@@ -120,23 +142,25 @@ def truth_errors(warp_block, width, registered, latent, mean) -> tuple:
     per curve, at most ``width`` points each, on points the caller chooses
     for each curve.  It is called for
     consecutive blocks of about _BLOCK_CELLS samples, so no (curves x warp
-    grid) array exists at once.  ``registered`` and ``latent`` hold one row
+    grid) array exists at once, and the L2 sums run over the same blocks of
+    rows.  ``registered`` and ``latent`` hold one row
     of values per curve on the grid of the estimated ``mean``.  Returns the
     per-curve warp sup errors, the per-curve relative L2 errors under
     trapezoid weights, and the sup error of ``mean`` against the
     sorted-sum mean of ``latent``.
     """
-    step = max(1, _BLOCK_CELLS // max(width, 1))
-    warp_errs = np.array([
-        np.abs(est - true).max()
-        for start in range(0, latent.shape[0], step)
-        for est, true in zip(*warp_block(slice(start, start + step)))
-    ])
+    n = latent.shape[0]
     # rows summed along a contiguous axis have the bits of each curve alone
     registered, latent = np.ascontiguousarray(registered), np.ascontiguousarray(latent)
     w = trapezoid_weights(mean.grid)
-    denom = np.sqrt(np.sum(w * latent * latent, axis=1))
-    num = np.sqrt(np.sum(w * (registered - latent) ** 2, axis=1))
+    warp_errs, denom, num = np.empty(n), np.empty(n), np.empty(n)
+    step = max(1, _BLOCK_CELLS // max(width, 1))
+    for start in range(0, n, step):
+        b = slice(start, start + step)
+        # a block's warp samples are freed before the next block's are taken
+        warp_errs[b] = [np.abs(est - true).max() for est, true in zip(*warp_block(b))]
+        denom[b] = np.sqrt(np.sum(w * latent[b] * latent[b], axis=1))
+        num[b] = np.sqrt(np.sum(w * (registered[b] - latent[b]) ** 2, axis=1))
     true_mean = sorted_row_mean(mean.grid, latent)
     return warp_errs, num / np.maximum(denom, 1e-300), float(np.abs(mean.values - true_mean.values).max())
 
@@ -147,27 +171,31 @@ def registration_report(registered, mean, template, truth=None) -> RegistrationR
 
     For two curves or more: the explained ratios of the three leading
     components, and the z-statistic, None for constant curves, with its
-    branch in ``flags["z_branch"]``.  ``truth()``, if given,
-    is called once those are done, so no truth array exists while the
-    eigenproblem is solved, which keeps the peak memory of a wide sample
-    down.  It returns (warp_block, width, latent, f_phi): the truth
-    arguments of ``truth_errors``, which gives the truth errors, and the
-    true variation CDF, or None where the model has none, against which
-    the template's squared 2-Wasserstein distance is taken.
+    branch in ``flags["z_branch"]``; both read one stacked array of the
+    curves.  ``truth()``, if given, is called once those are done, so no
+    truth array exists while the eigenproblem is solved, which keeps the
+    peak memory of a wide sample down.  It returns (f_phi, arrays): the
+    true variation CDF, or None where the model has none, and a function
+    that builds (warp_block, width, latent), the truth arguments of
+    ``truth_errors``.  The stages run in this order: the explained ratios,
+    z, the template's squared 2-Wasserstein distance to f_phi, then
+    ``arrays()`` and the truth errors, so the distance's merged levels and
+    the truth arrays never exist at once.
     """
     values = np.stack([c.values for c in registered])
     report, info = RegistrationReport(), {}
     if len(registered) >= 2:
         report.explained_ratios = row_eigenpairs(values, mean.grid, 3).explained_ratios
         try:
-            report.z_stats = z_statistic(registered, info=info)
+            report.z_stats = _row_z(values, _common_grid(registered), info=info)
         except ZeroVariation:
             pass
     report.flags = {"z_branch": info.get("branch")}
     if truth is not None:
-        warp_block, width, latent, f_phi = truth()
+        f_phi, arrays = truth()
         if f_phi is not None:
             report.dW2_template_to_target = wasserstein2(template, f_phi) ** 2
+        warp_block, width, latent = arrays()
         report.warp_sup_errors, report.curve_rel_L2_errors, report.mean_sup_error = truth_errors(
             warp_block, width, values, latent, mean
         )
@@ -185,7 +213,7 @@ def evaluate_against_truth(result: RegistrationResult, truth: TruthBundle) -> Re
         raise GridMismatch("result and truth have different sample sizes")
     out_grid = result.output_grid
 
-    def truth_rows():
+    def truth_arrays():
         dense = np.unique(np.concatenate((np.linspace(0.0, 1.0, 2049), out_grid)))
 
         table = sine_table(truth.warps, dense)  # the truth warps' sines, for this call alone
@@ -194,9 +222,11 @@ def evaluate_against_truth(result: RegistrationResult, truth: TruthBundle) -> Re
             return _evaluate(result.warps[rows], dense), evaluate_warps(truth.warps[rows], dense, table)
 
         latent = np.stack([np.interp(out_grid, c.grid, c.values) for c in truth.latent])
-        return warp_block, dense.size, latent, truth.f_phi
+        return warp_block, dense.size, latent
 
-    return registration_report(result.registered, result.mean, result.template_cdf, truth_rows)
+    return registration_report(
+        result.registered, result.mean, result.template_cdf, lambda: (truth.f_phi, truth_arrays)
+    )
 
 
 @dataclass

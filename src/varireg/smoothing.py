@@ -22,7 +22,6 @@ in slot order are the fold numpy makes of so short a row.
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import EmptyWindow
 from .variation import searchsorted_rows
@@ -122,11 +121,11 @@ def _row_fits(grids, values, bandwidths, eval_points, degrees, deriv_order=0, lo
     slot order, the left fold that numpy makes of a row that short, without
     numpy's cost per row.
 
-    Besides its arguments and the output it holds two int64 arrays over
+    Besides its arguments and the output it holds two int32 arrays over
     (geometry rows, bandwidths, points), each window's first index and its
-    width, with the window edges e -+ h while they are searched, the widest
-    window of each cell over the bandwidths (a view of the widths when K is
-    1), and one block's arrays at a time.
+    width (``_windows``), the widest window of each cell over the
+    bandwidths (a view of the widths when K is 1), and one block's arrays
+    at a time.
     """
     h = np.asarray(bandwidths, dtype=float)
     if not ((h >= _MIN_BANDWIDTH) & (h <= 1.0)).all():
@@ -140,21 +139,7 @@ def _row_fits(grids, values, bandwidths, eval_points, degrees, deriv_order=0, lo
     G = h.shape[0]
     e = np.broadcast_to(np.asarray(eval_points, dtype=float), (G, m))
     size = np.broadcast_to(np.count_nonzero(grids < np.inf, axis=1), G)
-    # [lo, lo + width) per (geometry, bandwidth, eval point), widened by one
-    # index on each side so rounding in e +- h never drops a point the kernel weights.
-    # The (curves x bandwidths x points) arrays set the peak memory of a large
-    # sample: each is made once and then changed in place
-    edge = np.subtract(e[:, None, :], h[:, :, None])
-    lo = searchsorted_rows(grids, edge.reshape(G, -1), "right")
-    lo -= 1
-    np.maximum(lo, 0, out=lo)
-    np.add(e[:, None, :], h[:, :, None], out=edge)
-    width = searchsorted_rows(grids, edge.reshape(G, -1), "left")
-    del edge
-    width += 1
-    np.minimum(width, size[:, None], out=width)
-    lo, width = lo.reshape(G, K, m), width.reshape(G, K, m)
-    width -= lo
+    lo, width = _windows(grids, e, h, size)
     out = np.empty((len(degrees), n, K, m))
     for g, j, p in _blocks(width[:, 0] if K == 1 else width.max(axis=1), K, shared):
         axis = -1 if p >= _FOLD_WIDTH else -4  # the window axis: rows, or slots
@@ -172,6 +157,35 @@ def _row_fits(grids, values, bandwidths, eval_points, degrees, deriv_order=0, lo
             for d, fit in enumerate(_curve_fits(geometry, _gather(values, i, idx, axis), degrees, axis)):
                 out[d, i, :, j] = fit
     return out
+
+
+def _windows(grids, e, h, size):
+    """The windows of _row_fits: each one's first index and width, int32
+    arrays over (geometry rows, bandwidths, points).
+
+    Window [lo, lo + width) of evaluation point e[g, j] and bandwidth
+    h[g, k] holds the grid points x with e - h < x < e + h, widened by one
+    index on each side so rounding in e -+ h never drops a point the kernel
+    weights, and clipped to the row's ``size`` points.  The edges e -+ h
+    are searched for rows of at most _BLOCK_BUDGET cells at a time (one row
+    when a row holds more), so no float array of every edge exists.
+    """
+    G, K, m = h.shape[0], h.shape[1], e.shape[1]
+    lo, width = np.empty((G, K, m), dtype=np.int32), np.empty((G, K, m), dtype=np.int32)
+    step = max(_BLOCK_BUDGET // (K * m), 1)
+    for a in range(0, G, step):
+        rows = slice(a, a + step)
+        own = grids[rows] if grids.shape[0] > 1 else grids
+        edge = np.subtract(e[rows, None, :], h[rows, :, None])
+        lo[rows] = searchsorted_rows(own, edge.reshape(edge.shape[0], -1), "right").reshape(edge.shape)
+        np.add(e[rows, None, :], h[rows, :, None], out=edge)
+        width[rows] = searchsorted_rows(own, edge.reshape(edge.shape[0], -1), "left").reshape(edge.shape)
+    lo -= 1
+    np.maximum(lo, 0, out=lo)
+    width += 1
+    np.minimum(width, size[:, None, None], out=width)
+    width -= lo
+    return lo, width
 
 
 def _along(x, axis):
@@ -419,6 +433,8 @@ def monotone_through_knots(knot_values, n_out: int = 1024):
     plus the knots, and one row of smoothed samples per warp; each row has
     the bits of a warp smoothed alone.
     """
+    from scipy.interpolate import PchipInterpolator  # scipy loads only for smoothed warps
+
     knots = np.linspace(0.0, 1.0, knot_values.shape[1])
     kv = np.maximum.accumulate(knot_values, axis=1)
     interp = PchipInterpolator(knots, kv, axis=1)

@@ -20,7 +20,7 @@ from .errors import ZeroVariation
 
 # Bits per integer digit in mean_quantile_flat's exact sums.
 _DIGIT_BITS = 31
-# Levels whose steps wasserstein2 looks up at a time.
+# Entries that wasserstein2 and _digit_mean take at a time.
 _LOOKUP_BLOCK = 1 << 16
 
 # Relative threshold below which a curve's total variation counts as zero.
@@ -260,8 +260,9 @@ def mean_quantile_flat(points, index, locations, firsts) -> QuantileFn:
     Input k owns entries firsts[k] up to firsts[k + 1].  Entry j has level
     points[index[j]] and location locations[j]: the input takes that
     location on the levels above the previous entry's, up to its own (above
-    0 for the input's first entry).  ``points`` are sorted, unique, and run
-    from 0 to 1, which every input's last level must reach.
+    0 for the input's first entry).  ``points`` are sorted, unique, fewer
+    than 2**31, and run from 0 to 1, which every input's last level must
+    reach.
 
     The result steps on ``points``.  The sum over inputs is exact: a sweep
     adds each input's changes, in base-2**31 integer digits, at the points
@@ -269,27 +270,29 @@ def mean_quantile_flat(points, index, locations, firsts) -> QuantileFn:
     bit-identical under permutation of the inputs and within one ulp of the
     exact mean.  Time is O(N log N) and memory O(N) in the number N of
     entries.  Besides its inputs the sweep holds the digit sums, one row of
-    int64 per digit over ``points``, and four arrays over the entries: where
-    each change starts, the rest of every location, its current digit and
-    its change; _digit_mean then holds four arrays over ``points``.
+    int64 per digit over ``points``, and three arrays over the entries: where
+    each change starts (int32), each location's current digit (uint32) and
+    its change (int64); the rest of every location is worked out in
+    ``locations``, which this overwrites.  _digit_mean then holds two more
+    rows over ``points``.
     """
     n = len(firsts)
     # an input takes entry j's location from the point after its previous
     # level on; the sums are integers, so the order of the additions is free
-    starts = np.empty_like(index)
+    starts = np.empty(index.shape, dtype=np.int32)
     np.add(index[:-1], 1, out=starts[1:])
     starts[firsts] = 1
     # every location is a multiple of 2**(e - 53), e the exponent of the
     # smallest positive one, so this many base-2**31 digits hold each exactly
     exponent = np.frexp(np.min(locations, initial=1.0, where=locations > 0.0))[1]
     sums = np.zeros((-(-(53 - exponent) // _DIGIT_BITS), points.size), dtype=np.int64)
-    rest = locations * 2.0**_DIGIT_BITS
-    digit, change = np.empty_like(rest), np.empty(rest.shape, dtype=np.int64)
+    rest = np.multiply(locations, 2.0**_DIGIT_BITS, out=locations)
+    # a digit lies in [0, 2**31], 2**31 itself at a location of 1.0
+    digit, change = np.empty(rest.shape, dtype=np.uint32), np.empty(rest.shape, dtype=np.int64)
     for total in sums:  # one digit of every location at a time
-        np.subtract(rest, np.floor(rest, out=digit), out=rest)
+        rest -= np.floor(rest, out=digit, casting="unsafe")
         rest *= 2.0**_DIGIT_BITS
-        # whole digits below 2**31 subtract exactly in float
-        np.subtract(digit[1:], digit[:-1], out=change[1:], casting="unsafe")
+        np.subtract(digit[1:], digit[:-1], out=change[1:], dtype=np.int64)
         change[firsts] = digit[firsts]
         np.add.at(total, starts, change)
     del starts, rest, digit, change
@@ -304,8 +307,9 @@ def _digit_mean(sums: np.ndarray, n: int) -> np.ndarray:
     After the carries, long division by n runs two digits past the sums';
     adding the quotient's digits in float from the least significant up is
     faithful (within one ulp).  Each digit sum is overwritten by its
-    quotient digit.  Besides ``sums`` this holds four rows of its size: the
-    remainder, a shifted row, the result and one term of it.
+    quotient digit.  Besides ``sums`` this holds two rows of its size: the
+    remainder and a shifted row, which hold the last two quotient digits
+    and then, viewed as floats, the result and one term of it.
     """
     rem, shift = np.zeros_like(sums[0]), np.empty_like(sums[0])
     for k in range(sums.shape[0] - 1, 0, -1):
@@ -316,9 +320,16 @@ def _digit_mean(sums: np.ndarray, n: int) -> np.ndarray:
     # the two digits past the sums': the first into shift, the second into rem
     np.divmod(np.multiply(rem, 2**_DIGIT_BITS, out=shift), n, out=(shift, rem))
     np.floor_divide(np.multiply(rem, 2**_DIGIT_BITS, out=rem), n, out=rem)
-    out, term = np.zeros(rem.shape), np.empty(rem.shape)
-    for k, digit in reversed(list(enumerate([*sums, shift, rem], 1))):
-        out += np.ldexp(digit, -_DIGIT_BITS * k, out=term)
+    # the result goes into rem's row and each term into shift's, as floats,
+    # a block at a time: a ufunc that overwrites its operand with another
+    # dtype copies it first, here one block's.  The last digit's term starts
+    # the result (0 + x is x)
+    out, term = rem.view(float), shift.view(float)
+    for b in range(0, out.size, _LOOKUP_BLOCK):
+        part = slice(b, b + _LOOKUP_BLOCK)
+        np.ldexp(rem[part], -_DIGIT_BITS * (sums.shape[0] + 2), out=out[part])
+        for k, digit in reversed(list(enumerate([*sums, shift], 1))):
+            out[part] += np.ldexp(digit[part], -_DIGIT_BITS * k, out=term[part])
     return out
 
 
@@ -326,13 +337,15 @@ def quantile_to_cdf(q: QuantileFn) -> StepCdf:
     """Generalized inverse of a quantile function, as a cadlag StepCdf.
 
     Exact: each step contributes a jump of its probability mass at its
-    value.
+    value.  Where no two steps share a value, the result's arrays are views
+    of the quantile's (its values and breakpoints past the first).
     """
     levels, locs = q.breakpoints[1:], q.values[1:]
     # merge duplicate locations (flat quantile stretches): the level after all
     # mass at a location has landed is the last one recorded there
-    keep = np.concatenate((locs[1:] != locs[:-1], [True]))
-    locs, levels = locs[keep], levels[keep]
+    keep = np.append(locs[1:] != locs[:-1], True)
+    if not keep.all():
+        locs, levels = locs[keep], levels[keep]
     if locs[0] <= 0.0:
         raise ValueError("quantile maps positive mass to location 0; not a CDF on (0,1]")
     return StepCdf(locs, levels)

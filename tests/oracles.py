@@ -23,10 +23,16 @@
   breakpoints laid out flat for the library's ``mean_quantile_flat``, which
   the pipelines call with every curve's levels at once.
 * ``digit_mean_divmod``, the long division of exact digit sums by n with
-  one ``np.divmod`` per digit and fresh arrays for every step, and
-  ``wasserstein2_unique``, the 2-Wasserstein distance of two quantile
-  functions evaluated at the ``np.unique`` of their breakpoints.  The
-  library writes every digit and every step into a fixed few buffers.
+  one ``np.divmod`` per digit and fresh arrays for every step;
+  ``mean_quantile_float_digits``, the exact sweep with its digit rows in
+  float and its start indices in int64; and ``wasserstein2_unique``, the
+  2-Wasserstein distance of two quantile functions evaluated at the
+  ``np.unique`` of their breakpoints.  The library writes every digit and
+  every step into a fixed few narrower buffers.
+* ``windows_whole``, every kernel window's first index and width searched
+  over the whole sample's edges at once in int64; ``z_statistic_whole``,
+  the z-statistic over one derivative array of the whole sample.  The
+  library takes both a block of rows at a time.
 * The per-step loop that inverts a quantile function into a step CDF.
 * ``SineWarp``, a one-frequency analytic warp for hand-built test samples.
 * The per-curve simulator: each warp inverted by its own 52-step bisection
@@ -73,7 +79,7 @@ from varireg.errors import (
     SingularFit,
     ZeroVariation,
 )
-from varireg.fpca import cross_sectional_mean, row_eigenpairs, trapezoid_weights
+from varireg.fpca import cross_sectional_mean, row_eigenpairs, row_scores, trapezoid_weights
 from varireg.registration import (
     OUTPUT_GRID_CAP,
     WARP_GRID_CAP,
@@ -104,8 +110,19 @@ from varireg.variation import (
     generalized_inverse,
     mean_quantile_flat,
     quantile_to_cdf,
+    searchsorted_rows,
     wasserstein2,
 )
+
+
+def windows_whole(grids, e, h, size) -> tuple:
+    """smoothing._windows with each edge array over every (row, bandwidth,
+    point) cell at once, in int64."""
+    G, K, m = h.shape[0], h.shape[1], e.shape[1]
+    lo = searchsorted_rows(grids, (e[:, None, :] - h[:, :, None]).reshape(G, -1), "right") - 1
+    width = searchsorted_rows(grids, (e[:, None, :] + h[:, :, None]).reshape(G, -1), "left") + 1
+    lo = np.maximum(lo, 0).reshape(G, K, m)
+    return lo, np.minimum(width, size[:, None]).reshape(G, K, m) - lo
 
 
 def min_bandwidth(grid, eval_points) -> float:
@@ -422,16 +439,40 @@ def mean_quantile(qs) -> QuantileFn:
     qs = list(qs)
     if not qs:
         raise EmptySample("mean_quantile needs at least one quantile function")
+    return mean_quantile_flat(*flat_quantiles(qs))
+
+
+def flat_quantiles(qs) -> tuple:
+    """(points, index, locations, firsts): quantile functions ``qs`` laid
+    out flat, as mean_quantile_flat takes them."""
     sizes = [q.breakpoints.size - 1 for q in qs]
     points, index = np.unique(
         np.concatenate([[0.0]] + [q.breakpoints[1:] for q in qs]), return_inverse=True
     )
-    return mean_quantile_flat(
-        points,
-        index[1:],
-        np.concatenate([q.values[1:] for q in qs]),
-        np.cumsum([0] + sizes[:-1]),
-    )
+    return points, index[1:], np.concatenate([q.values[1:] for q in qs]), np.cumsum([0] + sizes[:-1])
+
+
+def mean_quantile_float_digits(points, index, locations, firsts) -> QuantileFn:
+    """mean_quantile_flat with every digit row held in float and int64 start
+    indices, on a fresh rest array (``locations`` is left as it is); the
+    quotient by digit_mean_divmod."""
+    n = len(firsts)
+    starts = np.empty_like(index)
+    np.add(index[:-1], 1, out=starts[1:])
+    starts[firsts] = 1
+    exponent = np.frexp(np.min(locations, initial=1.0, where=locations > 0.0))[1]
+    sums = np.zeros((-(-(53 - exponent) // 31), points.size), dtype=np.int64)
+    rest = locations * 2.0**31
+    digit, change = np.empty_like(rest), np.empty(rest.shape, dtype=np.int64)
+    for total in sums:
+        np.subtract(rest, np.floor(rest, out=digit), out=rest)
+        rest *= 2.0**31
+        # whole digits of at most 2**31 subtract exactly in float
+        np.subtract(digit[1:], digit[:-1], out=change[1:], casting="unsafe")
+        change[firsts] = digit[firsts]
+        np.add.at(total, starts, change)
+    vals = np.maximum.accumulate(digit_mean_divmod(np.cumsum(sums, axis=1), n))
+    return QuantileFn(points, np.clip(vals, 0.0, 1.0))
 
 
 def digit_mean_divmod(sums, n) -> np.ndarray:
@@ -862,6 +903,55 @@ def per_curve_z_statistic(curves, mean_mode="auto", info=None) -> np.ndarray:
                 for i in range(len(curves))
             ])
             branch = "zero_mean"
+    if info is not None:
+        info["branch"] = branch
+    return z
+
+
+def z_statistic_whole(curves, mean_mode="auto", info=None) -> np.ndarray:
+    """z_statistic with every derivative and distance of the sample taken
+    over one (curves x points) array, and the mean after the checks."""
+    if mean_mode not in ("auto", "force_zero_deriv"):
+        raise ValueError("mean_mode must be 'auto' or 'force_zero_deriv'")
+    curves = list(curves)
+    grid = curves[0].grid
+    for c in curves[1:]:
+        if not np.array_equal(c.grid, grid):
+            raise GridMismatch("curves are not on a common grid")
+    x = np.stack([c.values for c in curves])
+    w = trapezoid_weights(grid)
+
+    def integral(rows):
+        return np.sum(w * rows, axis=-1)
+
+    def distance(d, r):
+        d, r = np.abs(d), np.abs(r)
+        mass = integral(d)
+        d = d / np.where(mass > 0.0, mass, 1.0)[:, None] - r / integral(r)
+        return np.where(mass > 0.0, np.minimum(integral(np.abs(d)), 2.0), 0.0)
+
+    derivs = np.gradient(x, grid, axis=1)
+    denoms = integral(np.abs(derivs))
+    scale = float(denoms.max())
+    if scale <= 0.0:
+        raise ZeroVariation("all curves are (numerically) constant")
+    flat = denoms <= 1e-12 * scale
+    if flat.any():
+        raise ZeroVariation(curve_id=int(np.argmax(flat)))
+    mu = cross_sectional_mean(curves).values if len(curves) >= 2 else x[0]
+    mu_deriv = np.gradient(mu, grid)
+    if mean_mode == "auto" and integral(np.abs(mu_deriv)) >= 1e-8 * scale:
+        z, branch = distance(derivs, mu_deriv), "mean_deriv"
+    else:
+        eig = row_eigenpairs(x, grid, 2)
+        phi = eig.eigenfunctions[eig.eigenvalues > 0.0]
+        dphi = np.gradient(phi, grid, axis=1)
+        if phi.shape[0] == 0 or integral(np.abs(dphi[0])) == 0.0:
+            z, branch = np.zeros(len(curves)), "zero_mean_degenerate"
+        else:
+            centered = x - mu
+            projected = sum(row_scores(centered, f, grid)[:, None] * df for f, df in zip(phi, dphi))
+            z, branch = distance(projected, dphi[0]), "zero_mean"
     if info is not None:
         info["branch"] = branch
     return z

@@ -12,6 +12,7 @@ from oracles import (
     per_curve_truth_bundle,
     per_curve_truth_errors,
     per_curve_z_statistic,
+    z_statistic_whole,
 )
 from varireg import diagnostics
 from varireg.diagnostics import (
@@ -294,6 +295,36 @@ def test_z_statistic_branches_match_per_curve_oracle(mean_mode, branch):
     _same(got, per_curve_z_statistic(curves, mean_mode, info=ref_info))
     _same(info, ref_info)
     assert info["branch"] == branch
+
+
+@given(common_grid_samples(), st.sampled_from(["auto", "force_zero_deriv"]), st.sampled_from([1, 2, 5, None]))
+def test_z_statistic_in_row_blocks_matches_the_whole_sample_form(curves, mean_mode, rows):
+    info, ref_info = {}, {}
+    cells = diagnostics._BLOCK_CELLS if rows is None else rows * curves[0].grid.size
+    with mock.patch.object(diagnostics, "_BLOCK_CELLS", cells):
+        got = _outcome(z_statistic, curves, mean_mode, info=info)
+    _same(got, _outcome(z_statistic_whole, curves, mean_mode, info=ref_info))
+    _same(info, ref_info)
+
+
+@pytest.mark.parametrize(
+    "mean_mode, branch",
+    [("auto", "mean_deriv"), ("force_zero_deriv", "zero_mean"), ("auto", "zero_mean")],
+)
+@pytest.mark.parametrize("rows", [1, 3])
+def test_z_statistic_branches_in_row_blocks_match_the_whole_sample_form(mean_mode, branch, rows):
+    # 7 curves, or 6 with a flat mean for auto's zero_mean, in blocks of 1 and 3 rows
+    grid = np.linspace(0.0, 1.0, 41)
+    rng = np.random.default_rng(5)
+    x = np.cumsum(rng.standard_normal((7, grid.size)), axis=1)
+    if branch == "zero_mean" and mean_mode == "auto":
+        x = np.concatenate((x[:3], -x[:3]))
+    curves = [DiscreteCurve(grid, row) for row in x]
+    info, ref_info = {}, {}
+    with mock.patch.object(diagnostics, "_BLOCK_CELLS", rows * grid.size):
+        got = z_statistic(curves, mean_mode, info=info)
+    _same(got, z_statistic_whole(curves, mean_mode, info=ref_info))
+    assert info == ref_info == {"branch": branch}
 
 
 @given(common_grid_samples(), st.integers(0, 2**32 - 1))

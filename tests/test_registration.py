@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from varireg.cli import main
+from varireg.diagnostics import evaluate_against_truth
 from varireg.errors import EmptySample, EmptyWindow, NonMonotoneInput, SingularFit, VariregError, ZeroVariation
 from varireg.fpca import cross_sectional_mean
 from varireg.registration import (
@@ -657,6 +658,62 @@ def test_wasserstein2_spike_on_the_tall_template(tall):
     # one block; the unique-and-evaluate form took 10.9 MB
     truth, result = tall
     assert _traced_peak(wasserstein2, result.template_cdf, truth.f_phi) <= 1.05 * 4.688e6
+
+
+@pytest.fixture(scope="module")
+def tall_traced(tall):
+    """The tall design registered again under tracemalloc: (result, the
+    memory it keeps, register_discrete's peak, evaluate_against_truth's
+    entry plus spike), in bytes."""
+    truth = tall[0]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = register_discrete(truth.observed)
+        kept, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        evaluate_against_truth(result, truth)
+        return result, kept, peak, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_tall_result_keeps_one_copy_of_the_template(tall_traced):
+    # no location of the tall template repeats, so its CDF views the
+    # quantile's arrays; with a copy of their 190 191 steps it kept 11.58 MB
+    result, kept = tall_traced[:2]
+    assert np.shares_memory(result.template_cdf.jump_locations, result.template_quantile.values)
+    assert np.shares_memory(result.template_cdf.cum_values, result.template_quantile.breakpoints)
+    assert kept <= 1.05 * 8.538e6
+
+
+def test_register_discrete_tall_peak_in_narrow_buffers(tall_traced):
+    # int32 window indices and sweep starts, uint32 digits, the rest of each
+    # location in the locations, the mean in its digits' rows and the window
+    # edges a row chunk at a time; 19.59 MB with full-size int64 and float ones
+    assert tall_traced[2] <= 1.05 * 14.905e6
+
+
+def test_evaluate_against_truth_tall_peak(tall_traced):
+    # z and the L2 sums a row block at a time on the report's one stack of
+    # the curves, one warp block alive at a time, the template distance
+    # before the truth arrays; 19.95 MB with whole-sample arrays
+    assert tall_traced[3] <= 1.05 * 14.886e6
+
+
+_NO_SCIPY = """
+import sys
+import varireg, varireg.cli
+from varireg.registration import register_discrete
+from varireg.simulate import LatentModelConfig, WarpLawConfig, make_truth_bundle
+register_discrete(make_truth_bundle(LatentModelConfig("model1", grid_size=31), WarpLawConfig(), 5, 1).observed)
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_scipy_loads_only_for_smoothed_warps():
+    # only monotone_through_knots calls scipy, and it imports it itself
+    assert _at_blas_threads("1", ["-c", _NO_SCIPY]).strip() == "[]"
 
 
 _NOISY_DIGEST = """

@@ -35,6 +35,7 @@ from oracles import (
     per_curve_loocv_bandwidths,
     per_curve_windowed_fit,
     per_curve_windowed_fits,
+    windows_whole,
 )
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -518,6 +519,41 @@ def test_row_kernel_matches_per_curve_pass(sample, K, degrees_deriv, loo, shared
         want = per_curve_windowed_fits(grids[i], values[i], h[i], e[i % e.shape[0]], degrees, deriv, loo)
         assert got[:, i].tobytes() == want.tobytes()
     assert permuted.tobytes() == got[:, perm].tobytes()
+
+
+def _assert_windows_match_the_whole_search(grids, h, e):
+    g_rows, _ = _padded_rows(grids, [np.zeros(g.size) for g in grids])
+    e = np.broadcast_to(e, (h.shape[0], e.shape[1]))
+    size = np.broadcast_to(np.count_nonzero(g_rows < np.inf, axis=1), h.shape[0])
+    lo, width = smoothing._windows(g_rows, e, h, size)
+    want_lo, want_width = windows_whole(g_rows, e, h, size)
+    assert lo.dtype == width.dtype == np.int32 and lo.shape == want_lo.shape
+    assert (lo == want_lo).all() and (width == want_width).all()
+
+
+@given(row_samples(max_shared=24), st.integers(1, 4), st.booleans(), st.sampled_from([_BLOCK_BUDGET, 40, 1]))
+def test_windows_match_the_whole_sample_search(sample, K, shared_e, budget):
+    # the edges of a chunk of rows at a time, in int32, against every edge at once in int64
+    rng, grids, _ = sample
+    n = len(grids)
+    h = np.minimum(rng.uniform(0.2, 8.0, (n, K)) / 20.0, 1.0)
+    e = np.stack([np.concatenate((rng.uniform(-0.1, 1.1, 12), g[rng.integers(0, g.size, 8)]))
+                  for g in grids[:1 if shared_e else n]])
+    with patch.object(smoothing, "_BLOCK_BUDGET", budget):
+        _assert_windows_match_the_whole_search(grids, h, e)
+
+
+def test_windows_of_padded_grids_over_several_chunks():
+    # 40 curves on grids of 400 to 1000 points, 2 bandwidths x 1000 points
+    # each: chunks of 16 rows at the default budget
+    rng = np.random.default_rng(8)
+    grids = [_jittered_grid(rng, int(r)) for r in rng.integers(400, 1001, 40)]
+    e = np.sort(rng.uniform(-0.05, 1.05, (40, 1000)), axis=1)
+    _assert_windows_match_the_whole_search(grids, rng.uniform(0.001, 0.05, (40, 2)), e)
+    # dyadic grids, evaluated at their points: every edge e -+ h is a grid point
+    grids = [np.linspace(0.0, 1.0, 1025) for _ in range(40)]
+    h = np.tile([2.0**-7, 0.25], (40, 1))
+    _assert_windows_match_the_whole_search(grids, h, np.stack([g[::2] for g in grids]))
 
 
 def test_row_kernel_drops_a_singular_shared_window():

@@ -15,6 +15,7 @@ from varireg.variation import (
     _digit_mean,
     discrete_variation_cdf,
     generalized_inverse,
+    mean_quantile_flat,
     quantile_to_cdf,
     searchsorted_rows,
     wasserstein2,
@@ -23,7 +24,9 @@ from varireg.variation import (
 from conftest import random_step_cdf
 from oracles import (
     digit_mean_divmod,
+    flat_quantiles,
     mean_quantile,
+    mean_quantile_float_digits,
     mean_quantile_oracle,
     quantile_to_cdf_oracle,
     wasserstein2_unique,
@@ -297,6 +300,30 @@ def test_mean_of_power_of_two_copies_is_exact(q):
         np.testing.assert_array_equal(mean_quantile([q] * m).values, q.values)
 
 
+@st.composite
+def flat_samples(draw):
+    """n in {1, 2, 1000} quantile functions, each one of up to six drawn
+    ones, laid out flat as mean_quantile_flat takes them."""
+    qs = draw(st.lists(quantile_fns(), min_size=1, max_size=6))
+    n = draw(st.sampled_from([1, 2, 1000]))
+    pick = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(0, len(qs), n)
+    return flat_quantiles([qs[i] for i in pick])
+
+
+@given(flat_samples())
+# a location of exactly 1.0 is a digit of exactly 2**31
+@example(flat_quantiles([QuantileFn([0.0, 1.0], [0.0, 1.0])]))
+@example(flat_quantiles([QuantileFn([0.0, 0.5, 1.0], [0.0, 5e-324, 1.0]), QuantileFn([0.0, 1.0], [0.0, 1.0])]))
+@example(flat_quantiles([QuantileFn([0.0, 0.25, 1.0], [0.0, 1e-300, 1.0])] * 1000))
+def test_mean_quantile_flat_matches_float_digit_sweep(flat):
+    """The narrow sweep buffers have the bits of float digit rows and int64 starts."""
+    points, index, locations, firsts = flat
+    got = mean_quantile_flat(points, index, locations.copy(), firsts)
+    want = mean_quantile_float_digits(points, index, locations, firsts)
+    assert got.breakpoints.tobytes() == want.breakpoints.tobytes()
+    assert got.values.tobytes() == want.values.tobytes()
+
+
 # --- quantile_to_cdf --------------------------------------------------------
 
 def _inversion(fn, q):
@@ -318,6 +345,18 @@ def test_quantile_to_cdf_matches_loop(q):
     else:
         np.testing.assert_array_equal(got[0], ref[0])
         np.testing.assert_array_equal(got[1], ref[1])
+
+
+def test_quantile_to_cdf_views_the_quantile_unless_a_location_repeats():
+    q = QuantileFn([0.0, 0.25, 0.5, 1.0], [0.0, 0.2, 0.6, 1.0])
+    cdf = quantile_to_cdf(q)
+    assert np.shares_memory(cdf.jump_locations, q.values) and np.shares_memory(cdf.cum_values, q.breakpoints)
+    # a flat stretch: its levels merge into a copy
+    q = QuantileFn([0.0, 0.25, 0.5, 1.0], [0.0, 0.6, 0.6, 1.0])
+    cdf = quantile_to_cdf(q)
+    assert not np.shares_memory(cdf.jump_locations, q.values)
+    assert not np.shares_memory(cdf.cum_values, q.breakpoints)
+    assert cdf.jump_locations.tolist() == [0.6, 1.0] and cdf.cum_values.tolist() == [0.5, 1.0]
 
 
 @pytest.mark.parametrize(
