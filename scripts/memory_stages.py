@@ -13,9 +13,12 @@ in the benchmark, every result stays alive to the end of the run.
 
 Prints one JSON line: ``result_mb``, the memory the registration result
 keeps; for each call, the memory traced on entry and the peak over that
-entry while it ran, in MB (10^6 bytes); and the highest peak of the run.
+entry while it ran, in MB (10^6 bytes), and the minor page faults the
+process took while it ran (``getrusage``); and the highest peak of the run.
 Only what each call allocates counts, so the figures repeat to a few kB
-from run to run on one numpy version.
+from run to run on one numpy version.  The faults count pages that the C
+heap hands back to the system and takes again, which tracemalloc does not
+see; they vary more from run to run.
 
     python scripts/memory_stages.py --n 1000 --r 201 --seed 7
 """
@@ -23,6 +26,7 @@ from run to run on one numpy version.
 import argparse
 import gc
 import json
+import resource
 import tracemalloc
 
 import numpy as np
@@ -35,13 +39,17 @@ from varireg.variation import wasserstein2
 
 
 def traced(record, name, call, *args):
-    """``call(*args)``, with its entry and peak-over-entry memory in ``record[name]``."""
+    """``call(*args)``, with its entry and peak-over-entry memory and its
+    minor page faults in ``record[name]``."""
     gc.collect()
     tracemalloc.reset_peak()
     entry = tracemalloc.get_traced_memory()[0]
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     value = call(*args)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     peak = tracemalloc.get_traced_memory()[1]
-    record[name] = {"entry_mb": round(entry / 1e6, 3), "spike_mb": round((peak - entry) / 1e6, 3)}
+    record[name] = {"entry_mb": round(entry / 1e6, 3), "spike_mb": round((peak - entry) / 1e6, 3),
+                    "minor_faults": faults}
     return value
 
 

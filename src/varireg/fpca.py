@@ -4,9 +4,12 @@ The eigenproblem is solved under trapezoid quadrature weights on the
 analysis grid, so eigenfunctions are orthonormal in the quadrature inner
 product and the eigenvalue sum equals the weighted trace of the covariance.
 A sample with fewer curves than grid points is decomposed by a thin SVD of
-its centred rows, so no (grid x grid) array is formed.  The covariance
-product, ``eigh`` and the SVD run with numpy's OpenBLAS in one thread, so
-their bits do not depend on the BLAS thread count.
+its centred rows, so no (grid x grid) array is formed.
+``covariance_matrix`` returns a read-only ``CovarianceKernel`` that, for such
+a sample, keeps those rows, so ``leading_eigenpairs`` of it takes the same
+SVD: for m up to the sample size it is ``row_eigenpairs`` bit for bit at
+every n.  The covariance product, ``eigh`` and the SVD run with numpy's
+OpenBLAS in one thread, so their bits do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -19,7 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySample, GridMismatch, NonSymmetric
+from .simulate import _BLOCK_CELLS
 from .variation import DiscreteCurve
+
+_TILE = math.isqrt(_BLOCK_CELLS)  # side of the square tiles _symmetrize averages
 
 
 def trapezoid_weights(grid: np.ndarray) -> np.ndarray:
@@ -57,8 +63,28 @@ def sorted_row_mean(grid, rows) -> DiscreteCurve:
     return DiscreteCurve(grid, rows.sum(axis=0) / rows.shape[0])
 
 
-def covariance_matrix(curves) -> np.ndarray:
-    """Empirical covariance kernel on the grid, divisor 1/n, symmetrized."""
+class CovarianceKernel(np.ndarray):
+    """A read-only covariance matrix that, for a sample of fewer curves than
+    grid points, also keeps the sample's canonical centred rows (``rows``).
+
+    Views and copies of it keep no rows, and ufuncs and reductions of it
+    return plain arrays and scalars.
+    """
+
+    def __array_finalize__(self, obj):
+        self.rows = None
+
+    def __array_wrap__(self, obj, context=None, return_scalar=False):
+        obj = obj.view(np.ndarray)
+        return obj[()] if return_scalar else obj
+
+
+def covariance_matrix(curves) -> CovarianceKernel:
+    """Empirical covariance kernel on the grid, divisor 1/n, symmetrized.
+
+    The kernel is read-only.  With fewer curves than grid points it keeps
+    their centred rows, so leading_eigenpairs of it takes their thin SVD.
+    """
     curves = list(curves)
     if len(curves) < 2:
         raise EmptySample("covariance needs at least two curves")
@@ -112,12 +138,51 @@ def _centered_rows(rows) -> np.ndarray:
     return rows - np.sort(rows, axis=0).sum(axis=0) / rows.shape[0]
 
 
-def _row_covariance(rows) -> np.ndarray:
-    """covariance_matrix of the curves whose values are the rows of ``rows``."""
+def _row_covariance(rows) -> CovarianceKernel:
+    """covariance_matrix of the curves whose values are the rows of ``rows``.
+
+    Divides and symmetrizes the product in place, so the kernel is the one
+    r x r array it holds.
+    """
     centered = _centered_rows(rows)
+    n, r = centered.shape
     with _one_blas_thread():
-        cov = centered.T @ centered / centered.shape[0]
-    return (cov + cov.T) / 2.0
+        cov = centered.T @ centered
+    cov /= n
+    _symmetrize(cov)
+    kernel = cov.view(CovarianceKernel)
+    if n < r:
+        centered.flags.writeable = False
+        kernel.rows = centered
+    kernel.flags.writeable = False
+    return kernel
+
+
+def _symmetrize(cov) -> None:
+    """cov <- (cov + cov.T) / 2.0 in place, one pair of mirrored tiles at a time.
+
+    An entry plus its mirror is the same sum in either order, so both tiles
+    of a pair take the values of the whole-matrix expression.
+    """
+    r, t = cov.shape[0], _TILE
+    for a in range(0, r, t):
+        for b in range(a, r, t):
+            mean = cov[a:a + t, b:b + t] + cov[b:b + t, a:a + t].T
+            mean /= 2.0
+            cov[a:a + t, b:b + t] = mean
+            cov[b:b + t, a:a + t] = mean.T
+
+
+def _check_symmetric(kernel) -> None:
+    """Raise NonSymmetric unless np.allclose(kernel, kernel.T) with rtol 0 and
+    atol 1e-10 * max(largest |entry|, 1): the same verdict, nan and inf
+    included, taken over tiles of about _BLOCK_CELLS entries."""
+    step = max(1, _BLOCK_CELLS // kernel.shape[0])
+    tiles = range(0, kernel.shape[0], step)
+    scale = float(np.max([np.abs(kernel[a:a + step]).max() for a in tiles]))
+    atol = 1e-10 * max(scale, 1.0)
+    if not all(np.allclose(kernel[a:a + step], kernel[:, a:a + step].T, atol=atol, rtol=0.0) for a in tiles):
+        raise NonSymmetric("kernel is not symmetric")
 
 
 @dataclass(frozen=True)
@@ -145,22 +210,29 @@ def leading_eigenpairs(kernel: np.ndarray, grid, m: int) -> EigenDecomposition:
     Solves eigh(W^1/2 K W^1/2) and maps eigenvectors back, which makes the
     eigenfunctions L2-orthonormal under the trapezoid inner product.  Sign
     convention: nonnegative integral, falling back to a positive largest
-    coordinate when the integral is (numerically) zero.
+    coordinate when the integral is (numerically) zero.  Returns min(m, r)
+    pairs.
+
+    A ``covariance_matrix`` of n curves on r > n grid points keeps their
+    centred rows; for m <= n it is solved by their thin SVD instead, and the
+    result is row_eigenpairs(rows, grid, m) bit for bit.
     """
+    rows = kernel.rows if isinstance(kernel, CovarianceKernel) else None
     grid = np.asarray(grid, dtype=float)
     kernel = np.asarray(kernel, dtype=float)
     if kernel.ndim != 2 or kernel.shape[0] != kernel.shape[1]:
         raise NonSymmetric("kernel must be a square matrix")
     if kernel.shape[0] != grid.size:
         raise GridMismatch("kernel size does not match grid")
-    scale = float(np.abs(kernel).max())
-    if not np.allclose(kernel, kernel.T, atol=1e-10 * max(scale, 1.0), rtol=0.0):
-        raise NonSymmetric("kernel is not symmetric")
+    _check_symmetric(kernel)
     if m < 1:
         raise ValueError("need m >= 1")
 
     w = trapezoid_weights(grid)
     sqw = np.sqrt(w)
+    if rows is not None and m <= rows.shape[0]:
+        evals, vectors = _thin_svd(rows * (sqw / math.sqrt(rows.shape[0])))
+        return _decomposition(grid, w, sqw, evals, vectors, m)
     sym = sqw[:, None] * kernel * sqw[None, :]
     sym = (sym + sym.T) / 2.0
     with _one_blas_thread():
@@ -178,7 +250,9 @@ def row_eigenpairs(rows, grid, m: int) -> EigenDecomposition:
     singular values, the right singular vectors map back to the
     eigenfunctions, and the missing eigenvalues are exactly zero.  Time is
     O(n r min(n, r)) and memory O(n r).  Returns min(m, n, r) pairs; past
-    the sample size the eigenfunctions are null directions.
+    the sample size the eigenfunctions are null directions.  For m <= n,
+    leading_eigenpairs(covariance_matrix(curves), grid, m) takes the same
+    SVD, so the two agree bit for bit at every n.
     """
     grid = np.asarray(grid, dtype=float)
     rows = np.asarray(rows, dtype=float)
@@ -191,9 +265,17 @@ def row_eigenpairs(rows, grid, m: int) -> EigenDecomposition:
         return leading_eigenpairs(_row_covariance(rows), grid, m)
     w = trapezoid_weights(grid)
     sqw = np.sqrt(w)
+    evals, vectors = _thin_svd(_centered_rows(rows) * (sqw / math.sqrt(n)))
+    return _decomposition(grid, w, sqw, evals, vectors, min(m, n))
+
+
+def _thin_svd(weighted):
+    """Nonincreasing eigenvalues of W^1/2 K W^1/2 and its eigenvectors (rows)
+    from the n canonical centred rows, each weighted by sqrt(w / n): their
+    squared singular values and right singular vectors."""
     with _one_blas_thread():
-        _, s, vt = np.linalg.svd(_centered_rows(rows) * (sqw / math.sqrt(n)), full_matrices=False)
-    return _decomposition(grid, w, sqw, s * s, vt, min(m, n))
+        _, s, vt = np.linalg.svd(weighted, full_matrices=False)
+    return s * s, vt
 
 
 def _decomposition(grid, w, sqw, evals, vectors, m) -> EigenDecomposition:
@@ -225,6 +307,15 @@ def row_scores(rows, eigenfunction: np.ndarray, grid) -> np.ndarray:
     """scores of the curves whose values are the rows of ``rows``.
 
     Each row is summed as (w * x) * phi along its own contiguous axis, so
-    it has the bits of that curve scored alone.
+    it has the bits of that curve scored alone.  The rows go in blocks of
+    about _BLOCK_CELLS values, so no product over the whole sample exists.
     """
-    return np.sum(trapezoid_weights(grid) * np.ascontiguousarray(rows) * eigenfunction, axis=1)
+    w = trapezoid_weights(grid)
+    rows = np.asarray(rows)
+    out = np.empty(rows.shape[0])
+    step = max(1, _BLOCK_CELLS // max(rows.shape[1], 1))
+    for a in range(0, rows.shape[0], step):
+        block = w * np.ascontiguousarray(rows[a:a + step])
+        block *= eigenfunction
+        out[a:a + step] = block.sum(axis=1)
+    return out

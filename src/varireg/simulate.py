@@ -140,16 +140,19 @@ def _bisect(forward, t, lo, hi, steps):
 def evaluate_warps(warps, t, table=None) -> np.ndarray:
     """``warps`` at the points ``t``, as a (len(warps), t.size) array.
 
-    Runs in the row blocks of ``invert_warps``.  Each row has the bits of
-    its warp called alone, and IdentityWarp rows are ``t`` exactly.  A
-    ``sine_table`` of these warps or more, at ``t``, saves every block
-    taking its sines again.
+    Runs in the row blocks of ``invert_warps``, each written in place when
+    its rows are consecutive.  Each row has the bits of its warp called
+    alone, and IdentityWarp rows are ``t`` exactly.  A ``sine_table`` of
+    these warps or more, at ``t``, saves every block taking its sines again.
     """
     t = np.asarray(t, dtype=float).ravel()
     out = np.empty((len(warps), t.size))
     out[:] = t
     for block, forward in _forward_blocks(warps, t.size):
-        out[block] = forward(t, table)
+        if block[-1] - block[0] == len(block) - 1:
+            forward(t, table, out=out[block[0]:block[-1] + 1])
+        else:
+            out[block] = forward(t, table)
     return out
 
 
@@ -181,7 +184,8 @@ def _forward_blocks(warps, m):
 
 
 class _SineStack:
-    """Forward map of SineMixtureWarp rows on a (rows, m) array, or on m points shared by all.
+    """Forward map of SineMixtureWarp rows on a (rows, m) array, or on m points shared by all,
+    written into ``out`` when one is given.
 
     Frequencies and weights are stacked into (rows, J) arrays, padded with
     k = 0 and w = 0.  Each term is w*sin((pi*k)*t)/((|k|*pi)*beta),
@@ -214,8 +218,8 @@ class _SineStack:
         bound = (J + 4) * 2.0**-52
         self.depth = max(0, math.frexp(max(self.min_slope, 0.0) / (2.0 * bound))[1] - 1)
 
-    def __call__(self, t, table=None):
-        out = np.empty((len(self.warps), t.shape[-1]))
+    def __call__(self, t, table=None, out=None):
+        out = np.empty((len(self.warps), t.shape[-1])) if out is None else out
         out[:] = t
         term = np.empty_like(out)
         if t.ndim == 1:
@@ -223,7 +227,7 @@ class _SineStack:
             at = np.searchsorted(freq, self.freq)
         for j in range(self.freq.shape[1]):
             if t.ndim == 1:
-                np.take(sines, at[:, j], axis=0, out=term)
+                np.take(sines, at[:, j], axis=0, out=term, mode="clip")  # at is in range: no buffer
             else:
                 np.multiply(self.freq[:, j : j + 1], t, out=term)
                 np.sin(term, out=term)
@@ -271,8 +275,8 @@ class _SineStack:
 def _row_by_row(warps):
     """Forward map that calls each warp on its own row of points, or on shared points."""
 
-    def forward(t, table=None):
-        out = np.empty((len(warps), t.shape[-1]))
+    def forward(t, table=None, out=None):
+        out = np.empty((len(warps), t.shape[-1])) if out is None else out
         for row, w in enumerate(warps):
             out[row] = w(t if t.ndim == 1 else t[row])
         return out

@@ -42,6 +42,12 @@
   quantile, warp, boundary extension, smoothed warp and kernel fit built
   on its own, one curve at a time.  The library runs each stage once over
   (curves x points) arrays.
+* The whole-sample FPCA expressions: ``covariance_whole``, the covariance
+  divided by n and symmetrized as (cov + cov.T) / 2 over whole
+  (grid x grid) arrays; ``symmetric_whole``, the symmetry check of a kernel
+  by one ``np.allclose``; and ``row_scores_whole``, every curve's
+  (weights x curve) x eigenfunction at once.  The library works in place
+  and in tiles or row blocks.
 * The per-curve diagnostics: the z-statistic, FPCA scores and errors
   against the truth, each curve's derivative, integrals, warps and truth
   warps taken on their own.  The library sums along the rows of one
@@ -79,7 +85,14 @@ from varireg.errors import (
     SingularFit,
     ZeroVariation,
 )
-from varireg.fpca import cross_sectional_mean, row_eigenpairs, row_scores, trapezoid_weights
+from varireg.fpca import (
+    _centered_rows,
+    _one_blas_thread,
+    cross_sectional_mean,
+    row_eigenpairs,
+    row_scores,
+    trapezoid_weights,
+)
 from varireg.registration import (
     OUTPUT_GRID_CAP,
     WARP_GRID_CAP,
@@ -841,6 +854,30 @@ def per_curve_register_noisy(sample, opts=None) -> RegistrationResult:
         regime="noisy",
         metadata=meta,
     )
+
+
+# --- whole-sample FPCA ---------------------------------------------------------
+
+
+def covariance_whole(rows) -> np.ndarray:
+    """The covariance of the rows of ``rows``: their canonical centred product
+    divided by n, then (cov + cov.T) / 2, each step a whole (grid x grid) array."""
+    centered = _centered_rows(rows)
+    with _one_blas_thread():
+        cov = centered.T @ centered / centered.shape[0]
+    return (cov + cov.T) / 2.0
+
+
+def symmetric_whole(kernel) -> bool:
+    """Whether ``leading_eigenpairs`` takes ``kernel`` as symmetric, by one
+    ``np.allclose`` over the whole matrix."""
+    scale = float(np.abs(kernel).max())
+    return bool(np.allclose(kernel, kernel.T, atol=1e-10 * max(scale, 1.0), rtol=0.0))
+
+
+def row_scores_whole(rows, eigenfunction, grid) -> np.ndarray:
+    """row_scores over one (curves x grid) product of the whole sample."""
+    return np.sum(trapezoid_weights(grid) * np.ascontiguousarray(rows) * eigenfunction, axis=1)
 
 
 # --- per-curve diagnostics ----------------------------------------------------

@@ -1,16 +1,26 @@
+import gc
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import covariance_whole, row_scores_whole, symmetric_whole
+from varireg import fpca
 from varireg.errors import EmptySample, GridMismatch, NonSymmetric
 from varireg.fpca import (
+    _TILE,
+    CovarianceKernel,
+    _check_symmetric,
     _lexicographic_order,
+    _row_covariance,
+    _symmetrize,
     covariance_matrix,
     cross_sectional_mean,
     leading_eigenpairs,
     row_eigenpairs,
+    row_scores,
     scores,
     trapezoid_weights,
 )
@@ -204,7 +214,8 @@ def test_row_eigenpairs_matches_covariance_eigh(sample):
     rows, grid, m = sample
     n, r = rows.shape
     got = row_eigenpairs(rows, grid, m)
-    want = leading_eigenpairs(covariance_matrix(DiscreteCurve.batch(grid, rows)), grid, m)
+    # np.array drops the rows a kernel of n < r curves keeps: the reference stays a dense eigh
+    want = leading_eigenpairs(np.array(covariance_matrix(DiscreteCurve.batch(grid, rows))), grid, m)
     if n >= r:  # the covariance eigh itself
         np.testing.assert_array_equal(got.eigenvalues, want.eigenvalues)
         np.testing.assert_array_equal(got.eigenfunctions, want.eigenfunctions)
@@ -324,3 +335,180 @@ def test_row_eigenpairs_memory_is_o_of_n_r():
         tracemalloc.stop()
     assert peak < 50e6
     assert eig.eigenfunctions.shape == (4, 5000)
+
+
+def _assert_same_pairs(got, want):
+    assert got.grid.tobytes() == want.grid.tobytes()
+    assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+    assert got.eigenfunctions.tobytes() == want.eigenfunctions.tobytes()
+    assert got.explained_ratios.tobytes() == want.explained_ratios.tobytes()
+    assert got.trace_zero == want.trace_zero
+
+
+@given(row_samples())
+def test_kernel_eigenpairs_are_row_eigenpairs_bit_for_bit(sample):
+    # below n = r both take the thin SVD of the kernel's rows, from n = r both the eigh
+    rows, grid, m = sample
+    got = leading_eigenpairs(covariance_matrix(DiscreteCurve.batch(grid, rows)), grid, m)
+    _assert_same_pairs(got, row_eigenpairs(rows, grid, m))
+
+
+@pytest.mark.parametrize("n, r", [(5, 30), (29, 30), (30, 30), (40, 12)])
+def test_covariance_kernel_is_read_only_and_exactly_symmetric(rng, n, r):
+    grid = np.linspace(0.0, 1.0, r)
+    rows = rng.standard_normal((n, r)).cumsum(axis=1)
+    kernel = covariance_matrix(DiscreteCurve.batch(grid, rows))
+    assert isinstance(kernel, CovarianceKernel)
+    assert not kernel.flags.writeable
+    with pytest.raises(ValueError):
+        kernel[0, 1] = 1.0
+    assert np.asarray(kernel).tobytes() == np.asarray(kernel.T).copy().tobytes()
+    assert (kernel.rows is not None) == (n < r)
+    if kernel.rows is not None:
+        assert not kernel.rows.flags.writeable
+    # a view, copy or ufunc result keeps no rows and takes the dense eigh
+    dense = leading_eigenpairs(np.array(kernel), grid, 3)
+    for other in (kernel.T, kernel.copy(), np.array(kernel), kernel * 1):
+        assert getattr(other, "rows", None) is None
+        _assert_same_pairs(leading_eigenpairs(other, grid, 3), dense)
+    assert type(kernel * 1) is np.ndarray and type(kernel.sum()) is np.float64
+
+
+def test_kernel_of_few_curves_gives_min_m_r_pairs_past_n(rng):
+    grid = np.linspace(0.0, 1.0, 80)
+    rows = rng.standard_normal((25, 80))
+    kernel = covariance_matrix(DiscreteCurve.batch(grid, rows))
+    assert leading_eigenpairs(kernel, grid, 25).eigenvalues.size == 25
+    for m in (26, 80, 200):  # more pairs than curves: the dense eigh, as for a plain array
+        eig = leading_eigenpairs(kernel, grid, m)
+        assert eig.eigenvalues.size == min(m, 80)
+        _assert_same_pairs(eig, leading_eigenpairs(np.array(kernel), grid, m))
+
+
+@pytest.mark.parametrize("r", [1, 7, _TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 3, 1001])
+@pytest.mark.parametrize("few", [True, False], ids=["n_below_r", "n_above_r"])
+def test_covariance_matrix_has_the_bits_of_the_whole_matrix_expression(r, few):
+    rng = np.random.default_rng(r)
+    n = 3 if few else r + 2
+    rows = rng.standard_normal((n, r)).cumsum(axis=1) * 1e3
+    # a one-point grid is no DiscreteCurve; covariance_matrix is _row_covariance of the stack
+    kernel = covariance_matrix(DiscreteCurve.batch(np.linspace(0.0, 1.0, r), rows)) if r >= 3 else _row_covariance(rows)
+    assert np.asarray(kernel).tobytes() == covariance_whole(rows).tobytes()
+
+
+@pytest.mark.parametrize("r", [1, 7, _TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 3, 1001])
+def test_symmetrize_in_tiles_is_the_whole_matrix_mean(r):
+    # numpy's A.T @ A is already exactly symmetric, so test the tiles on a matrix that is not
+    a = np.random.default_rng(r).standard_normal((r, r))
+    want = (a + a.T) / 2.0
+    _symmetrize(a)
+    assert a.tobytes() == want.tobytes()
+
+
+def _perturbed(case):
+    r = 37
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((r, r))
+    kernel = a @ a.T
+    kernel = (kernel + kernel.T) / 2.0
+    atol = 1e-10 * float(np.abs(kernel).max())
+    last = r - 1  # in the last tile of rows
+    if case == "tiny":
+        kernel *= 1e-20
+        kernel[last, 2] += 5e-11  # under the atol floor of 1e-10
+    elif case == "over_atol":
+        kernel[last, 2] += 2.0 * atol
+    elif case == "under_atol":
+        kernel[last, 2] += 0.5 * atol
+    elif case != "symmetric":
+        value = {"nan": np.nan, "inf": np.inf, "minus_inf": -np.inf}[case.split("_", 1)[1]]
+        kernel[last, 2] = value
+        if case.startswith("mirrored"):
+            kernel[2, last] = value
+        elif case.startswith("diagonal"):
+            kernel[last, 2] = kernel[2, last]
+            kernel[last, last] = value
+    return kernel
+
+
+_CASES = ["symmetric", "tiny", "over_atol", "under_atol", "one_nan", "mirrored_nan", "diagonal_nan",
+          "one_inf", "mirrored_inf", "mirrored_minus_inf", "diagonal_inf"]
+
+
+# numpy warns of the nan or inf atol that a nan or inf entry makes, in both forms
+@pytest.mark.filterwarnings("ignore:One of rtol or atol is not valid:RuntimeWarning")
+@pytest.mark.parametrize("case", _CASES)
+@pytest.mark.parametrize("cells", [1, 4 * 37, None], ids=["rows_of_1", "rows_of_4", "default_tiles"])
+def test_symmetry_check_in_tiles_gives_the_whole_matrix_verdict(case, cells):
+    kernel = _perturbed(case)
+    symmetric = symmetric_whole(kernel)
+    # an inf entry makes the atol inf, so every finite pair passes
+    passes = {"symmetric", "tiny", "under_atol", "mirrored_inf", "mirrored_minus_inf", "diagonal_inf"}
+    assert symmetric == (case in passes)
+    with mock.patch.object(fpca, "_BLOCK_CELLS", cells or fpca._BLOCK_CELLS):
+        if symmetric:
+            _check_symmetric(kernel)
+        else:
+            with pytest.raises(NonSymmetric):
+                _check_symmetric(kernel)
+            with pytest.raises(NonSymmetric):
+                leading_eigenpairs(kernel, np.linspace(0.0, 1.0, kernel.shape[0]), 1)
+
+
+@given(
+    st.integers(0, 30), st.integers(1, 50), st.sampled_from([1, 7, 64, None]),
+    st.sampled_from(["C", "F", "strided"]), st.integers(0, 2**32 - 1),
+)
+def test_row_scores_in_blocks_match_the_whole_sample_form(n, r, cells, layout, seed):
+    rng = np.random.default_rng(seed)
+    grid = np.sort(rng.random(r))
+    phi = rng.standard_normal(r)
+    rows = rng.standard_normal((n, 2 * r)) * 10.0 ** rng.integers(-5, 6, (n, 1))
+    rows = rows[:, ::2] if layout == "strided" else rows[:, :r]
+    rows = np.asfortranarray(rows) if layout == "F" else np.ascontiguousarray(rows) if layout == "C" else rows
+    with mock.patch.object(fpca, "_BLOCK_CELLS", cells or fpca._BLOCK_CELLS):
+        got = row_scores(rows, phi, grid)
+    assert got.shape == (n,)
+    assert got.tobytes() == row_scores_whole(rows, phi, grid).tobytes()
+
+
+def _traced_peak(call, *args):
+    """(value, tracemalloc peak in bytes) of ``call(*args)`` over what exists before it."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        value = call(*args)
+        return value, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def wide_peaks():
+    """The FPCA calls on one 200 x 1001 sample under tracemalloc: each one's
+    peak over its arguments, in MB."""
+    rng = np.random.default_rng(5)
+    grid = np.linspace(0.0, 1.0, 1001)
+    rows = rng.standard_normal((200, 1001)).cumsum(axis=1)
+    curves = DiscreteCurve.batch(grid, rows)
+    kernel, cov = _traced_peak(covariance_matrix, curves)
+    eig, lead = _traced_peak(leading_eigenpairs, kernel, grid, 3)
+    row_eig, row = _traced_peak(row_eigenpairs, rows, grid, 3)
+    _assert_same_pairs(eig, row_eig)
+    _, score = _traced_peak(row_scores, rows, eig.eigenfunctions[0], grid)
+    return {"covariance_matrix": cov / 1e6, "leading_eigenpairs": lead / 1e6,
+            "row_eigenpairs": row / 1e6, "row_scores": score / 1e6}
+
+
+# Each bound is the value measured with numpy 2.4 + 5 %.  Before the kernel
+# was divided and symmetrized in place and kept its rows, covariance_matrix
+# peaked at 19.31 MB and leading_eigenpairs of it, a dense 1001-point eigh,
+# at 17.10 MB; row_scores over the whole sample at 3.27 MB.
+@pytest.mark.parametrize("call, measured", [
+    ("covariance_matrix", 12.409),
+    ("leading_eigenpairs", 3.551),
+    ("row_eigenpairs", 3.549),  # the thin SVD is shared; its own peak does not grow
+    ("row_scores", 1.117),
+])
+def test_wide_fpca_peaks(wide_peaks, call, measured):
+    assert wide_peaks[call] <= 1.05 * measured, wide_peaks
