@@ -3,13 +3,15 @@
 The eigenproblem is solved under trapezoid quadrature weights on the
 analysis grid, so eigenfunctions are orthonormal in the quadrature inner
 product and the eigenvalue sum equals the weighted trace of the covariance.
-A sample with fewer curves than grid points is decomposed by a thin SVD of
-its centred rows, so no (grid x grid) array is formed.
-``covariance_matrix`` returns a read-only ``CovarianceKernel`` that, for such
-a sample, keeps those rows, so ``leading_eigenpairs`` of it takes the same
-SVD: for m up to the sample size it is ``row_eigenpairs`` bit for bit at
-every n.  The covariance product, ``eigh`` and the SVD run with numpy's
-OpenBLAS in one thread, so their bits do not depend on the BLAS thread count.
+A sample of n curves on r > n grid points is decomposed from the n x n Gram
+matrix of its weighted centred rows (the method of snapshots: ``eigh`` of the
+Gram matrix, then one QR), in O(n^2 r) time and O(n r) memory, so no
+(grid x grid) array is formed.  ``covariance_matrix`` returns a read-only
+``CovarianceKernel`` that, for such a sample, keeps those rows, so
+``leading_eigenpairs`` of it takes the same solver: for m up to the sample
+size it is ``row_eigenpairs`` bit for bit at every n.  The products, ``eigh``
+and the QR run with numpy's OpenBLAS in one thread, so their bits do not
+depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -83,7 +85,8 @@ def covariance_matrix(curves) -> CovarianceKernel:
     """Empirical covariance kernel on the grid, divisor 1/n, symmetrized.
 
     The kernel is read-only.  With fewer curves than grid points it keeps
-    their centred rows, so leading_eigenpairs of it takes their thin SVD.
+    their centred rows, so leading_eigenpairs of it is solved from their
+    Gram matrix.
     """
     curves = list(curves)
     if len(curves) < 2:
@@ -96,7 +99,7 @@ def covariance_matrix(curves) -> CovarianceKernel:
 def _one_blas_thread():
     """Run the block with numpy's OpenBLAS in one thread, then restore its count.
 
-    matmul, eigh and svd change bits with the thread count.  The thread
+    matmul, eigh and qr change bits with the thread count.  The thread
     calls are looked up through numpy's core extension, which links the
     OpenBLAS; a build that exports neither leaves threading alone.
     """
@@ -162,12 +165,18 @@ def _symmetrize(cov) -> None:
     """cov <- (cov + cov.T) / 2.0 in place, one pair of mirrored tiles at a time.
 
     An entry plus its mirror is the same sum in either order, so both tiles
-    of a pair take the values of the whole-matrix expression.
+    of a pair take the values of the whole-matrix expression.  A pair whose
+    tiles already mirror each other bit for bit is left as it is: (x + x) / 2
+    is x for every x of magnitude up to DBL_MAX / 2, which bounds each finite
+    entry of a sum divided by n >= 2, and for infinities and quiet nans.
     """
     r, t = cov.shape[0], _TILE
     for a in range(0, r, t):
         for b in range(a, r, t):
-            mean = cov[a:a + t, b:b + t] + cov[b:b + t, a:a + t].T
+            upper, lower = cov[a:a + t, b:b + t], cov[b:b + t, a:a + t].T
+            if np.array_equal(upper.view(np.int64), lower.view(np.int64)):
+                continue
+            mean = upper + lower
             mean /= 2.0
             cov[a:a + t, b:b + t] = mean
             cov[b:b + t, a:a + t] = mean.T
@@ -176,9 +185,15 @@ def _symmetrize(cov) -> None:
 def _check_symmetric(kernel) -> None:
     """Raise NonSymmetric unless np.allclose(kernel, kernel.T) with rtol 0 and
     atol 1e-10 * max(largest |entry|, 1): the same verdict, nan and inf
-    included, taken over tiles of about _BLOCK_CELLS entries."""
+    included, taken over tiles of about _BLOCK_CELLS entries.
+
+    A kernel whose every tile equals its mirror passes at once, before the
+    scale is taken; a nan equals nothing, so it still takes the full check.
+    """
     step = max(1, _BLOCK_CELLS // kernel.shape[0])
     tiles = range(0, kernel.shape[0], step)
+    if all(np.array_equal(kernel[a:a + step], kernel[:, a:a + step].T) for a in tiles):
+        return
     scale = float(np.max([np.abs(kernel[a:a + step]).max() for a in tiles]))
     atol = 1e-10 * max(scale, 1.0)
     if not all(np.allclose(kernel[a:a + step], kernel[:, a:a + step].T, atol=atol, rtol=0.0) for a in tiles):
@@ -214,8 +229,9 @@ def leading_eigenpairs(kernel: np.ndarray, grid, m: int) -> EigenDecomposition:
     pairs.
 
     A ``covariance_matrix`` of n curves on r > n grid points keeps their
-    centred rows; for m <= n it is solved by their thin SVD instead, and the
-    result is row_eigenpairs(rows, grid, m) bit for bit.
+    centred rows; for m <= n it is solved from their Gram matrix instead
+    (see row_eigenpairs), and the result is row_eigenpairs(rows, grid, m)
+    bit for bit.
     """
     rows = kernel.rows if isinstance(kernel, CovarianceKernel) else None
     grid = np.asarray(grid, dtype=float)
@@ -231,7 +247,7 @@ def leading_eigenpairs(kernel: np.ndarray, grid, m: int) -> EigenDecomposition:
     w = trapezoid_weights(grid)
     sqw = np.sqrt(w)
     if rows is not None and m <= rows.shape[0]:
-        evals, vectors = _thin_svd(rows * (sqw / math.sqrt(rows.shape[0])))
+        evals, vectors = _gram_eigenpairs(rows * (sqw / math.sqrt(rows.shape[0])), m)
         return _decomposition(grid, w, sqw, evals, vectors, m)
     sym = sqw[:, None] * kernel * sqw[None, :]
     sym = (sym + sym.T) / 2.0
@@ -245,14 +261,18 @@ def row_eigenpairs(rows, grid, m: int) -> EigenDecomposition:
 
     With at least as many curves as grid points this is
     leading_eigenpairs(covariance_matrix(curves), grid, m), bit for bit.
-    With fewer, it is the thin SVD of the centred rows, in canonical order
-    and weighted by sqrt(trapezoid / n): the eigenvalues are the squared
-    singular values, the right singular vectors map back to the
-    eigenfunctions, and the missing eigenvalues are exactly zero.  Time is
-    O(n r min(n, r)) and memory O(n r).  Returns min(m, n, r) pairs; past
-    the sample size the eigenfunctions are null directions.  For m <= n,
+    With fewer, it works on the centred rows A, in canonical order and
+    weighted by sqrt(trapezoid / n): the eigenvalues are those of ``eigh``
+    of the n x n Gram matrix A A^T (all n of them feed the trace, the
+    missing r - n are exactly zero), and the eigenfunctions are the columns
+    of one reduced QR of A^T times the leading Gram eigenvectors, mapped
+    back.  Time is O(n^2 r) and memory O(n r).  Against the dense
+    covariance ``eigh`` the eigenvalues agree to 1e-12 * lambda_1 and each
+    eigenfunction to 1e-10 * lambda_1 / gap in the quadrature norm.  Returns
+    min(m, n, r) pairs; past the rank of the sample the eigenfunctions are
+    orthonormal null directions.  For m <= n,
     leading_eigenpairs(covariance_matrix(curves), grid, m) takes the same
-    SVD, so the two agree bit for bit at every n.
+    solver, so the two agree bit for bit at every n.
     """
     grid = np.asarray(grid, dtype=float)
     rows = np.asarray(rows, dtype=float)
@@ -265,22 +285,37 @@ def row_eigenpairs(rows, grid, m: int) -> EigenDecomposition:
         return leading_eigenpairs(_row_covariance(rows), grid, m)
     w = trapezoid_weights(grid)
     sqw = np.sqrt(w)
-    evals, vectors = _thin_svd(_centered_rows(rows) * (sqw / math.sqrt(n)))
-    return _decomposition(grid, w, sqw, evals, vectors, min(m, n))
+    m = min(m, n)
+    evals, vectors = _gram_eigenpairs(_centered_rows(rows) * (sqw / math.sqrt(n)), m)
+    return _decomposition(grid, w, sqw, evals, vectors, m)
 
 
-def _thin_svd(weighted):
-    """Nonincreasing eigenvalues of W^1/2 K W^1/2 and its eigenvectors (rows)
-    from the n canonical centred rows, each weighted by sqrt(w / n): their
-    squared singular values and right singular vectors."""
+def _gram_eigenpairs(weighted, m):
+    """Nonincreasing eigenvalues of W^1/2 K W^1/2 and its first m eigenvectors
+    (rows) from the n canonical centred rows A, each weighted by sqrt(w / n).
+
+    The method of snapshots: the n eigenvalues of the Gram matrix A A^T are
+    those of A^T A = W^1/2 K W^1/2 that can be nonzero, and A^T maps the Gram
+    eigenvectors onto the eigenvectors.  One reduced QR of those m images
+    normalizes them without dividing by a square root of an eigenvalue, so
+    null directions and near-zero eigenvalues still come out orthonormal.
+    """
     with _one_blas_thread():
-        _, s, vt = np.linalg.svd(weighted, full_matrices=False)
-    return s * s, vt
+        gram = weighted @ weighted.T  # A @ A.T runs as syrk: exactly symmetric
+        evals, u = np.linalg.eigh(gram)
+        q, _ = np.linalg.qr(weighted.T @ u[:, ::-1][:, :m])
+    return evals[::-1], q.T
 
 
 def _decomposition(grid, w, sqw, evals, vectors, m) -> EigenDecomposition:
     """The first m pairs from nonincreasing eigenvalues of W^1/2 K W^1/2 and
-    their eigenvectors (rows of ``vectors``), mapped back through 1/sqrt(w)."""
+    their eigenvectors (rows of ``vectors``), mapped back through 1/sqrt(w).
+
+    ``evals`` holds every eigenvalue the solver found, r from the dense
+    ``eigh`` and n from the Gram ``eigh``; their clipped sum is the weighted
+    trace.  ``vectors`` needs only its first m rows, and their signs are
+    settled here.
+    """
     trace = float(np.clip(evals, 0.0, None).sum())
     values = np.clip(evals[:m], 0.0, None)
     funcs = np.empty((m, grid.size))

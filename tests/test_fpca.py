@@ -24,6 +24,7 @@ from varireg.fpca import (
     scores,
     trapezoid_weights,
 )
+from varireg.simulate import LatentModelConfig, make_truth_bundle
 from varireg.variation import DiscreteCurve
 
 
@@ -312,6 +313,24 @@ def test_row_eigenpairs_returns_at_most_n_pairs(rng):
     np.testing.assert_allclose(gram, np.eye(3), atol=1e-10)
 
 
+@given(row_samples().filter(lambda sample: sample[0].shape[0] < sample[0].shape[1]))
+def test_row_eigenpairs_below_r_are_quadrature_orthonormal(sample):
+    # every eigenfunction, null directions of low-rank and identical rows included
+    rows, grid, m = sample
+    w = trapezoid_weights(grid)
+    for k in (m, rows.shape[0]):
+        funcs = row_eigenpairs(rows, grid, k).eigenfunctions
+        assert funcs.shape == (k, grid.size)
+        np.testing.assert_allclose((funcs * w) @ funcs.T, np.eye(k), rtol=0.0, atol=1e-10)
+
+
+def test_rank_one_latent_sample_has_one_nonzero_eigenvalue():
+    bundle = make_truth_bundle(LatentModelConfig("model1", grid_size=201), None, 50, seed=11)
+    eig = row_eigenpairs(np.stack([c.values for c in bundle.latent]), bundle.grid, 3)
+    assert eig.eigenvalues[0] > 0.0
+    assert eig.eigenvalues[1:].max() <= 1e-12 * eig.eigenvalues[0]
+
+
 def test_row_eigenpairs_errors():
     grid = np.linspace(0.0, 1.0, 9)
     with pytest.raises(EmptySample):
@@ -347,7 +366,7 @@ def _assert_same_pairs(got, want):
 
 @given(row_samples())
 def test_kernel_eigenpairs_are_row_eigenpairs_bit_for_bit(sample):
-    # below n = r both take the thin SVD of the kernel's rows, from n = r both the eigh
+    # below n = r both take the Gram eigh of the kernel's rows, from n = r both the dense eigh
     rows, grid, m = sample
     got = leading_eigenpairs(covariance_matrix(DiscreteCurve.batch(grid, rows)), grid, m)
     _assert_same_pairs(got, row_eigenpairs(rows, grid, m))
@@ -405,6 +424,19 @@ def test_symmetrize_in_tiles_is_the_whole_matrix_mean(r):
     assert a.tobytes() == want.tobytes()
 
 
+def test_symmetrize_leaves_exact_mirror_tiles_and_averages_the_rest():
+    # one tile pair is asymmetric, one mirrors -0.0 with 0.0 (equal values, not
+    # equal bits), the others mirror each other exactly
+    b = np.random.default_rng(4).standard_normal((15, 15))
+    a = (b + b.T) / 2.0
+    a[1, 9] += 1.0
+    a[5, 13], a[13, 5] = -0.0, 0.0
+    want = (a + a.T) / 2.0
+    with mock.patch.object(fpca, "_TILE", 4):
+        _symmetrize(a)
+    assert a.tobytes() == want.tobytes()
+
+
 def _perturbed(case):
     r = 37
     rng = np.random.default_rng(8)
@@ -420,6 +452,8 @@ def _perturbed(case):
         kernel[last, 2] += 2.0 * atol
     elif case == "under_atol":
         kernel[last, 2] += 0.5 * atol
+    elif case == "signed_zero":
+        kernel[last, 2], kernel[2, last] = -0.0, 0.0
     elif case != "symmetric":
         value = {"nan": np.nan, "inf": np.inf, "minus_inf": -np.inf}[case.split("_", 1)[1]]
         kernel[last, 2] = value
@@ -432,7 +466,7 @@ def _perturbed(case):
 
 
 _CASES = ["symmetric", "tiny", "over_atol", "under_atol", "one_nan", "mirrored_nan", "diagonal_nan",
-          "one_inf", "mirrored_inf", "mirrored_minus_inf", "diagonal_inf"]
+          "one_inf", "mirrored_inf", "mirrored_minus_inf", "diagonal_inf", "signed_zero"]
 
 
 # numpy warns of the nan or inf atol that a nan or inf entry makes, in both forms
@@ -443,7 +477,7 @@ def test_symmetry_check_in_tiles_gives_the_whole_matrix_verdict(case, cells):
     kernel = _perturbed(case)
     symmetric = symmetric_whole(kernel)
     # an inf entry makes the atol inf, so every finite pair passes
-    passes = {"symmetric", "tiny", "under_atol", "mirrored_inf", "mirrored_minus_inf", "diagonal_inf"}
+    passes = {"symmetric", "tiny", "under_atol", "mirrored_inf", "mirrored_minus_inf", "diagonal_inf", "signed_zero"}
     assert symmetric == (case in passes)
     with mock.patch.object(fpca, "_BLOCK_CELLS", cells or fpca._BLOCK_CELLS):
         if symmetric:
@@ -503,12 +537,18 @@ def wide_peaks():
 # Each bound is the value measured with numpy 2.4 + 5 %.  Before the kernel
 # was divided and symmetrized in place and kept its rows, covariance_matrix
 # peaked at 19.31 MB and leading_eigenpairs of it, a dense 1001-point eigh,
-# at 17.10 MB; row_scores over the whole sample at 3.27 MB.
+# at 17.10 MB; row_scores over the whole sample at 3.27 MB.  The first four
+# bounds were measured with the thin SVD; the last three pin the Gram eigh,
+# which needs no SVD workspace, and the symmetrization that skips tiles
+# already mirrored.
 @pytest.mark.parametrize("call, measured", [
     ("covariance_matrix", 12.409),
     ("leading_eigenpairs", 3.551),
-    ("row_eigenpairs", 3.549),  # the thin SVD is shared; its own peak does not grow
+    ("row_eigenpairs", 3.549),  # the solver is shared; its own peak does not grow
     ("row_scores", 1.117),
+    ("covariance_matrix", 11.426),
+    ("leading_eigenpairs", 2.342),
+    ("row_eigenpairs", 3.294),
 ])
 def test_wide_fpca_peaks(wide_peaks, call, measured):
     assert wide_peaks[call] <= 1.05 * measured, wide_peaks

@@ -750,7 +750,7 @@ def test_register_noisy_same_bytes_at_one_and_two_blas_threads():
 
 @pytest.mark.parametrize("n, r", [(200, 1001), (1000, 201)], ids=["200x1001", "1000x201"])
 def test_register_discrete_same_fpca_bytes_at_one_and_two_blas_threads(n, r, tmp_path):
-    # the SVD (n < r) and the eigh (n >= r) paths, at sizes where LAPACK and
+    # the Gram (n < r) and the covariance eigh (n >= r) paths, at sizes where LAPACK and
     # matmul change bits with the OpenBLAS thread count unless it is pinned
     sim = tmp_path / "sim"
     argv = ["simulate", "--model", "model1", "--n", str(n), "--r", str(r), "--seed", "7", "--out", str(sim)]

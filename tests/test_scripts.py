@@ -21,6 +21,7 @@ SCRIPT_RUNS = [
     pytest.param("code_lines.py", [], id="code_lines"),
     pytest.param("noisy_stages.py", ["--n", "8", "--r", "41"], id="noisy_stages"),
     pytest.param("memory_stages.py", ["--n", "8", "--r", "41"], id="memory_stages"),
+    pytest.param("stage_times.py", ["--n", "8", "--r", "41"], id="stage_times"),
 ]
 
 
